@@ -33,7 +33,6 @@ from .model import (
     RouterDecision,
     aux_losses,
     build_model,
-    build_preset,
     mem_read,
     memory_layer_forward,
     model_forward,
@@ -98,7 +97,6 @@ __all__ = [
     "TrainingAborted",
     "aux_losses",
     "build_model",
-    "build_preset",
     "checkpoint_from",
     "clip_grad_norm",
     "continue_train",

@@ -196,9 +196,9 @@ def collect_route_stats(model: Model, batches: list[np.ndarray], layers: list[in
         for layer_pos, layer_idx in enumerate(cfg.memory_layer_indices):
             if layer_idx not in counts:
                 continue
-            for decision in trace.decisions[layer_pos]:
-                counts[layer_idx][decision.selected] += 1
-                mass[layer_idx] += float(np.sum(decision.probs.data[decision.selected]))
+            decision = trace.decisions[layer_pos]
+            counts[layer_idx] += np.bincount(decision.selected.ravel(), minlength=cfg.chapters)
+            mass[layer_idx] += float(np.take_along_axis(decision.probs.data, decision.selected, axis=1).sum())
     out = []
     for layer_idx in wanted:
         c = counts[layer_idx]

@@ -2,9 +2,15 @@
 
 Block order (pre-norm residual blocks): self-attention, then on memory
 layers a cross-attention read over selected chapters of a shared latent
-token bank, then the SwiGLU MLP. Routing is sequence-level: one pooled
-router decision per sequence picks top-k routed chapters; shared chapters
-are always on.
+token bank, then the SwiGLU MLP. Routing is sequence-level: each
+sequence's mean-pooled hidden state picks its top-k routed chapters;
+shared chapters are always on. Pooling covers every position, so later
+tokens can change the chapters earlier positions read.
+
+The memory path runs once per layer for the whole batch: one
+RouterDecision holds (B, ...) arrays, one gather reads the (B, S*t, d)
+selected tokens (S = shared + k chapters of t tokens), and each
+sequence's queries attend only to its own selection.
 
 Selected memory tokens are RMS-normalized first and then scaled by their
 chapter weight (shared weight 1, routed weights = routed_scaling times
@@ -14,13 +20,13 @@ stay differentiable through the readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .config import ModelConfig, preset
-from .errors import ConfigError, SequenceLengthError
+from .config import ModelConfig
+from .errors import ConfigError, SequenceLengthError, ShapeError
 from .tensor import Parameter, RngState, Tensor
 
 RMSNORM_EPS = 1e-6
@@ -40,21 +46,23 @@ class MemoryBank:
     chapter_size: int
     shared_chapters: int
 
-    def chapter_row_ids(self, chapter_indices: list[int]) -> np.ndarray:
-        t = self.chapter_size
-        return np.concatenate([np.arange(c * t, (c + 1) * t) for c in chapter_indices])
-
 
 @dataclass
 class RouterDecision:
-    """One sequence's routing outcome at one memory layer."""
+    """One memory layer's routing outcome for a batch of B sequences.
 
-    pooled: Tensor  # (d,)
-    logits: Tensor  # (C,)
-    probs: Tensor  # (C,) softmax over all chapters, sums to 1
-    selected: list[int]  # k routed chapter indices, router order
-    selected_with_shared: list[int]  # shared chapters first, then selected
-    chapter_weights: Tensor  # per selected_with_shared entry
+    Row b of every field belongs to sequence b; S = shared_chapters + k.
+    """
+
+    pooled: Tensor  # (B, d)
+    logits: Tensor  # (B, C)
+    probs: Tensor  # (B, C) softmax over all chapters, each row sums to 1
+    selected: np.ndarray  # (B, k) int, routed chapter indices, router order
+    selected_with_shared: np.ndarray  # (B, S) int, shared chapters first, then selected
+    chapter_weights: Tensor  # (B, S), per selected_with_shared entry
+
+    def __len__(self) -> int:
+        return self.selected_with_shared.shape[0]
 
 
 @dataclass
@@ -65,7 +73,7 @@ class ForwardTrace:
     lb_loss: float
     z_loss: float
     total_loss: float
-    decisions: list[list[RouterDecision]]  # per memory layer, per sequence
+    decisions: list[RouterDecision]  # one per memory layer, batched over sequences
     memory_attention_mass: list[float]  # per memory layer
     loss: Tensor | None = None  # taped total, present when targets given
 
@@ -161,10 +169,6 @@ def build_model(cfg: ModelConfig, rng: RngState, precision: str = "single") -> M
     return Model(cfg, params, bank, precision)
 
 
-def build_preset(name: str, seed: int = 0, precision: str = "single") -> Model:
-    return build_model(preset(name), RngState(seed), precision)
-
-
 def param_count(model_or_cfg) -> dict[str, int]:
     """Exact per-group parameter counts {base, memory_layers, memory_bank,
     total}. Accepts a built Model or a ModelConfig (counted from shapes,
@@ -235,80 +239,71 @@ def _mlp_block(h: Tensor, model: Model, layer: int) -> Tensor:
 # routing
 
 
-def route_sequence(h_seq: Tensor, weight: Parameter, bias: Parameter, cfg: ModelConfig) -> RouterDecision:
-    """Route one sequence: mean-pool positions, score all chapters,
-    pick top-k of the routed ones.
+def route(h: Tensor, weight: Parameter, bias: Parameter, cfg: ModelConfig) -> RouterDecision:
+    """Route every sequence of the (B, L, d) batch: mean-pool positions,
+    score all chapters, pick top-k of the routed ones.
 
     Chapter weights: shared chapters get 1; routed chapter c gets
     routed_scaling * p_c / sum of selected p, so routed weights always
     sum to routed_scaling.
     """
     c, shared, k = cfg.chapters, cfg.shared_chapters, cfg.top_k
-    pooled = ops.mean_axis(h_seq, axis=0)  # (d,)
-    logits = ops.reshape(ops.add(ops.matmul(ops.reshape(pooled, (1, -1)), weight), bias), (c,))
+    b = h.shape[0]
+    pooled = ops.mean_axis(h, axis=1)  # (B,d)
+    logits = ops.add(ops.matmul(pooled, weight), bias)  # (B,C)
     probs = ops.softmax_lastdim(logits)
-    routed = ops.index_slice(probs, slice(shared, c))
-    selected = [shared + i for i in ops.topk(routed, k)]
-    p_sel = ops.reshape(ops.gather_rows(ops.reshape(probs, (c, 1)), np.asarray(selected)), (k,))
-    w_routed = ops.scale(ops.div(p_sel, ops.sum_axis(p_sel)), cfg.routed_scaling)
+    selected = shared + ops.topk(probs.data[:, shared:], k)  # (B,k)
+    flat_ids = selected + c * np.arange(b)[:, None]  # rows of the (B*C, 1) probs
+    p_sel = ops.reshape(ops.gather_rows(ops.reshape(probs, (b * c, 1)), flat_ids), (b, k))
+    weights = ops.scale(ops.div(p_sel, ops.sum_axis(p_sel, axis=1, keepdims=True)), cfg.routed_scaling)
     if shared > 0:
-        shared_w = Tensor(np.ones(shared, dtype=h_seq.data.dtype))
-        weights = ops.concat([shared_w, w_routed], axis=0)
-    else:
-        weights = w_routed
+        weights = ops.concat([Tensor(np.ones((b, shared), dtype=h.data.dtype)), weights], axis=1)
     return RouterDecision(
         pooled=pooled,
         logits=logits,
         probs=probs,
         selected=selected,
-        selected_with_shared=list(range(shared)) + selected,
+        selected_with_shared=np.concatenate([np.tile(np.arange(shared), (b, 1)), selected], axis=1),
         chapter_weights=weights,
     )
 
 
-def route(h: Tensor, weight: Parameter, bias: Parameter, cfg: ModelConfig) -> list[RouterDecision]:
-    """One RouterDecision per sequence in the batch."""
-    return [route_sequence(ops.index_slice(h, b), weight, bias, cfg) for b in range(h.shape[0])]
-
-
 def prepare_memory_tokens(model: Model, layer: int, decision: RouterDecision) -> Tensor:
-    """Gather the selected chapters and produce normalized, weighted
-    tokens for the K/V projections (norm first, then weight, so chapter
-    weights survive and stay differentiable)."""
-    bank = model.bank
+    """Gather the selected chapters of every sequence in one (B, S*t, d)
+    read and produce normalized, weighted tokens for the K/V projections
+    (norm first, then weight, so chapter weights survive and stay
+    differentiable)."""
     pre = f"layers.{layer}"
-    rows = bank.chapter_row_ids(decision.selected_with_shared)
-    sel = ops.gather_rows(model["bank.tokens"], rows)  # (N_sel, d)
+    t = model.bank.chapter_size
+    rows = (decision.selected_with_shared[:, :, None] * t + np.arange(t)).reshape(len(decision), -1)  # (B, S*t)
+    sel = ops.gather_rows(model["bank.tokens"], rows)  # (B, S*t, d)
     if model.config.adapter_enabled:
         adapter = model[f"{pre}.mem.adapter"]
         sel = ops.add(sel, ops.matmul(sel, adapter))
     sel = ops.rmsnorm(sel, model[f"{pre}.mem.token_norm.gain"], RMSNORM_EPS)
-    t = bank.chapter_size
-    per_row = ops.reshape(
-        ops.repeat_interleave_axis(ops.reshape(decision.chapter_weights, (-1, 1)), t, 1),
-        (len(decision.selected_with_shared) * t, 1),
-    )
-    return ops.mul(sel, per_row)
+    per_row = ops.repeat_interleave_axis(decision.chapter_weights, t, 1)  # (B, S*t)
+    return ops.mul(sel, ops.reshape(per_row, rows.shape + (1,)))
 
 
 def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
-    """Cross-attention readout: hidden states query the memory tokens.
+    """Cross-attention readout: (B, L, d) hidden states query their own
+    sequence's (B, N, d) memory tokens.
 
     ``m_tokens`` are the prepared (normalized, weighted) selected tokens.
     No causal mask and no positional encoding on memory; the residual add
     is the caller's.
     """
-    if m_tokens.shape[0] < 1:
+    if m_tokens.ndim != 3 or m_tokens.shape[0] != h.shape[0]:
+        raise ShapeError(f"memory tokens {m_tokens.shape} must be (B, N, d) for hidden states {h.shape}")
+    if m_tokens.shape[1] < 1:
         raise ConfigError("memory read with an empty token selection")
     cfg = model.config
     pre = f"layers.{layer}"
     mem_head_dim = cfg.d_model // cfg.mem_heads
     x = ops.rmsnorm(h, model[f"{pre}.mem_norm.gain"], RMSNORM_EPS)
     q = _split_heads(ops.matmul(x, model[f"{pre}.mem.wq"]), cfg.mem_heads)  # (B,h,L,dh)
-    n_sel = m_tokens.shape[0]
-    kv = ops.reshape(m_tokens, (1, n_sel, -1))
-    k = _split_heads(ops.matmul(kv, model[f"{pre}.mem.wk"]), cfg.mem_kv_heads)  # (1,hkv,N,dh)
-    v = _split_heads(ops.matmul(kv, model[f"{pre}.mem.wv"]), cfg.mem_kv_heads)
+    k = _split_heads(ops.matmul(m_tokens, model[f"{pre}.mem.wk"]), cfg.mem_kv_heads)  # (B,hkv,N,dh)
+    v = _split_heads(ops.matmul(m_tokens, model[f"{pre}.mem.wv"]), cfg.mem_kv_heads)
     groups = cfg.mem_heads // cfg.mem_kv_heads
     if groups > 1:
         k = ops.repeat_interleave_axis(k, groups, 1)
@@ -318,29 +313,19 @@ def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
     return ops.matmul(_merge_heads(ops.matmul(probs, v)), model[f"{pre}.mem.wo"])
 
 
-def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, list[RouterDecision], float]:
-    """Per sequence: route, gather+weight chapters, cross-attend, add
-    residual. Returns (h', decisions, memory-attention mass)."""
-    cfg = model.config
+def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, RouterDecision, float]:
+    """Route, gather+weight chapters, cross-attend, add residual, for the
+    whole batch at once. Returns (h', decision, memory-attention mass)."""
     pre = f"layers.{layer}"
-    decisions = route(h, model[f"{pre}.router.weight"], model[f"{pre}.router.bias"], cfg)
-    outs = []
-    readout_sq = 0.0
-    for b, decision in enumerate(decisions):
-        h_b = ops.index_slice(h, (slice(b, b + 1),))  # (1,L,d)
-        m_tokens = prepare_memory_tokens(model, layer, decision)
-        readout = mem_read(h_b, m_tokens, model, layer)
-        readout_sq += float((readout.data.astype(np.float64) ** 2).sum())
-        outs.append(ops.add(h_b, readout))
-    h_out = outs[0] if len(outs) == 1 else ops.concat(outs, axis=0)
-    h_sq = float((h.data.astype(np.float64) ** 2).sum())
-    denom = np.sqrt(readout_sq) + np.sqrt(h_sq)
-    mass = float(np.sqrt(readout_sq) / denom) if denom > 0 else 0.0
-    return h_out, decisions, mass
+    decision = route(h, model[f"{pre}.router.weight"], model[f"{pre}.router.bias"], model.config)
+    readout = mem_read(h, prepare_memory_tokens(model, layer, decision), model, layer)
+    readout_norm, h_norm = (float(np.linalg.norm(x.data.astype(np.float64))) for x in (readout, h))
+    mass = readout_norm / (readout_norm + h_norm) if readout_norm + h_norm > 0 else 0.0
+    return ops.add(h, readout), decision, mass
 
 
-def aux_losses(decisions: list[list[RouterDecision]], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Router regularizers from the collected decisions.
+def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Router regularizers from the per-layer decisions.
 
     Load balance: C_r * sum_c f_c * P_c over routed chapters, averaged
     over layers, where f_c is the fraction of selection slots assigned to
@@ -349,36 +334,25 @@ def aux_losses(decisions: list[list[RouterDecision]], cfg: ModelConfig) -> tuple
     C_r. z-loss: mean over sequences and layers of squared
     log-partition of the router logits.
     """
-    if not decisions or not decisions[0]:
+    if not decisions or not len(decisions[0]):
         raise ConfigError("aux_losses needs at least one routing decision")
     c, shared = cfg.chapters, cfg.shared_chapters
-    c_r = c - shared
-    lb_terms = []
-    z_terms = []
-    for layer_decisions in decisions:
-        n_seq = len(layer_decisions)
-        counts = np.zeros(c_r)
-        qs = []
-        for dec in layer_decisions:
-            routed = ops.index_slice(dec.probs, slice(shared, c))
-            qs.append(ops.reshape(ops.div(routed, ops.sum_axis(routed)), (1, c_r)))
-            for s in dec.selected:
-                counts[s - shared] += 1.0
-            z_seq = ops.logsumexp_lastdim(ops.reshape(dec.logits, (1, c)))  # (1,)
-            z_terms.append(ops.mul(z_seq, z_seq))
-        mean_q = ops.mean_axis(qs[0] if n_seq == 1 else ops.concat(qs, axis=0), axis=0)  # (c_r,)
-        f = Tensor(counts / (n_seq * cfg.top_k))
-        lb_terms.append(ops.reshape(ops.scale(ops.sum_axis(ops.mul(mean_q, f)), float(c_r)), (1,)))
-    lb = ops.mean_all(lb_terms[0] if len(lb_terms) == 1 else ops.concat(lb_terms, axis=0))
-    z = ops.mean_all(z_terms[0] if len(z_terms) == 1 else ops.concat(z_terms, axis=0))
-    return lb, z
+    c_r, n_layers, b = c - shared, len(decisions), len(decisions[0])
+    probs = ops.concat([d.probs for d in decisions], axis=0)  # (layers*B, C)
+    routed = ops.index_slice(probs, (slice(None), slice(shared, c)))
+    q = ops.div(routed, ops.sum_axis(routed, axis=1, keepdims=True))
+    mean_q = ops.mean_axis(ops.reshape(q, (n_layers, b, c_r)), axis=1)  # (layers, C_r)
+    f = np.stack([np.bincount(d.selected.ravel() - shared, minlength=c_r) for d in decisions]) / (b * cfg.top_k)
+    lb = ops.scale(ops.sum_axis(ops.mul(mean_q, Tensor(f))), c_r / n_layers)
+    z = ops.logsumexp_lastdim(ops.concat([d.logits for d in decisions], axis=0))  # (layers*B,)
+    return lb, ops.mean_all(ops.mul(z, z))
 
 
 # ---------------------------------------------------------------------------
 # full forward
 
 
-def _run_stack(model: Model, tokens: np.ndarray) -> tuple[Tensor, list[list[RouterDecision]], list[float]]:
+def _run_stack(model: Model, tokens: np.ndarray) -> tuple[Tensor, list[RouterDecision], list[float]]:
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
@@ -388,13 +362,13 @@ def _run_stack(model: Model, tokens: np.ndarray) -> tuple[Tensor, list[list[Rout
     if tokens.shape[1] > cfg.max_seq_len:
         raise SequenceLengthError(f"sequence length {tokens.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
     h = ops.gather_rows(model["embedding.weight"], tokens)
-    decisions: list[list[RouterDecision]] = []
+    decisions: list[RouterDecision] = []
     masses: list[float] = []
     for i in range(cfg.n_layers):
         h = self_attention_block(h, model, i)
         if i in cfg.memory_layer_indices:
-            h, layer_decisions, mass = memory_layer_forward(h, model, i)
-            decisions.append(layer_decisions)
+            h, decision, mass = memory_layer_forward(h, model, i)
+            decisions.append(decision)
             masses.append(mass)
         h = _mlp_block(h, model, i)
     return h, decisions, masses

@@ -208,7 +208,8 @@ def gather_rows(x, ids: np.ndarray) -> Tensor:
     """Select rows of a 2-D table by integer index (embedding/chapter gather).
 
     ``ids`` may have any shape; output shape is ids.shape + (row_dim,).
-    Backward scatter-adds, so rows never gathered get exactly zero grad.
+    Backward scatter-adds straight into ``x.grad`` (allocated on first
+    use), so rows never gathered keep their grad bit-unchanged.
     """
     x = _as_tensor(x)
     if x.ndim != 2:
@@ -220,9 +221,10 @@ def gather_rows(x, ids: np.ndarray) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            np.add.at(dx, ids, g)
-            x.accumulate_grad(dx)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            # cast first, as accumulate_grad does: mixed-dtype add.at is ~7x slower
+            np.add.at(x.grad, ids, g.astype(x.grad.dtype, copy=False))
 
     return _record(out, [x], backward)
 
@@ -449,15 +451,15 @@ def cross_entropy(logits, targets) -> Tensor:
     return _record(loss, [logits], backward)
 
 
-def topk(p, k: int) -> list[int]:
-    """Indices of the k largest entries, descending value, ties to the
-    lower index. Deterministic; not differentiable (selection only)."""
+def topk(p, k: int) -> np.ndarray:
+    """Indices of the k largest entries along the last axis, descending
+    value, ties to the lower index; shape p.shape[:-1] + (k,).
+    Deterministic; not differentiable (selection only)."""
     arr = np.asarray(p.data if isinstance(p, Tensor) else p)
-    if arr.ndim != 1:
-        raise ShapeError(f"topk expects a 1-D tensor, got shape {arr.shape}")
-    c = arr.shape[0]
+    if arr.ndim < 1:
+        raise ShapeError(f"topk expects at least a 1-D tensor, got shape {arr.shape}")
+    c = arr.shape[-1]
     if not 1 <= k <= c:
         raise ConfigError(f"topk k={k} out of range for {c} entries")
     # stable argsort of -p keeps ascending original index among ties
-    order = np.argsort(-arr, kind="stable")
-    return [int(i) for i in order[:k]]
+    return np.argsort(-arr, axis=-1, kind="stable")[..., :k]

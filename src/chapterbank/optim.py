@@ -98,10 +98,6 @@ class AdamW:
             self.audit.append((name, p.group, lr))
 
 
-def adamw_step(optimizer: AdamW, group_lrs: Mapping[str, float], t: int) -> None:
-    optimizer.step(group_lrs, t)
-
-
 def global_grad_norm(params: Mapping[str, Parameter], frozen_groups: Iterable[str] = ()) -> float:
     frozen = frozenset(frozen_groups)
     total = 0.0

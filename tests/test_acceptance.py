@@ -30,7 +30,7 @@ from chapterbank.model import (
     memory_layer_forward,
     model_forward,
     param_count,
-    route_sequence,
+    route,
 )
 from chapterbank.ops import topk
 from chapterbank.retention import VARIANTS, RetentionConfig, run_multi_seed, run_retention_protocol
@@ -150,43 +150,44 @@ class TestAcceptance:
             order = sorted(range(len(v)), key=lambda i: (-v[i], i))
             return order[:k]
 
-        # exhaustive over every tie pattern from a 3-value alphabet for small C
+        # exhaustive over every tie pattern from a 3-value alphabet for small C,
+        # one pattern at a time and all patterns stacked as rows of one 2-D input
         for c in range(1, 6):
-            for v in itertools.product((0.125, 0.5, 0.875), repeat=c):
-                arr = np.array(v)
-                for k in range(1, c + 1):
-                    assert topk(arr, k) == sort_oracle(arr, k)
+            patterns = np.array(list(itertools.product((0.125, 0.5, 0.875), repeat=c)))
+            for k in range(1, c + 1):
+                rows = topk(patterns, k)
+                for arr, row in zip(patterns, rows):
+                    assert topk(arr, k).tolist() == sort_oracle(arr, k)
+                    assert row.tolist() == sort_oracle(arr, k)
         # every (C, k) pair up to C = 12 on random and tie-quantized vectors
         gen = np.random.default_rng(9)
         for c in range(1, 13):
             for k in range(1, c + 1):
                 for _ in range(40):
                     arr = gen.standard_normal(c)
-                    assert topk(arr, k) == sort_oracle(arr, k)
+                    assert topk(arr, k).tolist() == sort_oracle(arr, k)
                     q = np.round(gen.standard_normal(c))  # heavy ties
-                    assert topk(q, k) == sort_oracle(q, k)
+                    assert topk(q, k).tolist() == sort_oracle(q, k)
 
         model = build_model(preset("micro"), RngState(0), precision="double")
         w, b = model["layers.1.router.weight"], model["layers.1.router.bias"]
         gen = np.random.default_rng(10)
         for _ in range(20):
-            h = Tensor(gen.standard_normal((5, 64)))
-            d0 = route_sequence(h, w, b, model.config)
+            h = Tensor(gen.standard_normal((1, 5, 64)))
+            d0 = route(h, w, b, model.config)
             b.value.data += 123.456
-            d1 = route_sequence(h, w, b, model.config)
+            d1 = route(h, w, b, model.config)
             b.value.data -= 123.456
-            assert d1.selected == d0.selected
+            np.testing.assert_array_equal(d1.selected, d0.selected)
             np.testing.assert_allclose(d1.probs.data, d0.probs.data, atol=1e-12)
             np.testing.assert_allclose(d1.chapter_weights.data, d0.chapter_weights.data, atol=1e-12)
 
         shared = model.config.shared_chapters
         for seed in range(100):
             model_s = build_model(preset("micro"), RngState(seed))
-            h = Tensor(np.random.default_rng(seed).standard_normal((7, 64)))
-            d = route_sequence(
-                h, model_s["layers.1.router.weight"], model_s["layers.1.router.bias"], model_s.config
-            )
-            routed_sum = float(d.chapter_weights.data[shared:].sum())
+            h = Tensor(np.random.default_rng(seed).standard_normal((1, 7, 64)))
+            d = route(h, model_s["layers.1.router.weight"], model_s["layers.1.router.bias"], model_s.config)
+            routed_sum = float(d.chapter_weights.data[0, shared:].sum())
             assert abs(routed_sum - model_s.config.routed_scaling) < 1e-6
 
     @criterion("aux-loss closed forms: uniform lb = 1, zero-logit z = (ln C)^2")

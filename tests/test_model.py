@@ -1,5 +1,6 @@
 """Model-level checks: parameter-count fixtures, naive attention and
-dense-bank oracles, router invariants, aux-loss closed forms.
+dense-bank oracles, router invariants, aux-loss closed forms, the batched
+memory path against a per-sequence reference, and a causality probe.
 
 Oracles here are written in plain numpy loops, independent of the
 library's op layer.
@@ -12,16 +13,17 @@ import numpy as np
 import pytest
 
 from chapterbank.config import ModelConfig, preset
-from chapterbank.errors import ConfigError, SequenceLengthError
+from chapterbank.errors import ConfigError, SequenceLengthError, ShapeError
 from chapterbank.gradcheck import grad_check
 from chapterbank.model import (
     Model,
+    RouterDecision,
+    aux_losses,
     build_model,
     memory_layer_forward,
     model_forward,
     param_count,
     route,
-    route_sequence,
     self_attention_block,
     mem_read,
     prepare_memory_tokens,
@@ -84,12 +86,15 @@ def naive_self_attention(h, model: Model, layer: int):
     return out
 
 
-def naive_route(h_seq, model: Model, layer: int):
-    cfg = model.config
+def naive_logits(h_seq, model: Model, layer: int):
     w = model[f"layers.{layer}.router.weight"].value.data
     b = model[f"layers.{layer}.router.bias"].value.data
-    pooled = h_seq.mean(axis=0)
-    probs = softmax_np(pooled @ w + b)
+    return h_seq.mean(axis=0) @ w + b
+
+
+def naive_route(h_seq, model: Model, layer: int):
+    cfg = model.config
+    probs = softmax_np(naive_logits(h_seq, model, layer))
     routed = probs[cfg.shared_chapters :]
     order = sorted(range(len(routed)), key=lambda i: (-routed[i], i))
     selected = [cfg.shared_chapters + i for i in order[: cfg.top_k]]
@@ -128,6 +133,40 @@ def naive_memory_layer(h_seq, model: Model, layer: int, chapters=None, weights=N
         w /= w.sum(-1, keepdims=True)
         heads.append(w @ vh)
     return h_seq + np.concatenate(heads, axis=-1) @ p("mem.wo")
+
+
+def per_sequence_memory_layer(h, model: Model, layer: int):
+    """Reference for the batched memory path: route and read one sequence
+    at a time. Returns (h', probs, selected, weights), each stacked over B."""
+    outs, probs, selected, weights = [], [], [], []
+    for h_seq in h:
+        p, sel, w = naive_route(h_seq, model, layer)
+        outs.append(naive_memory_layer(h_seq, model, layer))
+        probs.append(p)
+        selected.append(sel)
+        weights.append(w)
+    return np.stack(outs), np.stack(probs), np.array(selected), np.stack(weights)
+
+
+def per_sequence_aux_losses(hs, model: Model, layers):
+    """Reference lb and z: one routing per sequence per layer, then the
+    closed forms of aux_losses written as loops."""
+    cfg = model.config
+    shared, c_r = cfg.shared_chapters, cfg.routed_chapters
+    lb_terms, z_terms = [], []
+    for h, layer in zip(hs, layers):
+        f = np.zeros(c_r)
+        mean_q = np.zeros(c_r)
+        for h_seq in h:
+            logits = naive_logits(h_seq, model, layer)
+            probs, selected, _ = naive_route(h_seq, model, layer)
+            mean_q += probs[shared:] / probs[shared:].sum() / len(h)
+            for ch in selected:
+                f[ch - shared] += 1.0 / (len(h) * cfg.top_k)
+            lse = logits.max() + math.log(np.exp(logits - logits.max()).sum())
+            z_terms.append(lse * lse)
+        lb_terms.append(c_r * float((f * mean_q).sum()))
+    return float(np.mean(lb_terms)), float(np.mean(z_terms))
 
 
 def count_params_oracle(cfg: ModelConfig):
@@ -265,7 +304,7 @@ class TestMemRead:
         weights = np.array([1.0, 1.7, 0.8])
         decision = _forced_decision(model, chapters, weights)
         m = prepare_memory_tokens(model, 1, decision)
-        assert m.shape == (24, 64)
+        assert m.shape == (1, 24, 64)
         got = h[0] + mem_read(Tensor(h), m, model, 1).data[0]
         want = naive_memory_layer(h[0], model, 1, chapters=chapters, weights=weights)
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -274,9 +313,9 @@ class TestMemRead:
         model = micro_double()
         gen = np.random.default_rng(3)
         h = gen.standard_normal((1, 5, 64))
-        m = Tensor(gen.standard_normal((1, 64)))
+        m = Tensor(gen.standard_normal((1, 1, 64)))
         out = mem_read(Tensor(h), m, model, 1).data[0]
-        want = (m.data @ model["layers.1.mem.wv"].value.data) @ model["layers.1.mem.wo"].value.data
+        want = (m.data[0] @ model["layers.1.mem.wv"].value.data) @ model["layers.1.mem.wo"].value.data
         np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), atol=1e-12)
 
     def test_zero_values_passthrough(self):
@@ -296,20 +335,26 @@ class TestMemRead:
     def test_empty_selection_rejected(self):
         model = micro_double()
         with pytest.raises(ConfigError):
-            mem_read(Tensor(np.zeros((1, 2, 64))), Tensor(np.zeros((0, 64))), model, 1)
+            mem_read(Tensor(np.zeros((1, 2, 64))), Tensor(np.zeros((1, 0, 64))), model, 1)
+
+    def test_tokens_must_be_batched_like_queries(self):
+        model = micro_double()
+        with pytest.raises(ShapeError):
+            mem_read(Tensor(np.zeros((2, 2, 64))), Tensor(np.ones((8, 64))), model, 1)
+        with pytest.raises(ShapeError):
+            mem_read(Tensor(np.zeros((2, 2, 64))), Tensor(np.ones((1, 8, 64))), model, 1)
 
 
 def _forced_decision(model, chapters, weights):
-    from chapterbank.model import RouterDecision
-
+    """A batch-of-one decision that reads exactly ``chapters``."""
     cfg = model.config
     return RouterDecision(
-        pooled=Tensor(np.zeros(cfg.d_model)),
-        logits=Tensor(np.zeros(cfg.chapters)),
-        probs=Tensor(np.full(cfg.chapters, 1.0 / cfg.chapters)),
-        selected=[c for c in chapters if c >= cfg.shared_chapters],
-        selected_with_shared=list(chapters),
-        chapter_weights=Tensor(np.asarray(weights, dtype=np.float64)),
+        pooled=Tensor(np.zeros((1, cfg.d_model))),
+        logits=Tensor(np.zeros((1, cfg.chapters))),
+        probs=Tensor(np.full((1, cfg.chapters), 1.0 / cfg.chapters)),
+        selected=np.array([[c for c in chapters if c >= cfg.shared_chapters]]),
+        selected_with_shared=np.array([chapters]),
+        chapter_weights=Tensor(np.asarray([weights], dtype=np.float64)),
     )
 
 
@@ -321,51 +366,52 @@ class TestRouting:
     def test_constant_rows_pool_to_that_vector(self):
         model = micro_double()
         vec = np.random.default_rng(0).standard_normal(64)
-        h = np.tile(vec, (7, 1))
-        d = route_sequence(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], model.config)
-        np.testing.assert_allclose(d.pooled.data, vec, atol=1e-12)
+        h = np.tile(vec, (1, 7, 1))
+        d = route(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], model.config)
+        np.testing.assert_allclose(d.pooled.data[0], vec, atol=1e-12)
 
     def test_zero_router_uniform_and_tiebreak_prefix(self):
         model = micro_double()
         model["layers.1.router.weight"].value.data[...] = 0.0
         model["layers.1.router.bias"].value.data[...] = 0.0
-        h = np.random.default_rng(1).standard_normal((6, 64))
-        d = route_sequence(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], model.config)
-        np.testing.assert_allclose(d.probs.data, np.full(17, 1 / 17), atol=1e-12)
-        assert d.selected == [1, 2, 3, 4]  # first k routed chapters
+        h = np.random.default_rng(1).standard_normal((2, 6, 64))
+        d = route(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], model.config)
+        np.testing.assert_allclose(d.probs.data, np.full((2, 17), 1 / 17), atol=1e-12)
+        assert d.selected.tolist() == [[1, 2, 3, 4]] * 2  # first k routed chapters
 
     @pytest.mark.parametrize("seed", range(100))
     def test_routed_weights_sum_to_scaling(self, seed):
         model = micro_double(seed % 5)
         cfg = model.config
         h = np.random.default_rng(seed).standard_normal((2, 6, 64))
-        for d in route(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], cfg):
-            routed_sum = d.chapter_weights.data[cfg.shared_chapters :].sum()
+        d = route(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], cfg)
+        assert len(d) == 2 and d.selected.shape == (2, cfg.top_k)
+        for b in range(2):
+            routed_sum = d.chapter_weights.data[b, cfg.shared_chapters :].sum()
             assert abs(routed_sum - cfg.routed_scaling) < 1e-6
-            assert abs(d.probs.data.sum() - 1.0) < 1e-6
-            assert len(d.selected) == cfg.top_k
-            assert all(c >= cfg.shared_chapters for c in d.selected)
+            assert abs(d.probs.data[b].sum() - 1.0) < 1e-6
+            assert all(c >= cfg.shared_chapters for c in d.selected[b])
 
     def test_logit_shift_invariance(self):
         model = micro_double()
         cfg = model.config
-        h = np.random.default_rng(2).standard_normal((5, 64))
+        h = np.random.default_rng(2).standard_normal((1, 5, 64))
         w, b = model["layers.1.router.weight"], model["layers.1.router.bias"]
-        before = route_sequence(Tensor(h), w, b, cfg)
+        before = route(Tensor(h), w, b, cfg)
         b.value.data += 123.456
-        after = route_sequence(Tensor(h), w, b, cfg)
+        after = route(Tensor(h), w, b, cfg)
         np.testing.assert_allclose(after.probs.data, before.probs.data, atol=1e-12)
-        assert after.selected == before.selected
+        np.testing.assert_array_equal(after.selected, before.selected)
 
     def test_matches_naive_routing_oracle(self):
         model = micro_double(3)
         cfg = model.config
         h = np.random.default_rng(7).standard_normal((6, 64))
-        d = route_sequence(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], cfg)
+        d = route(Tensor(h[None]), model["layers.1.router.weight"], model["layers.1.router.bias"], cfg)
         probs, selected, weights = naive_route(h, model, 1)
-        np.testing.assert_allclose(d.probs.data, probs, atol=1e-12)
-        assert d.selected == selected
-        np.testing.assert_allclose(d.chapter_weights.data, weights, atol=1e-12)
+        np.testing.assert_allclose(d.probs.data[0], probs, atol=1e-12)
+        assert d.selected[0].tolist() == selected
+        np.testing.assert_allclose(d.chapter_weights.data[0], weights, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +457,56 @@ class TestRoutedDenseEquivalence:
         out, _, _ = memory_layer_forward(Tensor(h), model, 1)
         swapped, _, _ = memory_layer_forward(Tensor(h[::-1].copy()), model, 1)
         np.testing.assert_allclose(out.data, swapped.data[::-1], atol=1e-12)
+
+
+class TestBatchedMatchesPerSequence:
+    """The batched memory path against the per-sequence reference on a
+    batch whose sequences route to different chapters."""
+
+    def _random_router_model(self, seed):
+        model = micro_double(seed)
+        gen = np.random.default_rng(seed + 3000)
+        for i in model.config.memory_layer_indices:
+            model[f"layers.{i}.router.weight"].value.data[...] = gen.standard_normal((64, 17))
+            model[f"layers.{i}.router.bias"].value.data[...] = gen.standard_normal(17)
+        return model
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_memory_layer_and_router_fields(self, seed):
+        model = self._random_router_model(seed)
+        cfg = model.config
+        h = np.random.default_rng(seed + 4000).standard_normal((5, 6, 64))
+        got, d, _ = memory_layer_forward(Tensor(h), model, 1)
+        want, probs, selected, weights = per_sequence_memory_layer(h, model, 1)
+        assert len({tuple(row) for row in selected}) > 1  # sequences read different chapters
+        assert np.ptp(probs[:, cfg.shared_chapters :], axis=1).min() > 1e-3  # router is not uniform
+        np.testing.assert_allclose(got.data, want, atol=1e-12)
+        np.testing.assert_allclose(d.pooled.data, h.mean(axis=1), atol=1e-12)
+        logits = np.stack([naive_logits(h_seq, model, 1) for h_seq in h])
+        np.testing.assert_allclose(d.logits.data, logits, atol=1e-12)
+        np.testing.assert_allclose(d.probs.data, probs, atol=1e-12)
+        np.testing.assert_array_equal(d.selected, selected)
+        shared = np.tile(np.arange(cfg.shared_chapters), (5, 1))
+        np.testing.assert_array_equal(d.selected_with_shared, np.concatenate([shared, selected], axis=1))
+        np.testing.assert_allclose(d.chapter_weights.data, weights, atol=1e-12)
+        assert len(d) == 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_aux_losses(self, seed):
+        model = self._random_router_model(seed)
+        cfg = model.config
+        gen = np.random.default_rng(seed + 5000)
+        layers = cfg.memory_layer_indices
+        hs = [gen.standard_normal((4, 7, 64)) for _ in layers]
+        decisions = [
+            route(Tensor(h), model[f"layers.{i}.router.weight"], model[f"layers.{i}.router.bias"], cfg)
+            for h, i in zip(hs, layers)
+        ]
+        lb, z = aux_losses(decisions, cfg)
+        want_lb, want_z = per_sequence_aux_losses(hs, model, layers)
+        assert abs(lb.item() - want_lb) < 1e-12
+        assert abs(z.item() - want_z) < 1e-12
+        assert abs(want_lb - 1.0) > 1e-3  # far from the uniform-routing value
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +589,8 @@ class TestModelForward:
             trace = model_forward(model, tokens, tokens)
             tape.backward(trace.loss)
         selected = set()
-        for layer in trace.decisions:
-            for d in layer:
-                selected.update(d.selected_with_shared)
+        for d in trace.decisions:
+            selected.update(d.selected_with_shared.ravel().tolist())
         assert len(selected) < cfg.chapters  # some chapters unselected at B=1
         t_sz = cfg.chapter_size
         bank_grad = model["bank.tokens"].grad
@@ -509,6 +604,20 @@ class TestModelForward:
             if name == "bank.tokens":
                 continue
             assert np.any(p.grad != 0.0), f"{name} received no gradient"
+
+    def test_causality_probe(self):
+        # Changing only the last token must leave earlier logits of a dense
+        # model bit-identical. Mean-pooled routing reads every position,
+        # so in a memory model it can move them.
+        tokens = np.random.default_rng(8).integers(0, 256, (2, 12))
+        changed = tokens.copy()
+        changed[:, -1] = (changed[:, -1] + 1) % 256
+        dense = build_model(replace(preset("micro"), memory_layer_indices=()), RngState(0))
+        np.testing.assert_array_equal(dense.forward_logits(tokens)[:, :-1], dense.forward_logits(changed)[:, :-1])
+        mem = build_model(preset("micro"), RngState(0))
+        leak = np.abs(mem.forward_logits(tokens)[:, :-1] - mem.forward_logits(changed)[:, :-1]).max()
+        print(f"micro memory model: last-token change moves earlier-position logits by up to {leak:.3g}")
+        assert leak > 0.0
 
     def test_memory_attention_mass_recorded(self):
         model = micro_double(6)

@@ -202,16 +202,21 @@ class TestTopk:
         p = gen.standard_normal(9)
         for k in (1, 3, 9):
             want = sorted(range(9), key=lambda i: (-p[i], i))[:k]
-            assert ops.topk(Tensor(p), k) == want
+            assert ops.topk(Tensor(p), k).tolist() == want
 
     def test_exhaustive_binary_patterns(self):
-        # every tie pattern for C <= 12, every k: stable full-sort oracle
+        # every tie pattern for C <= 12, every k: stable full-sort oracle,
+        # for each pattern alone and for all patterns as rows of one 2-D input
         for c in range(1, 13):
-            for bits in range(2**c):
-                p = np.array([(bits >> i) & 1 for i in range(c)], dtype=float)
-                order = sorted(range(c), key=lambda i: (-p[i], i))
-                for k in range(1, c + 1):
-                    assert ops.topk(Tensor(p), k) == order[:k]
+            patterns = (np.arange(2**c)[:, None] >> np.arange(c)) & 1
+            patterns = patterns.astype(float)
+            for k in range(1, c + 1):
+                rows = ops.topk(Tensor(patterns), k)
+                assert rows.shape == (2**c, k)
+                for p, row in zip(patterns, rows):
+                    order = sorted(range(c), key=lambda i: (-p[i], i))
+                    assert ops.topk(Tensor(p), k).tolist() == order[:k]
+                    assert row.tolist() == order[:k]
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -237,3 +242,25 @@ class TestTapeBasics:
     def test_gather_rows_bounds(self):
         with pytest.raises(IndexError):
             ops.gather_rows(rand_tensor((4, 2)), np.array([[0, 4]]))
+
+    def test_gather_rows_backward_scatters_into_existing_grad(self):
+        gen = np.random.default_rng(0)
+        x = Tensor(gen.standard_normal((5, 3)), requires_grad=True)
+        before = gen.standard_normal((5, 3))
+        x.grad = before.copy()
+        ids = np.array([[2, 0], [2, 2]])  # row 2 three times, rows 1, 3, 4 never
+        w = gen.standard_normal((2, 2, 3))
+        with Tape() as tape:
+            loss = ops.sum_axis(ops.mul(ops.gather_rows(x, ids), Tensor(w)))
+            tape.backward(loss)
+        want = before.copy()
+        want[0] += w[0, 1]
+        want[2] += w[0, 0] + w[1, 0] + w[1, 1]
+        np.testing.assert_allclose(x.grad, want, rtol=1e-14)
+        np.testing.assert_array_equal(x.grad[[1, 3, 4]], before[[1, 3, 4]])
+
+    def test_gather_rows_backward_allocates_missing_grad(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ops.sum_axis(ops.gather_rows(x, np.array([1, 1]))))
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
