@@ -22,11 +22,10 @@ from .errors import CheckpointMismatch, ConfigError, NumericError, TrainingAbort
 from .flops import flops_model
 from .model import Model, build_model
 from .retention import run_multi_seed, run_retention_protocol
-from .runconfig import DataConfig, RunConfig, load_runconfig, parse_runconfig
+from .runconfig import RunConfig, load_runconfig, parse_runconfig
 from .tensor import RngState
 from .train import (
     Corpus,
-    TrainConfig,
     TrainResult,
     continue_train,
     make_synthetic_corpus,
@@ -69,21 +68,31 @@ def _corpus_from(rc: RunConfig) -> Corpus:
     return make_synthetic_corpus(rc.model.vocab, rc.data.length, rc.data.seed, rc.data.period)
 
 
-def _write_run_artifacts(out_dir: Path, rc: RunConfig, result: TrainResult) -> None:
+def _write_resolved(out_dir: Path, rc: RunConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved").write_text(rc.to_json(), encoding="utf-8")
+
+
+def _train_into(out_dir: Path, rc: RunConfig, run) -> TrainResult | None:
+    """Run ``run()`` and fill the run directory: ``config.resolved``, then
+    ``metrics.csv`` and ``final.ckpt``, or ``last.ckpt`` and None after a
+    numeric abort."""
+    try:
+        result = run()
+    except TrainingAborted as e:
+        _write_resolved(out_dir, rc)
+        if e.last_checkpoint is not None:
+            save_checkpoint(e.last_checkpoint, out_dir / "last.ckpt")
+        print(f"training aborted at step {e.step}: {e}", file=sys.stderr)
+        return None
+    _write_resolved(out_dir, rc)
     (out_dir / "metrics.csv").write_text(metrics_csv(result.metrics), encoding="utf-8")
     save_checkpoint(result.checkpoint, out_dir / "final.ckpt")
+    return result
 
 
 def cmd_flops(args) -> int:
-    if args.config:
-        model_cfg = load_runconfig(args.config).model
-    elif args.preset:
-        model_cfg = parse_runconfig({"preset": args.preset}).model
-    else:
-        raise ConfigError("need --config PATH or --preset NAME")
-    report = flops_model(model_cfg, args.batch, args.seqlen, args.aux_override)
+    report = flops_model(_load_run_config(args).model, args.batch, args.seqlen, args.aux_override)
     print(report.to_text())
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
@@ -94,17 +103,9 @@ def cmd_train(args) -> int:
     rc = _load_run_config(args)
     out_dir = Path(args.out_dir)
     model = build_model(rc.model, RngState(rc.train.seed))
-    corpus = _corpus_from(rc)
-    try:
-        result = train(model, corpus, rc.train)
-    except TrainingAborted as e:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.resolved").write_text(rc.to_json(), encoding="utf-8")
-        if e.last_checkpoint is not None:
-            save_checkpoint(e.last_checkpoint, out_dir / "last.ckpt")
-        print(f"training aborted at step {e.step}: {e}", file=sys.stderr)
+    result = _train_into(out_dir, rc, lambda: train(model, _corpus_from(rc), rc.train))
+    if result is None:
         return 1
-    _write_run_artifacts(out_dir, rc, result)
     final_eval = result.eval_rows()[-1] if result.eval_rows() else None
     if final_eval is not None:
         print(f"trained {rc.train.steps} steps; final eval loss {final_eval.total_loss:.6f}")
@@ -123,21 +124,14 @@ def cmd_continue(args) -> int:
         rc = _load_run_config(args)
         expected: ModelConfig | None = rc.model
     else:
-        rc = _apply_overrides(
-            RunConfig(model=ckpt.config, train=TrainConfig(), data=DataConfig()), args
-        )
+        rc = _apply_overrides(RunConfig(model=ckpt.config), args)
         expected = None
     out_dir = Path(args.out_dir)
-    corpus = _corpus_from(rc)
-    try:
-        result = continue_train(ckpt, corpus, rc.train, expected_config=expected)
-    except TrainingAborted as e:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if e.last_checkpoint is not None:
-            save_checkpoint(e.last_checkpoint, out_dir / "last.ckpt")
-        print(f"training aborted at step {e.step}: {e}", file=sys.stderr)
+    result = _train_into(
+        out_dir, rc, lambda: continue_train(ckpt, _corpus_from(rc), rc.train, expected_config=expected)
+    )
+    if result is None:
         return 1
-    _write_run_artifacts(out_dir, rc, result)
     print(f"continued {rc.train.steps} steps from step-{ckpt.step} checkpoint")
     print(f"artifacts in {out_dir}")
     return 0
@@ -148,8 +142,7 @@ def cmd_retention(args) -> int:
         model=parse_runconfig({"preset": "micro"}).model
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(rc.to_json(), encoding="utf-8")
+    _write_resolved(out_dir, rc)
     ret = rc.retention
     if args.seeds > 1:
         seeds = [ret.seed + i for i in range(args.seeds)]

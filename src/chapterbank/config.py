@@ -2,13 +2,59 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import re
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
 
 
+class Config:
+    """Dict codec for the config dataclasses; the fields are the keys.
+
+    A field whose default is a ``Config`` is rebuilt by that class's
+    ``from_dict``, and one whose default is a tuple is rebuilt as a
+    tuple, so a JSON round trip gives an equal config. ``from_dict``
+    rejects unknown keys and always runs ``validate()``, which checks
+    nothing unless a subclass overrides it.
+    """
+
+    def validate(self) -> None:
+        pass
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(d) - set(known)
+        if unknown:
+            name = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        kwargs = {}
+        for key, value in d.items():
+            f = known[key]
+            default = f.default_factory() if f.default_factory is not MISSING else f.default
+            if isinstance(default, Config):
+                value = type(default).from_dict(value)
+            elif isinstance(default, tuple):
+                value = tuple(value)
+            kwargs[key] = value
+        cfg = cls(**kwargs)
+        cfg.validate()
+        return cfg
+
+
+def _plain(value):
+    if isinstance(value, Config):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return value
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     """Complete architectural description of one model.
 
     Memory geometry: the bank holds ``bank_tokens`` latent tokens split
@@ -98,21 +144,6 @@ class ModelConfig:
                 fail(f"mem_heads={self.mem_heads} not divisible by mem_kv_heads={self.mem_kv_heads}")
             if (self.d_model // self.mem_heads) % 2 != 0:
                 fail("memory attention head dimension must be even")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["memory_layer_indices"] = list(self.memory_layer_indices)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 def _paper_moc() -> ModelConfig:

@@ -39,8 +39,9 @@ class CheckpointMismatch(ValueError):
 class TrainingAborted(RuntimeError):
     """Training stopped on a non-finite loss or gradient.
 
-    ``last_checkpoint`` holds the most recent periodic checkpoint bytes
-    (or None if the abort happened before the first checkpoint).
+    ``last_checkpoint`` holds the most recent periodic ``Checkpoint``
+    object (the starting state if no eval point was reached yet), and
+    ``step`` the step that failed.
     """
 
     def __init__(self, message: str, last_checkpoint=None, step: int = -1):

@@ -16,7 +16,7 @@ estimate, and ``aux_override`` pins the line to an externally known value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import ModelConfig
 from .errors import ConfigError
@@ -27,8 +27,24 @@ ACT_COST = 5  # silu + gate multiply per hidden element
 CE_COST = 5  # per-vocab-entry cost of log-softmax loss
 
 
+class Breakdown:
+    """A FLOPs component whose integer fields are its parts; ``total``
+    and ``as_dict`` are derived from the fields."""
+
+    @property
+    def total(self) -> int:
+        parts = (getattr(self, f.name) for f in fields(self))
+        return sum(p.total if isinstance(p, Breakdown) else p for p in parts)
+
+    def as_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {k: v.as_dict() if isinstance(v, Breakdown) else v for k, v in d.items()}
+        d["total"] = self.total
+        return d
+
+
 @dataclass(frozen=True)
-class AttentionFlops:
+class AttentionFlops(Breakdown):
     q: int
     k: int
     v: int
@@ -36,60 +52,40 @@ class AttentionFlops:
     matmuls: int
     softmax: int
 
-    @property
-    def total(self) -> int:
-        return self.q + self.k + self.v + self.o + self.matmuls + self.softmax
-
 
 @dataclass(frozen=True)
-class MlpFlops:
+class MlpFlops(Breakdown):
     up: int
     gate: int
     down: int
     activation: int
 
-    @property
-    def total(self) -> int:
-        return self.up + self.gate + self.down + self.activation
-
 
 @dataclass(frozen=True)
-class StandardLayerFlops:
+class StandardLayerFlops(Breakdown):
     self_attention: AttentionFlops
     rope: int
     norms: int
     mlp: MlpFlops
     residuals: int
 
-    @property
-    def total(self) -> int:
-        return self.self_attention.total + self.rope + self.norms + self.mlp.total + self.residuals
-
 
 @dataclass(frozen=True)
-class RouterFlops:
+class RouterFlops(Breakdown):
     pool: int
     linear: int
     softmax: int
     topk: int
 
-    @property
-    def total(self) -> int:
-        return self.pool + self.linear + self.softmax + self.topk
-
 
 @dataclass(frozen=True)
-class MemPreprocessFlops:
+class MemPreprocessFlops(Breakdown):
     weighting: int
     rmsnorm: int
 
-    @property
-    def total(self) -> int:
-        return self.weighting + self.rmsnorm
-
 
 @dataclass(frozen=True)
-class MemoryExtraFlops:
+class MemoryExtraFlops(Breakdown):
     router: RouterFlops
     router_aux: int
     mem_preprocess: MemPreprocessFlops
@@ -97,27 +93,12 @@ class MemoryExtraFlops:
     extra_norm: int
     extra_residual: int
 
-    @property
-    def total(self) -> int:
-        return (
-            self.router.total
-            + self.router_aux
-            + self.mem_preprocess.total
-            + self.mem_attention.total
-            + self.extra_norm
-            + self.extra_residual
-        )
-
 
 @dataclass(frozen=True)
-class HeadFlops:
+class HeadFlops(Breakdown):
     norm: int
     lm_head: int
     ce: int
-
-    @property
-    def total(self) -> int:
-        return self.norm + self.lm_head + self.ce
 
 
 @dataclass(frozen=True)
@@ -160,27 +141,11 @@ class FlopsReport:
             "seq_len": self.seq_len,
             "n_standard_layers": self.n_standard_layers,
             "n_memory_layers": self.n_memory_layers,
-            "standard_layer": {
-                "self_attention": _with_total(self.standard_layer.self_attention, ["q", "k", "v", "o", "matmuls", "softmax"]),
-                "rope": self.standard_layer.rope,
-                "norms": self.standard_layer.norms,
-                "mlp": _with_total(self.standard_layer.mlp, ["up", "gate", "down", "activation"]),
-                "residuals": self.standard_layer.residuals,
-                "total": self.standard_layer.total,
-            },
-            "head": _with_total(self.head, ["norm", "lm_head", "ce"]),
+            "standard_layer": self.standard_layer.as_dict(),
+            "head": self.head.as_dict(),
         }
         if self.memory_extra is not None:
-            m = self.memory_extra
-            d["memory_layer_extra"] = {
-                "router": _with_total(m.router, ["pool", "linear", "softmax", "topk"]),
-                "router_aux": m.router_aux,
-                "mem_preprocess": _with_total(m.mem_preprocess, ["weighting", "rmsnorm"]),
-                "mem_attention": _with_total(m.mem_attention, ["q", "k", "v", "o", "matmuls", "softmax"]),
-                "extra_norm": m.extra_norm,
-                "extra_residual": m.extra_residual,
-                "total": m.total,
-            }
+            d["memory_layer_extra"] = self.memory_extra.as_dict()
             d["memory_layer_total"] = self.memory_layer_total
         d["totals"] = {"forward": self.forward, "backward": self.backward, "fwd_bwd": self.fwd_bwd}
         return d
@@ -207,12 +172,6 @@ class FlopsReport:
         lines = ["component,value"]
         lines += [f"{k},{v}" for k, v in self.flat_items()]
         return "\n".join(lines) + "\n"
-
-
-def _with_total(obj, names: list[str]) -> dict:
-    d = {n: getattr(obj, n) for n in names}
-    d["total"] = obj.total
-    return d
 
 
 def _check(b: int, l: int) -> None:

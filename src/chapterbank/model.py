@@ -103,9 +103,7 @@ class Model:
     def forward_logits(self, tokens: np.ndarray) -> np.ndarray:
         """(B, L, vocab) logits without loss or tape (greedy decoding)."""
         h, _, _ = _run_stack(self, tokens)
-        h = ops.rmsnorm(h, self["final_norm.gain"], RMSNORM_EPS)
-        logits = ops.matmul(h, ops.swapaxes(self["embedding.weight"], 0, 1))
-        return logits.data
+        return _head_logits(self, h).data
 
 
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str, str]]:
@@ -374,18 +372,24 @@ def _run_stack(model: Model, tokens: np.ndarray) -> tuple[Tensor, list[RouterDec
     return h, decisions, masses
 
 
+def _head_logits(model: Model, h: Tensor) -> Tensor:
+    """Final norm, then the LM head: the embedding transposed when tied,
+    else ``lm_head.weight``."""
+    h = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
+    if model.config.tied_embeddings:
+        return ops.matmul(h, ops.swapaxes(model["embedding.weight"], 0, 1))
+    return ops.matmul(h, model["lm_head.weight"])
+
+
 def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None = None) -> ForwardTrace:
-    """Embed, run the stack, final norm, tied head, shifted cross-entropy.
+    """Embed, run the stack, final norm, LM head, shifted cross-entropy.
 
     total = lm + lb_coeff * lb + z_coeff * z. Without targets the loss
     fields are 0 and ``loss`` is None (routing stats still collected).
     """
     cfg = model.config
     h, decisions, masses = _run_stack(model, tokens)
-    h = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
-    head = model["embedding.weight"] if cfg.tied_embeddings else model["lm_head.weight"]
-    head_t = ops.swapaxes(head, 0, 1) if cfg.tied_embeddings else head.value
-    logits = ops.matmul(h, head_t)  # (B,L,V)
+    logits = _head_logits(model, h)  # (B,L,V)
 
     if decisions:
         lb, z = aux_losses(decisions, cfg)

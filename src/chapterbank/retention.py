@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ModelConfig, preset
+from .config import Config, ModelConfig, preset
 from .errors import ConfigError, TrainingAborted
 from .model import Model, build_model
 from .schedule import cosine
@@ -32,7 +32,7 @@ TRANSFORMS = ("reverse", "shift")
 
 
 @dataclass(frozen=True)
-class FactSpec:
+class FactSpec(Config):
     n_facts: int = 12
     key_alphabet: int = 12
     value_alphabet: int = 12
@@ -43,7 +43,8 @@ class FactSpec:
     key_base: int = 10  # key symbol token ids start here
     value_base: int = 96  # value symbol token ids start here
 
-    def validate(self, vocab: int) -> None:
+    def validate(self, vocab: int | None = None) -> None:
+        """Check the spec; the symbol ranges also against ``vocab`` when given."""
         if self.n_facts < 1:
             raise ConfigError(f"n_facts must be >= 1, got {self.n_facts}")
         if self.key_alphabet < 2 or self.value_alphabet < 2:
@@ -56,24 +57,14 @@ class FactSpec:
             )
         if self.key_base + self.key_alphabet > self.value_base:
             raise ConfigError("key symbol range overlaps value symbol range")
-        if self.value_base + self.value_alphabet > vocab:
+        if vocab is not None and self.value_base + self.value_alphabet > vocab:
             raise ConfigError(
                 f"value symbols reach {self.value_base + self.value_alphabet}, beyond vocab {vocab}"
             )
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FactSpec":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown fact spec keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class InstructionSpec:
+class InstructionSpec(Config):
     n_examples: int = 16
     src_len: int = 4
     alphabet: int = 20
@@ -82,14 +73,15 @@ class InstructionSpec:
     seed: int = 0
     symbol_base: int = 180
 
-    def validate(self, vocab: int) -> None:
+    def validate(self, vocab: int | None = None) -> None:
+        """Check the spec; the symbol range also against ``vocab`` when given."""
         if self.n_examples < 1 or self.src_len < 1 or self.repeats < 1:
             raise ConfigError("n_examples, src_len, and repeats must be >= 1")
         if self.alphabet < 2:
             raise ConfigError("instruction alphabet must have >= 2 symbols")
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
-        if self.symbol_base + self.alphabet > vocab:
+        if vocab is not None and self.symbol_base + self.alphabet > vocab:
             raise ConfigError(
                 f"instruction symbols reach {self.symbol_base + self.alphabet}, beyond vocab {vocab}"
             )
@@ -98,16 +90,6 @@ class InstructionSpec:
         if self.transform == "reverse":
             return src[::-1].copy()
         return self.symbol_base + (src - self.symbol_base + 1) % self.alphabet
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InstructionSpec":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown instruction spec keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -296,7 +278,7 @@ class RetentionReport:
 
 
 @dataclass(frozen=True)
-class RetentionConfig:
+class RetentionConfig(Config):
     fact: FactSpec = FactSpec()
     instruction: InstructionSpec = InstructionSpec()
     phase_a: TrainConfig = field(
@@ -310,30 +292,6 @@ class RetentionConfig:
         )
     )
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "fact": self.fact.to_dict(),
-            "instruction": self.instruction.to_dict(),
-            "phase_a": self.phase_a.to_dict(),
-            "phase_b": self.phase_b.to_dict(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RetentionConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown retention config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "fact" in d:
-            d["fact"] = FactSpec.from_dict(d["fact"])
-        if "instruction" in d:
-            d["instruction"] = InstructionSpec.from_dict(d["instruction"])
-        for key in ("phase_a", "phase_b"):
-            if key in d:
-                d[key] = TrainConfig.from_dict(d[key])
-        return cls(**d)
 
 
 def variant_model_configs(base: ModelConfig | None = None) -> dict[str, ModelConfig]:

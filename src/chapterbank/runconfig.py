@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .config import PRESET_NAMES, ModelConfig, preset
+from .config import PRESET_NAMES, Config, ModelConfig, preset
 from .errors import ConfigError
 from .retention import RetentionConfig
 from .train import TrainConfig
@@ -22,7 +22,7 @@ TOP_KEYS = {"preset", "model", "train", "data", "retention"}
 
 
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(Config):
     kind: str = "synthetic"
     length: int = 8192
     seed: int = 0
@@ -34,33 +34,13 @@ class DataConfig:
         if self.length < 4:
             raise ConfigError(f"data length must be >= 4, got {self.length}")
 
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown data config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
-
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Config):
     model: ModelConfig
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
     retention: RetentionConfig = field(default_factory=RetentionConfig)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "data": self.data.to_dict(),
-            "retention": self.retention.to_dict(),
-        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -79,12 +59,7 @@ def expand_document(doc: dict) -> dict:
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}; expected one of {sorted(PRESET_NAMES)}")
-        base = preset(preset_name).to_dict()
-        overlap_unknown = set(model_section) - set(base)
-        if overlap_unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(overlap_unknown)}")
-        base.update(model_section)
-        model_section = base
+        model_section = {**preset(preset_name).to_dict(), **model_section}
     if not model_section:
         raise ConfigError("run config needs a model section or a preset")
     doc["model"] = model_section
@@ -98,12 +73,7 @@ def parse_runconfig(doc: dict | str) -> RunConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"run config is not valid JSON: {e}") from e
     doc = expand_document(doc)
-    model = ModelConfig.from_dict(doc["model"])
-    model.validate()
-    train = TrainConfig.from_dict(doc.get("train", {}))
-    data = DataConfig.from_dict(doc.get("data", {}))
-    retention = RetentionConfig.from_dict(doc.get("retention", {}))
-    return RunConfig(model=model, train=train, data=data, retention=retention)
+    return RunConfig.from_dict({**doc, "model": ModelConfig.from_dict(doc["model"])})
 
 
 def load_runconfig(path) -> RunConfig:

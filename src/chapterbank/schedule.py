@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .config import Config
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class Schedule:
+class Schedule(Config):
     kind: str  # "wsd" | "cosine"
     warmup: int
     decay_start: int | None = None  # wsd only
@@ -43,21 +44,6 @@ class Schedule:
 
     def with_total_steps(self, n: int) -> "Schedule":
         return replace(self, total_steps=n)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "warmup": self.warmup}
-        if self.kind == "wsd":
-            d["decay_start"] = self.decay_start
-            d["min_ratio"] = self.min_ratio
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schedule":
-        known = {"kind", "warmup", "decay_start", "min_ratio", "total_steps"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def wsd(warmup: int, decay_start: int, min_ratio: float = 0.1, total_steps: int | None = None) -> Schedule:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .checkpoint import Checkpoint, check_config_match, checkpoint_from, model_from_checkpoint
-from .config import ModelConfig
+from .config import Config, ModelConfig
 from .errors import ConfigError, NumericError, TrainingAborted
 from .model import Model
 from .optim import AdamW, AdamWConfig, clip_grad_norm, global_grad_norm
@@ -30,7 +30,7 @@ EVAL_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     steps: int = 200
     batch_size: int = 8
     grad_accum: int = 1
@@ -82,40 +82,6 @@ class TrainConfig:
     @property
     def frozen_groups(self) -> frozenset[str]:
         return frozenset({"memory_bank"}) if self.bank_mode == "frozen" else frozenset()
-
-    def to_dict(self) -> dict:
-        d = {
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "grad_accum": self.grad_accum,
-            "seq_len": self.seq_len,
-            "lr_base": self.lr_base,
-            "lr_memory_layers": self.lr_memory_layers,
-            "lr_memory_bank": self.lr_memory_bank,
-            "bank_mode": self.bank_mode,
-            "schedule": self.schedule.to_dict(),
-            "weight_decay": self.weight_decay,
-            "betas": list(self.betas),
-            "clip_norm": self.clip_norm,
-            "seed": self.seed,
-            "eval_every": self.eval_every,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "schedule" in d and isinstance(d["schedule"], dict):
-            d["schedule"] = Schedule.from_dict(d["schedule"])
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -269,7 +235,7 @@ def train(
                         raise NumericError(f"non-finite loss {trace.total_loss}")
                     tape.backward(ops.scale(trace.loss, 1.0 / cfg.grad_accum))
             except NumericError as e:
-                raise TrainingAborted(f"step {step}: {e}", last_ckpt, step) from e
+                raise TrainingAborted(str(e), last_ckpt, step) from e
             lm += trace.lm_loss
             lb += trace.lb_loss
             z += trace.z_loss

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from chapterbank.checkpoint import load_checkpoint
+from chapterbank.checkpoint import checkpoint_from, load_checkpoint, save_checkpoint
 from chapterbank.cli import collect_route_stats, main, route_stats_csv
 from chapterbank.config import preset
 from chapterbank.flops import flops_model
@@ -92,6 +92,34 @@ class TestTrainCommand:
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.json", "--out-dir", "/tmp/x"]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+class TestNumericAbort:
+    def assert_aborted(self, out, step, capsys):
+        err = capsys.readouterr().err
+        assert f"training aborted at step {step}: " in err
+        assert f"step {step}: step" not in err
+        assert (out / "last.ckpt").exists()
+        assert (out / "config.resolved").exists()
+        assert not (out / "final.ckpt").exists()
+
+    def test_train_divergence_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--preset", "micro", "--steps", "12", "--batch-size", "2", "--seq-len", "16"]
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--lr", "1e30", "--out-dir", str(out)]) == 1
+        self.assert_aborted(out, 2, capsys)
+
+    def test_continue_from_nan_checkpoint_exits_1(self, tmp_path, capsys):
+        model = build_model(preset("micro"), RngState(0))
+        model["embedding.weight"].value.data[7] = np.nan
+        ckpt_path = tmp_path / "nan.ckpt"
+        save_checkpoint(checkpoint_from(model, step=0, seed=0), ckpt_path)
+        out = tmp_path / "cont"
+        argv = ["continue", "--checkpoint", str(ckpt_path), "--steps", "12", "--batch-size", "2", "--seq-len", "16"]
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out-dir", str(out)]) == 1
+        self.assert_aborted(out, 0, capsys)
 
 
 class TestContinueCommand:

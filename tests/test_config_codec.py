@@ -1,0 +1,136 @@
+"""The shared config codec: every config class survives a JSON round
+trip with a non-default value in every field, and rejects unknown keys
+with a message naming the class."""
+
+import json
+import re
+from dataclasses import fields
+
+import pytest
+
+from chapterbank.config import ModelConfig
+from chapterbank.errors import ConfigError
+from chapterbank.retention import FactSpec, InstructionSpec, RetentionConfig
+from chapterbank.runconfig import DataConfig, RunConfig, parse_runconfig
+from chapterbank.schedule import Schedule, cosine, wsd
+from chapterbank.train import TrainConfig
+
+MODEL = ModelConfig(
+    d_model=48,
+    n_layers=3,
+    n_heads=4,
+    n_kv_heads=2,
+    d_ff=96,
+    vocab=300,
+    rope_theta=50000.0,
+    tied_embeddings=False,
+    memory_layer_indices=[0, 2],
+    bank_tokens=36,
+    chapters=9,
+    shared_chapters=2,
+    chapter_size=4,
+    top_k=3,
+    mem_heads=6,
+    mem_kv_heads=3,
+    routed_scaling=1.5,
+    lb_coeff=0.02,
+    z_coeff=0.002,
+    adapter_enabled=True,
+    bank_init_std=0.05,
+    max_seq_len=96,
+)
+SCHEDULE = wsd(3, 20, 0.2, total_steps=40)
+TRAIN = TrainConfig(
+    steps=30,
+    batch_size=3,
+    grad_accum=2,
+    seq_len=24,
+    lr_base=2e-3,
+    lr_memory_layers=5e-4,
+    lr_memory_bank=1e-4,
+    bank_mode="custom",
+    schedule=SCHEDULE,
+    weight_decay=0.05,
+    betas=(0.8, 0.99),
+    clip_norm=0.5,
+    seed=4,
+    eval_every=7,
+)
+DATA = DataConfig(length=512, seed=3, period=13)  # "synthetic" is the only valid kind
+FACT = FactSpec(
+    n_facts=5, key_alphabet=6, value_alphabet=7, key_len=3, value_len=2, repeats=9, seed=2, key_base=20, value_base=40
+)
+INSTRUCTION = InstructionSpec(n_examples=5, src_len=3, alphabet=8, repeats=4, transform="shift", seed=6, symbol_base=200)
+RETENTION = RetentionConfig(
+    fact=FACT,
+    instruction=INSTRUCTION,
+    phase_a=TRAIN,
+    phase_b=TrainConfig(steps=9, seq_len=32, schedule=cosine(2, total_steps=12), betas=(0.7, 0.9)),
+    seed=7,
+)
+CONFIGS = [MODEL, SCHEDULE, cosine(5, total_steps=11), TRAIN, DATA, FACT, INSTRUCTION, RETENTION]
+
+
+def json_round_trip(cfg):
+    return type(cfg).from_dict(json.loads(json.dumps(cfg.to_dict())))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: type(c).__name__)
+def test_json_round_trip(cfg):
+    back = json_round_trip(cfg)
+    assert back == cfg
+    assert list(back.to_dict()) == [f.name for f in fields(cfg)]
+
+
+@pytest.mark.parametrize("cfg", [MODEL, TRAIN, FACT, INSTRUCTION, RETENTION], ids=lambda c: type(c).__name__)
+def test_fixtures_differ_from_defaults_in_every_field(cfg):
+    default = type(cfg)()
+    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == []
+
+
+def test_nested_values_rebuilt_with_their_types():
+    back = json_round_trip(TRAIN)
+    assert isinstance(back.schedule, Schedule) and back.betas == (0.8, 0.99)
+    back = json_round_trip(RETENTION)
+    assert isinstance(back.fact, FactSpec) and isinstance(back.phase_b.schedule, Schedule)
+
+
+def test_run_config_round_trip_keeps_total_steps():
+    rc = RunConfig(model=MODEL, train=TRAIN, data=DATA, retention=RETENTION)
+    assert parse_runconfig(rc.to_json()) == rc
+    assert json.loads(rc.to_json())["train"]["schedule"]["total_steps"] == 40
+
+
+@pytest.mark.parametrize(
+    "cls, doc, words",
+    [
+        (ModelConfig, {"n_experts": 8}, "model config"),
+        (Schedule, {"kind": "wsd", "warmup": 1, "decay_start": 2, "gamma": 0.9}, "schedule"),
+        (TrainConfig, {"steps": 5, "momentum": 0.9}, "train config"),
+        (DataConfig, {"shards": 4}, "data config"),
+        (FactSpec, {"alphabet": 9}, "fact spec"),
+        (InstructionSpec, {"rotate": 1}, "instruction spec"),
+        (RetentionConfig, {"phases": {}}, "retention config"),
+    ],
+)
+def test_unknown_keys_named_by_class(cls, doc, words):
+    bad = sorted(set(doc) - {f.name for f in fields(cls)})
+    with pytest.raises(ConfigError, match=re.escape(f"unknown {words} keys: {bad}")):
+        cls.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (ModelConfig, {"d_model": 65}),
+        (TrainConfig, {"seq_len": 1}),
+        (DataConfig, {"length": 2}),
+        (Schedule, {"kind": "step", "warmup": 1}),
+        (FactSpec, {"n_facts": 0}),
+        (InstructionSpec, {"transform": "rotate"}),
+        (RetentionConfig, {"phase_b": {"eval_every": 0}}),
+    ],
+)
+def test_from_dict_validates(cls, doc):
+    with pytest.raises(ConfigError):
+        cls.from_dict(doc)

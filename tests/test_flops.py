@@ -158,6 +158,25 @@ class TestStructuralSums:
         assert "memory_layer_extra.router.topk" in keys
         assert "totals.forward" in keys
 
+    def test_flat_keys_pinned(self):
+        # bench/tracer.py joins its scopes to these names.
+        parts = ["self_attention.q", "self_attention.k", "self_attention.v", "self_attention.o",
+                 "self_attention.matmuls", "self_attention.softmax", "self_attention.total", "rope", "norms",
+                 "mlp.up", "mlp.gate", "mlp.down", "mlp.activation", "mlp.total", "residuals", "total"]
+        extra = ["router.pool", "router.linear", "router.softmax", "router.topk", "router.total", "router_aux",
+                 "mem_preprocess.weighting", "mem_preprocess.rmsnorm", "mem_preprocess.total",
+                 "mem_attention.q", "mem_attention.k", "mem_attention.v", "mem_attention.o",
+                 "mem_attention.matmuls", "mem_attention.softmax", "mem_attention.total",
+                 "extra_norm", "extra_residual", "total"]
+        want = (
+            ["batch", "seq_len", "n_standard_layers", "n_memory_layers"]
+            + [f"standard_layer.{k}" for k in parts]
+            + ["head.norm", "head.lm_head", "head.ce", "head.total"]
+            + [f"memory_layer_extra.{k}" for k in extra]
+            + ["memory_layer_total", "totals.forward", "totals.backward", "totals.fwd_bwd"]
+        )
+        assert [k for k, _ in flops_model(FULL, 1, 1024).flat_items()] == want
+
     def test_csv_round_trip(self):
         r = flops_model(FULL, 1, 1024)
         lines = r.to_csv().splitlines()

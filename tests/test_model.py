@@ -619,6 +619,19 @@ class TestModelForward:
         print(f"micro memory model: last-token change moves earlier-position logits by up to {leak:.3g}")
         assert leak > 0.0
 
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_forward_logits_use_the_loss_head(self, tied):
+        model = micro_double(9, tied_embeddings=tied)
+        tokens = np.random.default_rng(9).integers(0, 256, (3, 12))
+        logits = model.forward_logits(tokens)[:, :-1].reshape(-1, 256)
+        picked = logits[np.arange(logits.shape[0]), tokens[:, 1:].reshape(-1)]
+        top = logits.max(axis=1)
+        ce = np.mean(top + np.log(np.exp(logits - top[:, None]).sum(axis=1)) - picked)
+        assert abs(ce - model_forward(model, tokens, tokens).lm_loss) < 1e-12
+        if not tied:
+            model["lm_head.weight"].value.data[...] = 0.0
+            assert not model.forward_logits(tokens).any()
+
     def test_memory_attention_mass_recorded(self):
         model = micro_double(6)
         tokens = np.random.default_rng(5).integers(0, 256, (2, 8))

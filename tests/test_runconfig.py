@@ -2,6 +2,8 @@
 strict key checking, serialization round trips."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +129,11 @@ class TestSerialization:
         assert rc.train == TrainConfig()
         assert rc.data == DataConfig()
         assert isinstance(rc, RunConfig)
+
+
+def test_readme_json_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_runconfig(block)

@@ -119,14 +119,13 @@ class TestValidation:
 class TestSerialization:
     def test_wsd_round_trip(self):
         d = WSD.to_dict()
-        assert d == {"kind": "wsd", "warmup": 250, "decay_start": 8160, "min_ratio": 0.1}
-        back = Schedule.from_dict(d).with_total_steps(9600)
-        assert back == WSD
+        assert d == {"kind": "wsd", "warmup": 250, "decay_start": 8160, "min_ratio": 0.1, "total_steps": 9600}
+        assert Schedule.from_dict(d) == WSD
 
     def test_cosine_round_trip(self):
         d = COS.to_dict()
-        assert d == {"kind": "cosine", "warmup": 250}
-        assert Schedule.from_dict(d).with_total_steps(9600) == COS
+        assert d == {"kind": "cosine", "warmup": 250, "decay_start": None, "min_ratio": 0.1, "total_steps": 9600}
+        assert Schedule.from_dict(d) == COS
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
