@@ -22,7 +22,6 @@ from .errors import CheckpointMismatch, ConfigError
 MAGIC = b"MOCCKPT1"
 FORMAT_VERSION = 1
 _DTYPES = {"single": "<f4", "double": "<f8"}
-_PRECISION = {"<f4": "single", "<f8": "double"}
 
 
 @dataclass

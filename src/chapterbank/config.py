@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -11,11 +13,13 @@ from .errors import ConfigError
 class Config:
     """Dict codec for the config dataclasses; the fields are the keys.
 
-    A field whose default is a ``Config`` is rebuilt by that class's
-    ``from_dict``, and one whose default is a tuple is rebuilt as a
-    tuple, so a JSON round trip gives an equal config. ``from_dict``
-    rejects unknown keys and always runs ``validate()``, which checks
-    nothing unless a subclass overrides it.
+    ``from_dict`` checks every value against its field's annotation: a
+    ``Config`` field takes an object and is rebuilt by that class's
+    ``from_dict``, a tuple field is rebuilt as a tuple, and an ``int``
+    takes neither a bool nor a float. So a JSON round trip gives an
+    equal config, and a malformed document raises ``ConfigError``.
+    ``from_dict`` rejects unknown and missing keys and always runs
+    ``validate()``, which checks nothing unless a subclass overrides it.
     """
 
     def validate(self) -> None:
@@ -26,23 +30,48 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict):
+        name = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+        if not isinstance(d, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {type(d).__name__}")
         known = {f.name: f for f in fields(cls)}
         unknown = set(d) - set(known)
         if unknown:
-            name = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
             raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in d.items():
-            f = known[key]
-            default = f.default_factory() if f.default_factory is not MISSING else f.default
-            if isinstance(default, Config):
-                value = type(default).from_dict(value)
-            elif isinstance(default, tuple):
-                value = tuple(value)
-            kwargs[key] = value
-        cfg = cls(**kwargs)
+        missing = [k for k, f in known.items() if k not in d and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"{name} is missing required keys: {missing}")
+        hints = typing.get_type_hints(cls)
+        cfg = cls(**{key: _decode(value, hints[key], f"{name} key {key!r}") for key, value in d.items()})
         cfg.validate()
         return cfg
+
+
+def _decode(value, hint, where: str):
+    """``value`` checked against the annotation ``hint``; lists become
+    tuples for tuple fields and objects become configs."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    origin = typing.get_origin(hint) or hint
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        if origin is tuple and len(value) != len(args):
+            raise ConfigError(f"invalid {where}: expected {len(args)} items, got {len(value)}")
+        item_hints = args if origin is tuple else args * len(value)
+        return origin(_decode(v, h, f"{where}[{i}]") for i, (v, h) in enumerate(zip(value, item_hints)))
+    if isinstance(origin, type) and issubclass(origin, Config) and isinstance(value, dict):
+        return origin.from_dict(value)
+    if type(value) is origin or (origin is float and type(value) in (int, float)):
+        return value
+    raise ConfigError(f"invalid {where}: expected {_type_name(hint)}, got {type(value).__name__}")
+
+
+def _type_name(hint) -> str:
+    if isinstance(hint, type) and issubclass(hint, Config):
+        return "an object"
+    return hint.__name__ if type(hint) is type else str(hint)
 
 
 def _plain(value):
@@ -56,6 +85,9 @@ def _plain(value):
 @dataclass
 class ModelConfig(Config):
     """Complete architectural description of one model.
+
+    The defaults are the paper's 16-layer backbone (``vanilla-backbone``);
+    the presets below name only the fields they change.
 
     Memory geometry: the bank holds ``bank_tokens`` latent tokens split
     into ``chapters`` contiguous blocks of ``chapter_size`` rows each;
@@ -146,43 +178,24 @@ class ModelConfig(Config):
                 fail("memory attention head dimension must be even")
 
 
-def _paper_moc() -> ModelConfig:
-    return ModelConfig(
-        d_model=768,
-        n_layers=16,
-        n_heads=12,
-        n_kv_heads=4,
-        d_ff=2304,
-        vocab=49152,
-        rope_theta=100000.0,
-        tied_embeddings=True,
+_PRESETS = {
+    "moc-paper": lambda: ModelConfig(
         memory_layer_indices=[2, 6, 10, 14],
         bank_tokens=262208,
         chapters=4097,
         shared_chapters=1,
         chapter_size=64,
         top_k=64,
-        mem_heads=12,
-        mem_kv_heads=12,
-        routed_scaling=2.5,
-        lb_coeff=0.01,
-        z_coeff=0.001,
-        adapter_enabled=False,
-        bank_init_std=0.02,
-        max_seq_len=1024,
-    )
-
-
-def _micro() -> ModelConfig:
-    return ModelConfig(
+    ),
+    "vanilla-backbone": ModelConfig,
+    "vanilla-iso": lambda: ModelConfig(n_layers=24),
+    "micro": lambda: ModelConfig(
         d_model=64,
         n_layers=4,
         n_heads=4,
         n_kv_heads=2,
         d_ff=192,
         vocab=256,
-        rope_theta=100000.0,
-        tied_embeddings=True,
         memory_layer_indices=[1, 3],
         bank_tokens=136,
         chapters=17,
@@ -191,49 +204,18 @@ def _micro() -> ModelConfig:
         top_k=4,
         mem_heads=4,
         mem_kv_heads=4,
-        routed_scaling=2.5,
-        lb_coeff=0.01,
-        z_coeff=0.001,
-        adapter_enabled=False,
-        bank_init_std=0.02,
         max_seq_len=64,
-    )
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ModelConfig:
-    """The four named architectures: moc-paper, vanilla-backbone,
-    vanilla-iso, micro."""
-    if name == "moc-paper":
-        cfg = _paper_moc()
-    elif name == "vanilla-backbone":
-        cfg = replace(
-            _paper_moc(),
-            memory_layer_indices=[],
-            bank_tokens=0,
-            chapters=0,
-            shared_chapters=0,
-            chapter_size=0,
-            top_k=0,
-        )
-    elif name == "vanilla-iso":
-        cfg = replace(
-            _paper_moc(),
-            n_layers=24,
-            memory_layer_indices=[],
-            bank_tokens=0,
-            chapters=0,
-            shared_chapters=0,
-            chapter_size=0,
-            top_k=0,
-        )
-    elif name == "micro":
-        cfg = _micro()
-    else:
-        raise ConfigError(
-            f"unknown preset {name!r}; expected moc-paper, vanilla-backbone, vanilla-iso or micro"
-        )
+    """A new config for the named architecture; each preset names only
+    the fields that differ from the ``ModelConfig`` defaults."""
+    make = _PRESETS.get(name) if isinstance(name, str) else None
+    if make is None:
+        raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}")
+    cfg = make()
     cfg.validate()
     return cfg
-
-
-PRESET_NAMES = ("moc-paper", "vanilla-backbone", "vanilla-iso", "micro")

@@ -179,20 +179,25 @@ def _check(b: int, l: int) -> None:
         raise ConfigError(f"batch={b} and seq_len={l} must be >= 1")
 
 
+def _attention_flops(d: int, batch: int, lq: int, lk: int, heads: int, kv_heads: int) -> AttentionFlops:
+    """Grouped-query attention of lq queries over lk keys per sequence."""
+    d_kv = kv_heads * (d // heads)
+    return AttentionFlops(
+        q=2 * batch * lq * d * d,
+        k=2 * batch * lk * d * d_kv,
+        v=2 * batch * lk * d * d_kv,
+        o=2 * batch * lq * d * d,
+        matmuls=4 * batch * lq * lk * d,
+        softmax=batch * heads * lq * lk * (SOFTMAX_COST + MASK_SCALE_COST),
+    )
+
+
 def flops_standard_layer(cfg: ModelConfig, batch: int = 1, seq_len: int = 1024) -> StandardLayerFlops:
     """Self-attention + RoPE + two norms + SwiGLU MLP + two residuals."""
     _check(batch, seq_len)
     d, dff = cfg.d_model, cfg.d_ff
     d_kv = cfg.n_kv_heads * cfg.head_dim
     n = batch * seq_len
-    attn = AttentionFlops(
-        q=2 * n * d * d,
-        k=2 * n * d * d_kv,
-        v=2 * n * d * d_kv,
-        o=2 * n * d * d,
-        matmuls=4 * batch * seq_len * seq_len * d,
-        softmax=batch * cfg.n_heads * seq_len * seq_len * (SOFTMAX_COST + MASK_SCALE_COST),
-    )
     mlp = MlpFlops(
         up=2 * n * d * dff,
         gate=2 * n * d * dff,
@@ -200,7 +205,7 @@ def flops_standard_layer(cfg: ModelConfig, batch: int = 1, seq_len: int = 1024) 
         activation=n * dff * ACT_COST,
     )
     return StandardLayerFlops(
-        self_attention=attn,
+        self_attention=_attention_flops(d, batch, seq_len, seq_len, cfg.n_heads, cfg.n_kv_heads),
         rope=batch * 3 * seq_len * (d + d_kv),
         norms=2 * n * (4 * d + 4),
         mlp=mlp,
@@ -242,7 +247,6 @@ def flops_memory_layer_extra(
         raise ConfigError("config has no memory layers")
     d, c = cfg.d_model, cfg.chapters
     n_sel = cfg.selected_tokens
-    d_mem_kv = cfg.mem_kv_heads * (d // cfg.mem_heads)
     router = RouterFlops(
         pool=batch * (d * (seq_len - 1) + d),
         linear=2 * batch * d * c,
@@ -253,19 +257,11 @@ def flops_memory_layer_extra(
         weighting=batch * n_sel * d,
         rmsnorm=batch * n_sel * (4 * d + 4),
     )
-    mem_attn = AttentionFlops(
-        q=2 * batch * seq_len * d * d,
-        k=2 * batch * n_sel * d * d_mem_kv,
-        v=2 * batch * n_sel * d * d_mem_kv,
-        o=2 * batch * seq_len * d * d,
-        matmuls=4 * batch * seq_len * n_sel * d,
-        softmax=batch * cfg.mem_heads * seq_len * n_sel * (SOFTMAX_COST + MASK_SCALE_COST),
-    )
     return MemoryExtraFlops(
         router=router,
         router_aux=aux_override if aux_override is not None else router_aux_flops(cfg, batch),
         mem_preprocess=preprocess,
-        mem_attention=mem_attn,
+        mem_attention=_attention_flops(d, batch, seq_len, n_sel, cfg.mem_heads, cfg.mem_kv_heads),
         extra_norm=batch * seq_len * (4 * d + 4),
         extra_residual=batch * seq_len * d,
     )

@@ -205,26 +205,33 @@ def _causal_mask(length: int) -> np.ndarray:
     return mask
 
 
-def self_attention_block(h: Tensor, model: Model, layer: int) -> Tensor:
-    """h + GQA(RMSNorm(h)) with RoPE on Q/K and strict causal masking."""
-    cfg = model.config
-    b, l, d = h.shape
-    if l > cfg.max_seq_len:
-        raise SequenceLengthError(f"sequence length {l} exceeds max_seq_len {cfg.max_seq_len}")
-    pre = f"layers.{layer}"
-    x = ops.rmsnorm(h, model[f"{pre}.attn_norm.gain"], RMSNORM_EPS)
-    q = _split_heads(ops.matmul(x, model[f"{pre}.attn.wq"]), cfg.n_heads)
-    k = _split_heads(ops.matmul(x, model[f"{pre}.attn.wk"]), cfg.n_kv_heads)
-    v = _split_heads(ops.matmul(x, model[f"{pre}.attn.wv"]), cfg.n_kv_heads)
-    q, k = ops.rope_apply(q, k, cfg.rope_theta)
-    groups = cfg.n_heads // cfg.n_kv_heads
+def _attention(x: Tensor, kv: Tensor, model: Model, pre: str, n_heads: int, n_kv_heads: int, causal: bool) -> Tensor:
+    """Grouped-query attention of queries from x over keys and values from
+    kv, through the ``{pre}.wq/wk/wv/wo`` projections. ``causal`` adds
+    RoPE on Q/K and the strict causal mask (self-attention)."""
+    q = _split_heads(ops.matmul(x, model[f"{pre}.wq"]), n_heads)  # (B,h,Lq,dh)
+    k = _split_heads(ops.matmul(kv, model[f"{pre}.wk"]), n_kv_heads)  # (B,hkv,Lk,dh)
+    v = _split_heads(ops.matmul(kv, model[f"{pre}.wv"]), n_kv_heads)
+    mask = None
+    if causal:
+        q, k = ops.rope_apply(q, k, model.config.rope_theta)
+        mask = _causal_mask(x.shape[1])
+    groups = n_heads // n_kv_heads
     if groups > 1:
         k = ops.repeat_interleave_axis(k, groups, 1)
         v = ops.repeat_interleave_axis(v, groups, 1)
-    scores = ops.scale(ops.matmul(q, ops.swapaxes(k, -1, -2)), 1.0 / np.sqrt(cfg.head_dim))
-    probs = ops.softmax_lastdim(scores, additive_mask=_causal_mask(l))
-    out = ops.matmul(_merge_heads(ops.matmul(probs, v)), model[f"{pre}.attn.wo"])
-    return ops.add(h, out)
+    scores = ops.scale(ops.matmul(q, ops.swapaxes(k, -1, -2)), 1.0 / np.sqrt(q.shape[-1]))
+    probs = ops.softmax_lastdim(scores, additive_mask=mask)
+    return ops.matmul(_merge_heads(ops.matmul(probs, v)), model[f"{pre}.wo"])
+
+
+def self_attention_block(h: Tensor, model: Model, layer: int) -> Tensor:
+    """h + GQA(RMSNorm(h)) with RoPE on Q/K and strict causal masking."""
+    cfg = model.config
+    if h.shape[1] > cfg.max_seq_len:
+        raise SequenceLengthError(f"sequence length {h.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
+    x = ops.rmsnorm(h, model[f"layers.{layer}.attn_norm.gain"], RMSNORM_EPS)
+    return ops.add(h, _attention(x, x, model, f"layers.{layer}.attn", cfg.n_heads, cfg.n_kv_heads, causal=True))
 
 
 def _mlp_block(h: Tensor, model: Model, layer: int) -> Tensor:
@@ -296,19 +303,8 @@ def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
     if m_tokens.shape[1] < 1:
         raise ConfigError("memory read with an empty token selection")
     cfg = model.config
-    pre = f"layers.{layer}"
-    mem_head_dim = cfg.d_model // cfg.mem_heads
-    x = ops.rmsnorm(h, model[f"{pre}.mem_norm.gain"], RMSNORM_EPS)
-    q = _split_heads(ops.matmul(x, model[f"{pre}.mem.wq"]), cfg.mem_heads)  # (B,h,L,dh)
-    k = _split_heads(ops.matmul(m_tokens, model[f"{pre}.mem.wk"]), cfg.mem_kv_heads)  # (B,hkv,N,dh)
-    v = _split_heads(ops.matmul(m_tokens, model[f"{pre}.mem.wv"]), cfg.mem_kv_heads)
-    groups = cfg.mem_heads // cfg.mem_kv_heads
-    if groups > 1:
-        k = ops.repeat_interleave_axis(k, groups, 1)
-        v = ops.repeat_interleave_axis(v, groups, 1)
-    scores = ops.scale(ops.matmul(q, ops.swapaxes(k, -1, -2)), 1.0 / np.sqrt(mem_head_dim))
-    probs = ops.softmax_lastdim(scores)
-    return ops.matmul(_merge_heads(ops.matmul(probs, v)), model[f"{pre}.mem.wo"])
+    x = ops.rmsnorm(h, model[f"layers.{layer}.mem_norm.gain"], RMSNORM_EPS)
+    return _attention(x, m_tokens, model, f"layers.{layer}.mem", cfg.mem_heads, cfg.mem_kv_heads, causal=False)
 
 
 def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, RouterDecision, float]:

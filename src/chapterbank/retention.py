@@ -29,6 +29,8 @@ FACT_MARKERS = (FACT_OPEN, FACT_SEP, FACT_CLOSE)
 INSTR_MARKERS = (INSTR_OPEN, INSTR_SEP, INSTR_CLOSE)
 VARIANTS = ("vanilla-like", "moc", "moc-frozen-bank")
 TRANSFORMS = ("reverse", "shift")
+# retention.csv metric -> VariantResult field prefix: <prefix>_a and <prefix>_b hold phases A and B
+METRIC_FIELDS = {"fact_recall": "fact_recall", "task_accuracy": "task_acc", "fact_eval_loss": "fact_loss"}
 
 
 @dataclass(frozen=True)
@@ -229,9 +231,9 @@ class RetentionReport:
         out = []
         for name in VARIANTS:
             r = self.variants[name]
-            out.append((name, "fact_recall", r.fact_recall_a, r.fact_recall_b, r.recall_delta))
-            out.append((name, "task_accuracy", r.task_acc_a, r.task_acc_b, r.task_delta))
-            out.append((name, "fact_eval_loss", r.fact_loss_a, r.fact_loss_b, r.loss_delta))
+            for metric, prefix in METRIC_FIELDS.items():
+                a, b = getattr(r, f"{prefix}_a"), getattr(r, f"{prefix}_b")
+                out.append((name, metric, a, b, b - a))
             out.append((name, "failed", 0.0, 1.0 if r.failed else 0.0, 1.0 if r.failed else 0.0))
         return out
 
@@ -264,12 +266,9 @@ class RetentionReport:
             variant, metric, a, b, d = ln.split(",")
             r = report.variants.setdefault(variant, VariantResult(variant))
             a, b = float(a), float(b)
-            if metric == "fact_recall":
-                r.fact_recall_a, r.fact_recall_b = a, b
-            elif metric == "task_accuracy":
-                r.task_acc_a, r.task_acc_b = a, b
-            elif metric == "fact_eval_loss":
-                r.fact_loss_a, r.fact_loss_b = a, b
+            if metric in METRIC_FIELDS:
+                setattr(r, f"{METRIC_FIELDS[metric]}_a", a)
+                setattr(r, f"{METRIC_FIELDS[metric]}_b", b)
             elif metric == "failed":
                 r.failed = b == 1.0
             else:
@@ -299,7 +298,7 @@ def variant_model_configs(base: ModelConfig | None = None) -> dict[str, ModelCon
     if not cfg.has_memory:
         raise ConfigError("retention base config must have memory layers")
     return {
-        "vanilla-like": replace(cfg, memory_layer_indices=()),
+        "vanilla-like": replace(cfg, memory_layer_indices=[]),
         "moc": cfg,
         "moc-frozen-bank": cfg,
     }
@@ -373,11 +372,7 @@ def run_multi_seed(
         oks = [r.variants[variant] for r in reports if not r.variants[variant].failed]
         agg = VariantResult(variant, failed=not oks)
         if oks:
-            agg.fact_recall_a = float(np.mean([v.fact_recall_a for v in oks]))
-            agg.fact_recall_b = float(np.mean([v.fact_recall_b for v in oks]))
-            agg.task_acc_a = float(np.mean([v.task_acc_a for v in oks]))
-            agg.task_acc_b = float(np.mean([v.task_acc_b for v in oks]))
-            agg.fact_loss_a = float(np.mean([v.fact_loss_a for v in oks]))
-            agg.fact_loss_b = float(np.mean([v.fact_loss_b for v in oks]))
+            for name in (f"{prefix}_{phase}" for prefix in METRIC_FIELDS.values() for phase in "ab"):
+                setattr(agg, name, float(np.mean([getattr(v, name) for v in oks])))
         mean.variants[variant] = agg
     return reports, mean

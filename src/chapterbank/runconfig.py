@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .config import PRESET_NAMES, Config, ModelConfig, preset
+from .config import Config, ModelConfig, preset
 from .errors import ConfigError
 from .retention import RetentionConfig
 from .train import TrainConfig
@@ -54,15 +54,16 @@ def expand_document(doc: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
     doc = dict(doc)
-    model_section = dict(doc.get("model", {}))
-    preset_name = doc.pop("preset", None) or model_section.pop("preset", None)
-    if preset_name is not None:
-        if preset_name not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {preset_name!r}; expected one of {sorted(PRESET_NAMES)}")
-        model_section = {**preset(preset_name).to_dict(), **model_section}
-    if not model_section:
+    preset_name = doc.pop("preset", None)
+    model = doc.get("model", {})
+    if isinstance(model, dict):  # anything else is rejected by RunConfig.from_dict
+        model = dict(model)
+        preset_name = preset_name or model.pop("preset", None)
+        if preset_name is not None:
+            model = {**preset(preset_name).to_dict(), **model}
+    if not model:
         raise ConfigError("run config needs a model section or a preset")
-    doc["model"] = model_section
+    doc["model"] = model
     return doc
 
 
@@ -72,8 +73,7 @@ def parse_runconfig(doc: dict | str) -> RunConfig:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
             raise ConfigError(f"run config is not valid JSON: {e}") from e
-    doc = expand_document(doc)
-    return RunConfig.from_dict({**doc, "model": ModelConfig.from_dict(doc["model"])})
+    return RunConfig.from_dict(expand_document(doc))
 
 
 def load_runconfig(path) -> RunConfig:

@@ -70,9 +70,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.ndim else float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")

@@ -10,7 +10,7 @@ kept as dataclasses and serialized by ``metrics_csv``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .schedule import Schedule, cosine, lr_at_step
 from .tensor import RngState, Tape
 
 BANK_MODES = ("frozen", "low_lr", "equal_lr", "custom")
-METRICS_HEADER = "step,split,lm_loss,lb_loss,z_loss,total_loss,lr_base,lr_mem,lr_bank,grad_norm"
 EVAL_BATCHES = 4
 EVAL_FRACTION = 0.1
 
@@ -129,19 +128,11 @@ class MetricsRow:
     grad_norm: float
 
     def to_csv_line(self) -> str:
-        vals = [
-            str(self.step),
-            self.split,
-            repr(self.lm_loss),
-            repr(self.lb_loss),
-            repr(self.z_loss),
-            repr(self.total_loss),
-            repr(self.lr_base),
-            repr(self.lr_mem),
-            repr(self.lr_bank),
-            repr(self.grad_norm),
-        ]
-        return ",".join(vals)
+        vals = (getattr(self, f.name) for f in fields(self))
+        return ",".join(v if isinstance(v, str) else repr(v) for v in vals)
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 def metrics_csv(rows: list[MetricsRow]) -> str:

@@ -2,10 +2,15 @@
 codes, parity with direct library calls."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chapterbank
 from chapterbank.checkpoint import checkpoint_from, load_checkpoint, save_checkpoint
 from chapterbank.cli import collect_route_stats, main, route_stats_csv
 from chapterbank.config import preset
@@ -92,6 +97,36 @@ class TestTrainCommand:
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.json", "--out-dir", "/tmp/x"]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+MALFORMED_RUN_CONFIGS = [
+    {"preset": "micro", "train": 5},
+    {"preset": "micro", "train": {"schedule": {"warmup": 1}}},
+    {"preset": "micro", "model": [1]},
+    {"preset": "micro", "train": {"betas": 5}},
+    {"preset": "micro", "train": {"steps": "5"}},
+    {"preset": "micro", "model": {"d_model": "64"}},
+    {"preset": "micro", "model": {"top_k": 2.0}},
+    {"preset": ["micro"]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_RUN_CONFIGS, ids=json.dumps)
+def test_malformed_run_config_is_exit_2(doc, tmp_path):
+    """A malformed document is a config error in the real process: exit
+    2 with an ``error:`` line, no traceback, and no run directory."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(chapterbank.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chapterbank.cli", "train", "--config", str(cfg), "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "config.resolved").exists()
 
 
 class TestNumericAbort:

@@ -134,3 +134,28 @@ def test_unknown_keys_named_by_class(cls, doc, words):
 def test_from_dict_validates(cls, doc):
     with pytest.raises(ConfigError):
         cls.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "cls, doc, words",
+    [
+        (ModelConfig, {"top_k": 2.0}, "model config key 'top_k': expected int, got float"),
+        (ModelConfig, {"d_model": True}, "model config key 'd_model': expected int, got bool"),
+        (ModelConfig, {"adapter_enabled": 1}, "model config key 'adapter_enabled': expected bool, got int"),
+        (ModelConfig, {"memory_layer_indices": [1, "3"]}, "'memory_layer_indices'[1]: expected int, got str"),
+        (TrainConfig, {"betas": [0.9]}, "train config key 'betas': expected 2 items, got 1"),
+        (TrainConfig, {"betas": [0.9, None]}, "'betas'[1]: expected float, got NoneType"),
+        (TrainConfig, {"schedule": 5}, "train config key 'schedule': expected an object, got int"),
+        (TrainConfig, {"lr_base": "1e-3"}, "train config key 'lr_base': expected float, got str"),
+        (Schedule, {"warmup": 1}, "schedule is missing required keys: ['kind']"),
+        (RetentionConfig, [], "retention config must be a JSON object, got list"),
+    ],
+)
+def test_values_checked_against_field_types(cls, doc, words):
+    with pytest.raises(ConfigError, match=re.escape(words)):
+        cls.from_dict(doc)
+
+
+def test_float_takes_int_and_optional_takes_null():
+    cfg = TrainConfig.from_dict({"lr_base": 1, "lr_memory_layers": None, "betas": [1, 0.5]})
+    assert (cfg.lr_base, cfg.lr_memory_layers, cfg.betas) == (1, None, (1, 0.5))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chapterbank.config import preset
+from chapterbank.config import ModelConfig, preset
 from chapterbank.errors import ConfigError
 from chapterbank.model import build_model
 from chapterbank.retention import (
@@ -193,6 +193,7 @@ class TestVariants:
         assert not cfgs["vanilla-like"].has_memory
         assert cfgs["moc"] == preset("micro")
         assert cfgs["moc-frozen-bank"] == preset("micro")
+        assert all(ModelConfig.from_dict(c.to_dict()) == c for c in cfgs.values())  # serializable as built
 
     def test_memoryless_base_rejected(self):
         with pytest.raises(ConfigError):

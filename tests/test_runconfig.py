@@ -3,6 +3,7 @@ strict key checking, serialization round trips."""
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,21 @@ class TestPresetExpansion:
         assert doc["train"] == {"steps": 5}
         assert doc["model"]["chapters"] == 17
         assert "preset" not in doc
+
+
+class TestPresetTable:
+    """The README's preset descriptions: one backbone, three deltas."""
+
+    def test_backbone_is_moc_paper_without_memory(self):
+        no_memory = dict(memory_layer_indices=[], bank_tokens=0, chapters=0, shared_chapters=0, chapter_size=0, top_k=0)
+        assert replace(preset("moc-paper"), **no_memory) == preset("vanilla-backbone")
+
+    def test_iso_is_the_backbone_at_24_layers(self):
+        assert replace(preset("vanilla-backbone"), n_layers=24) == preset("vanilla-iso")
+
+    def test_each_call_returns_a_new_config(self):
+        preset("micro").memory_layer_indices.append(0)
+        assert preset("micro").memory_layer_indices == [1, 3]
 
 
 class TestStrictKeys:
