@@ -20,6 +20,9 @@ class Config:
     equal config, and a malformed document raises ``ConfigError``.
     ``from_dict`` rejects unknown and missing keys and always runs
     ``validate()``, which checks nothing unless a subclass overrides it.
+    Errors name the class in words; a nested config's errors begin with
+    its dotted key path, as in ``train.schedule: schedule is missing
+    required keys: ['kind']``.
     """
 
     def validate(self) -> None:
@@ -29,26 +32,34 @@ class Config:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict):
+    def from_dict(cls, d: dict, path: str = ""):
         name = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+        at = f"{path}: " if path else ""
         if not isinstance(d, dict):
-            raise ConfigError(f"{name} must be a JSON object, got {type(d).__name__}")
+            raise ConfigError(f"{at}{name} must be a JSON object, got {type(d).__name__}")
         known = {f.name: f for f in fields(cls)}
         unknown = set(d) - set(known)
         if unknown:
-            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+            raise ConfigError(f"{at}unknown {name} keys: {sorted(unknown)}")
         missing = [k for k, f in known.items() if k not in d and f.default is MISSING and f.default_factory is MISSING]
         if missing:
-            raise ConfigError(f"{name} is missing required keys: {missing}")
+            raise ConfigError(f"{at}{name} is missing required keys: {missing}")
         hints = typing.get_type_hints(cls)
-        cfg = cls(**{key: _decode(value, hints[key], f"{name} key {key!r}") for key, value in d.items()})
-        cfg.validate()
+        cfg = cls(**{
+            key: _decode(value, hints[key], f"{at}invalid {name} key {key!r}", f"{path}.{key}" if path else key)
+            for key, value in d.items()
+        })
+        try:
+            cfg.validate()
+        except ConfigError as e:
+            raise ConfigError(f"{at}{e}") from None
         return cfg
 
 
-def _decode(value, hint, where: str):
+def _decode(value, hint, where: str, path: str):
     """``value`` checked against the annotation ``hint``; lists become
-    tuples for tuple fields and objects become configs."""
+    tuples for tuple fields and objects become configs. ``where`` opens
+    the error message; ``path`` is the value's dotted key path."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):  # X | None
         if value is None:
@@ -58,14 +69,14 @@ def _decode(value, hint, where: str):
     origin = typing.get_origin(hint) or hint
     if origin in (list, tuple) and isinstance(value, (list, tuple)):
         if origin is tuple and len(value) != len(args):
-            raise ConfigError(f"invalid {where}: expected {len(args)} items, got {len(value)}")
+            raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
         item_hints = args if origin is tuple else args * len(value)
-        return origin(_decode(v, h, f"{where}[{i}]") for i, (v, h) in enumerate(zip(value, item_hints)))
+        return origin(_decode(v, h, f"{where}[{i}]", f"{path}[{i}]") for i, (v, h) in enumerate(zip(value, item_hints)))
     if isinstance(origin, type) and issubclass(origin, Config) and isinstance(value, dict):
-        return origin.from_dict(value)
+        return origin.from_dict(value, path)
     if type(value) is origin or (origin is float and type(value) in (int, float)):
         return value
-    raise ConfigError(f"invalid {where}: expected {_type_name(hint)}, got {type(value).__name__}")
+    raise ConfigError(f"{where}: expected {_type_name(hint)}, got {type(value).__name__}")
 
 
 def _type_name(hint) -> str:

@@ -199,8 +199,8 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ops.reshape(ops.swapaxes(x, 1, 2), (b, l, h * dh))
 
 
-def _causal_mask(length: int) -> np.ndarray:
-    mask = np.zeros((length, length))
+def _causal_mask(length: int, dtype) -> np.ndarray:
+    mask = np.zeros((length, length), dtype=dtype)
     mask[np.triu_indices(length, k=1)] = ops.MASK_VALUE
     return mask
 
@@ -212,15 +212,14 @@ def _attention(x: Tensor, kv: Tensor, model: Model, pre: str, n_heads: int, n_kv
     q = _split_heads(ops.matmul(x, model[f"{pre}.wq"]), n_heads)  # (B,h,Lq,dh)
     k = _split_heads(ops.matmul(kv, model[f"{pre}.wk"]), n_kv_heads)  # (B,hkv,Lk,dh)
     v = _split_heads(ops.matmul(kv, model[f"{pre}.wv"]), n_kv_heads)
-    mask = None
     if causal:
         q, k = ops.rope_apply(q, k, model.config.rope_theta)
-        mask = _causal_mask(x.shape[1])
     groups = n_heads // n_kv_heads
     if groups > 1:
         k = ops.repeat_interleave_axis(k, groups, 1)
         v = ops.repeat_interleave_axis(v, groups, 1)
     scores = ops.scale(ops.matmul(q, ops.swapaxes(k, -1, -2)), 1.0 / np.sqrt(q.shape[-1]))
+    mask = _causal_mask(x.shape[1], scores.data.dtype) if causal else None
     probs = ops.softmax_lastdim(scores, additive_mask=mask)
     return ops.matmul(_merge_heads(ops.matmul(probs, v)), model[f"{pre}.wo"])
 
@@ -313,6 +312,7 @@ def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, R
     pre = f"layers.{layer}"
     decision = route(h, model[f"{pre}.router.weight"], model[f"{pre}.router.bias"], model.config)
     readout = mem_read(h, prepare_memory_tokens(model, layer, decision), model, layer)
+    # float64 on purpose: each norm sums a whole (B, L, d) activation, and only the scalar is kept
     readout_norm, h_norm = (float(np.linalg.norm(x.data.astype(np.float64))) for x in (readout, h))
     mass = readout_norm / (readout_norm + h_norm) if readout_norm + h_norm > 0 else 0.0
     return ops.add(h, readout), decision, mass
@@ -336,8 +336,9 @@ def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tenso
     routed = ops.index_slice(probs, (slice(None), slice(shared, c)))
     q = ops.div(routed, ops.sum_axis(routed, axis=1, keepdims=True))
     mean_q = ops.mean_axis(ops.reshape(q, (n_layers, b, c_r)), axis=1)  # (layers, C_r)
-    f = np.stack([np.bincount(d.selected.ravel() - shared, minlength=c_r) for d in decisions]) / (b * cfg.top_k)
-    lb = ops.scale(ops.sum_axis(ops.mul(mean_q, Tensor(f))), c_r / n_layers)
+    counts = np.stack([np.bincount(d.selected.ravel() - shared, minlength=c_r) for d in decisions])
+    f = Tensor((counts / (b * cfg.top_k)).astype(probs.data.dtype))
+    lb = ops.scale(ops.sum_axis(ops.mul(mean_q, f)), c_r / n_layers)
     z = ops.logsumexp_lastdim(ops.concat([d.logits for d in decisions], axis=0))  # (layers*B,)
     return lb, ops.mean_all(ops.mul(z, z))
 

@@ -278,7 +278,9 @@ def softmax_lastdim(x, additive_mask: np.ndarray | None = None) -> Tensor:
     """Max-subtracted softmax over the last dimension.
 
     ``additive_mask`` (constant, broadcastable) is added to the logits
-    first; use MASK_VALUE for disallowed positions. Each output slice is
+    first; use MASK_VALUE for disallowed positions. The mask must already
+    have the logits' dtype: a float64 mask would promote float32 logits,
+    and everything computed after them, to float64. Each output slice is
     nonnegative and sums to 1. Backward: dx = p * (g - sum(g * p)).
     """
     x = _as_tensor(x)
@@ -364,6 +366,7 @@ def swiglu(x, w_up, w_gate, w_down) -> Tensor:
 
 def _rope_cos_sin(length: int, d_h: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
     half = d_h // 2
+    # angles in float64 on purpose (pos * freq loses position digits in float32); cast to dtype below
     inv_freq = float(theta) ** (-2.0 * np.arange(half, dtype=np.float64) / d_h)
     angles = np.arange(length, dtype=np.float64)[:, None] * inv_freq[None, :]
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)

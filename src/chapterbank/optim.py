@@ -104,6 +104,7 @@ def global_grad_norm(params: Mapping[str, Parameter], frozen_groups: Iterable[st
     for p in params.values():
         if p.group in frozen:
             continue
+        # float64 on purpose: a float32 sum of squares over millions of elements loses digits
         g = p.value.grad.astype(np.float64, copy=False)
         total += float(np.dot(g.ravel(), g.ravel()))
     return math.sqrt(total)

@@ -58,7 +58,12 @@ def expand_document(doc: dict) -> dict:
     model = doc.get("model", {})
     if isinstance(model, dict):  # anything else is rejected by RunConfig.from_dict
         model = dict(model)
-        preset_name = preset_name or model.pop("preset", None)
+        if preset_name is not None and "preset" in model:
+            raise ConfigError(
+                f"run config names a preset twice, at top level ({preset_name!r}) and in the model section "
+                f"({model['preset']!r}); give it once"
+            )
+        preset_name = model.pop("preset", preset_name)
         if preset_name is not None:
             model = {**preset(preset_name).to_dict(), **model}
     if not model:

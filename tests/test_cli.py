@@ -94,6 +94,19 @@ class TestTrainCommand:
         assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "sections" in capsys.readouterr().err
 
+    def test_preset_given_twice_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"preset": "micro", "model": {"preset": "micro"}}))
+        assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "names a preset twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_nested_config_error_names_its_key_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"preset": "micro", "retention": {"phase_a": {"schedule": {"warmup": 1}}}}))
+        assert main(["retention", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "error: retention.phase_a.schedule: schedule is missing required keys: ['kind']" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.json", "--out-dir", "/tmp/x"]) == 2
         assert "not found" in capsys.readouterr().err

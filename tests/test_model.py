@@ -28,7 +28,7 @@ from chapterbank.model import (
     mem_read,
     prepare_memory_tokens,
 )
-from chapterbank.tensor import RngState, Tape, Tensor
+from chapterbank.tensor import PRECISION_DTYPES, RngState, Tape, Tensor
 
 EPS = 1e-6
 
@@ -631,6 +631,32 @@ class TestModelForward:
         if not tied:
             model["lm_head.weight"].value.data[...] = 0.0
             assert not model.forward_logits(tokens).any()
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_one_taped_step_stays_in_model_dtype(self, precision):
+        class DtypeTape(Tape):
+            def __init__(self):
+                super().__init__()
+                self.outputs = []
+
+            def record(self, out, backward_fn):
+                self.outputs.append(out)
+                super().record(out, backward_fn)
+
+        model = build_model(preset("micro"), RngState(10), precision)
+        dtype = np.dtype(PRECISION_DTYPES[precision])
+        tokens = np.random.default_rng(10).integers(0, 256, (2, 16))
+        with DtypeTape() as tape:
+            trace = model_forward(model, tokens, tokens)
+            tape.backward(trace.loss)
+        assert trace.decisions and tape.outputs
+        wrong = sorted({str(out.data.dtype) for out in tape.outputs} - {str(dtype)})
+        assert not wrong, f"{precision} tape recorded outputs of dtype {wrong}"
+        assert all(out.grad is None or out.grad.dtype == dtype for out in tape.outputs)
+        assert trace.loss.data.dtype == dtype
+        for name, p in model.params.items():
+            assert p.grad.dtype == dtype, f"{name} grad is {p.grad.dtype}"
+        assert model.forward_logits(tokens).dtype == dtype
 
     def test_memory_attention_mass_recorded(self):
         model = micro_double(6)

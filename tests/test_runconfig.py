@@ -37,6 +37,12 @@ class TestPresetExpansion:
         with pytest.raises(ConfigError, match="unknown preset"):
             parse_runconfig({"preset": "mega"})
 
+    @pytest.mark.parametrize("model_preset", ["micro", "moc-paper"])
+    def test_preset_given_twice_names_the_conflict(self, model_preset):
+        doc = {"preset": "micro", "model": {"preset": model_preset}}
+        with pytest.raises(ConfigError, match=re.escape(f"preset twice, at top level ('micro') and in the model section ('{model_preset}')")):
+            parse_runconfig(doc)
+
     def test_preset_required_when_model_missing(self):
         with pytest.raises(ConfigError, match="model section or a preset"):
             parse_runconfig({"train": {"steps": 5}})
@@ -85,6 +91,29 @@ class TestStrictKeys:
     def test_unknown_data_key(self):
         with pytest.raises(ConfigError, match="data config keys"):
             parse_runconfig({"preset": "micro", "data": {"shards": 4}})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"train": {"schedule": {"warmup": 1}}}, "train.schedule: schedule is missing required keys: ['kind']"),
+            (
+                {"retention": {"phase_a": {"schedule": {"warmup": 1}}}},
+                "retention.phase_a.schedule: schedule is missing required keys: ['kind']",
+            ),
+            (
+                {"retention": {"phase_b": {"schedule": {"kind": "cosine", "warmup": 1, "gamma": 2}}}},
+                "retention.phase_b.schedule: unknown schedule keys: ['gamma']",
+            ),
+            ({"retention": {"fact": {"n_facts": "3"}}}, "retention.fact: invalid fact spec key 'n_facts': expected int"),
+            ({"retention": {"phase_b": {"eval_every": 0}}}, "retention.phase_b: eval_every must be >= 1"),
+            ({"train": {"steps": 0.5}}, "train: invalid train config key 'steps': expected int"),
+        ],
+        ids=["train.schedule", "retention.phase_a.schedule", "unknown-key", "invalid-value", "validate", "section"],
+    )
+    def test_nested_errors_start_with_the_key_path(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            parse_runconfig({"preset": "micro", **doc})
+        assert str(info.value).startswith(message)
 
     def test_invalid_model_values_still_validated(self):
         with pytest.raises(ConfigError):
