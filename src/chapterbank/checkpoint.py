@@ -104,21 +104,31 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a truncated or corrupt file raises ConfigError."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:8] != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic {data[:8]!r})")
-    (header_len,) = struct.unpack("<Q", data[8:16])
-    header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
+    if len(data) < 16:
+        raise ConfigError(f"{path}: truncated checkpoint ({len(data)} bytes, no header length)")
+    base = 16 + struct.unpack("<Q", data[8:16])[0]
+    if base > len(data):
+        raise ConfigError(f"{path}: truncated checkpoint ({len(data)} bytes, header needs {base})")
+    try:
+        header = json.loads(data[16:base].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{path}: corrupt checkpoint header ({e})") from None
     if header["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format version {header['format_version']}")
-    base = 16 + header_len
     tensors: dict[str, np.ndarray] = {}
     moments_flat: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        start = base + entry["offset"]
-        raw = data[start : start + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=_DTYPES[entry["precision"]]).reshape(entry["shape"]).copy()
+        dtype, start, nbytes = np.dtype(_DTYPES[entry["precision"]]), base + entry["offset"], entry["nbytes"]
+        if nbytes != int(np.prod(entry["shape"])) * dtype.itemsize:
+            raise ConfigError(f"{path}: tensor {entry['name']} has {nbytes} bytes for shape {entry['shape']}")
+        if not base <= start <= len(data) - nbytes:
+            raise ConfigError(f"{path}: tensor {entry['name']} runs past the end of the file (truncated checkpoint)")
+        arr = np.frombuffer(data[start : start + nbytes], dtype=dtype).reshape(entry["shape"]).copy()
         if entry["name"].startswith("optim."):
             moments_flat[entry["name"]] = arr
         else:
@@ -127,6 +137,8 @@ def load_checkpoint(path) -> Checkpoint:
     for key, arr in moments_flat.items():
         kind, name = key.split(".", 2)[1:]
         if kind == "m":
+            if f"optim.v.{name}" not in moments_flat:
+                raise ConfigError(f"{path}: optimizer moment {key} has no optim.v.{name}")
             moments[name] = (arr, moments_flat[f"optim.v.{name}"])
     return Checkpoint(
         config=ModelConfig.from_dict(header["model_config"]),

@@ -189,39 +189,15 @@ def param_count(model_or_cfg) -> dict[str, int]:
 # blocks
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, l, dim = x.shape
-    return ops.swapaxes(ops.reshape(x, (b, l, n_heads, dim // n_heads)), 1, 2)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, l, dh = x.shape
-    return ops.reshape(ops.swapaxes(x, 1, 2), (b, l, h * dh))
-
-
-def _causal_mask(length: int, dtype) -> np.ndarray:
-    mask = np.zeros((length, length), dtype=dtype)
-    mask[np.triu_indices(length, k=1)] = ops.MASK_VALUE
-    return mask
-
-
 def _attention(x: Tensor, kv: Tensor, model: Model, pre: str, n_heads: int, n_kv_heads: int, causal: bool) -> Tensor:
     """Grouped-query attention of queries from x over keys and values from
     kv, through the ``{pre}.wq/wk/wv/wo`` projections. ``causal`` adds
     RoPE on Q/K and the strict causal mask (self-attention)."""
-    q = _split_heads(ops.matmul(x, model[f"{pre}.wq"]), n_heads)  # (B,h,Lq,dh)
-    k = _split_heads(ops.matmul(kv, model[f"{pre}.wk"]), n_kv_heads)  # (B,hkv,Lk,dh)
-    v = _split_heads(ops.matmul(kv, model[f"{pre}.wv"]), n_kv_heads)
-    if causal:
-        q, k = ops.rope_apply(q, k, model.config.rope_theta)
-    groups = n_heads // n_kv_heads
-    if groups > 1:
-        k = ops.repeat_interleave_axis(k, groups, 1)
-        v = ops.repeat_interleave_axis(v, groups, 1)
-    scores = ops.scale(ops.matmul(q, ops.swapaxes(k, -1, -2)), 1.0 / np.sqrt(q.shape[-1]))
-    mask = _causal_mask(x.shape[1], scores.data.dtype) if causal else None
-    probs = ops.softmax_lastdim(scores, additive_mask=mask)
-    return ops.matmul(_merge_heads(ops.matmul(probs, v)), model[f"{pre}.wo"])
+    q = ops.matmul(x, model[f"{pre}.wq"])
+    k = ops.matmul(kv, model[f"{pre}.wk"])
+    v = ops.matmul(kv, model[f"{pre}.wv"])
+    heads = ops.attention(q, k, v, n_heads, n_kv_heads, causal, model.config.rope_theta)
+    return ops.matmul(heads, model[f"{pre}.wo"])
 
 
 def self_attention_block(h: Tensor, model: Model, layer: int) -> Tensor:
@@ -279,14 +255,15 @@ def prepare_memory_tokens(model: Model, layer: int, decision: RouterDecision) ->
     differentiable)."""
     pre = f"layers.{layer}"
     t = model.bank.chapter_size
-    rows = (decision.selected_with_shared[:, :, None] * t + np.arange(t)).reshape(len(decision), -1)  # (B, S*t)
-    sel = ops.gather_rows(model["bank.tokens"], rows)  # (B, S*t, d)
+    rows = decision.selected_with_shared[:, :, None] * t + np.arange(t)  # (B, S, t)
+    sel = ops.gather_rows(model["bank.tokens"], rows)  # (B, S, t, d)
     if model.config.adapter_enabled:
         adapter = model[f"{pre}.mem.adapter"]
         sel = ops.add(sel, ops.matmul(sel, adapter))
     sel = ops.rmsnorm(sel, model[f"{pre}.mem.token_norm.gain"], RMSNORM_EPS)
-    per_row = ops.repeat_interleave_axis(decision.chapter_weights, t, 1)  # (B, S*t)
-    return ops.mul(sel, ops.reshape(per_row, rows.shape + (1,)))
+    b, s = decision.selected_with_shared.shape
+    sel = ops.mul(sel, ops.reshape(decision.chapter_weights, (b, s, 1, 1)))
+    return ops.reshape(sel, (b, s * t, sel.shape[-1]))
 
 
 def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
@@ -381,12 +358,12 @@ def _head_logits(model: Model, h: Tensor) -> Tensor:
 def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None = None) -> ForwardTrace:
     """Embed, run the stack, final norm, LM head, shifted cross-entropy.
 
-    total = lm + lb_coeff * lb + z_coeff * z. Without targets the loss
-    fields are 0 and ``loss`` is None (routing stats still collected).
+    total = lm + lb_coeff * lb + z_coeff * z. Without targets the LM head
+    is skipped, ``lm_loss`` is 0 and ``loss`` is None (router losses and
+    routing stats are still collected).
     """
     cfg = model.config
     h, decisions, masses = _run_stack(model, tokens)
-    logits = _head_logits(model, h)  # (B,L,V)
 
     if decisions:
         lb, z = aux_losses(decisions, cfg)
@@ -402,8 +379,8 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None =
         b, l = targets.shape
         if l < 2:
             raise ConfigError("next-token loss needs sequence length >= 2")
-        v = cfg.vocab
-        pred = ops.reshape(ops.index_slice(logits, (slice(None), slice(0, l - 1))), ((l - 1) * b, v))
+        logits = _head_logits(model, h)  # (B,L,V)
+        pred = ops.reshape(ops.index_slice(logits, (slice(None), slice(0, l - 1))), ((l - 1) * b, cfg.vocab))
         lm = ops.cross_entropy(pred, targets[:, 1:].reshape(-1))
         lm_val = lm.item()
         loss_tensor = lm

@@ -6,8 +6,9 @@ formulas are the standard ones (stated inline); the finite-difference
 oracle in gradcheck.py verifies every one of them.
 
 All ops raise NumericError if they produce NaN/Inf, ShapeError on operand
-mismatch (naming both shapes), and ConfigError on bad structural
-arguments.
+mismatch (naming both shapes), ConfigError on bad structural arguments,
+and TypeError for an operand that is not a Tensor or Parameter (a raw
+scalar or array would carry its own dtype into the result).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _as_tensor(x) -> Tensor:
         return x.value
     if isinstance(x, Tensor):
         return x
-    return Tensor(x)
+    raise TypeError(f"ops take a Tensor or Parameter operand, got {type(x).__name__}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -215,22 +216,6 @@ def gather_rows(x, ids: np.ndarray) -> Tensor:
     return _record(out, [x], backward)
 
 
-def repeat_interleave_axis(x, repeats: int, axis: int) -> Tensor:
-    """Repeat each slice along ``axis`` (grouped-query KV head expansion)."""
-    x = _as_tensor(x)
-    out = Tensor(np.repeat(x.data, repeats, axis=axis))
-    n = x.shape[axis]
-
-    def backward(g):
-        if x.requires_grad:
-            shp = list(g.shape)
-            ax = axis % g.ndim
-            shp[ax : ax + 1] = [n, repeats]
-            x.accumulate_grad(g.reshape(shp).sum(axis=ax + 1))
-
-    return _record(out, [x], backward)
-
-
 def mean_axis(x, axis: int, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
@@ -274,20 +259,16 @@ def mean_all(x) -> Tensor:
 # nonlinearities and norms
 
 
-def softmax_lastdim(x, additive_mask: np.ndarray | None = None) -> Tensor:
+def softmax_lastdim(x) -> Tensor:
     """Max-subtracted softmax over the last dimension.
 
-    ``additive_mask`` (constant, broadcastable) is added to the logits
-    first; use MASK_VALUE for disallowed positions. The mask must already
-    have the logits' dtype: a float64 mask would promote float32 logits,
-    and everything computed after them, to float64. Each output slice is
-    nonnegative and sums to 1. Backward: dx = p * (g - sum(g * p)).
+    Each output slice is nonnegative and sums to 1. Backward:
+    dx = p * (g - sum(g * p)).
     """
     x = _as_tensor(x)
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"softmax over empty last dimension, shape {x.shape}")
-    z = x.data if additive_mask is None else x.data + additive_mask
-    z = z - z.max(axis=-1, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
@@ -361,49 +342,87 @@ def swiglu(x, w_up, w_gate, w_down) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# rotary position embedding
+# attention
 
 
-def _rope_cos_sin(length: int, d_h: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    half = d_h // 2
-    # angles in float64 on purpose (pos * freq loses position digits in float32); cast to dtype below
-    inv_freq = float(theta) ** (-2.0 * np.arange(half, dtype=np.float64) / d_h)
-    angles = np.arange(length, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-
-
-def _rope_rotate(x: Tensor, theta: float) -> Tensor:
-    d_h = x.shape[-1]
-    if d_h % 2 != 0:
-        raise ConfigError(f"rotary embedding needs an even head dimension, got {d_h}")
-    length = x.shape[-2]
-    cos, sin = _rope_cos_sin(length, d_h, theta, x.data.dtype)
-    xe, xo = x.data[..., 0::2], x.data[..., 1::2]
-    y = np.empty_like(x.data)
-    y[..., 0::2] = xe * cos - xo * sin
-    y[..., 1::2] = xe * sin + xo * cos
-    out = Tensor(y)
-    _check_finite(out.data, "rope")
-
-    def backward(g):
-        if x.requires_grad:
-            ge, go = g[..., 0::2], g[..., 1::2]
-            dx = np.empty_like(g)
-            dx[..., 0::2] = ge * cos + go * sin
-            dx[..., 1::2] = -ge * sin + go * cos
-            x.accumulate_grad(dx)
-
-    return _record(out, [x], backward)
-
-
-def rope_apply(q, k, theta: float) -> tuple[Tensor, Tensor]:
+def rope(x: np.ndarray, theta: float, inverse: bool = False) -> np.ndarray:
     """Rotate (even, odd) feature pairs by pos * theta^(-2i/d_h).
 
     Position index runs along the second-to-last axis; pair i of the last
     axis is the 2-D plane (2i, 2i+1). Pure rotation, so per-pair L2 norms
-    are preserved and position 0 is the identity.
+    are preserved and position 0 is the identity. ``inverse`` rotates by
+    minus the angle (the same rotation with -sin), which is also the
+    backward of the forward rotation.
     """
-    return _rope_rotate(_as_tensor(q), theta), _rope_rotate(_as_tensor(k), theta)
+    length, d_h = x.shape[-2:]
+    if d_h % 2 != 0:
+        raise ConfigError(f"rotary embedding needs an even head dimension, got {d_h}")
+    # angles in float64 on purpose (pos * freq loses position digits in float32); cast to x's dtype below
+    inv_freq = float(theta) ** (-2.0 * np.arange(d_h // 2, dtype=np.float64) / d_h)
+    angles = np.arange(length, dtype=np.float64)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(angles).astype(x.dtype), np.sin(-angles if inverse else angles).astype(x.dtype)
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    y = np.empty_like(x)
+    y[..., 0::2] = xe * cos - xo * sin
+    y[..., 1::2] = xe * sin + xo * cos
+    return y
+
+
+def attention(q, k, v, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float) -> Tensor:
+    """Grouped-query scaled dot-product attention over projected heads.
+
+    ``q`` is (B, Lq, n_heads*d_h), ``k`` and ``v`` are (B, Lk, n_kv_heads*d_h)
+    and the output is (B, Lq, n_heads*d_h). Query head i reads KV head i // g
+    (g = n_heads // n_kv_heads): the g heads sharing a KV head are stacked as
+    rows of one (g*Lq, d_h) @ (d_h, Lk) product, so K/V are never expanded.
+    ``causal`` rotates Q and K by ``rope`` and masks every key after the
+    query position (Lq == Lk).
+
+    Backward keeps P and the rotated Q, K and V: dV = P^T dO,
+    dS = P * (dP - sum(dP * P)) with dP = dO V^T, dQ = dS K, dK = dS^T Q,
+    then scaled and un-rotated.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if n_heads < 1 or n_kv_heads < 1 or n_heads % n_kv_heads:
+        raise ConfigError(f"attention needs n_heads ({n_heads}) to be a multiple of n_kv_heads ({n_kv_heads})")
+    b, lq, dim = q.shape if q.ndim == 3 else (0, 0, -1)
+    d_h, g, lk = dim // n_heads, n_heads // n_kv_heads, k.shape[1] if k.ndim == 3 else 0
+    kv_shape = (b, lk, n_kv_heads * d_h)
+    if d_h * n_heads != dim or k.shape != kv_shape or v.shape != kv_shape or not lk or (causal and lk != lq):
+        raise ShapeError(f"{n_heads}/{n_kv_heads}-head attention, causal={causal}: q {q.shape}, k {k.shape}, v {v.shape}")
+    q_rows = lambda x: x.reshape(b, lq, n_kv_heads, g, d_h).transpose(0, 2, 3, 1, 4)  # (B,hkv,g,Lq,dh)
+    q_cols = lambda x: x.reshape(b, n_kv_heads, g, lq, d_h).transpose(0, 3, 1, 2, 4).reshape(q.shape)
+    kv_rows = lambda x: x.reshape(b, lk, n_kv_heads, d_h).transpose(0, 2, 1, 3)  # (B,hkv,Lk,dh)
+    kv_cols = lambda x: x.transpose(0, 2, 1, 3).reshape(k.shape)
+    qh, kh, vh = q_rows(q.data), kv_rows(k.data), kv_rows(v.data)
+    if causal:
+        qh, kh = rope(qh, rope_theta), rope(kh, rope_theta)
+    qh = qh.reshape(b, n_kv_heads, g * lq, d_h)
+    scale_ = d_h**-0.5  # a Python float: an np.float64 would promote float32 scores
+    p = (qh @ kh.swapaxes(-1, -2)) * scale_  # scores, (B,hkv,g*Lq,Lk)
+    if causal:
+        p.reshape(b, n_kv_heads, g, lq, lk)[...] += np.triu(np.full((lq, lk), MASK_VALUE, dtype=p.dtype), 1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(q_cols(p @ vh))
+    _check_finite(out.data, "attention")
+
+    def backward(grad):
+        do = q_rows(grad).reshape(qh.shape)
+        ds = do @ vh.swapaxes(-1, -2)  # dP
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        if q.requires_grad:
+            dq = ((ds @ kh) * scale_).reshape(b, n_kv_heads, g, lq, d_h)
+            q.accumulate_grad(q_cols(rope(dq, rope_theta, inverse=True) if causal else dq))
+        if k.requires_grad:
+            dk = (ds.swapaxes(-1, -2) @ qh) * scale_
+            k.accumulate_grad(kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk))
+        if v.requires_grad:
+            v.accumulate_grad(kv_cols(p.swapaxes(-1, -2) @ do))
+
+    return _record(out, [q, k, v], backward)
 
 
 # ---------------------------------------------------------------------------

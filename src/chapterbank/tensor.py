@@ -74,8 +74,9 @@ class Tensor:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
+            self.grad = g.astype(self.data.dtype, copy=True)  # a copy: g may be another tensor's grad or a view
+        else:
+            self.grad += g.astype(self.data.dtype, copy=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, precision={self.precision}, requires_grad={self.requires_grad})"

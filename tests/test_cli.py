@@ -340,6 +340,74 @@ class TestRouteStats:
         assert "not memory layers" in capsys.readouterr().err
 
 
+def _rewrite_header(path, edit):
+    """Re-encode the checkpoint header after ``edit(header)``; payloads stay as they are."""
+    data = path.read_bytes()
+    base = 16 + int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16:base])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[base:])
+
+
+def _drop_v_moment(header):
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != "optim.v.final_norm.gain"]
+
+
+def _misstate_nbytes(header):
+    header["tensors"][0]["nbytes"] -= 4
+
+
+CORRUPTIONS = {
+    "cut_to_12_bytes": lambda data, base: data[:12],
+    "cut_to_5000_bytes": lambda data, base: data[:5000],
+    "cut_1000_bytes_after_header": lambda data, base: data[: base + 1000],
+    "garbled_header": lambda data, base: data[:20] + b"\xff" + data[21:],
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture()
+    def ckpt_path(self, tmp_path):
+        model = build_model(preset("micro"), RngState(0))
+        ckpt = checkpoint_from(model)
+        ckpt.moments = {name: (p.value.data * 0.5, p.value.data**2) for name, p in model.params.items()}
+        path = tmp_path / "good.ckpt"
+        save_checkpoint(ckpt, path)
+        return path
+
+    def assert_exit_2(self, path, tmp_path, capsys):
+        argvs = [
+            ["continue", "--checkpoint", str(path), "--out-dir", str(tmp_path / "o"), "--steps", "2"],
+            ["route-stats", "--checkpoint", str(path), "--batches", "1", "--seqlen", "8"],
+        ]
+        for argv in argvs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", sorted(CORRUPTIONS))
+    def test_damaged_bytes_exit_2(self, mode, ckpt_path, tmp_path, capsys):
+        data = ckpt_path.read_bytes()
+        base = 16 + int.from_bytes(data[8:16], "little")
+        assert 5000 < base < len(data) - 1000
+        ckpt_path.write_bytes(CORRUPTIONS[mode](data, base))
+        self.assert_exit_2(ckpt_path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("edit", [_drop_v_moment, _misstate_nbytes])
+    def test_inconsistent_tensor_table_exits_2(self, edit, ckpt_path, tmp_path, capsys):
+        _rewrite_header(ckpt_path, edit)
+        self.assert_exit_2(ckpt_path, tmp_path, capsys)
+
+    def test_rewritten_header_still_loads(self, ckpt_path):
+        before = load_checkpoint(ckpt_path)
+        _rewrite_header(ckpt_path, lambda header: None)
+        after = load_checkpoint(ckpt_path)
+        assert sorted(after.moments) == sorted(before.moments)
+        for name, arr in before.tensors.items():
+            np.testing.assert_array_equal(after.tensors[name], arr)
+
+
 class TestUsage:
     def test_no_command_is_system_exit(self):
         with pytest.raises(SystemExit):

@@ -11,6 +11,7 @@ import pytest
 from chapterbank import ops
 from chapterbank.errors import NumericError
 from chapterbank.gradcheck import grad_check
+from chapterbank.ops import _record
 from chapterbank.tensor import Parameter, Tensor
 
 SEEDS = range(20)
@@ -60,7 +61,7 @@ def test_softmax_with_mask(seed):
     mask = np.zeros((1, 4, 5))
     mask[..., 3:] = ops.MASK_VALUE
     w = np.random.default_rng(seed + 50).standard_normal((2, 4, 5))
-    check(lambda: ops.mean_all(ops.mul(ops.softmax_lastdim(a, additive_mask=mask), Tensor(w))), [a])
+    check(lambda: ops.mean_all(ops.mul(ops.softmax_lastdim(ops.add(a, Tensor(mask))), Tensor(w))), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -82,14 +83,28 @@ def test_swiglu(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rope(seed):
+    # ops.attention un-rotates dQ and dK with rope(..., inverse=True)
     q = make_param((2, 3, 4), seed)
-    k = make_param((1, 3, 4), seed + 1)
+    w = np.random.default_rng(seed + 50).standard_normal((2, 3, 4))
 
-    def f():
-        qr, kr = ops.rope_apply(q, k, 100.0)
-        return ops.add(ops.mean_all(ops.mul(qr, qr)), ops.mean_all(ops.mul(kr, kr)))
+    def rotated(x):
+        backward = lambda g: x.value.accumulate_grad(ops.rope(g, 100.0, inverse=True))
+        return _record(Tensor(ops.rope(x.value.data, 100.0)), [x.value], backward)
 
-    check(f, [q, k])
+    check(lambda: ops.mean_all(ops.mul(rotated(q), Tensor(w))), [q])
+
+
+@pytest.mark.parametrize("causal", (False, True))
+@pytest.mark.parametrize("groups", (1, 2))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_attention(seed, groups, causal):
+    # 4 query heads of d_h = 4 over 4 // groups KV heads; cross-attention has Lq != Lk
+    lq, lk = (4, 4) if causal else (3, 5)
+    q = make_param((2, lq, 16), seed)
+    k = make_param((2, lk, 16 // groups), seed + 1)
+    v = make_param((2, lk, 16 // groups), seed + 2)
+    w = np.random.default_rng(seed + 50).standard_normal((2, lq, 16))
+    check(lambda: ops.mean_all(ops.mul(ops.attention(q, k, v, 4, 4 // groups, causal, 100.0), Tensor(w))), [q, k, v])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -125,7 +140,8 @@ def test_repeat_and_reductions(seed):
     a = make_param((3, 2), seed)
 
     def f():
-        r = ops.repeat_interleave_axis(a, 3, 1)  # (3,6)
+        # repeat each entry 3 times along axis 1 by a broadcast mul, as the chapter weights are
+        r = ops.reshape(ops.mul(ops.reshape(a, (3, 2, 1)), Tensor(np.ones((1, 1, 3)))), (3, 6))
         s = ops.sum_axis(ops.mul(r, r), axis=1)  # (3,)
         return ops.add(ops.mean_axis(s, axis=0), ops.scale(ops.sum_axis(a), 0.3))
 
@@ -133,8 +149,6 @@ def test_repeat_and_reductions(seed):
 
 
 def test_grad_check_catches_broken_backward():
-    from chapterbank.ops import _record
-
     a = make_param((3, 3), 0)
 
     def bad_square(x):

@@ -287,6 +287,13 @@ class TestSelfAttention:
         np.testing.assert_array_equal(base[0, :5], pert[0, :5])
         assert np.abs(pert[0, 5:] - base[0, 5:]).max() > 1e-8
 
+    def test_one_block_records_seven_tape_entries(self):
+        # norm, the Q/K/V projections, one attention op, the output projection, residual add
+        model = micro_double()
+        with Tape() as tape:
+            self_attention_block(Tensor(np.random.default_rng(3).standard_normal((2, 6, 64))), model, 0)
+        assert len(tape) == 7
+
     def test_sequence_length_cap(self):
         model = micro_double()
         with pytest.raises(SequenceLengthError):
@@ -657,6 +664,13 @@ class TestModelForward:
         for name, p in model.params.items():
             assert p.grad.dtype == dtype, f"{name} grad is {p.grad.dtype}"
         assert model.forward_logits(tokens).dtype == dtype
+
+    def test_forward_without_targets_skips_the_head(self):
+        # a NaN head would raise NumericError if its logits were computed
+        model = micro_double(11, tied_embeddings=False)
+        model["lm_head.weight"].value.data[...] = np.nan
+        trace = model_forward(model, np.random.default_rng(11).integers(0, 256, (2, 8)))
+        assert trace.loss is None and trace.lm_loss == 0.0 and len(trace.decisions) == 2
 
     def test_memory_attention_mass_recorded(self):
         model = micro_double(6)

@@ -70,7 +70,7 @@ class TestSoftmax:
         x = rand_tensor((2, 5), 0)
         mask = np.zeros((2, 5))
         mask[:, 3:] = ops.MASK_VALUE
-        got = ops.softmax_lastdim(x, additive_mask=mask).data
+        got = ops.softmax_lastdim(ops.add(x, Tensor(mask))).data
         assert (got[:, 3:] == 0.0).all()
         np.testing.assert_allclose(got.sum(-1), np.ones(2), rtol=1e-12)
 
@@ -137,7 +137,7 @@ class TestRope:
         d_h, length = 4, 3
         gen = np.random.default_rng(2)
         q = gen.standard_normal((1, length, d_h))
-        qr, _ = ops.rope_apply(Tensor(q), Tensor(q.copy()), theta)
+        qr = ops.rope(q, theta)
         want = np.empty_like(q)
         for pos in range(length):
             for i in range(d_h // 2):
@@ -146,24 +146,94 @@ class TestRope:
                 xe, xo = q[0, pos, 2 * i], q[0, pos, 2 * i + 1]
                 want[0, pos, 2 * i] = xe * c - xo * s
                 want[0, pos, 2 * i + 1] = xe * s + xo * c
-        np.testing.assert_allclose(qr.data, want, rtol=1e-12)
+        np.testing.assert_allclose(qr, want, rtol=1e-12)
+        np.testing.assert_allclose(ops.rope(qr, theta, inverse=True), q, rtol=1e-12, atol=1e-15)
 
     def test_position_zero_is_identity(self):
-        q = rand_tensor((2, 1, 8), 0)
-        qr, _ = ops.rope_apply(q, rand_tensor((2, 1, 8), 1), 1e4)
-        np.testing.assert_allclose(qr.data, q.data, rtol=1e-15)
+        q = rand_tensor((2, 1, 8), 0).data
+        np.testing.assert_allclose(ops.rope(q, 1e4), q, rtol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pair_norms_preserved(self, seed):
-        q = rand_tensor((2, 5, 6), seed)
-        qr, _ = ops.rope_apply(q, q, 1e4)
-        before = q.data[..., 0::2] ** 2 + q.data[..., 1::2] ** 2
-        after = qr.data[..., 0::2] ** 2 + qr.data[..., 1::2] ** 2
+        q = rand_tensor((2, 5, 6), seed).data
+        qr = ops.rope(q, 1e4)
+        before = q[..., 0::2] ** 2 + q[..., 1::2] ** 2
+        after = qr[..., 0::2] ** 2 + qr[..., 1::2] ** 2
         np.testing.assert_allclose(before, after, rtol=1e-10)
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
-            ops.rope_apply(rand_tensor((1, 2, 3)), rand_tensor((1, 2, 3)), 1e4)
+            ops.rope(np.zeros((1, 2, 3)), 1e4)
+        x = rand_tensor((1, 2, 6))  # two heads of d_h = 3
+        with pytest.raises(ConfigError):
+            ops.attention(x, x, x, 2, 2, True, 1e4)
+
+
+def naive_attention(q, k, v, n_heads, n_kv_heads, causal, theta):
+    """Per-sequence, per-head loops over plain numpy; RoPE by ops.rope,
+    which TestRope checks against explicit trig."""
+    b, lq, dim = q.shape
+    dh, groups = dim // n_heads, n_heads // n_kv_heads
+    out = np.zeros_like(q)
+    for s in range(b):
+        for hh in range(n_heads):
+            kv = hh // groups
+            qh, kh = q[s, :, hh * dh : (hh + 1) * dh], k[s, :, kv * dh : (kv + 1) * dh]
+            if causal:
+                qh, kh = ops.rope(qh, theta), ops.rope(kh, theta)
+            for t in range(lq):
+                keys = t + 1 if causal else k.shape[1]
+                scores = qh[t] @ kh[:keys].T / math.sqrt(dh)
+                w = np.exp(scores - scores.max())
+                out[s, t, hh * dh : (hh + 1) * dh] = (w / w.sum()) @ v[s, :keys, kv * dh : (kv + 1) * dh]
+    return out
+
+
+class TestAttention:
+    @pytest.mark.parametrize("groups", (1, 2, 4))
+    @pytest.mark.parametrize("causal", (False, True))
+    def test_matches_naive_per_head_loops(self, groups, causal):
+        gen = np.random.default_rng(groups)
+        lq, lk = (6, 6) if causal else (3, 7)
+        q = gen.standard_normal((2, lq, 4 * 4))
+        k, v = gen.standard_normal((2, 2, lk, 4 // groups * 4))
+        got = ops.attention(Tensor(q), Tensor(k), Tensor(v), 4, 4 // groups, causal, 100.0).data
+        np.testing.assert_allclose(got, naive_attention(q, k, v, 4, 4 // groups, causal, 100.0), atol=1e-12)
+
+    @pytest.mark.parametrize("groups", (1, 2))
+    def test_later_keys_and_values_leave_earlier_outputs_bit_identical(self, groups):
+        gen = np.random.default_rng(groups)
+        q = Tensor(gen.standard_normal((2, 8, 16)))
+        k, v = gen.standard_normal((2, 2, 8, 4 // groups * 4))
+        base = ops.attention(q, Tensor(k), Tensor(v), 4, 4 // groups, True, 1e4).data
+        k[:, 5:] += gen.standard_normal(k[:, 5:].shape)
+        v[:, 5:] += gen.standard_normal(v[:, 5:].shape)
+        moved = ops.attention(q, Tensor(k), Tensor(v), 4, 4 // groups, True, 1e4).data
+        np.testing.assert_array_equal(moved[:, :5], base[:, :5])
+        assert np.abs(moved[:, 5:] - base[:, 5:]).min() > 0.0
+
+    @pytest.mark.parametrize("causal", (False, True))
+    def test_single_stays_float32_with_one_tape_record(self, causal):
+        q, k, v = (Tensor(rand_tensor(shape, i).data, precision="single", requires_grad=True)
+                   for i, shape in enumerate([(2, 4, 8), (2, 4, 4), (2, 4, 4)]))
+        with Tape() as tape:
+            out = ops.attention(q, k, v, 2, 1, causal, 1e4)
+            loss = ops.sum_axis(ops.mul(out, out))
+            assert len(tape) == 3
+            tape.backward(loss)
+        assert out.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in (q, k, v))
+
+    def test_shape_and_head_errors(self):
+        q, kv = rand_tensor((1, 3, 8)), rand_tensor((1, 5, 4))
+        with pytest.raises(ShapeError):
+            ops.attention(q, kv, kv, 2, 1, True, 1e4)  # causal needs Lq == Lk
+        with pytest.raises(ShapeError):
+            ops.attention(q, kv, rand_tensor((1, 4, 4)), 2, 1, False, 1e4)
+        with pytest.raises(ShapeError):
+            ops.attention(q, rand_tensor((1, 0, 4)), rand_tensor((1, 0, 4)), 2, 1, False, 1e4)
+        with pytest.raises(ConfigError):
+            ops.attention(q, kv, kv, 2, 3, False, 1e4)
 
 
 class TestCrossEntropy:
@@ -233,6 +303,13 @@ class TestTapeBasics:
             loss = ops.sum_axis(y)
             tape.backward(loss)
         np.testing.assert_allclose(x.grad, 2 * x.data + 1, rtol=1e-14)
+
+    def test_raw_operands_rejected(self):
+        x = Tensor(np.ones(3), precision="single")
+        with pytest.raises(TypeError):
+            ops.add(x, 1.0)
+        with pytest.raises(TypeError):
+            ops.mul(x, np.arange(3))
 
     def test_no_tape_no_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
