@@ -103,8 +103,25 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             f.write(raw)
 
 
+_HEADER_KEYS = (("format_version", int), ("model_config", dict), ("step", int), ("rng", dict), ("tensors", list))
+_ENTRY_KEYS = (("name", str), ("precision", str), ("offset", int), ("nbytes", int), ("shape", list))
+
+
+def _check_keys(obj, keys: tuple[tuple[str, type], ...], where: str, path) -> None:
+    """Raise ConfigError naming the first key of ``keys`` that ``obj`` lacks
+    or holds with another JSON type (a bool is not an int here)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: checkpoint {where} is not a JSON object")
+    for key, kind in keys:
+        if key not in obj:
+            raise ConfigError(f"{path}: checkpoint {where} is missing {key!r}")
+        if type(obj[key]) is not kind:
+            raise ConfigError(f"{path}: checkpoint {where} {key!r} must be {kind.__name__}, got {type(obj[key]).__name__}")
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a truncated or corrupt file raises ConfigError."""
+    """Read a checkpoint; a truncated or corrupt file, or a header that
+    lacks a key or holds one with the wrong type, raises ConfigError."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:8] != MAGIC:
@@ -118,11 +135,18 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(data[16:base].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"{path}: corrupt checkpoint header ({e})") from None
+    _check_keys(header, _HEADER_KEYS, "header", path)
+    _check_keys(header["rng"], (("seed", int),), "header rng", path)
     if header["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format version {header['format_version']}")
     tensors: dict[str, np.ndarray] = {}
     moments_flat: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
+    for i, entry in enumerate(header["tensors"]):
+        _check_keys(entry, _ENTRY_KEYS, f"tensor entry {i}", path)
+        if entry["precision"] not in _DTYPES:
+            raise ConfigError(f"{path}: tensor {entry['name']} has unknown precision {entry['precision']!r}")
+        if not all(type(n) is int and n >= 0 for n in entry["shape"]):
+            raise ConfigError(f"{path}: tensor {entry['name']} has a bad shape {entry['shape']}")
         dtype, start, nbytes = np.dtype(_DTYPES[entry["precision"]]), base + entry["offset"], entry["nbytes"]
         if nbytes != int(np.prod(entry["shape"])) * dtype.itemsize:
             raise ConfigError(f"{path}: tensor {entry['name']} has {nbytes} bytes for shape {entry['shape']}")

@@ -103,7 +103,7 @@ class Model:
     def forward_logits(self, tokens: np.ndarray) -> np.ndarray:
         """(B, L, vocab) logits without loss or tape (greedy decoding)."""
         h, _, _ = _run_stack(self, tokens)
-        return _head_logits(self, h).data
+        return _head_logits(self, h)
 
 
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str, str]]:
@@ -346,17 +346,18 @@ def _run_stack(model: Model, tokens: np.ndarray) -> tuple[Tensor, list[RouterDec
     return h, decisions, masses
 
 
-def _head_logits(model: Model, h: Tensor) -> Tensor:
-    """Final norm, then the LM head: the embedding transposed when tied,
-    else ``lm_head.weight``."""
-    h = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
-    if model.config.tied_embeddings:
-        return ops.matmul(h, ops.swapaxes(model["embedding.weight"], 0, 1))
-    return ops.matmul(h, model["lm_head.weight"])
+def _head_logits(model: Model, h: Tensor) -> np.ndarray:
+    """Final norm, then the LM head on plain arrays (decoding, no tape):
+    the embedding used transposed when tied, else ``lm_head.weight``."""
+    tied = model.config.tied_embeddings
+    w = model["embedding.weight"].value.data.T if tied else model["lm_head.weight"].value.data  # (d, V)
+    x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS).data
+    return (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
 def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None = None) -> ForwardTrace:
-    """Embed, run the stack, final norm, LM head, shifted cross-entropy.
+    """Embed, run the stack, then on positions 0..L-2 the final norm and
+    one chunked LM-head cross-entropy against the next tokens.
 
     total = lm + lb_coeff * lb + z_coeff * z. Without targets the LM head
     is skipped, ``lm_loss`` is 0 and ``loss`` is None (router losses and
@@ -379,9 +380,10 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None =
         b, l = targets.shape
         if l < 2:
             raise ConfigError("next-token loss needs sequence length >= 2")
-        logits = _head_logits(model, h)  # (B,L,V)
-        pred = ops.reshape(ops.index_slice(logits, (slice(None), slice(0, l - 1))), ((l - 1) * b, cfg.vocab))
-        lm = ops.cross_entropy(pred, targets[:, 1:].reshape(-1))
+        x = ops.rmsnorm(ops.index_slice(h, (slice(None), slice(0, l - 1))), model["final_norm.gain"], RMSNORM_EPS)
+        x = ops.reshape(x, (b * (l - 1), cfg.d_model))
+        tied = cfg.tied_embeddings
+        lm = ops.linear_cross_entropy(x, model["embedding.weight" if tied else "lm_head.weight"], targets[:, 1:], tied)
         lm_val = lm.item()
         loss_tensor = lm
         if lb is not None:

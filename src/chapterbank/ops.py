@@ -23,6 +23,10 @@ from .tensor import Parameter, Tensor, _check_finite, active_tape
 # to exactly 0.0 in both single and double precision.
 MASK_VALUE = -1e30
 
+# Rows per chunk of linear_cross_entropy: a (CE_CHUNK_ROWS, V) logits block
+# is the largest head temporary.
+CE_CHUNK_ROWS = 256
+
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Parameter):
@@ -110,24 +114,25 @@ def scale(x, s: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; supports batched ``a`` (and ``b``) in leading dims.
+    """a (..., k) @ b (k, n) as one 2-D GEMM over the flattened rows of ``a``.
 
-    Backward: dA = dC @ B^T, dB = A^T @ dC, summed over broadcast batch
-    dims.
+    Backward, each one 2-D GEMM: dA = dC @ B^T, dB = A^T @ dC with A and dC
+    flattened to rows.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2-D+ operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs a (..., k) @ b (k, n), got {a.shape} and {b.shape}")
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n,)))
     _check_finite(out.data, "matmul")
 
     def backward(g):
+        g2 = g.reshape(-1, n)
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+            b.accumulate_grad(a2.T @ g2)
 
     return _record(out, [a, b], backward)
 
@@ -429,34 +434,58 @@ def attention(q, k, v, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: 
 # loss and selection
 
 
-def cross_entropy(logits, targets) -> Tensor:
-    """Mean negative log-softmax of the target entries of (N, V) logits.
+def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
+    """Mean cross-entropy of the logits x @ w against ``targets``, one per row.
 
-    Backward: (softmax(logits) - onehot(targets)) / N.
+    ``x`` is (N, d); ``w`` is (d, V), or (V, d) used as x @ w^T with no
+    transposed copy when ``transposed`` (a tied embedding). Rows run in
+    chunks of CE_CHUNK_ROWS, so the (N, V) logits are never all live. Under
+    a tape each chunk's dlogits = softmax - onehot is folded into dx and dW
+    during the forward pass; backward only scales them by g / N.
     """
-    logits = _as_tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy expects (N, V) logits, got {logits.shape}")
-    n, v = logits.shape
+    x, w = _as_tensor(x), _as_tensor(w)
+    n, d = x.shape if x.ndim == 2 else (0, -1)
+    wt = w.data.T if transposed else w.data  # (d, V) view
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if t.shape[0] != n:
-        raise ShapeError(f"cross_entropy got {t.shape[0]} targets for {n} rows")
-    if t.size and (t.min() < 0 or t.max() >= v):
+    if not n or w.ndim != 2 or wt.shape[0] != d or t.shape[0] != n:
+        raise ShapeError(f"linear_cross_entropy got x {x.shape}, w {w.shape} (transposed={transposed}), {t.shape[0]} targets")
+    v = wt.shape[1]
+    if t.min() < 0 or t.max() >= v:
         raise IndexError(f"target index out of range [0, {v})")
-    m = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - m)
-    s = e.sum(axis=-1, keepdims=True)
-    lse = (m + np.log(s)).squeeze(-1)
-    loss = Tensor(np.asarray((lse - logits.data[np.arange(n), t]).mean()))
-    _check_finite(loss.data, "cross_entropy")
+    taped = active_tape() is not None
+    dx = np.empty_like(x.data) if taped and x.requires_grad else None
+    dw = np.zeros_like(w.data) if taped and w.requires_grad else None
+    total = 0.0
+    for start in range(0, n, CE_CHUNK_ROWS):
+        xs, ts = x.data[start : start + CE_CHUNK_ROWS], t[start : start + CE_CHUNK_ROWS]
+        rows = np.arange(ts.shape[0])
+        z = xs @ wt  # (rows, V) logits of this chunk, turned into dlogits in place
+        m = z.max(axis=1, keepdims=True)
+        target_logit = z[rows, ts] - m[:, 0]
+        z -= m
+        np.exp(z, out=z)
+        s = z.sum(axis=1, keepdims=True)
+        # summed in float64 on purpose: one float32 total over every row loses digits
+        total += float((np.log(s[:, 0]) - target_logit).sum(dtype=np.float64))
+        if dx is None and dw is None:
+            continue
+        z /= s
+        z[rows, ts] -= 1.0
+        if dx is not None:
+            dx[start : start + CE_CHUNK_ROWS] = z @ wt.T
+        if dw is not None:
+            dw += z.T @ xs if transposed else xs.T @ z
+    loss = Tensor(np.asarray(total / n, dtype=x.data.dtype))
+    _check_finite(loss.data, "linear_cross_entropy")
 
     def backward(g):
-        if logits.requires_grad:
-            p = e / s
-            p[np.arange(n), t] -= 1.0
-            logits.accumulate_grad(g * p / n)
+        s = float(g) / n  # a Python float: an np.float64 would promote float32 grads
+        for inp, buf in ((x, dx), (w, dw)):
+            if buf is not None:
+                buf *= s
+                inp.accumulate_grad(buf)
 
-    return _record(loss, [logits], backward)
+    return _record(loss, [x, w], backward)
 
 
 def topk(p, k: int) -> np.ndarray:

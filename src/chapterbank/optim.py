@@ -30,8 +30,8 @@ class AdamW:
 
     ``step`` takes the per-group learning rates already evaluated for the
     current schedule position and a 1-based step count for bias
-    correction. Every applied update is logged to ``audit`` as
-    (name, group, lr) so tests can verify group/LR bookkeeping.
+    correction. Each step appends one {group: lr} entry to ``audit``, the
+    rates its updates applied, so tests can verify group/LR bookkeeping.
     """
 
     def __init__(
@@ -55,7 +55,7 @@ class AdamW:
         self.decay_names = frozenset(
             name for name, p in self.params.items() if p.value.ndim >= 2
         )
-        self.audit: list[tuple[str, str, float]] = []
+        self.audit: list[dict[str, float]] = []
 
     def state_element_count(self) -> int:
         return sum(buf["m"].size + buf["v"].size for buf in self.state.values())
@@ -83,8 +83,9 @@ class AdamW:
                 raise NumericError(f"non-finite gradient in {name}; step aborted")
         inv1 = 1.0 / (1.0 - b1**t)
         inv2 = 1.0 / (1.0 - b2**t)
+        lrs = {p.group: float(group_lrs[p.group]) for _, p in trainable}
         for name, p in trainable:
-            lr = float(group_lrs[p.group])
+            lr = lrs[p.group]
             g = p.value.grad
             buf = self.state[name]
             buf["m"] *= b1
@@ -95,7 +96,7 @@ class AdamW:
             if wd != 0.0 and name in self.decay_names:
                 update = update + wd * p.value.data
             p.value.data -= lr * update
-            self.audit.append((name, p.group, lr))
+        self.audit.append(lrs)
 
 
 def global_grad_norm(params: Mapping[str, Parameter], frozen_groups: Iterable[str] = ()) -> float:

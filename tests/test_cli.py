@@ -14,6 +14,7 @@ import chapterbank
 from chapterbank.checkpoint import checkpoint_from, load_checkpoint, save_checkpoint
 from chapterbank.cli import collect_route_stats, main, route_stats_csv
 from chapterbank.config import preset
+from chapterbank.errors import ConfigError
 from chapterbank.flops import flops_model
 from chapterbank.model import build_model
 from chapterbank.tensor import RngState
@@ -358,6 +359,43 @@ def _misstate_nbytes(header):
     header["tensors"][0]["nbytes"] -= 4
 
 
+def _edit(keys, *value):
+    """A header edit that deletes header[k0][k1]..., or sets it to ``value`` when one is given."""
+
+    def edit(header):
+        *path, last = keys
+        obj = header
+        for k in path:
+            obj = obj[k]
+        if value:
+            obj[last] = value[0]
+        else:
+            del obj[last]
+
+    return edit
+
+
+ENTRY = ("tensors", 0)
+# id -> (header edit, part of the ConfigError message); each loaded as KeyError or TypeError before
+HEADER_SCHEMA_BREAKS = {
+    **{f"no {k}": (_edit((k,)), f"missing '{k}'") for k in ("tensors", "model_config", "step", "rng")},
+    "no rng.seed": (_edit(("rng", "seed")), "missing 'seed'"),
+    **{f"entry without {k}": (_edit((*ENTRY, k)), f"missing '{k}'") for k in ("name", "precision", "offset", "nbytes", "shape")},
+    "tensors object": (_edit(("tensors",), {}), "'tensors' must be list, got dict"),
+    "model_config list": (_edit(("model_config",), []), "'model_config' must be dict, got list"),
+    "step string": (_edit(("step",), "3"), "'step' must be int, got str"),
+    "seed float": (_edit(("rng", "seed"), 1.5), "'seed' must be int, got float"),
+    "offset bool": (_edit((*ENTRY, "offset"), True), "'offset' must be int, got bool"),
+    "nbytes null": (_edit((*ENTRY, "nbytes"), None), "'nbytes' must be int, got NoneType"),
+    "shape int": (_edit((*ENTRY, "shape"), 64), "'shape' must be list, got int"),
+    "name int": (_edit((*ENTRY, "name"), 7), "'name' must be str, got int"),
+    "precision int": (_edit((*ENTRY, "precision"), 32), "'precision' must be str, got int"),
+    "entry string": (_edit(ENTRY, "embedding.weight"), "tensor entry 0 is not a JSON object"),
+    "unknown precision": (_edit((*ENTRY, "precision"), "half"), "unknown precision 'half'"),
+    "negative dim": (_edit((*ENTRY, "shape"), [-64]), "bad shape"),
+}
+
+
 CORRUPTIONS = {
     "cut_to_12_bytes": lambda data, base: data[:12],
     "cut_to_5000_bytes": lambda data, base: data[:5000],
@@ -397,6 +435,20 @@ class TestCorruptCheckpoint:
     @pytest.mark.parametrize("edit", [_drop_v_moment, _misstate_nbytes])
     def test_inconsistent_tensor_table_exits_2(self, edit, ckpt_path, tmp_path, capsys):
         _rewrite_header(ckpt_path, edit)
+        self.assert_exit_2(ckpt_path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", sorted(HEADER_SCHEMA_BREAKS))
+    def test_header_schema_break_exits_2(self, case, ckpt_path, tmp_path, capsys):
+        edit, message = HEADER_SCHEMA_BREAKS[case]
+        _rewrite_header(ckpt_path, edit)
+        self.assert_exit_2(ckpt_path, tmp_path, capsys)
+        with pytest.raises(ConfigError) as e:
+            load_checkpoint(ckpt_path)
+        assert message in str(e.value)
+
+    def test_only_format_version_exits_2(self, ckpt_path, tmp_path, capsys):
+        blob = b'{"format_version": 1}'
+        ckpt_path.write_bytes(b"MOCCKPT1" + len(blob).to_bytes(8, "little") + blob)
         self.assert_exit_2(ckpt_path, tmp_path, capsys)
 
     def test_rewritten_header_still_loads(self, ckpt_path):

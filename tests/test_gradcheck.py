@@ -37,6 +37,14 @@ def test_matmul_add_chain(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_matmul_flattened_rows(seed):
+    a = make_param((2, 3, 2, 4), seed)
+    b = make_param((4, 3), seed + 100)
+    w = np.random.default_rng(seed + 50).standard_normal((2, 3, 2, 3))
+    check(lambda: ops.mean_all(ops.mul(ops.matmul(a, b), Tensor(w))), [a, b])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_mul_div_scale(seed):
     a = make_param((2, 5), seed)
     b = make_param((2, 5), seed + 1)
@@ -109,9 +117,32 @@ def test_attention(seed, groups, causal):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cross_entropy(seed):
+    # an identity head makes the logits the parameter itself
     logits = make_param((5, 7), seed)
     targets = np.random.default_rng(seed + 9).integers(0, 7, size=5)
-    check(lambda: ops.cross_entropy(logits, targets), [logits])
+    check(lambda: ops.linear_cross_entropy(logits, Tensor(np.eye(7)), targets), [logits])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("n", [3, 10])  # below a 4-row chunk, and not a multiple of it
+def test_linear_cross_entropy(seed, transposed, n, monkeypatch):
+    monkeypatch.setattr(ops, "CE_CHUNK_ROWS", 4)
+    x = make_param((n, 3), seed)
+    w = make_param((5, 3) if transposed else (3, 5), seed + 1)
+    targets = np.random.default_rng(seed + 9).integers(0, 5, size=n)
+    # an upstream scale != 1, as grad_accum applies
+    check(lambda: ops.scale(ops.linear_cross_entropy(x, w, targets, transposed), 0.37), [x, w])
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_linear_cross_entropy_at_chunk_size(transposed):
+    n = ops.CE_CHUNK_ROWS + 3
+    x = make_param((n, 3), 0)
+    w = make_param((4, 3) if transposed else (3, 4), 1)
+    targets = np.random.default_rng(2).integers(0, 4, size=n)
+    f = lambda: ops.scale(ops.linear_cross_entropy(x, w, targets, transposed), 2.5)
+    assert grad_check(f, [x, w], h=1e-5, max_entries_per_param=60) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,9 +1,11 @@
 """Model-level checks: parameter-count fixtures, naive attention and
 dense-bank oracles, router invariants, aux-loss closed forms, the batched
-memory path against a per-sequence reference, and a causality probe.
+memory path against a per-sequence reference, a causality probe, and the
+fused LM-head loss against the unfused op composition.
 
 Oracles here are written in plain numpy loops, independent of the
-library's op layer.
+library's op layer; only the unfused head reference is built from ops, so
+that its gradients come from the tape.
 """
 
 import math
@@ -12,12 +14,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chapterbank import ops
 from chapterbank.config import ModelConfig, preset
 from chapterbank.errors import ConfigError, SequenceLengthError, ShapeError
 from chapterbank.gradcheck import grad_check
 from chapterbank.model import (
+    RMSNORM_EPS,
     Model,
     RouterDecision,
+    _run_stack,
     aux_losses,
     build_model,
     memory_layer_forward,
@@ -672,6 +677,16 @@ class TestModelForward:
         trace = model_forward(model, np.random.default_rng(11).integers(0, 256, (2, 8)))
         assert trace.loss is None and trace.lm_loss == 0.0 and len(trace.decisions) == 2
 
+    def test_micro_train_step_tape_length(self):
+        # Pins the tape of one micro train step (forward + loss). The head is
+        # four records: slice, final norm, reshape, linear_cross_entropy.
+        # A change that splits the head or the matmuls into more ops fails here.
+        model = build_model(preset("micro"), RngState(12))
+        tokens = np.random.default_rng(12).integers(0, 256, (2, 16))
+        with Tape() as tape:
+            model_forward(model, tokens, tokens)
+        assert len(tape) == 124
+
     def test_memory_attention_mass_recorded(self):
         model = micro_double(6)
         tokens = np.random.default_rng(5).integers(0, 256, (2, 8))
@@ -688,3 +703,53 @@ class TestModelForward:
 
         err = grad_check(f, model.parameters(), h=1e-5, max_entries_per_param=4)
         assert err < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# fused head against the unfused composition
+
+
+def unfused_total_loss(model: Model, tokens: np.ndarray) -> Tensor:
+    """Full (B, L, V) logits from the remaining ops, logsumexp, and the
+    target logits gathered from the flattened logits."""
+    cfg = model.config
+    h, decisions, _ = _run_stack(model, tokens)
+    x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
+    w = ops.swapaxes(model["embedding.weight"], 0, 1) if cfg.tied_embeddings else model["lm_head.weight"]
+    b, l = tokens.shape
+    n, v = b * (l - 1), cfg.vocab
+    logits = ops.reshape(ops.index_slice(ops.matmul(x, w), (slice(None), slice(0, l - 1))), (n, v))
+    rows = np.arange(n) * v + tokens[:, 1:].reshape(-1)
+    picked = ops.reshape(ops.gather_rows(ops.reshape(logits, (n * v, 1)), rows), (n,))
+    loss = ops.mean_all(ops.add(ops.logsumexp_lastdim(logits), ops.scale(picked, -1.0)))
+    if decisions:
+        lb, z = aux_losses(decisions, cfg)
+        loss = ops.add(loss, ops.add(ops.scale(lb, cfg.lb_coeff), ops.scale(z, cfg.z_coeff)))
+    return loss
+
+
+MID = dict(d_model=96, n_heads=4, n_kv_heads=2, d_ff=192, vocab=700, max_seq_len=128)
+
+
+class TestFusedHeadEquivalence:
+    @pytest.mark.parametrize(
+        "overrides, shape",
+        [({}, (3, 13)), ({"tied_embeddings": False}, (3, 13)), (MID, (3, 100)), ({**MID, "tied_embeddings": False}, (3, 100))],
+        ids=["micro-tied", "micro-untied", "mid-tied", "mid-untied"],
+    )
+    def test_loss_and_grads_match_unfused(self, overrides, shape):
+        # the mid shapes give 297 loss rows: more than one chunk, the last one short
+        model = micro_double(14, **overrides)
+        tokens = np.random.default_rng(14).integers(0, model.config.vocab, shape)
+        with Tape() as tape:
+            trace = model_forward(model, tokens, tokens)
+            tape.backward(trace.loss)
+        fused = {name: p.grad.copy() for name, p in model.params.items()}
+        model.zero_grads()
+        with Tape() as tape:
+            ref = unfused_total_loss(model, tokens)
+            tape.backward(ref)
+        assert abs(trace.total_loss - ref.item()) <= 1e-10 * abs(ref.item())
+        for name, p in model.params.items():
+            scale = max(np.abs(p.grad).max(), 1e-300)
+            assert np.abs(fused[name] - p.grad).max() <= 1e-10 * scale, name

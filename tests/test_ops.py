@@ -1,6 +1,8 @@
 """Kernel-level checks against naive, independently written oracles."""
 
 import math
+import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -49,6 +51,21 @@ class TestMatmul:
         with pytest.raises(ShapeError) as e:
             ops.matmul(rand_tensor((2, 3)), rand_tensor((4, 5)))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
+
+    def test_four_d_a_matches_per_slice(self):
+        # the adapter path: (B, S, t, d) chapter tokens times a (d, d) weight
+        gen = np.random.default_rng(5)
+        a, b = gen.standard_normal((2, 3, 4, 5)), gen.standard_normal((5, 6))
+        got = ops.matmul(Tensor(a), Tensor(b)).data
+        assert got.shape == (2, 3, 4, 6)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(got[i, j], naive_matmul(a[i, j], b), rtol=1e-12, atol=1e-12)
+
+    def test_batched_b_rejected(self):
+        with pytest.raises(ShapeError) as e:
+            ops.matmul(rand_tensor((2, 3, 4)), rand_tensor((4, 4, 5)))
+        assert "(2, 3, 4)" in str(e.value) and "(4, 4, 5)" in str(e.value)
 
 
 class TestSoftmax:
@@ -236,27 +253,103 @@ class TestAttention:
             ops.attention(q, kv, kv, 2, 3, False, 1e4)
 
 
+def ce_oracle(logits, targets):
+    """mean(logsumexp - target logit) of (N, V) logits, row by row in math."""
+    total = 0.0
+    for row, t in zip(logits, targets):
+        total += math.log(sum(math.exp(v) for v in row)) - row[t]
+    return total / len(targets)
+
+
 class TestCrossEntropy:
     def test_logsumexp_oracle(self):
+        # an identity head, in either layout, makes the logits equal x
         gen = np.random.default_rng(4)
         logits = gen.standard_normal((3, 5))
         targets = np.array([1, 4, 0])
-        got = ops.cross_entropy(Tensor(logits), targets).item()
-        want = 0.0
-        for row, t in zip(logits, targets):
-            want += math.log(sum(math.exp(v) for v in row)) - row[t]
-        np.testing.assert_allclose(got, want / 3, rtol=1e-12)
+        for transposed in (False, True):
+            got = ops.linear_cross_entropy(Tensor(logits), Tensor(np.eye(5)), targets, transposed).item()
+            np.testing.assert_allclose(got, ce_oracle(logits, targets), rtol=1e-12)
 
     def test_uniform_logits_give_log_vocab(self):
-        logits = Tensor(np.zeros((4, 11)))
-        got = ops.cross_entropy(logits, np.array([0, 3, 7, 10])).item()
+        got = ops.linear_cross_entropy(Tensor(np.zeros((4, 3))), rand_tensor((3, 11)), np.array([0, 3, 7, 10])).item()
         np.testing.assert_allclose(got, math.log(11), rtol=1e-14)
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            ops.cross_entropy(rand_tensor((2, 3)), np.array([0, 3]))
+            ops.linear_cross_entropy(rand_tensor((2, 4)), rand_tensor((4, 3)), np.array([0, 3]))
         with pytest.raises(IndexError):
-            ops.cross_entropy(rand_tensor((2, 3)), np.array([-1, 0]))
+            ops.linear_cross_entropy(rand_tensor((2, 4)), rand_tensor((3, 4)), np.array([-1, 0]), transposed=True)
+
+    def test_shape_errors(self):
+        x, w = rand_tensor((2, 4)), rand_tensor((4, 3))
+        with pytest.raises(ShapeError):
+            ops.linear_cross_entropy(rand_tensor((1, 2, 4)), w, np.array([0, 1]))
+        with pytest.raises(ShapeError):
+            ops.linear_cross_entropy(x, w, np.array([0, 1]), transposed=True)  # (4, 3) is not (V, 4)
+        with pytest.raises(ShapeError):
+            ops.linear_cross_entropy(x, rand_tensor((2, 4, 3)), np.array([0, 1]))
+        with pytest.raises(ShapeError):
+            ops.linear_cross_entropy(x, w, np.array([0, 1, 2]))
+        with pytest.raises(ShapeError):
+            ops.linear_cross_entropy(rand_tensor((0, 4)), w, np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("extra", [-251, 0, 1, 344])  # below, at, past and between chunk multiples
+    def test_matches_full_logits(self, transposed, extra):
+        gen = np.random.default_rng(extra + 300)
+        n, d, v = ops.CE_CHUNK_ROWS + extra, 6, 37
+        x, w = gen.standard_normal((n, d)), gen.standard_normal((v, d) if transposed else (d, v))
+        targets = gen.integers(0, v, n)
+        logits = x @ (w.T if transposed else w)
+        top = logits.max(axis=1)
+        want = np.mean(top + np.log(np.exp(logits - top[:, None]).sum(axis=1)) - logits[np.arange(n), targets])
+        got = ops.linear_cross_entropy(Tensor(x), Tensor(w), targets, transposed).item()
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        single = ops.linear_cross_entropy(Tensor(x, "single"), Tensor(w, "single"), targets, transposed)
+        assert single.data.dtype == np.float32
+        np.testing.assert_allclose(single.item(), want, rtol=1e-5)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_fused_grads_match_full_logits(self, transposed):
+        gen = np.random.default_rng(12)
+        n, d, v = 2 * ops.CE_CHUNK_ROWS + 7, 5, 11
+        x = Tensor(gen.standard_normal((n, d)), requires_grad=True)
+        w = Tensor(gen.standard_normal((v, d) if transposed else (d, v)), requires_grad=True)
+        targets = gen.integers(0, v, n)
+        with Tape() as tape:
+            loss = ops.scale(ops.linear_cross_entropy(x, w, targets, transposed), 0.25)
+        tape.backward(loss)
+        wd = w.data.T if transposed else w.data
+        p = np.exp(x.data @ wd)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(n), targets] -= 1.0
+        p *= 0.25 / n
+        np.testing.assert_allclose(x.grad, p @ wd.T, rtol=1e-12, atol=1e-15)
+        dw = x.data.T @ p
+        np.testing.assert_allclose(w.grad, dw.T if transposed else dw, rtol=1e-12, atol=1e-15)
+
+    def test_untaped_call_leaves_grads_and_allocates_none(self):
+        gen = np.random.default_rng(13)
+        n, d, v = 4000, 64, 16
+        x = Tensor(gen.standard_normal((n, d)), requires_grad=True)
+        w = Tensor(gen.standard_normal((d, v)), requires_grad=True)
+        w.grad = np.full((d, v), 0.5)
+        targets = gen.integers(0, v, n)
+
+        def peak_bytes(context):
+            tracemalloc.start()
+            try:
+                with context:
+                    ops.linear_cross_entropy(x, w, targets)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        untaped = peak_bytes(nullcontext())
+        assert x.grad is None and np.all(w.grad == 0.5)
+        assert untaped < x.data.nbytes / 4  # no (N, d) dx buffer, no (N, V) logits
+        assert peak_bytes(Tape()) > x.data.nbytes  # a taped call keeps dx for its backward
 
     def test_logsumexp_matches_math(self):
         x = np.array([[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]])

@@ -116,7 +116,11 @@ class TestGroupsAndFreezing:
         for p in params.values():
             p.value.grad[:] = 0.5
         opt.step(lrs, t=1)
-        assert sorted(opt.audit) == [("bank", "memory_bank", 0.003), ("mem", "memory_layers", 0.02), ("w", "base", 0.1)]
+        opt.step({**lrs, "base": 0.05}, t=2)
+        assert opt.audit == [lrs, {**lrs, "base": 0.05}]
+        frozen = AdamW(params, frozen_groups={"memory_bank"})
+        frozen.step(lrs, t=1)
+        assert frozen.audit == [{"base": 0.1, "memory_layers": 0.02}]
 
     def test_different_group_lrs_change_update_magnitude(self):
         params = self._params()

@@ -202,12 +202,13 @@ class TestGroupLrAudit:
         sched = cfg.schedule.with_total_steps(cfg.steps)
         base_lrs = cfg.group_lrs()
         audit = result.optimizer.audit
-        n_params = len(result.optimizer.trainable())
-        assert len(audit) == cfg.steps * n_params
-        for i, (name, group, lr) in enumerate(audit):
-            step = i // n_params
-            want = lr_at_step(sched, step, base_lrs[group])
-            assert lr == want, (name, step)
+        groups = {p.group for _, p in result.optimizer.trainable()}
+        assert groups == {"base", "memory_layers", "memory_bank"}
+        assert len(audit) == cfg.steps
+        for step, lrs in enumerate(audit):
+            assert set(lrs) == groups, step
+            for group, lr in lrs.items():
+                assert lr == lr_at_step(sched, step, base_lrs[group]), (group, step)
 
     def test_metrics_rows_echo_group_lrs(self):
         cfg = quick_cfg(steps=4, bank_mode="frozen", schedule=cosine(2))
