@@ -11,13 +11,17 @@ the raw little-endian bytes of each array.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig
 from .errors import CheckpointMismatch, ConfigError
+from .model import Model, param_specs
+from .tensor import PRECISION_DTYPES, Parameter, Tensor
 
 MAGIC = b"MOCCKPT1"
 FORMAT_VERSION = 1
@@ -59,6 +63,9 @@ def _precision_of(arr: np.ndarray) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` to ``path`` atomically: the bytes go to a temp file in
+    the same directory, which then replaces ``path``. A failed write leaves
+    an existing checkpoint at ``path`` unchanged and no temp file behind."""
     entries = []
     payloads = []
     offset = 0
@@ -95,12 +102,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": entries,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for raw in payloads:
-            f.write(raw)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for raw in payloads:
+                f.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _HEADER_KEYS = (("format_version", int), ("model_config", dict), ("step", int), ("rng", dict), ("tensors", list))
@@ -190,35 +204,42 @@ def check_config_match(expected: ModelConfig, found: ModelConfig, ignore: set[st
         raise CheckpointMismatch(diff)
 
 
+def _check_tensors(cfg: ModelConfig, shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint, ignore: set[str]) -> None:
+    """Raise CheckpointMismatch unless the checkpoint's config agrees with
+    ``cfg`` on every field outside ``ignore`` and its weights are exactly
+    the names and shapes of ``shapes``."""
+    check_config_match(cfg, ckpt.config, ignore)
+    missing = set(shapes) - set(ckpt.tensors)
+    extra = set(ckpt.tensors) - set(shapes)
+    if missing or extra:
+        raise CheckpointMismatch({"tensor_table": {"missing": sorted(missing), "unexpected": sorted(extra)}})
+    for name, shape in shapes.items():
+        arr = ckpt.tensors[name]
+        if tuple(arr.shape) != shape:
+            raise CheckpointMismatch({name: {"expected": list(shape), "checkpoint": list(arr.shape)}})
+
+
 def apply_checkpoint(model, ckpt: Checkpoint, ignore: set[str] = frozenset({"max_seq_len"})) -> None:
     """Copy checkpoint weights into a built model; configs must agree on
     every field not explicitly ignored."""
-    check_config_match(model.config, ckpt.config, ignore)
-    missing = set(model.params) - set(ckpt.tensors)
-    extra = set(ckpt.tensors) - set(model.params)
-    if missing or extra:
-        raise CheckpointMismatch({"tensor_table": {"missing": sorted(missing), "unexpected": sorted(extra)}})
+    _check_tensors(model.config, {name: p.shape for name, p in model.params.items()}, ckpt, ignore)
     for name, p in model.params.items():
-        arr = ckpt.tensors[name]
-        if tuple(arr.shape) != p.shape:
-            raise CheckpointMismatch({name: {"expected": list(p.shape), "checkpoint": list(arr.shape)}})
-        p.value.data[...] = arr.astype(p.value.data.dtype, copy=False)
+        p.value.data[...] = ckpt.tensors[name].astype(p.value.data.dtype, copy=False)
 
 
-def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_seq_len: int | None = None):
-    """Rebuild a model carrying the checkpoint's weights; max_seq_len may
-    be raised for longer-context continuation."""
-    from dataclasses import replace
-
-    from .model import build_model
-    from .tensor import RngState
-
+def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_seq_len: int | None = None) -> Model:
+    """Rebuild a model around copies of the checkpoint's weights, drawing
+    no random init; max_seq_len may be raised for longer-context
+    continuation."""
     cfg = ckpt.config
     if max_seq_len is not None:
         cfg = replace(cfg, max_seq_len=max(max_seq_len, cfg.max_seq_len))
+    cfg.validate()
     if precision is None:
         any_arr = next(iter(ckpt.tensors.values()))
         precision = _precision_of(any_arr)
-    model = build_model(cfg, RngState(ckpt.seed), precision=precision)
-    apply_checkpoint(model, ckpt)
-    return model
+    specs = param_specs(cfg)
+    _check_tensors(cfg, {name: shape for name, shape, _, _ in specs}, ckpt, {"max_seq_len"})
+    dtype = PRECISION_DTYPES[precision]
+    params = {name: Parameter(Tensor(ckpt.tensors[name].astype(dtype)), name, group) for name, _, group, _ in specs}
+    return Model(cfg, params, precision)

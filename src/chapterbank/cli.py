@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import PRESET_NAMES, ModelConfig
 from .errors import CheckpointMismatch, ConfigError, NumericError, TrainingAborted
 from .flops import flops_model
@@ -25,6 +25,7 @@ from .retention import run_multi_seed, run_retention_protocol
 from .runconfig import RunConfig, load_runconfig, parse_runconfig
 from .tensor import RngState
 from .train import (
+    SYNTHETIC_PERIOD,
     Corpus,
     TrainResult,
     continue_train,
@@ -138,6 +139,8 @@ def cmd_continue(args) -> int:
 
 
 def cmd_retention(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     rc = _load_run_config(args) if (args.config or args.preset) else RunConfig(
         model=parse_runconfig({"preset": "micro"}).model
     )
@@ -191,7 +194,7 @@ def collect_route_stats(model: Model, batches: list[np.ndarray], layers: list[in
                 continue
             decision = trace.decisions[layer_pos]
             counts[layer_idx] += np.bincount(decision.selected.ravel(), minlength=cfg.chapters)
-            mass[layer_idx] += float(np.take_along_axis(decision.probs.data, decision.selected, axis=1).sum())
+            mass[layer_idx] += float(np.take_along_axis(decision.probs, decision.selected, axis=1).sum())
     out = []
     for layer_idx in wanted:
         c = counts[layer_idx]
@@ -236,20 +239,24 @@ def route_stats_text(stats: list[LayerRouteStats]) -> str:
 
 
 def cmd_route_stats(args) -> int:
+    if args.batches < 1 or args.seqlen < 1:
+        raise ConfigError(f"--batches and --seqlen must be at least 1, got {args.batches} and {args.seqlen}")
+    try:
+        layers = [int(x) for x in args.layers.split(",")] if args.layers else None
+    except ValueError:
+        raise ConfigError(f"--layers must be comma-separated integers, got {args.layers!r}") from None
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    from .checkpoint import model_from_checkpoint
-
-    ckpt = load_checkpoint(ckpt_path)
-    model = model_from_checkpoint(ckpt)
-    corpus = make_synthetic_corpus(model.config.vocab, args.batches * args.seqlen * 8 + 64, args.seed)
+    model = model_from_checkpoint(load_checkpoint(ckpt_path))
+    # at least one period of the pattern, however short the batches
+    length = max(args.batches * args.seqlen * 8 + 64, SYNTHETIC_PERIOD)
+    corpus = make_synthetic_corpus(model.config.vocab, length, args.seed)
     gen = RngState(args.seed).substream("route-stats")
     batches = []
     for _ in range(args.batches):
         starts = gen.integers(0, len(corpus) - args.seqlen + 1, size=8)
         batches.append(np.stack([corpus.tokens[s : s + args.seqlen] for s in starts]))
-    layers = [int(x) for x in args.layers.split(",")] if args.layers else None
     stats = collect_route_stats(model, batches, layers)
     print(route_stats_text(stats))
     if args.csv:

@@ -54,9 +54,8 @@ class RouterDecision:
     Row b of every field belongs to sequence b; S = shared_chapters + k.
     """
 
-    pooled: Tensor  # (B, d)
     logits: Tensor  # (B, C)
-    probs: Tensor  # (B, C) softmax over all chapters, each row sums to 1
+    probs: np.ndarray  # (B, C) softmax over all chapters, each row sums to 1; not taped
     selected: np.ndarray  # (B, k) int, routed chapter indices, router order
     selected_with_shared: np.ndarray  # (B, S) int, shared chapters first, then selected
     chapter_weights: Tensor  # (B, S), per selected_with_shared entry
@@ -81,10 +80,12 @@ class ForwardTrace:
 class Model:
     """Built model: config, named parameters, and the shared bank."""
 
-    def __init__(self, cfg: ModelConfig, params: dict[str, Parameter], bank: MemoryBank | None, precision: str):
+    def __init__(self, cfg: ModelConfig, params: dict[str, Parameter], precision: str):
         self.config = cfg
         self.params = params
-        self.bank = bank
+        self.bank = None
+        if cfg.has_memory:
+            self.bank = MemoryBank(params["bank.tokens"], cfg.chapters, cfg.chapter_size, cfg.shared_chapters)
         self.precision = precision
 
     def parameters(self) -> list[Parameter]:
@@ -106,7 +107,7 @@ class Model:
         return _head_logits(self, h)
 
 
-def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str, str]]:
+def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str, str]]:
     """(name, shape, group, init kind) for every parameter, in creation order."""
     d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab
     kv_dim = cfg.n_kv_heads * cfg.head_dim
@@ -152,7 +153,7 @@ def build_model(cfg: ModelConfig, rng: RngState, precision: str = "single") -> M
     result depends only on (seed, name)."""
     cfg.validate()
     params: dict[str, Parameter] = {}
-    for name, shape, group, kind in _param_specs(cfg):
+    for name, shape, group, kind in param_specs(cfg):
         if kind == "ones":
             data = np.ones(shape)
         elif kind == "zeros":
@@ -161,26 +162,18 @@ def build_model(cfg: ModelConfig, rng: RngState, precision: str = "single") -> M
             std = cfg.bank_init_std if kind == "bank" else 0.02
             data = rng.substream("init", name).standard_normal(shape) * std
         params[name] = Parameter(Tensor(data, precision=precision), name, group)
-    bank = None
-    if cfg.has_memory:
-        bank = MemoryBank(params["bank.tokens"], cfg.chapters, cfg.chapter_size, cfg.shared_chapters)
-    return Model(cfg, params, bank, precision)
+    return Model(cfg, params, precision)
 
 
 def param_count(model_or_cfg) -> dict[str, int]:
     """Exact per-group parameter counts {base, memory_layers, memory_bank,
-    total}. Accepts a built Model or a ModelConfig (counted from shapes,
-    nothing allocated)."""
-    if isinstance(model_or_cfg, Model):
-        counts = {"base": 0, "memory_layers": 0, "memory_bank": 0}
-        for p in model_or_cfg.params.values():
-            counts[p.group] += p.size
-    else:
-        cfg = model_or_cfg
-        cfg.validate()
-        counts = {"base": 0, "memory_layers": 0, "memory_bank": 0}
-        for _, shape, group, _ in _param_specs(cfg):
-            counts[group] += int(np.prod(shape))
+    total}, counted from the config's shapes (a built Model's config or a
+    ModelConfig; nothing allocated)."""
+    cfg = model_or_cfg.config if isinstance(model_or_cfg, Model) else model_or_cfg
+    cfg.validate()
+    counts = {"base": 0, "memory_layers": 0, "memory_bank": 0}
+    for _, shape, group, _ in param_specs(cfg):
+        counts[group] += int(np.prod(shape))
     counts["total"] = sum(counts.values())
     return counts
 
@@ -227,24 +220,16 @@ def route(h: Tensor, weight: Parameter, bias: Parameter, cfg: ModelConfig) -> Ro
     routed_scaling * p_c / sum of selected p, so routed weights always
     sum to routed_scaling.
     """
-    c, shared, k = cfg.chapters, cfg.shared_chapters, cfg.top_k
-    b = h.shape[0]
-    pooled = ops.mean_axis(h, axis=1)  # (B,d)
-    logits = ops.add(ops.matmul(pooled, weight), bias)  # (B,C)
-    probs = ops.softmax_lastdim(logits)
-    selected = shared + ops.topk(probs.data[:, shared:], k)  # (B,k)
-    flat_ids = selected + c * np.arange(b)[:, None]  # rows of the (B*C, 1) probs
-    p_sel = ops.reshape(ops.gather_rows(ops.reshape(probs, (b * c, 1)), flat_ids), (b, k))
-    weights = ops.scale(ops.div(p_sel, ops.sum_axis(p_sel, axis=1, keepdims=True)), cfg.routed_scaling)
-    if shared > 0:
-        weights = ops.concat([Tensor(np.ones((b, shared), dtype=h.data.dtype)), weights], axis=1)
+    shared, b = cfg.shared_chapters, h.shape[0]
+    logits = ops.add(ops.matmul(ops.mean_axis(h, axis=1), weight), bias)  # (B,C)
+    probs = ops.softmax(logits.data)
+    selected = shared + ops.topk(probs[:, shared:], cfg.top_k)  # (B,k)
     return RouterDecision(
-        pooled=pooled,
         logits=logits,
         probs=probs,
         selected=selected,
         selected_with_shared=np.concatenate([np.tile(np.arange(shared), (b, 1)), selected], axis=1),
-        chapter_weights=weights,
+        chapter_weights=ops.chapter_weights(logits, selected, shared, cfg.routed_scaling),
     )
 
 
@@ -303,21 +288,13 @@ def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tenso
     chapter c and P_c the mean probability renormalized over routed
     chapters. Uniform routing gives exactly 1; full collapse (k=1) gives
     C_r. z-loss: mean over sequences and layers of squared
-    log-partition of the router logits.
+    log-partition of the router logits. Each is one op over all layers.
     """
     if not decisions or not len(decisions[0]):
         raise ConfigError("aux_losses needs at least one routing decision")
-    c, shared = cfg.chapters, cfg.shared_chapters
-    c_r, n_layers, b = c - shared, len(decisions), len(decisions[0])
-    probs = ops.concat([d.probs for d in decisions], axis=0)  # (layers*B, C)
-    routed = ops.index_slice(probs, (slice(None), slice(shared, c)))
-    q = ops.div(routed, ops.sum_axis(routed, axis=1, keepdims=True))
-    mean_q = ops.mean_axis(ops.reshape(q, (n_layers, b, c_r)), axis=1)  # (layers, C_r)
-    counts = np.stack([np.bincount(d.selected.ravel() - shared, minlength=c_r) for d in decisions])
-    f = Tensor((counts / (b * cfg.top_k)).astype(probs.data.dtype))
-    lb = ops.scale(ops.sum_axis(ops.mul(mean_q, f)), c_r / n_layers)
-    z = ops.logsumexp_lastdim(ops.concat([d.logits for d in decisions], axis=0))  # (layers*B,)
-    return lb, ops.mean_all(ops.mul(z, z))
+    logits = [d.logits for d in decisions]
+    lb = ops.load_balance_loss(logits, [d.selected for d in decisions], cfg.shared_chapters)
+    return lb, ops.z_loss(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +343,7 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None =
     cfg = model.config
     h, decisions, masses = _run_stack(model, tokens)
 
-    if decisions:
-        lb, z = aux_losses(decisions, cfg)
-    else:
-        lb = z = None
+    lb, z = aux_losses(decisions, cfg) if decisions else (None, None)
 
     loss_tensor = None
     lm_val = 0.0
@@ -386,11 +360,10 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None =
         lm = ops.linear_cross_entropy(x, model["embedding.weight" if tied else "lm_head.weight"], targets[:, 1:], tied)
         lm_val = lm.item()
         loss_tensor = lm
-        if lb is not None:
+        if decisions:
             loss_tensor = ops.add(loss_tensor, ops.add(ops.scale(lb, cfg.lb_coeff), ops.scale(z, cfg.z_coeff)))
 
-    lb_val = lb.item() if lb is not None else 0.0
-    z_val = z.item() if z is not None else 0.0
+    lb_val, z_val = (lb.item(), z.item()) if decisions else (0.0, 0.0)
     return ForwardTrace(
         lm_loss=lm_val,
         lb_loss=lb_val,

@@ -86,20 +86,6 @@ def mul(a, b) -> Tensor:
     return _record(out, [a, b], backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data / b.data)
-    _check_finite(out.data, "div")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _record(out, [a, b], backward)
-
-
 def scale(x, s: float) -> Tensor:
     x = _as_tensor(x)
     s = float(s)
@@ -177,25 +163,6 @@ def index_slice(x, key) -> Tensor:
     return _record(out, [x], backward)
 
 
-def concat(xs, axis: int = 0) -> Tensor:
-    xs = [_as_tensor(t) for t in xs]
-    if not xs:
-        raise ShapeError("concat of zero tensors")
-    out = Tensor(np.concatenate([t.data for t in xs], axis=axis))
-    sizes = [t.shape[axis] for t in xs]
-
-    def backward(g):
-        offset = 0
-        for t, n in zip(xs, sizes):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offset, offset + n)
-                t.accumulate_grad(np.ascontiguousarray(g[tuple(sl)]))
-            offset += n
-
-    return _record(out, xs, backward)
-
-
 def gather_rows(x, ids: np.ndarray) -> Tensor:
     """Select rows of a 2-D table by integer index (embedding/chapter gather).
 
@@ -240,11 +207,8 @@ def sum_axis(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            if axis is None:
-                x.accumulate_grad(np.broadcast_to(g, x.shape).astype(x.data.dtype))
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                x.accumulate_grad(np.broadcast_to(gg, x.shape).astype(x.data.dtype))
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+            x.accumulate_grad(np.broadcast_to(gg, x.shape).astype(x.data.dtype))
 
     return _record(out, [x], backward)
 
@@ -264,27 +228,13 @@ def mean_all(x) -> Tensor:
 # nonlinearities and norms
 
 
-def softmax_lastdim(x) -> Tensor:
-    """Max-subtracted softmax over the last dimension.
-
-    Each output slice is nonnegative and sums to 1. Backward:
-    dx = p * (g - sum(g * p)).
-    """
-    x = _as_tensor(x)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis of a plain array, untaped
+    (router selection and the router ops). Each slice sums to 1."""
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"softmax over empty last dimension, shape {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
-    _check_finite(out.data, "softmax_lastdim")
-
-    def backward(g):
-        if x.requires_grad:
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(p * (g - inner))
-
-    return _record(out, [x], backward)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logsumexp_lastdim(x) -> Tensor:
@@ -486,6 +436,82 @@ def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
                 inp.accumulate_grad(buf)
 
     return _record(loss, [x, w], backward)
+
+
+def chapter_weights(logits, selected, shared: int, scaling: float) -> Tensor:
+    """(B, shared + k) chapter weights: 1 per shared chapter, then scaling *
+    softmax(logits[b, selected[b]]), so unselected logits get exactly zero
+    gradient. Backward on the routed columns: dlogits[b, selected[b]] =
+    scaling * w * (g - sum(g * w)), with w the selected softmax."""
+    logits, sel = _as_tensor(logits), np.asarray(selected)
+    if logits.ndim != 2 or sel.ndim != 2 or not sel.size or sel.shape[0] != logits.shape[0]:
+        raise ShapeError(f"chapter_weights needs (B, C) logits and (B, k) ids, got {logits.shape} and {sel.shape}")
+    if sel.min() < shared or sel.max() >= logits.shape[1]:
+        raise IndexError(f"selected chapter out of the routed range [{shared}, {logits.shape[1]})")
+    rows, scaling = np.arange(sel.shape[0])[:, None], float(scaling)  # a Python float keeps float32 weights
+    w = softmax(logits.data[rows, sel])
+    out = Tensor(np.concatenate([np.ones((sel.shape[0], shared), dtype=w.dtype), w * scaling], axis=1))
+    _check_finite(out.data, "chapter_weights")
+
+    def backward(g):
+        if logits.requires_grad:
+            gw, dl = g[:, shared:], np.zeros_like(logits.data)
+            np.add.at(dl, (rows, sel), w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scaling)
+            logits.accumulate_grad(dl)
+
+    return _record(out, [logits], backward)
+
+
+def _layer_loss(logits, where: str, loss_and_grad) -> Tensor:
+    """One taped scalar over per-layer (B, C) logits of one shape;
+    loss_and_grad(z) on their (layers, B, C) stack gives the loss and dloss/dz."""
+    ts = [_as_tensor(t) for t in logits]
+    if not ts or ts[0].ndim != 2 or any(t.shape != ts[0].shape for t in ts):
+        raise ShapeError(f"{where} needs one or more (B, C) logits of one shape, got {[t.shape for t in ts]}")
+    value, dz = loss_and_grad(np.stack([t.data for t in ts]))
+    out = Tensor(np.asarray(value))
+    _check_finite(out.data, where)
+
+    def backward(g):
+        for t, d in zip(ts, dz):
+            if t.requires_grad:
+                t.accumulate_grad(d * float(g))  # a Python float keeps float32 grads
+
+    return _record(out, ts, backward)
+
+
+def load_balance_loss(logits, selected, shared: int) -> Tensor:
+    """Switch load balance (Fedus et al. 2021), the mean over layers of
+    C_r * sum_c f_c * mean_b q[b, c]: q = softmax(logits[:, shared:]), f_c the
+    share of the B*k ``selected`` slots on chapter c. Uniform routing gives 1,
+    all slots on one chapter C_r. f is constant, so with u = C_r * f / (layers
+    * B): dlogits[:, shared:] = q * (u - sum(u * q))."""
+    sel = np.asarray(selected)  # (layers, B, k)
+
+    def loss_and_grad(z):
+        (n, b, c), c_r = z.shape, z.shape[2] - shared
+        if sel.shape[:2] != (n, b) or sel.ndim != 3 or not sel.size or sel.min() < shared or sel.max() >= c:
+            raise IndexError(f"load_balance_loss needs {n} (B={b}, k) selections in [{shared}, {c}), got {sel.shape}")
+        f = (np.stack([np.bincount(s.ravel() - shared, minlength=c_r) for s in sel]) / sel[0].size).astype(z.dtype)
+        q = softmax(z[:, :, shared:])
+        u, dz = (f * (c_r / n / b))[:, None, :], np.zeros_like(z)
+        dz[:, :, shared:] = q * (u - (u * q).sum(axis=-1, keepdims=True))
+        return (q.mean(axis=1) * f).sum() * (c_r / n), dz
+
+    return _layer_loss(logits, "load_balance_loss", loss_and_grad)
+
+
+def z_loss(logits) -> Tensor:
+    """ST-MoE router z-loss (Zoph et al. 2022): mean over layers and
+    sequences of lse^2, lse = logsumexp over all C chapter logits.
+    Backward: dlogits = 2 * lse / (layers * B) * softmax(logits)."""
+
+    def loss_and_grad(z):
+        m = z.max(axis=-1, keepdims=True)
+        lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))  # (layers, B, 1)
+        return (lse * lse).mean(), np.exp(z - lse) * ((2.0 / lse.size) * lse)
+
+    return _layer_loss(logits, "z_loss", loss_and_grad)
 
 
 def topk(p, k: int) -> np.ndarray:

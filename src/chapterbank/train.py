@@ -26,6 +26,7 @@ from .tensor import RngState, Tape
 BANK_MODES = ("frozen", "low_lr", "equal_lr", "custom")
 EVAL_BATCHES = 4
 EVAL_FRACTION = 0.1
+SYNTHETIC_PERIOD = 97  # default pattern length of the synthetic corpus
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class Corpus:
         return self.tokens[:cut], self.tokens[cut:]
 
 
-def make_synthetic_corpus(vocab: int, length: int = 8192, seed: int = 0, period: int = 97) -> Corpus:
+def make_synthetic_corpus(vocab: int, length: int = 8192, seed: int = 0, period: int = SYNTHETIC_PERIOD) -> Corpus:
     """Tiled random pattern: next-token is (mostly) a deterministic
     function of the current token, so small models learn it fast."""
     if period < 2 or period > length:

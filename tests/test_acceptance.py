@@ -179,7 +179,7 @@ class TestAcceptance:
             d1 = route(h, w, b, model.config)
             b.value.data -= 123.456
             np.testing.assert_array_equal(d1.selected, d0.selected)
-            np.testing.assert_allclose(d1.probs.data, d0.probs.data, atol=1e-12)
+            np.testing.assert_allclose(d1.probs, d0.probs, atol=1e-12)
             np.testing.assert_allclose(d1.chapter_weights.data, d0.chapter_weights.data, atol=1e-12)
 
         shared = model.config.shared_chapters

@@ -199,3 +199,97 @@ class TestModelFromCheckpoint:
     def test_max_seq_len_never_shrinks(self):
         ckpt, _, _ = stepped_checkpoint()
         assert model_from_checkpoint(ckpt, max_seq_len=16).config.max_seq_len == 64
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_restore_draws_no_random_init(self, tmp_path, monkeypatch, precision):
+        model = micro_model(3, precision)
+        path, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(checkpoint_from(model, step=2, seed=3), path)
+
+        def no_draws(self, *labels):
+            raise AssertionError(f"restore drew from substream {labels}")
+
+        monkeypatch.setattr(RngState, "substream", no_draws)
+        rebuilt = model_from_checkpoint(load_checkpoint(path))
+        assert rebuilt.precision == precision and list(rebuilt.params) == list(model.params)
+        for name, p in rebuilt.params.items():
+            assert p.value.data.dtype == model[name].value.data.dtype
+            np.testing.assert_array_equal(p.value.data, model[name].value.data)
+            assert p.group == model[name].group and not p.grad.any()
+        save_checkpoint(checkpoint_from(rebuilt, step=2, seed=3), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_restore_copies_the_checkpoint_arrays(self):
+        ckpt, _, _ = stepped_checkpoint()
+        before = ckpt.tensors["bank.tokens"].copy()
+        model_from_checkpoint(ckpt)["bank.tokens"].value.data[...] = 0.0
+        np.testing.assert_array_equal(ckpt.tensors["bank.tokens"], before)
+
+    def test_restore_casts_to_requested_precision(self):
+        ckpt, model, _ = stepped_checkpoint()
+        single = model_from_checkpoint(ckpt, precision="single")
+        assert single.precision == "single"
+        for name, p in single.params.items():
+            np.testing.assert_array_equal(p.value.data, model[name].value.data.astype(np.float32))
+
+    def test_restore_rejects_table_and_shape_mismatch(self):
+        ckpt, _, _ = stepped_checkpoint()
+        ckpt.tensors["layers.0.attn.wq_typo"] = ckpt.tensors.pop("layers.0.attn.wq")
+        with pytest.raises(CheckpointMismatch) as err:
+            model_from_checkpoint(ckpt)
+        assert err.value.diff["tensor_table"] == {"missing": ["layers.0.attn.wq"], "unexpected": ["layers.0.attn.wq_typo"]}
+        ckpt, _, _ = stepped_checkpoint()
+        ckpt.tensors["final_norm.gain"] = np.zeros(65)
+        with pytest.raises(CheckpointMismatch) as err:
+            model_from_checkpoint(ckpt)
+        assert err.value.diff == {"final_norm.gain": {"expected": [64], "checkpoint": [65]}}
+
+
+class FailingWrites:
+    """A binary file whose writes raise once ``limit`` bytes have gone through."""
+
+    def __init__(self, f, limit):
+        self.f, self.left = f, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        if len(data) > self.left:
+            self.f.write(data[: self.left])
+            raise OSError(28, "No space left on device")
+        self.left -= len(data)
+        return self.f.write(data)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("limit", [0, 5, 100, 20_000])
+    def test_failed_write_leaves_destination_and_no_temp(self, tmp_path, monkeypatch, limit):
+        import chapterbank.checkpoint as ckpt_module
+
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(checkpoint_from(micro_model(1)), path)
+        original = path.read_bytes()
+        monkeypatch.setattr(ckpt_module, "open", lambda p, mode: FailingWrites(open(p, mode), limit), raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(checkpoint_from(micro_model(2)), path)
+        assert path.read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
+        import chapterbank.checkpoint as ckpt_module
+
+        monkeypatch.setattr(ckpt_module, "open", lambda p, mode: FailingWrites(open(p, mode), 50), raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(checkpoint_from(micro_model(1)), tmp_path / "new.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overwrite_replaces_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "final.ckpt"
+        save_checkpoint(checkpoint_from(micro_model(1)), path)
+        save_checkpoint(checkpoint_from(micro_model(2), step=5), path)
+        assert load_checkpoint(path).step == 5
+        assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]

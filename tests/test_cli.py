@@ -295,6 +295,13 @@ class TestRetentionCommand:
         summary = (out / "summary.txt").read_text()
         assert "mean over seeds:" in summary
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_non_positive_seeds_exit_2(self, tmp_path, capsys, seeds):
+        out = tmp_path / "ret0"
+        assert main(["retention", "--config", str(self._config(tmp_path)), "--out-dir", str(out), "--seeds", seeds]) == 2
+        assert "error: --seeds must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRouteStats:
     @pytest.fixture()
@@ -339,6 +346,29 @@ class TestRouteStats:
         assert "layer 3:" in out and "layer 1:" not in out
         assert main(["route-stats", "--checkpoint", str(trained_ckpt), "--layers", "0"]) == 2
         assert "not memory layers" in capsys.readouterr().err
+
+    @pytest.fixture()
+    def untrained_ckpt(self, tmp_path):
+        path = tmp_path / "untrained.ckpt"
+        save_checkpoint(checkpoint_from(build_model(preset("micro"), RngState(0))), path)
+        return path
+
+    def test_non_integer_layers_exit_2(self, untrained_ckpt, capsys):
+        assert main(["route-stats", "--checkpoint", str(untrained_ckpt), "--layers", "1,x"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --layers must be comma-separated integers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--batches", "--seqlen"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_batches_or_seqlen_exit_2(self, untrained_ckpt, capsys, flag, value):
+        assert main(["route-stats", "--checkpoint", str(untrained_ckpt), flag, value]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batches, seqlen", [(1, 1), (1, 4), (2, 3), (1, 64)])
+    def test_short_batches_get_a_long_enough_corpus(self, untrained_ckpt, capsys, batches, seqlen):
+        argv = ["route-stats", "--checkpoint", str(untrained_ckpt), "--batches", str(batches), "--seqlen", str(seqlen)]
+        assert main(argv) == 0
+        assert "layer 1:" in capsys.readouterr().out
 
 
 def _rewrite_header(path, edit):

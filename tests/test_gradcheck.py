@@ -46,21 +46,32 @@ def test_matmul_flattened_rows(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mul_div_scale(seed):
+    # no taped division is left: the router's renormalization over the
+    # selection is inside ops.chapter_weights (test_chapter_weights)
     a = make_param((2, 5), seed)
     b = make_param((2, 5), seed + 1)
 
     def f():
         safe = ops.add(ops.mul(b, b), Tensor(np.ones((2, 5))))
-        return ops.mean_all(ops.scale(ops.div(ops.mul(a, a), safe), 1.7))
+        return ops.mean_all(ops.scale(ops.mul(ops.mul(a, a), safe), 1.7))
 
     check(f, [a, b])
 
 
+def every_chapter(rows, c, seed):
+    """(rows, c) selection of every chapter, each row in its own order."""
+    gen = np.random.default_rng(seed)
+    return np.stack([gen.permutation(c) for _ in range(rows)])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_softmax(seed):
+    # the taped softmax is chapter_weights' softmax over the selection; with
+    # every chapter selected it is the full softmax, permuted
     a = make_param((3, 6), seed)
     w = np.random.default_rng(seed + 50).standard_normal((3, 6))
-    check(lambda: ops.mean_all(ops.mul(ops.softmax_lastdim(a), Tensor(w))), [a])
+    sel = every_chapter(3, 6, seed + 70)
+    check(lambda: ops.mean_all(ops.mul(ops.chapter_weights(a, sel, 0, 1.0), Tensor(w))), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -68,8 +79,36 @@ def test_softmax_with_mask(seed):
     a = make_param((2, 4, 5), seed)
     mask = np.zeros((1, 4, 5))
     mask[..., 3:] = ops.MASK_VALUE
-    w = np.random.default_rng(seed + 50).standard_normal((2, 4, 5))
-    check(lambda: ops.mean_all(ops.mul(ops.softmax_lastdim(ops.add(a, Tensor(mask))), Tensor(w))), [a])
+    w = np.random.default_rng(seed + 50).standard_normal((8, 5))
+    sel = every_chapter(8, 5, seed + 70)
+
+    def f():
+        masked = ops.reshape(ops.add(a, Tensor(mask)), (8, 5))
+        return ops.mean_all(ops.mul(ops.chapter_weights(masked, sel, 0, 1.0), Tensor(w)))
+
+    check(f, [a])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shared, k", [(0, 1), (0, 3), (2, 1), (2, 3), (2, 5)])
+def test_chapter_weights(seed, shared, k):
+    logits = make_param((4, 7), seed)
+    gen = np.random.default_rng(seed + 60)
+    sel = np.stack([shared + gen.permutation(7 - shared)[:k] for _ in range(4)])
+    w = gen.standard_normal((4, shared + k))
+    check(lambda: ops.mean_all(ops.mul(ops.chapter_weights(logits, sel, shared, 1.7), Tensor(w))), [logits])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("shared, k", [(0, 1), (0, 3), (2, 1), (2, 3)])
+def test_router_losses(seed, n_layers, shared, k):
+    gen = np.random.default_rng(seed + 60)
+    logits = [make_param((4, 7), seed + 10 * i, name=f"layers.{i}.logits") for i in range(n_layers)]
+    sel = [np.stack([shared + gen.permutation(7 - shared)[:k] for _ in range(4)]) for _ in range(n_layers)]
+    # a scale != 1 on each, as the lb and z coefficients apply
+    check(lambda: ops.scale(ops.load_balance_loss(logits, sel, shared), 0.37), logits)
+    check(lambda: ops.scale(ops.z_loss(logits), 2.5), logits)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -160,8 +199,9 @@ def test_reshape_swap_slice_concat_gather(seed):
         g = ops.gather_rows(a, ids)  # (2,3,6)
         g = ops.swapaxes(g, 0, 1)  # (3,2,6)
         left = ops.index_slice(g, (slice(0, 2),))
-        cat = ops.concat([left, left], axis=0)  # (4,2,6)
-        return ops.mean_all(ops.reshape(cat, (48,)))
+        right = ops.index_slice(g, (slice(1, 3),))  # joined by add, as there is no concat
+        both = ops.add(left, ops.mul(right, right))  # (2,2,6)
+        return ops.mean_all(ops.reshape(both, (24,)))
 
     check(f, [a])
 
@@ -198,9 +238,9 @@ def test_grad_check_reports_nonfinite_with_param_path():
     a = make_param((2, 2), 0, name="weights.w1")
 
     def f():
-        return ops.mean_all(ops.div(a, Tensor(np.zeros((2, 2)))))
+        return ops.mean_all(ops.mul(a, Tensor(np.full((2, 2), np.inf))))
 
-    with np.errstate(divide="ignore"), pytest.raises(NumericError):
+    with pytest.raises(NumericError):
         f()
 
 

@@ -71,7 +71,7 @@ class TestMatmul:
 class TestSoftmax:
     def test_scalar_oracle(self):
         x = np.array([[0.3, -1.2, 2.0, 0.0]])
-        got = ops.softmax_lastdim(Tensor(x)).data
+        got = ops.softmax(x)
         m = max(x[0])
         exps = [math.exp(v - m) for v in x[0]]
         want = [e / sum(exps) for e in exps]
@@ -79,29 +79,148 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_sum_to_one(self, seed):
-        x = rand_tensor((3, 7), seed, scale=4.0)
-        got = ops.softmax_lastdim(x).data
+        x = rand_tensor((3, 7), seed, scale=4.0).data
+        got = ops.softmax(x)
         np.testing.assert_allclose(got.sum(-1), np.ones(3), rtol=1e-12)
 
     def test_masked_entries_exactly_zero(self):
-        x = rand_tensor((2, 5), 0)
-        mask = np.zeros((2, 5))
-        mask[:, 3:] = ops.MASK_VALUE
-        got = ops.softmax_lastdim(ops.add(x, Tensor(mask))).data
+        x = rand_tensor((2, 5), 0).data
+        x[:, 3:] += ops.MASK_VALUE
+        got = ops.softmax(x)
         assert (got[:, 3:] == 0.0).all()
         np.testing.assert_allclose(got.sum(-1), np.ones(2), rtol=1e-12)
 
     def test_empty_last_dim_rejected(self):
         with pytest.raises(ShapeError):
-            ops.softmax_lastdim(Tensor(np.zeros((3, 0))))
+            ops.softmax(np.zeros((3, 0)))
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.floats(-50, 50))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance(self, vals, c):
         x = np.array(vals)
-        a = ops.softmax_lastdim(Tensor(x)).data
-        b = ops.softmax_lastdim(Tensor(x + c)).data
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(ops.softmax(x), ops.softmax(x + c), rtol=1e-9, atol=1e-12)
+
+
+def taped_grads(f, *tensors):
+    """Upstream-weighted gradients of f(*tensors) for tensors that require grad."""
+    with Tape() as tape:
+        out = f(*tensors)
+        loss = ops.sum_axis(ops.mul(out, Tensor(np.random.default_rng(7).standard_normal(out.shape))))
+    tape.backward(loss)
+    return [t.grad for t in tensors]
+
+
+class TestChapterWeights:
+    def test_matches_full_softmax_renormalized_over_selection(self):
+        logits = rand_tensor((4, 9), 1, scale=3.0)
+        sel = np.array([[3, 8, 2], [2, 3, 4], [8, 7, 6], [5, 2, 3]])
+        got = ops.chapter_weights(logits, sel, 2, 1.7).data
+        p = ops.softmax(logits.data)
+        p_sel = np.take_along_axis(p, sel, axis=1)
+        np.testing.assert_array_equal(got[:, :2], 1.0)
+        np.testing.assert_allclose(got[:, 2:], 1.7 * p_sel / p_sel.sum(axis=1, keepdims=True), rtol=1e-14)
+        np.testing.assert_allclose(got[:, 2:].sum(axis=1), np.full(4, 1.7), rtol=1e-14)
+
+    @pytest.mark.parametrize("shared, k", [(0, 1), (0, 3), (2, 1), (2, 4)])
+    def test_unselected_logits_get_exactly_zero_grad(self, shared, k):
+        logits = rand_tensor((5, 10), 2, requires_grad=True)
+        sel = shared + ops.topk(rand_tensor((5, 10 - shared), 3).data, k)
+        (grad,) = taped_grads(lambda t: ops.chapter_weights(t, sel, shared, 2.0), logits)
+        picked = np.zeros_like(grad, dtype=bool)
+        np.put_along_axis(picked, sel, True, axis=1)
+        assert (grad[~picked] == 0.0).all()
+        if k > 1:
+            assert (grad[picked] != 0.0).all()
+        else:  # one selected chapter always weighs `scaling`, whatever its logit
+            assert (grad == 0.0).all()
+
+    def test_single_stays_single(self):
+        logits = Tensor(rand_tensor((3, 6), 4).data, precision="single", requires_grad=True)
+        sel = np.array([[1, 2], [4, 5], [3, 1]])
+        assert ops.chapter_weights(logits, sel, 1, 1.5).data.dtype == np.float32
+        (grad,) = taped_grads(lambda t: ops.chapter_weights(t, sel, 1, 1.5), logits)
+        assert grad.dtype == np.float32
+
+    def test_bad_selection_rejected(self):
+        logits = rand_tensor((2, 6), 5)
+        with pytest.raises(ShapeError):
+            ops.chapter_weights(logits, np.array([1, 2]), 1, 1.0)
+        with pytest.raises(ShapeError):
+            ops.chapter_weights(logits, np.zeros((2, 0), dtype=np.int64), 1, 1.0)
+        with pytest.raises(IndexError):
+            ops.chapter_weights(logits, np.array([[0, 2], [1, 2]]), 1, 1.0)  # a shared chapter
+        with pytest.raises(IndexError):
+            ops.chapter_weights(logits, np.array([[1, 6], [1, 2]]), 1, 1.0)
+
+
+def naive_load_balance(logits, selected, shared):
+    total = 0.0
+    for z, sel in zip(logits, selected):
+        b, c = z.shape
+        c_r = c - shared
+        for ch in range(c_r):
+            f = sum(1 for row in sel for s in row if s - shared == ch) / sel.size
+            q = [math.exp(z[i, shared + ch]) / sum(math.exp(v) for v in z[i, shared:]) for i in range(b)]
+            total += c_r * f * sum(q) / b
+    return total / len(logits)
+
+
+class TestRouterLosses:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("shared", [0, 2])
+    def test_load_balance_matches_scalar_loop(self, n_layers, shared):
+        gen = np.random.default_rng(n_layers + 10 * shared)
+        logits = [gen.standard_normal((4, 7)) for _ in range(n_layers)]
+        selected = [shared + ops.topk(gen.standard_normal((4, 7 - shared)), 2) for _ in range(n_layers)]
+        got = ops.load_balance_loss([Tensor(z) for z in logits], selected, shared).item()
+        assert abs(got - naive_load_balance(logits, selected, shared)) < 1e-14
+
+    def test_uniform_gives_one_and_collapse_gives_routed_count(self):
+        sel = np.array([[1, 2], [3, 4], [5, 6], [7, 8]])  # every routed chapter once
+        assert ops.load_balance_loss([Tensor(np.zeros((4, 9)))], [sel], 1).item() == pytest.approx(1.0, abs=1e-15)
+        z = np.zeros((3, 9))
+        z[:, 4] = 60.0
+        lb = ops.load_balance_loss([Tensor(z)], [np.full((3, 1), 4)], 1).item()
+        assert lb == pytest.approx(8.0, abs=1e-12)
+
+    def test_shared_logits_get_exactly_zero_lb_grad(self):
+        logits = rand_tensor((4, 9), 6, requires_grad=True)
+        sel = 2 + ops.topk(rand_tensor((4, 7), 7).data, 3)
+        with Tape() as tape:
+            lb = ops.load_balance_loss([logits], [sel], 2)
+        tape.backward(lb)
+        assert (logits.grad[:, :2] == 0.0).all() and (logits.grad[:, 2:] != 0.0).all()
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_z_loss_matches_scalar_loop(self, n_layers):
+        gen = np.random.default_rng(20 + n_layers)
+        logits = [gen.standard_normal((3, 5)) * 4 for _ in range(n_layers)]
+        want = np.mean([math.log(sum(math.exp(v) for v in row)) ** 2 for z in logits for row in z])
+        assert abs(ops.z_loss([Tensor(z) for z in logits]).item() - want) < 1e-13
+        assert ops.z_loss([Tensor(np.zeros((2, 17)))]).item() == pytest.approx(math.log(17) ** 2, abs=1e-13)
+
+    def test_single_stays_single(self):
+        logits = [Tensor(rand_tensor((3, 6), s).data, precision="single", requires_grad=True) for s in (8, 9)]
+        sel = [np.array([[1, 2], [4, 5], [3, 1]])] * 2
+        with Tape() as tape:
+            lb, z = ops.load_balance_loss(logits, sel, 1), ops.z_loss(logits)
+            loss = ops.add(lb, z)
+        tape.backward(loss)
+        assert lb.data.dtype == z.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in logits)
+
+    def test_bad_inputs_rejected(self):
+        z = [Tensor(np.zeros((2, 6)))]
+        with pytest.raises(ShapeError):
+            ops.z_loss([])
+        with pytest.raises(ShapeError):
+            ops.z_loss([z[0], Tensor(np.zeros((3, 6)))])
+        with pytest.raises(IndexError):
+            ops.load_balance_loss(z, [np.array([1, 2])], 1)
+        with pytest.raises(IndexError):
+            ops.load_balance_loss(z, [np.array([[0], [2]])], 1)
+        with pytest.raises(IndexError):
+            ops.load_balance_loss(z, [np.array([[1], [2]])], 6)
 
 
 class TestRmsnorm:
