@@ -135,42 +135,48 @@ def _check_keys(obj, keys: tuple[tuple[str, type], ...], where: str, path) -> No
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a truncated or corrupt file, or a header that
-    lacks a key or holds one with the wrong type, raises ConfigError."""
+    lacks a key or holds one with the wrong type, raises ConfigError.
+    Each payload is read straight into its own array, so the peak is one
+    file's worth of memory."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != MAGIC:
-        raise ConfigError(f"{path}: not a checkpoint file (bad magic {data[:8]!r})")
-    if len(data) < 16:
-        raise ConfigError(f"{path}: truncated checkpoint ({len(data)} bytes, no header length)")
-    base = 16 + struct.unpack("<Q", data[8:16])[0]
-    if base > len(data):
-        raise ConfigError(f"{path}: truncated checkpoint ({len(data)} bytes, header needs {base})")
-    try:
-        header = json.loads(data[16:base].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"{path}: corrupt checkpoint header ({e})") from None
-    _check_keys(header, _HEADER_KEYS, "header", path)
-    _check_keys(header["rng"], (("seed", int),), "header rng", path)
-    if header["format_version"] != FORMAT_VERSION:
-        raise ConfigError(f"unsupported checkpoint format version {header['format_version']}")
-    tensors: dict[str, np.ndarray] = {}
-    moments_flat: dict[str, np.ndarray] = {}
-    for i, entry in enumerate(header["tensors"]):
-        _check_keys(entry, _ENTRY_KEYS, f"tensor entry {i}", path)
-        if entry["precision"] not in _DTYPES:
-            raise ConfigError(f"{path}: tensor {entry['name']} has unknown precision {entry['precision']!r}")
-        if not all(type(n) is int and n >= 0 for n in entry["shape"]):
-            raise ConfigError(f"{path}: tensor {entry['name']} has a bad shape {entry['shape']}")
-        dtype, start, nbytes = np.dtype(_DTYPES[entry["precision"]]), base + entry["offset"], entry["nbytes"]
-        if nbytes != int(np.prod(entry["shape"])) * dtype.itemsize:
-            raise ConfigError(f"{path}: tensor {entry['name']} has {nbytes} bytes for shape {entry['shape']}")
-        if not base <= start <= len(data) - nbytes:
-            raise ConfigError(f"{path}: tensor {entry['name']} runs past the end of the file (truncated checkpoint)")
-        arr = np.frombuffer(data[start : start + nbytes], dtype=dtype).reshape(entry["shape"]).copy()
-        if entry["name"].startswith("optim."):
-            moments_flat[entry["name"]] = arr
-        else:
-            tensors[entry["name"]] = arr
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(16)
+        if head[:8] != MAGIC:
+            raise ConfigError(f"{path}: not a checkpoint file (bad magic {head[:8]!r})")
+        if size < 16:
+            raise ConfigError(f"{path}: truncated checkpoint ({size} bytes, no header length)")
+        base = 16 + struct.unpack("<Q", head[8:16])[0]
+        if base > size:
+            raise ConfigError(f"{path}: truncated checkpoint ({size} bytes, header needs {base})")
+        try:
+            header = json.loads(f.read(base - 16).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ConfigError(f"{path}: corrupt checkpoint header ({e})") from None
+        _check_keys(header, _HEADER_KEYS, "header", path)
+        _check_keys(header["rng"], (("seed", int),), "header rng", path)
+        if header["format_version"] != FORMAT_VERSION:
+            raise ConfigError(f"unsupported checkpoint format version {header['format_version']}")
+        tensors: dict[str, np.ndarray] = {}
+        moments_flat: dict[str, np.ndarray] = {}
+        for i, entry in enumerate(header["tensors"]):
+            _check_keys(entry, _ENTRY_KEYS, f"tensor entry {i}", path)
+            if entry["precision"] not in _DTYPES:
+                raise ConfigError(f"{path}: tensor {entry['name']} has unknown precision {entry['precision']!r}")
+            if not all(type(n) is int and n >= 0 for n in entry["shape"]):
+                raise ConfigError(f"{path}: tensor {entry['name']} has a bad shape {entry['shape']}")
+            dtype, start, nbytes = np.dtype(_DTYPES[entry["precision"]]), base + entry["offset"], entry["nbytes"]
+            if nbytes != int(np.prod(entry["shape"])) * dtype.itemsize:
+                raise ConfigError(f"{path}: tensor {entry['name']} has {nbytes} bytes for shape {entry['shape']}")
+            if not base <= start <= size - nbytes:
+                raise ConfigError(f"{path}: tensor {entry['name']} runs past the end of the file (truncated checkpoint)")
+            arr = np.empty(entry["shape"], dtype=dtype)
+            f.seek(start)
+            if f.readinto(arr) != nbytes:
+                raise ConfigError(f"{path}: tensor {entry['name']} was cut short while being read")
+            if entry["name"].startswith("optim."):
+                moments_flat[entry["name"]] = arr
+            else:
+                tensors[entry["name"]] = arr
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for key, arr in moments_flat.items():
         kind, name = key.split(".", 2)[1:]

@@ -79,9 +79,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _record(out, [a, b], backward)
 
@@ -94,7 +94,7 @@ def scale(x, s: float) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g * s)
+            x.accumulate_grad(g * s, owned=True)
 
     return _record(out, [x], backward)
 
@@ -116,9 +116,9 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, n)
         if a.requires_grad:
-            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
+            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(a2.T @ g2)
+            b.accumulate_grad(a2.T @ g2, owned=True)
 
     return _record(out, [a, b], backward)
 
@@ -158,7 +158,7 @@ def index_slice(x, key) -> Tensor:
         if x.requires_grad:
             dx = np.zeros_like(x.data)
             dx[key] += g
-            x.accumulate_grad(dx)
+            x.accumulate_grad(dx, owned=True)
 
     return _record(out, [x], backward)
 
@@ -196,7 +196,7 @@ def mean_axis(x, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if x.requires_grad:
             gg = g if keepdims else np.expand_dims(g, axis)
-            x.accumulate_grad(np.broadcast_to(gg, x.shape) / n)
+            x.accumulate_grad(np.broadcast_to(gg, x.shape) / n, owned=True)
 
     return _record(out, [x], backward)
 
@@ -208,7 +208,7 @@ def sum_axis(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if x.requires_grad:
             gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-            x.accumulate_grad(np.broadcast_to(gg, x.shape).astype(x.data.dtype))
+            x.accumulate_grad(np.broadcast_to(gg, x.shape))
 
     return _record(out, [x], backward)
 
@@ -219,7 +219,7 @@ def mean_all(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g, x.shape) / x.size)
+            x.accumulate_grad(np.broadcast_to(g, x.shape) / x.size, owned=True)
 
     return _record(out, [x], backward)
 
@@ -250,7 +250,7 @@ def logsumexp_lastdim(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(np.expand_dims(g, -1) * (e / s))
+            x.accumulate_grad(np.expand_dims(g, -1) * (e / s), owned=True)
 
     return _record(out, [x], backward)
 
@@ -266,13 +266,19 @@ def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
     _check_finite(out.data, "rmsnorm")
 
     def backward(g):
-        gg = g * gain.data
-        if x.requires_grad:
-            inner = (gg * x.data).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(gg * inv - x.data * (inv**3) * inner / d)
+        # with xhat = x * inv: dgain = sum over rows of g * xhat and
+        # dx = (gg - xhat * mean(gg * xhat)) * inv, gg = g * gain; two
+        # full-size buffers, and mean(gg * xhat) is one GEMV of g * xhat by gain
+        xhat = x.data * inv
+        t = g * xhat
         if gain.requires_grad:
-            dgain = (g * x.data * inv).reshape(-1, d).sum(axis=0)
-            gain.accumulate_grad(dgain.astype(gain.data.dtype))
+            gain.accumulate_grad(t.reshape(-1, d).sum(axis=0), owned=True)
+        if x.requires_grad:
+            xhat *= (t.reshape(-1, d) @ gain.data).reshape(inv.shape) / d
+            np.multiply(g, gain.data, out=t)
+            t -= xhat
+            t *= inv
+            x.accumulate_grad(t, owned=True)
 
     return _record(out, [x, gain], backward)
 
@@ -286,7 +292,12 @@ def silu(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
+            dx = 1.0 - sig  # the one full-size buffer, filled in place
+            dx *= x.data
+            dx += 1.0
+            dx *= sig
+            dx *= g
+            x.accumulate_grad(dx, owned=True)
 
     return _record(out, [x], backward)
 
@@ -370,12 +381,12 @@ def attention(q, k, v, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: 
         ds *= p
         if q.requires_grad:
             dq = ((ds @ kh) * scale_).reshape(b, n_kv_heads, g, lq, d_h)
-            q.accumulate_grad(q_cols(rope(dq, rope_theta, inverse=True) if causal else dq))
+            q.accumulate_grad(q_cols(rope(dq, rope_theta, inverse=True) if causal else dq), owned=True)
         if k.requires_grad:
             dk = (ds.swapaxes(-1, -2) @ qh) * scale_
-            k.accumulate_grad(kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk))
+            k.accumulate_grad(kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk), owned=True)
         if v.requires_grad:
-            v.accumulate_grad(kv_cols(p.swapaxes(-1, -2) @ do))
+            v.accumulate_grad(kv_cols(p.swapaxes(-1, -2) @ do), owned=True)
 
     return _record(out, [q, k, v], backward)
 
@@ -433,7 +444,7 @@ def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
         for inp, buf in ((x, dx), (w, dw)):
             if buf is not None:
                 buf *= s
-                inp.accumulate_grad(buf)
+                inp.accumulate_grad(buf, owned=True)
 
     return _record(loss, [x, w], backward)
 
@@ -457,7 +468,7 @@ def chapter_weights(logits, selected, shared: int, scaling: float) -> Tensor:
         if logits.requires_grad:
             gw, dl = g[:, shared:], np.zeros_like(logits.data)
             np.add.at(dl, (rows, sel), w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scaling)
-            logits.accumulate_grad(dl)
+            logits.accumulate_grad(dl, owned=True)
 
     return _record(out, [logits], backward)
 
@@ -475,7 +486,7 @@ def _layer_loss(logits, where: str, loss_and_grad) -> Tensor:
     def backward(g):
         for t, d in zip(ts, dz):
             if t.requires_grad:
-                t.accumulate_grad(d * float(g))  # a Python float keeps float32 grads
+                t.accumulate_grad(d * float(g), owned=True)  # a Python float keeps float32 grads
 
     return _record(out, ts, backward)
 

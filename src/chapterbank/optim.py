@@ -32,6 +32,10 @@ class AdamW:
     current schedule position and a 1-based step count for bias
     correction. Each step appends one {group: lr} entry to ``audit``, the
     rates its updates applied, so tests can verify group/LR bookkeeping.
+
+    The update runs in place: per dtype, two scratch buffers the size of
+    the largest trainable parameter live for one ``step`` and hold every
+    temporary of the update in turn.
     """
 
     def __init__(
@@ -84,18 +88,33 @@ class AdamW:
         inv1 = 1.0 / (1.0 - b1**t)
         inv2 = 1.0 / (1.0 - b2**t)
         lrs = {p.group: float(group_lrs[p.group]) for _, p in trainable}
+        largest: dict[np.dtype, int] = {}
+        for _, p in trainable:
+            largest[p.value.data.dtype] = max(largest.get(p.value.data.dtype, 0), p.size)
+        scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in largest.items()}
         for name, p in trainable:
-            lr = lrs[p.group]
-            g = p.value.grad
-            buf = self.state[name]
-            buf["m"] *= b1
-            buf["m"] += (1.0 - b1) * g
-            buf["v"] *= b2
-            buf["v"] += (1.0 - b2) * np.square(g)
-            update = (buf["m"] * inv1) / (np.sqrt(buf["v"] * inv2) + self.cfg.eps)
+            w, g, m, v = p.value.data, p.value.grad, self.state[name]["m"], self.state[name]["v"]
+            s1, s2 = (buf[: p.size].reshape(p.shape) for buf in scratch[w.dtype])
+            # the same ops in the same order as m = b1*m + (1-b1)*g,
+            # v = b2*v + (1-b2)*g^2, update = (m*inv1) / (sqrt(v*inv2) + eps)
+            # [+ wd*w], w -= lr*update, so results are bit-identical
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s1)
+            m += s1
+            v *= b2
+            np.square(g, out=s1)
+            s1 *= 1.0 - b2
+            v += s1
+            np.multiply(m, inv1, out=s1)
+            np.multiply(v, inv2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.cfg.eps
+            s1 /= s2
             if wd != 0.0 and name in self.decay_names:
-                update = update + wd * p.value.data
-            p.value.data -= lr * update
+                np.multiply(w, wd, out=s2)
+                s1 += s2
+            s1 *= lrs[p.group]
+            w -= s1
         self.audit.append(lrs)
 
 
@@ -111,10 +130,14 @@ def global_grad_norm(params: Mapping[str, Parameter], frozen_groups: Iterable[st
     return math.sqrt(total)
 
 
-def clip_grad_norm(params: Mapping[str, Parameter], max_norm: float, frozen_groups: Iterable[str] = ()) -> float:
+def clip_grad_norm(
+    params: Mapping[str, Parameter], max_norm: float, frozen_groups: Iterable[str] = (), norm: float | None = None
+) -> float:
     """Scale all trainable grads by max_norm/norm when norm exceeds
-    max_norm; returns the applied scale factor."""
-    norm = global_grad_norm(params, frozen_groups)
+    max_norm; returns the applied scale factor. ``norm`` is the
+    ``global_grad_norm`` of these grads when the caller already has it."""
+    if norm is None:
+        norm = global_grad_norm(params, frozen_groups)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm

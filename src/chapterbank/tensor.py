@@ -70,11 +70,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.ndim else float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``. The first gradient is copied unless
+        ``owned``: the caller then hands over an array it has just
+        allocated and keeps no other reference to, so it is stored as is."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)  # a copy: g may be another tensor's grad or a view
+            self.grad = g.astype(self.data.dtype, copy=not owned)
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
@@ -133,9 +136,13 @@ class Tape:
         tape.backward(loss)
 
     Each op appends (output, backward_fn); backward_fn receives the
-    output's upstream gradient and accumulates into the inputs. Outputs
-    never reached by the loss keep grad None and their entries are
-    skipped.
+    output's upstream gradient and accumulates into the inputs. Backward
+    consumes the tape: it pops each record and takes the output's grad
+    off it before calling the closure, so every intermediate gradient and
+    every closure's saved arrays are freed once used, and the tape is
+    empty afterwards. Leaves (Parameters and tensors no op produced) keep
+    their grads. Outputs never reached by the loss have grad None and
+    their records are dropped unrun.
     """
 
     def __init__(self):
@@ -158,10 +165,12 @@ class Tape:
         if loss.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
-            if out.grad is None:
-                continue
-            fn(out.grad)
+        records = self._records
+        while records:
+            out, fn = records.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
 
 
 def active_tape() -> Tape | None:

@@ -233,7 +233,7 @@ def train(
             z += trace.z_loss
             total += trace.total_loss
         grad_norm = global_grad_norm(model.params, frozen)
-        clip_grad_norm(model.params, cfg.clip_norm, frozen)
+        clip_grad_norm(model.params, cfg.clip_norm, frozen, norm=grad_norm)
         try:
             optimizer.step(lrs, t=step + 1)
         except NumericError as e:
@@ -252,7 +252,9 @@ def train(
             )
             last_ckpt = checkpoint_from(model, step=done, seed=cfg.seed, optimizer=optimizer)
 
-    final = checkpoint_from(model, step=cfg.steps, seed=cfg.seed, optimizer=optimizer)
+    final = last_ckpt  # the last step always snapshots, so this is the final state
+    if final.step != cfg.steps:
+        final = checkpoint_from(model, step=cfg.steps, seed=cfg.seed, optimizer=optimizer)
     return TrainResult(metrics=rows, checkpoint=final, model=model, optimizer=optimizer)
 
 

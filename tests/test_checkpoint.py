@@ -1,6 +1,7 @@
 """Checkpoint format: bit-exact round trips, magic bytes, structured
 mismatch diffs, context-length bumping."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,20 @@ class TestRoundTrip:
         arr = back.tensors["bank.tokens"]
         assert arr.dtype == np.float32
         assert arr.tobytes() == model["bank.tokens"].value.data.tobytes()
+
+    def test_load_peak_is_one_file(self, tmp_path):
+        # each payload is read straight into its array: no whole-file buffer
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(stepped_checkpoint()[0], path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.moments
+        assert peak <= 1.2 * size, f"load peak {peak} B is {peak / size:.2f}x the {size} B file"
 
     def test_moment_free_checkpoint(self, tmp_path):
         model = micro_model()

@@ -9,6 +9,7 @@ that its gradients come from the tape.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -689,6 +690,25 @@ class TestModelForward:
         with Tape() as tape:
             model_forward(model, tokens, tokens)
         assert len(tape) == 99
+
+    def test_micro_train_step_backward_peak_near_forward_memory(self):
+        # Backward consumes the tape, so activation grads and saved arrays are
+        # freed as it unwinds; a backward that kept them all peaked at 1.81x.
+        model = build_model(preset("micro"), RngState(12))
+        tokens = np.random.default_rng(12).integers(0, 256, (4, 32))
+        model.zero_grads()
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                trace = model_forward(model, tokens, tokens)
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                tape.backward(trace.loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * held, f"backward peak {peak} B is {peak / held:.2f}x the {held} B the forward holds"
+        assert len(tape) == 0
 
     def test_memory_attention_mass_recorded(self):
         model = micro_double(6)

@@ -251,6 +251,25 @@ class TestRmsnorm:
         np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-9)
 
 
+    @pytest.mark.parametrize("precision, rtol", [("double", 1e-12), ("single", 2e-5)])
+    def test_backward_matches_closed_form(self, precision, rtol):
+        # dx = gg * inv - x * inv^3 * sum(gg * x) / d, dgain = sum of g * x * inv,
+        # gg = g * gain; the op evaluates them in another order
+        gen = np.random.default_rng(3)
+        x = Tensor(gen.standard_normal((2, 5, 8)) * 2.0, precision, requires_grad=True)
+        gain = Tensor(gen.standard_normal(8), precision, requires_grad=True)
+        g = gen.standard_normal((2, 5, 8))
+        with Tape() as tape:
+            tape.backward(ops.sum_axis(ops.mul(ops.rmsnorm(x, gain), Tensor(g, precision))))
+        xd, gd, wd = x.data.astype(np.float64), gain.data.astype(np.float64), g.astype(x.data.dtype).astype(np.float64)
+        inv = 1.0 / np.sqrt((xd * xd).mean(-1, keepdims=True) + 1e-6)
+        gg = wd * gd
+        want_dx = gg * inv - xd * inv**3 * (gg * xd).sum(-1, keepdims=True) / 8
+        np.testing.assert_allclose(x.grad, want_dx, rtol=rtol, atol=rtol * np.abs(want_dx).max())
+        want_dgain = (wd * xd * inv).reshape(-1, 8).sum(0)
+        np.testing.assert_allclose(gain.grad, want_dgain, rtol=rtol, atol=rtol * np.abs(want_dgain).max())
+
+
 class TestSwiglu:
     def test_scalar_oracle(self):
         gen = np.random.default_rng(0)
@@ -261,6 +280,18 @@ class TestSwiglu:
         silu = gate / (1.0 + np.exp(-gate))
         want = (up * silu) @ wd
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("precision, rtol", [("double", 1e-13), ("single", 1e-6)])
+    def test_silu_backward_matches_closed_form(self, precision, rtol):
+        gen = np.random.default_rng(4)
+        z = Tensor(gen.standard_normal((3, 7)) * 4.0, precision, requires_grad=True)
+        g = gen.standard_normal((3, 7))
+        with Tape() as tape:
+            tape.backward(ops.sum_axis(ops.mul(ops.silu(z), Tensor(g, precision))))
+        zd, gd = z.data.astype(np.float64), g.astype(z.data.dtype).astype(np.float64)
+        sig = 1.0 / (1.0 + np.exp(-zd))
+        want = gd * sig * (1.0 + zd * (1.0 - sig))
+        np.testing.assert_allclose(z.grad, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
     def test_silu_fixture(self):
         got = ops.silu(Tensor(np.array([0.0, 100.0, -100.0]))).data
@@ -553,3 +584,92 @@ class TestTapeBasics:
         with Tape() as tape:
             tape.backward(ops.sum_axis(ops.gather_rows(x, np.array([1, 1]))))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+class TestConsumingBackward:
+    """Backward pops the tape and frees each intermediate gradient once used;
+    fresh gradient arrays handed over with ``owned`` are stored uncopied."""
+
+    def test_tape_emptied_intermediates_cleared_leaves_kept(self):
+        x = rand_tensor((3, 4), 0, requires_grad=True)
+        w = rand_tensor((4, 2), 1, requires_grad=True)
+        with Tape() as tape:
+            h = ops.matmul(x, w)
+            y = ops.silu(h)
+            loss = ops.mean_all(y)
+            assert len(tape) == 3
+            tape.backward(loss)
+        assert len(tape) == 0
+        assert h.grad is None and y.grad is None and loss.grad is None
+        assert x.grad is not None and w.grad is not None
+        sig = 1.0 / (1.0 + np.exp(-h.data))
+        dh = sig * (1.0 + h.data * (1.0 - sig)) / y.size
+        np.testing.assert_allclose(x.grad, dh @ w.data.T, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, x.data.T @ dh, rtol=1e-12)
+
+    def test_records_not_reached_by_the_loss_are_dropped(self):
+        x = rand_tensor((2, 3), 2, requires_grad=True)
+        with Tape() as tape:
+            unused = ops.scale(x, 3.0)
+            loss = ops.sum_axis(ops.scale(x, 2.0))
+            tape.backward(loss)
+        assert len(tape) == 0 and unused.grad is None
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+    def test_add_of_a_tensor_with_itself(self):
+        x0 = rand_tensor((2, 3), 3, requires_grad=True)
+        w = rand_tensor((2, 3), 4)
+        with Tape() as tape:
+            x = ops.scale(x0, 1.5)  # an intermediate, so its grad starts as None
+            tape.backward(ops.sum_axis(ops.mul(ops.add(x, x), w)))
+        np.testing.assert_allclose(x0.grad, 2.0 * 1.5 * w.data, rtol=1e-14)
+
+    def test_add_hands_each_input_its_own_grad(self):
+        # x also feeds a mul recorded before the add, so x gains gradient
+        # after the add's backward has run; y must not see that gradient
+        x0, y0 = rand_tensor((2, 3), 11, requires_grad=True), rand_tensor((2, 3), 12, requires_grad=True)
+        w, w2 = rand_tensor((2, 3), 13), rand_tensor((2, 3), 14)
+        with Tape() as tape:
+            x, y = ops.scale(x0, 1.0), ops.scale(y0, 1.0)
+            v = ops.mul(x, w2)
+            s = ops.add(x, y)
+            tape.backward(ops.sum_axis(ops.add(ops.mul(s, w), v)))
+        np.testing.assert_allclose(x0.grad, w.data + w2.data, rtol=1e-14)
+        np.testing.assert_array_equal(y0.grad, w.data)
+
+    def test_one_tensor_feeding_two_matmuls(self):
+        x0 = rand_tensor((2, 3, 4), 5, requires_grad=True)
+        a, b = rand_tensor((4, 5), 6, requires_grad=True), rand_tensor((4, 5), 7, requires_grad=True)
+        w = rand_tensor((2, 3, 5), 8)
+        with Tape() as tape:
+            x = ops.scale(x0, 0.5)
+            y = ops.add(ops.matmul(x, a), ops.matmul(x, b))
+            tape.backward(ops.sum_axis(ops.mul(y, w)))
+        x2, w2 = x.data.reshape(-1, 4), w.data.reshape(-1, 5)
+        np.testing.assert_allclose(x0.grad, 0.5 * (w.data @ a.data.T + w.data @ b.data.T), rtol=1e-12)
+        np.testing.assert_allclose(a.grad, x2.T @ w2, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, x2.T @ w2, rtol=1e-12)
+
+    def test_reshape_chain(self):
+        x0 = rand_tensor((2, 6), 9, requires_grad=True)
+        w = rand_tensor((3, 4), 10)
+        with Tape() as tape:
+            x = ops.scale(x0, 2.0)
+            y = ops.reshape(ops.swapaxes(ops.reshape(x, (6, 2)), 0, 1), (3, 4))
+            z = ops.add(y, ops.reshape(x, (3, 4)))
+            tape.backward(ops.sum_axis(ops.mul(z, w)))
+        via_swap = w.data.reshape(2, 6).T.reshape(2, 6)
+        np.testing.assert_allclose(x0.grad, 2.0 * (via_swap + w.data.reshape(2, 6)), rtol=1e-14)
+
+    def test_owned_grad_is_stored_uncopied(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        g = np.ones(3)
+        x.accumulate_grad(g, owned=True)
+        assert x.grad is g
+        y = Tensor(np.zeros(3), requires_grad=True)
+        y.accumulate_grad(g)
+        g += 1.0
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+        z = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        z.accumulate_grad(g, owned=True)  # another dtype is cast, which copies
+        assert z.grad.dtype == np.float32 and z.grad is not g

@@ -1,6 +1,7 @@
 """AdamW trajectory oracles, weight-decay scoping, freezing, clipping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,76 @@ class TestGroupsAndFreezing:
             fresh.load_moments({"w": (np.zeros(3), np.zeros(3))})  # wrong shape
 
 
+def old_formula_step(params, state, lrs, t, cfg, frozen):
+    """The update as written with a full-size temporary per operation."""
+    b1, b2 = cfg.betas
+    for name, p in params.items():
+        if p.group in frozen:
+            continue
+        g, m, v = p.value.grad, state[name]["m"], state[name]["v"]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        update = (m * (1.0 / (1.0 - b1**t))) / (np.sqrt(v * (1.0 / (1.0 - b2**t))) + cfg.eps)
+        if p.value.ndim >= 2:
+            update = update + cfg.weight_decay * p.value.data
+        p.value.data -= lrs[p.group] * update
+
+
+class TestInPlaceStep:
+    def _params(self, dtype, seed):
+        gen = np.random.default_rng(seed)
+        shapes = {"w": ((5, 3), "base"), "gain": ((3,), "base"), "mem": ((4, 4), "memory_layers"),
+                  "bank": ((16, 3), "memory_bank")}
+        return {
+            name: Parameter(Tensor(gen.standard_normal(shape).astype(dtype)), name, group)
+            for name, (shape, group) in shapes.items()
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_five_steps_match_the_old_formula_bit_for_bit(self, dtype):
+        cfg, frozen = AdamWConfig(weight_decay=0.1), {"memory_bank"}
+        params, ref = self._params(dtype, 0), self._params(dtype, 0)
+        opt = AdamW(params, cfg, frozen_groups=frozen)
+        state = {n: {"m": np.zeros_like(p.value.data), "v": np.zeros_like(p.value.data)}
+                 for n, p in ref.items() if p.group not in frozen}
+        gen = np.random.default_rng(1)
+        lrs = {"base": 0.01, "memory_layers": 0.003, "memory_bank": 0.5}
+        for t in range(1, 6):
+            for name in params:
+                g = gen.standard_normal(params[name].shape).astype(dtype)
+                params[name].value.grad[...] = g
+                ref[name].value.grad[...] = g
+            opt.step(lrs, t)
+            old_formula_step(ref, state, lrs, t, cfg, frozen)
+        for name, p in params.items():
+            assert p.value.data.dtype == dtype
+            np.testing.assert_array_equal(p.value.data, ref[name].value.data)
+            if name in state:
+                np.testing.assert_array_equal(opt.state[name]["m"], state[name]["m"])
+                np.testing.assert_array_equal(opt.state[name]["v"], state[name]["v"])
+        np.testing.assert_array_equal(params["bank"].value.data, self._params(dtype, 0)["bank"].value.data)
+
+    def test_step_peak_is_two_scratch_buffers(self):
+        gen = np.random.default_rng(2)
+        params = {
+            name: Parameter(Tensor(gen.standard_normal(shape)), name, "base")
+            for name, shape in (("big", (256, 128)), ("mid", (64, 64)), ("gain", (128,)))
+        }
+        for p in params.values():
+            p.value.grad[...] = gen.standard_normal(p.shape)
+        opt = AdamW(params)
+        tracemalloc.start()
+        try:
+            opt.step(uniform_lrs(1e-3), t=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = params["big"].value.data.nbytes
+        assert peak <= 2.5 * largest, f"step peak {peak} B is {peak / largest:.2f}x the largest parameter"
+
+
 class TestNonFiniteGuard:
     def test_nan_grad_aborts_naming_param_without_partial_update(self):
         params = {
@@ -193,6 +264,12 @@ class TestClipping:
         p.value.grad[:] = 1.0  # norm 2
         assert abs(clip_grad_norm({"p": p}, 1.0) - 0.5) < 1e-12
         assert abs(global_grad_norm({"p": p}) - 1.0) < 1e-12
+
+    def test_given_norm_is_used_as_is(self):
+        p = make_param(np.zeros(4))
+        p.value.grad[:] = 1.0  # norm 2, but the caller's norm decides
+        assert abs(clip_grad_norm({"p": p}, 1.0, norm=4.0) - 0.25) < 1e-12
+        np.testing.assert_array_equal(p.value.grad, np.full(4, 0.25))
 
     def test_small_norm_untouched(self):
         p = make_param(np.zeros(1))

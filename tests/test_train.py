@@ -1,6 +1,7 @@
 """Training loop: determinism, resume, bank freezing, LR bookkeeping,
 abort paths, and the metrics/corpus plumbing."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,26 @@ class TestDeterminism:
         assert [r.step for r in result.eval_rows()] == [10, 20, 25]
         assert len([r for r in result.metrics if r.split == "train"]) == 25
         assert result.checkpoint.step == 25
+
+    def test_one_norm_per_step_and_no_duplicate_final_snapshot(self, monkeypatch):
+        train_module = importlib.import_module("chapterbank.train")  # the package's `train` is the function
+        calls = {"norm": 0, "snapshot": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(train_module, "global_grad_norm", counted("norm", train_module.global_grad_norm))
+        monkeypatch.setattr(train_module, "checkpoint_from", counted("snapshot", train_module.checkpoint_from))
+        result = train(micro_model(0), CORPUS, quick_cfg(steps=25, eval_every=10))
+        assert calls == {"norm": 25, "snapshot": 4}  # start, then steps 10, 20 and 25
+        assert result.checkpoint.step == 25
+        for name, p in result.model.params.items():
+            assert result.checkpoint.tensors[name].tobytes() == p.value.data.tobytes()
+        for name, buf in result.optimizer.state.items():
+            assert result.checkpoint.moments[name][0].tobytes() == buf["m"].tobytes()
 
     def test_zero_step_run(self):
         result = train(micro_model(0), CORPUS, quick_cfg(steps=0))
