@@ -2,7 +2,8 @@
 raw little-endian tensor payloads.
 
 The header carries the config echo, step counter, RNG seed, and a tensor
-directory (name, shape, precision, byte offset/length). Weights live
+directory (name, shape, precision, byte offset/length, zlib CRC-32 of the
+payload). Weights live
 under their parameter names; optimizer moments under `optim.m.<name>` /
 `optim.v.<name>`. Round trips are bit-exact by construction: payloads are
 the raw little-endian bytes of each array.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from .model import Model, param_specs
 from .tensor import PRECISION_DTYPES, Parameter, Tensor
 
 MAGIC = b"MOCCKPT1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: every tensor entry carries a crc32
 _DTYPES = {"single": "<f4", "double": "<f8"}
 
 
@@ -81,6 +83,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
                 "precision": precision,
                 "offset": offset,
                 "nbytes": len(raw),
+                "crc32": zlib.crc32(raw),
             }
         )
         payloads.append(raw)
@@ -118,7 +121,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 _HEADER_KEYS = (("format_version", int), ("model_config", dict), ("step", int), ("rng", dict), ("tensors", list))
-_ENTRY_KEYS = (("name", str), ("precision", str), ("offset", int), ("nbytes", int), ("shape", list))
+_ENTRY_KEYS = (("name", str), ("precision", str), ("offset", int), ("nbytes", int), ("shape", list), ("crc32", int))
 
 
 def _check_keys(obj, keys: tuple[tuple[str, type], ...], where: str, path) -> None:
@@ -134,8 +137,9 @@ def _check_keys(obj, keys: tuple[tuple[str, type], ...], where: str, path) -> No
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a truncated or corrupt file, or a header that
-    lacks a key or holds one with the wrong type, raises ConfigError.
+    """Read a checkpoint; a truncated or corrupt file, a payload whose
+    CRC-32 differs from its entry's, or a header that lacks a key or holds
+    one with the wrong type, raises ConfigError.
     Each payload is read straight into its own array, so the peak is one
     file's worth of memory."""
     with open(path, "rb") as f:
@@ -173,6 +177,8 @@ def load_checkpoint(path) -> Checkpoint:
             f.seek(start)
             if f.readinto(arr) != nbytes:
                 raise ConfigError(f"{path}: tensor {entry['name']} was cut short while being read")
+            if zlib.crc32(arr) != entry["crc32"]:
+                raise ConfigError(f"{path}: tensor {entry['name']} fails its CRC-32 check (corrupt payload)")
             if entry["name"].startswith("optim."):
                 moments_flat[entry["name"]] = arr
             else:

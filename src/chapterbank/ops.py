@@ -64,10 +64,13 @@ def add(a, b) -> Tensor:
     _check_finite(out.data, "add")
 
     def backward(g):
+        ga = None
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            ga = _unbroadcast(g, a.shape)
+            a.accumulate_grad(ga, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            b.accumulate_grad(gb, owned=gb is not ga)  # a copy only when a holds this very array
 
     return _record(out, [a, b], backward)
 
@@ -133,7 +136,7 @@ def reshape(x, shape) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
+            x.accumulate_grad(g.reshape(x.shape), owned=True)
 
     return _record(out, [x], backward)
 

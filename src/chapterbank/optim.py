@@ -4,6 +4,14 @@ Decoupled weight decay hits matrix-shaped weights only (ndim >= 2);
 norm gains and biases are exempt. Frozen groups get no moment buffers
 at all, so the optimizer-state footprint shrinks by exactly 2 elements
 per frozen parameter element (the m and v buffers).
+
+The optimizer adopts its trainable parameters into flat segments, one
+per (dtype, group, decay) class, in the style of ZeRO's flat parameter
+groups (Rajbhandari et al. 2020, arXiv 1910.02054): each segment holds
+one contiguous data, grad, m and v buffer, and every parameter's
+``value.data``, ``value.grad`` and moments are views into them. Only
+this module knows the layout; everything else keeps writing through
+the views in place.
 """
 
 from __future__ import annotations
@@ -17,12 +25,28 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .tensor import PARAM_GROUPS, Parameter
 
+BLOCK = 1 << 16  # elements per pass of the update: 256-512 KB per buffer, cache-sized
+
 
 @dataclass(frozen=True)
 class AdamWConfig:
     betas: tuple[float, float] = (0.9, 0.95)
     eps: float = 1e-8
     weight_decay: float = 0.1
+
+
+@dataclass(frozen=True)
+class Segment:
+    """The flat buffers of one (dtype, group, decay) class; ``names`` lists
+    its parameters in the order they sit in the buffers."""
+
+    group: str
+    decay: bool
+    names: tuple[str, ...]
+    data: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
 
 
 class AdamW:
@@ -33,9 +57,13 @@ class AdamW:
     correction. Each step appends one {group: lr} entry to ``audit``, the
     rates its updates applied, so tests can verify group/LR bookkeeping.
 
-    The update runs in place: per dtype, two scratch buffers the size of
-    the largest trainable parameter live for one ``step`` and hold every
-    temporary of the update in turn.
+    Building the optimizer copies each trainable parameter's data and grad
+    into its segment and rebinds them to views, so a ``Parameter`` belongs
+    to the last optimizer built over it. Frozen parameters are not
+    adopted. The update runs in place over each segment in blocks of
+    ``BLOCK`` elements; per dtype, two scratch buffers of one block (or
+    the largest segment, when smaller) live for one ``step`` and hold
+    every temporary of the update in turn.
     """
 
     def __init__(
@@ -50,16 +78,34 @@ class AdamW:
         unknown = self.frozen_groups - set(PARAM_GROUPS)
         if unknown:
             raise ConfigError(f"unknown frozen groups: {sorted(unknown)}")
-        self.state: dict[str, dict[str, np.ndarray]] = {}
-        for name, p in self.params.items():
-            if p.group in self.frozen_groups:
-                continue
-            zeros = np.zeros(p.shape, dtype=p.value.data.dtype)
-            self.state[name] = {"m": zeros.copy(), "v": zeros.copy()}
         self.decay_names = frozenset(
             name for name, p in self.params.items() if p.value.ndim >= 2
         )
+        trainable = self.trainable()
+        classes: dict[tuple[np.dtype, str, bool], list[str]] = {}
+        for name, p in trainable:
+            classes.setdefault((p.value.data.dtype, p.group, name in self.decay_names), []).append(name)
+        # made before _adopt fills it, so it iterates in parameter order
+        self.state: dict[str, dict[str, np.ndarray]] = {name: {} for name, _ in trainable}
+        self.segments = [self._adopt(names, *key) for key, names in classes.items()]
         self.audit: list[dict[str, float]] = []
+
+    def _adopt(self, names: list[str], dtype: np.dtype, group: str, decay: bool) -> Segment:
+        """Copy the named parameters into fresh flat buffers and rebind
+        their data, grad and moments to views of them."""
+        n = sum(self.params[name].size for name in names)
+        seg = Segment(group, decay, tuple(names), np.empty(n, dtype), np.empty(n, dtype),
+                      np.zeros(n, dtype), np.zeros(n, dtype))
+        start = 0
+        for name in names:
+            value = self.params[name].value
+            stop = start + value.size
+            data, grad, m, v = (flat[start:stop].reshape(value.shape) for flat in (seg.data, seg.grad, seg.m, seg.v))
+            data[...], grad[...] = value.data, value.grad
+            value.data, value.grad = data, grad
+            self.state[name] = {"m": m, "v": v}
+            start = stop
+        return seg
 
     def state_element_count(self) -> int:
         return sum(buf["m"].size + buf["v"].size for buf in self.state.values())
@@ -68,53 +114,59 @@ class AdamW:
         return [(n, p) for n, p in self.params.items() if p.group not in self.frozen_groups]
 
     def load_moments(self, moments: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> None:
-        for name, (m, v) in moments.items():
+        """Copy moments into the segments in place; every name and shape is
+        checked before anything is written."""
+        for name, pair in moments.items():
             if name not in self.state:
                 raise ConfigError(f"moments for unknown or frozen parameter {name!r}")
-            if m.shape != self.state[name]["m"].shape:
-                raise ConfigError(f"moment shape {m.shape} does not match parameter {name!r}")
-            self.state[name]["m"] = m.copy()
-            self.state[name]["v"] = v.copy()
+            for kind, arr in zip("mv", pair):
+                if arr.shape != self.state[name][kind].shape:
+                    raise ConfigError(f"moment {kind} shape {arr.shape} does not match parameter {name!r}")
+        for name, (m, v) in moments.items():
+            self.state[name]["m"][...] = m
+            self.state[name]["v"][...] = v
 
     def step(self, group_lrs: Mapping[str, float], t: int) -> None:
         if t < 1:
             raise ConfigError(f"bias correction needs step >= 1, got {t}")
+        if not all(np.isfinite(seg.grad).all() for seg in self.segments):
+            bad = next(name for name, p in self.trainable() if not np.isfinite(p.value.grad).all())
+            raise NumericError(f"non-finite gradient in {bad}; step aborted")
         b1, b2 = self.cfg.betas
-        wd = self.cfg.weight_decay
-        trainable = self.trainable()
-        for name, p in trainable:
-            if not np.all(np.isfinite(p.value.grad)):
-                raise NumericError(f"non-finite gradient in {name}; step aborted")
+        c1, c2, eps, wd = 1.0 - b1, 1.0 - b2, self.cfg.eps, self.cfg.weight_decay
         inv1 = 1.0 / (1.0 - b1**t)
         inv2 = 1.0 / (1.0 - b2**t)
-        lrs = {p.group: float(group_lrs[p.group]) for _, p in trainable}
-        largest: dict[np.dtype, int] = {}
-        for _, p in trainable:
-            largest[p.value.data.dtype] = max(largest.get(p.value.data.dtype, 0), p.size)
-        scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in largest.items()}
-        for name, p in trainable:
-            w, g, m, v = p.value.data, p.value.grad, self.state[name]["m"], self.state[name]["v"]
-            s1, s2 = (buf[: p.size].reshape(p.shape) for buf in scratch[w.dtype])
-            # the same ops in the same order as m = b1*m + (1-b1)*g,
-            # v = b2*v + (1-b2)*g^2, update = (m*inv1) / (sqrt(v*inv2) + eps)
-            # [+ wd*w], w -= lr*update, so results are bit-identical
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=s1)
-            m += s1
-            v *= b2
-            np.square(g, out=s1)
-            s1 *= 1.0 - b2
-            v += s1
-            np.multiply(m, inv1, out=s1)
-            np.multiply(v, inv2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.cfg.eps
-            s1 /= s2
-            if wd != 0.0 and name in self.decay_names:
-                np.multiply(w, wd, out=s2)
-                s1 += s2
-            s1 *= lrs[p.group]
-            w -= s1
+        lrs = {seg.group: float(group_lrs[seg.group]) for seg in self.segments}
+        width: dict[np.dtype, int] = {}
+        for seg in self.segments:
+            width[seg.data.dtype] = max(width.get(seg.data.dtype, 0), min(BLOCK, seg.data.size))
+        scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in width.items()}
+        for seg in self.segments:
+            lr, decay = lrs[seg.group], wd != 0.0 and seg.decay
+            t1, t2 = scratch[seg.data.dtype]
+            for a in range(0, seg.data.size, BLOCK):
+                w, g, m, v = (buf[a : a + BLOCK] for buf in (seg.data, seg.grad, seg.m, seg.v))
+                s1, s2 = t1[: w.size], t2[: w.size]
+                # the same ops in the same order as m = b1*m + (1-b1)*g,
+                # v = b2*v + (1-b2)*g^2, update = (m*inv1) / (sqrt(v*inv2) + eps)
+                # [+ wd*w], w -= lr*update, so results are bit-identical
+                m *= b1
+                np.multiply(g, c1, out=s1)
+                m += s1
+                v *= b2
+                np.square(g, out=s1)
+                s1 *= c2
+                v += s1
+                np.multiply(m, inv1, out=s1)
+                np.multiply(v, inv2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                s1 /= s2
+                if decay:
+                    np.multiply(w, wd, out=s2)
+                    s1 += s2
+                s1 *= lr
+                w -= s1
         self.audit.append(lrs)
 
 

@@ -72,8 +72,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
         """Add ``g`` into ``grad``. The first gradient is copied unless
-        ``owned``: the caller then hands over an array it has just
-        allocated and keeps no other reference to, so it is stored as is."""
+        ``owned``: the caller then hands over an exclusive array, one no
+        live tensor holds (an array it has just allocated, or the upstream
+        gradient the tape has taken off its output), so it is stored as is."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         if self.grad is None:
@@ -117,7 +118,7 @@ class Parameter:
         return self.value.size
 
     def zero_grad(self) -> None:
-        self.value.grad = np.zeros_like(self.value.data)
+        self.value.grad.fill(0)  # in place: the grad may be a view into an optimizer segment
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, group={self.group!r})"

@@ -1,7 +1,9 @@
 """Checkpoint format: bit-exact round trips, magic bytes, structured
 mismatch diffs, context-length bumping."""
 
+import json
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +41,12 @@ def stepped_checkpoint(seed=0):
         p.value.grad[:] = gen.standard_normal(p.shape)
     opt.step({"base": 1e-3, "memory_layers": 1e-3, "memory_bank": 1e-3}, t=1)
     return checkpoint_from(model, step=7, seed=seed, optimizer=opt, metadata={"note": "fixture"}), model, opt
+
+
+def _header(raw) -> tuple[int, dict]:
+    """The payload base offset and the decoded JSON header of checkpoint bytes."""
+    base = 16 + int.from_bytes(raw[8:16], "little")
+    return base, json.loads(bytes(raw[16:base]))
 
 
 class TestRoundTrip:
@@ -116,6 +124,38 @@ class TestFileFormat:
         path = tmp_path / "v.ckpt"
         save_checkpoint(ckpt, path)
         with pytest.raises(ConfigError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_1_files_are_not_read(self, tmp_path):
+        ckpt = checkpoint_from(micro_model())
+        ckpt.version = 1
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(ConfigError, match="format version 1"):
+            load_checkpoint(path)
+
+    def test_each_entry_carries_the_crc32_of_its_payload(self, tmp_path):
+        ckpt, _, _ = stepped_checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        base, header = _header(raw)
+        assert header["format_version"] == FORMAT_VERSION == 2
+        for e in header["tensors"]:
+            start = base + e["offset"]
+            assert e["crc32"] == zlib.crc32(raw[start : start + e["nbytes"]]), e["name"]
+
+    @pytest.mark.parametrize("name", ["bank.tokens", "optim.v.final_norm.gain"])
+    def test_a_flipped_payload_byte_fails_the_crc_naming_the_tensor(self, tmp_path, name):
+        ckpt, _, _ = stepped_checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        raw = bytearray(path.read_bytes())
+        base, header = _header(raw)
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        raw[base + entry["offset"] + entry["nbytes"] - 1] ^= 0x80
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match=f"tensor {name} fails its CRC-32 check"):
             load_checkpoint(path)
 
     def test_payloads_are_little_endian_and_offset_addressed(self, tmp_path):

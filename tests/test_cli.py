@@ -410,7 +410,7 @@ ENTRY = ("tensors", 0)
 HEADER_SCHEMA_BREAKS = {
     **{f"no {k}": (_edit((k,)), f"missing '{k}'") for k in ("tensors", "model_config", "step", "rng")},
     "no rng.seed": (_edit(("rng", "seed")), "missing 'seed'"),
-    **{f"entry without {k}": (_edit((*ENTRY, k)), f"missing '{k}'") for k in ("name", "precision", "offset", "nbytes", "shape")},
+    **{f"entry without {k}": (_edit((*ENTRY, k)), f"missing '{k}'") for k in ("name", "precision", "offset", "nbytes", "shape", "crc32")},
     "tensors object": (_edit(("tensors",), {}), "'tensors' must be list, got dict"),
     "model_config list": (_edit(("model_config",), []), "'model_config' must be dict, got list"),
     "step string": (_edit(("step",), "3"), "'step' must be int, got str"),
@@ -418,6 +418,7 @@ HEADER_SCHEMA_BREAKS = {
     "offset bool": (_edit((*ENTRY, "offset"), True), "'offset' must be int, got bool"),
     "nbytes null": (_edit((*ENTRY, "nbytes"), None), "'nbytes' must be int, got NoneType"),
     "shape int": (_edit((*ENTRY, "shape"), 64), "'shape' must be list, got int"),
+    "crc32 string": (_edit((*ENTRY, "crc32"), "0"), "'crc32' must be int, got str"),
     "name int": (_edit((*ENTRY, "name"), 7), "'name' must be str, got int"),
     "precision int": (_edit((*ENTRY, "precision"), 32), "'precision' must be str, got int"),
     "entry string": (_edit(ENTRY, "embedding.weight"), "tensor entry 0 is not a JSON object"),
@@ -431,6 +432,7 @@ CORRUPTIONS = {
     "cut_to_5000_bytes": lambda data, base: data[:5000],
     "cut_1000_bytes_after_header": lambda data, base: data[: base + 1000],
     "garbled_header": lambda data, base: data[:20] + b"\xff" + data[21:],
+    "one_payload_byte_flipped": lambda data, base: data[: base + 100] + bytes([data[base + 100] ^ 0x01]) + data[base + 101 :],
 }
 
 

@@ -661,6 +661,38 @@ class TestConsumingBackward:
         via_swap = w.data.reshape(2, 6).T.reshape(2, 6)
         np.testing.assert_allclose(x0.grad, 2.0 * (via_swap + w.data.reshape(2, 6)), rtol=1e-14)
 
+    def test_add_of_a_leaf_with_itself_is_twice_the_upstream_grad(self):
+        x = rand_tensor((2, 3), 15, requires_grad=True)
+        w = rand_tensor((2, 3), 16)
+        with Tape() as tape:
+            tape.backward(ops.sum_axis(ops.mul(ops.add(x, x), w)))
+        np.testing.assert_array_equal(x.grad, 2.0 * w.data)
+
+    @pytest.mark.parametrize("shape_b", [(2, 3), (1, 3), (3,)])
+    def test_add_of_two_leaves_gives_each_its_own_array(self, shape_b):
+        a, b = rand_tensor((2, 3), 17, requires_grad=True), rand_tensor(shape_b, 18, requires_grad=True)
+        w = rand_tensor((2, 3), 19)
+        with Tape() as tape:
+            tape.backward(ops.sum_axis(ops.mul(ops.add(a, b), w)))
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, w.data)
+        want_b = w.data if shape_b == (2, 3) else w.data.sum(axis=0).reshape(shape_b)
+        np.testing.assert_allclose(b.grad, want_b, rtol=1e-14)
+
+    def test_reshape_backward_makes_no_gradient_sized_copy(self):
+        n = 1 << 16
+        x = Tensor(np.zeros((n // 256, 256)), requires_grad=True)
+        with Tape() as tape:
+            loss = ops.mean_all(ops.reshape(ops.reshape(x, (256, n // 256)), (n,)))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)  # mean_all allocates the one gradient-sized array
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.data.nbytes, f"backward peak {peak} B for an {x.data.nbytes} B gradient"
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 1.0 / n))
+
     def test_owned_grad_is_stored_uncopied(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         g = np.ones(3)

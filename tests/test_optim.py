@@ -6,9 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chapterbank.config import preset
 from chapterbank.errors import ConfigError, NumericError
-from chapterbank.optim import AdamW, AdamWConfig, clip_grad_norm, global_grad_norm
-from chapterbank.tensor import Parameter, Tensor
+from chapterbank.model import build_model
+from chapterbank.optim import BLOCK, AdamW, AdamWConfig, clip_grad_norm, global_grad_norm
+from chapterbank.schedule import cosine
+from chapterbank.tensor import Parameter, RngState, Tensor
+from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train
 
 
 def make_param(data, name="p", group="base"):
@@ -186,29 +190,50 @@ class TestInPlaceStep:
             for name, (shape, group) in shapes.items()
         }
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_five_steps_match_the_old_formula_bit_for_bit(self, dtype):
-        cfg, frozen = AdamWConfig(weight_decay=0.1), {"memory_bank"}
-        params, ref = self._params(dtype, 0), self._params(dtype, 0)
-        opt = AdamW(params, cfg, frozen_groups=frozen)
+    @staticmethod
+    def _five_steps_match(opt, params, ref, lrs, frozen, seed):
+        """Step ``opt`` and the old formula over ``ref`` five times on the same
+        random grads; weights and moments must agree bit for bit."""
+        dtype = next(iter(params.values())).value.data.dtype
         state = {n: {"m": np.zeros_like(p.value.data), "v": np.zeros_like(p.value.data)}
                  for n, p in ref.items() if p.group not in frozen}
-        gen = np.random.default_rng(1)
-        lrs = {"base": 0.01, "memory_layers": 0.003, "memory_bank": 0.5}
+        gen = np.random.default_rng(seed)
         for t in range(1, 6):
             for name in params:
-                g = gen.standard_normal(params[name].shape).astype(dtype)
+                g = np.asarray(gen.standard_normal(params[name].shape)).astype(dtype)
                 params[name].value.grad[...] = g
                 ref[name].value.grad[...] = g
             opt.step(lrs, t)
-            old_formula_step(ref, state, lrs, t, cfg, frozen)
+            old_formula_step(ref, state, lrs, t, opt.cfg, frozen)
         for name, p in params.items():
             assert p.value.data.dtype == dtype
             np.testing.assert_array_equal(p.value.data, ref[name].value.data)
             if name in state:
                 np.testing.assert_array_equal(opt.state[name]["m"], state[name]["m"])
                 np.testing.assert_array_equal(opt.state[name]["v"], state[name]["v"])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_five_steps_match_the_old_formula_bit_for_bit(self, dtype):
+        frozen = {"memory_bank"}
+        params, ref = self._params(dtype, 0), self._params(dtype, 0)
+        opt = AdamW(params, AdamWConfig(weight_decay=0.1), frozen_groups=frozen)
+        self._five_steps_match(opt, params, ref, {"base": 0.01, "memory_layers": 0.003, "memory_bank": 0.5}, frozen, 1)
         np.testing.assert_array_equal(params["bank"].value.data, self._params(dtype, 0)["bank"].value.data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_segments_spanning_params_of_mixed_decay_match_bit_for_bit(self, dtype):
+        # one group holds matrices and vectors, so it splits into a decay and
+        # a no-decay segment of several parameters each; the largest matrix
+        # alone spans more than one block
+        gen = np.random.default_rng(3)
+        shapes = (("w1", (5, 3)), ("gain1", (3,)), ("big", (BLOCK // 64 + 7, 64)), ("bias", (17,)),
+                  ("w2", (4, 6)), ("gain2", (6,)), ("scalar", ()))
+        init = {name: np.asarray(gen.standard_normal(shape)).astype(dtype) for name, shape in shapes}
+        params, ref = ({name: Parameter(Tensor(a.copy()), name, "base") for name, a in init.items()} for _ in range(2))
+        opt = AdamW(params, AdamWConfig(weight_decay=0.1))
+        assert [seg.names for seg in opt.segments] == [("w1", "big", "w2"), ("gain1", "bias", "gain2", "scalar")]
+        assert opt.segments[0].data.size > BLOCK
+        self._five_steps_match(opt, params, ref, uniform_lrs(0.02), set(), 4)
 
     def test_step_peak_is_two_scratch_buffers(self):
         gen = np.random.default_rng(2)
@@ -227,6 +252,137 @@ class TestInPlaceStep:
             tracemalloc.stop()
         largest = params["big"].value.data.nbytes
         assert peak <= 2.5 * largest, f"step peak {peak} B is {peak / largest:.2f}x the largest parameter"
+
+
+def segment_of(opt, name):
+    return next(seg for seg in opt.segments if name in seg.names)
+
+
+def assert_adopted(model, opt):
+    """Every trainable parameter's data, grad and moments view its segment."""
+    trainable = dict(opt.trainable())
+    assert trainable
+    for name, p in trainable.items():
+        seg = segment_of(opt, name)
+        assert np.shares_memory(p.value.data, seg.data), name
+        assert np.shares_memory(p.value.grad, seg.grad), name
+        assert np.shares_memory(opt.state[name]["m"], seg.m), name
+        assert np.shares_memory(opt.state[name]["v"], seg.v), name
+        assert model.params[name] is p
+
+
+class TestFlatSegments:
+    CORPUS = make_synthetic_corpus(vocab=256, length=4096, seed=1)
+
+    def _cfg(self, **over):
+        return TrainConfig(**{**dict(steps=4, batch_size=2, seq_len=16, schedule=cosine(1), eval_every=2, seed=5), **over})
+
+    def test_one_segment_per_dtype_group_and_decay_class(self):
+        model = build_model(preset("micro"), RngState(0))
+        before = {name: (p.value.data.copy(), p.value.grad.copy()) for name, p in model.params.items()}
+        opt = AdamW(model.params)
+        keys = [(seg.data.dtype, seg.group, seg.decay) for seg in opt.segments]
+        assert len(keys) == len(set(keys))
+        assert sorted(n for seg in opt.segments for n in seg.names) == sorted(model.params)
+        for seg in opt.segments:
+            assert seg.data.ndim == 1 and seg.data.size == sum(model.params[n].size for n in seg.names)
+            assert {model.params[n].group for n in seg.names} == {seg.group}
+            assert {n in opt.decay_names for n in seg.names} == {seg.decay}
+        assert_adopted(model, opt)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.value.data, before[name][0])
+            np.testing.assert_array_equal(p.value.grad, before[name][1])
+            assert p.value.data.flags.c_contiguous
+
+    def test_views_survive_zero_grads_train_and_resume(self):
+        model = build_model(preset("micro"), RngState(0))
+        opt = AdamW(model.params)
+        for p in model.params.values():
+            p.value.grad[...] = 1.0
+        model.zero_grads()
+        assert_adopted(model, opt)
+        assert all(not seg.grad.any() for seg in opt.segments)
+        cfg = self._cfg()
+        result = train(model, self.CORPUS, cfg, optimizer=opt)
+        assert result.optimizer is opt
+        assert_adopted(result.model, opt)
+        half_cfg = self._cfg(steps=2, schedule=cfg.schedule.with_total_steps(cfg.steps))
+        half = train(build_model(preset("micro"), RngState(0)), self.CORPUS, half_cfg)
+        resumed = resume_train(half.checkpoint, self.CORPUS, cfg)
+        assert_adopted(resumed.model, resumed.optimizer)
+        for name, p in resumed.model.params.items():
+            np.testing.assert_array_equal(p.value.data, result.model.params[name].value.data)
+
+    def test_zero_grads_allocates_nothing(self):
+        model = build_model(preset("micro"), RngState(0))
+        AdamW(model.params)
+        model.zero_grads()
+        tracemalloc.start()
+        try:
+            model.zero_grads()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024, f"zero_grads allocated {peak} B"
+
+    def test_frozen_bank_is_not_adopted_and_never_changes(self):
+        model = build_model(preset("micro"), RngState(0))
+        bank = model.params["bank.tokens"]
+        data, before = bank.value.data, bank.value.data.copy()
+        opt = AdamW(model.params, frozen_groups={"memory_bank"})
+        assert bank.value.data is data
+        assert all("bank.tokens" not in seg.names and not np.shares_memory(data, seg.data) for seg in opt.segments)
+        assert "bank.tokens" not in opt.state
+        result = train(model, self.CORPUS, self._cfg(bank_mode="frozen"), optimizer=opt)
+        assert result.model.params["bank.tokens"].value.data is data
+        np.testing.assert_array_equal(data, before)
+
+    def test_a_parameter_belongs_to_the_last_optimizer_built_over_it(self):
+        params = {"w": make_param(np.ones((2, 2)), "w")}
+        first, second = AdamW(params), AdamW(params)
+        assert np.shares_memory(params["w"].value.data, second.segments[0].data)
+        assert not np.shares_memory(params["w"].value.data, first.segments[0].data)
+
+    def test_nan_in_the_middle_of_a_segment_names_it_and_changes_nothing(self):
+        params = {name: make_param(np.full((3, 2), 1.0 + i), name) for i, name in enumerate(("a", "mid", "c"))}
+        for p in params.values():
+            p.value.grad[...] = 0.5
+        opt = AdamW(params)
+        assert len(opt.segments) == 1 and opt.segments[0].names == ("a", "mid", "c")
+        params["mid"].value.grad[1, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite gradient in mid"):
+            opt.step(uniform_lrs(0.1), t=1)
+        for i, (name, p) in enumerate(params.items()):
+            np.testing.assert_array_equal(p.value.data, np.full((3, 2), 1.0 + i))
+            np.testing.assert_array_equal(opt.state[name]["m"], np.zeros((3, 2)))
+            np.testing.assert_array_equal(opt.state[name]["v"], np.zeros((3, 2)))
+
+    def test_first_bad_parameter_in_parameter_order_is_named(self):
+        params = {name: make_param(np.ones(shape), name) for name, shape in (("w1", (2, 2)), ("gain", 2), ("w2", (2, 2)))}
+        opt = AdamW(params)
+        assert [seg.names for seg in opt.segments] == [("w1", "w2"), ("gain",)]
+        params["gain"].value.grad[0] = np.nan
+        params["w2"].value.grad[0, 0] = np.inf
+        with pytest.raises(NumericError, match="in gain;"):
+            opt.step(uniform_lrs(0.1), t=1)
+
+    def test_load_moments_writes_into_the_segments(self):
+        params = {"w": make_param(np.ones((2, 2)), "w"), "gain": make_param(np.ones(2), "gain")}
+        opt = AdamW(params)
+        m, v = np.full((2, 2), 0.25), np.full((2, 2), 0.5)
+        opt.load_moments({"w": (m, v)})
+        seg = segment_of(opt, "w")
+        np.testing.assert_array_equal(seg.m, m.ravel())
+        np.testing.assert_array_equal(seg.v, v.ravel())
+        assert np.shares_memory(opt.state["w"]["m"], seg.m) and opt.state["w"]["m"] is not m
+
+    @pytest.mark.parametrize("bad_v", [np.zeros(4), np.zeros((1,)), np.zeros((2, 1))])
+    def test_load_moments_rejects_a_v_of_another_shape(self, bad_v):
+        params = {"w": make_param(np.ones((2, 2)), "w")}
+        opt = AdamW(params)
+        with pytest.raises(ConfigError, match="moment v shape"):
+            opt.load_moments({"w": (np.full((2, 2), 0.25), bad_v)})
+        np.testing.assert_array_equal(opt.segments[0].m, np.zeros(4))  # nothing written
 
 
 class TestNonFiniteGuard:

@@ -3,7 +3,8 @@
 The tracer wraps model, train and retention functions by module and name.
 Running one micro train step under it checks that every traced name still
 exists, that every `model.*` scope it joins to the FLOPs model is called,
-and that the join finds every FLOPs line it names; a rename then fails
+that the optimizer step, clipping and snapshot scopes are called, and that
+the join finds every FLOPs line it names; a rename then fails
 here, not only in a traced benchmark run.
 """
 
@@ -41,3 +42,5 @@ def test_one_micro_train_step_calls_every_model_scope():
     assert problems == []
     assert set(model_scopes) <= set(mapped)
     assert tracer.counts["tape_records"] > 0 and tracer.calls["tensor.backward"] == 1
+    for scope in ("optim.step", "optim.clip", "checkpoint.snapshot"):
+        assert tracer.calls[scope], (scope, dict(tracer.calls))

@@ -183,6 +183,15 @@ class TestResume:
         tail = [r.to_csv_line() for r in full.metrics if r.step > 12]
         assert [r.to_csv_line() for r in rest.metrics] == tail
 
+    @pytest.mark.parametrize("v_shape", [(5,), (1,)])
+    def test_resume_rejects_a_v_moment_of_another_shape(self, v_shape):
+        # (1,) would broadcast silently into the segment if it were not checked
+        half = train(micro_model(1), CORPUS, quick_cfg(steps=4))
+        m, _ = half.checkpoint.moments["final_norm.gain"]
+        half.checkpoint.moments["final_norm.gain"] = (m, np.zeros(v_shape))
+        with pytest.raises(ConfigError, match="moment v shape"):
+            resume_train(half.checkpoint, CORPUS, quick_cfg(steps=8))
+
     def test_resume_requires_same_seed(self):
         half = train(micro_model(1), CORPUS, quick_cfg(steps=4))
         with pytest.raises(ConfigError):
