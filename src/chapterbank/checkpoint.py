@@ -216,29 +216,6 @@ def check_config_match(expected: ModelConfig, found: ModelConfig, ignore: set[st
         raise CheckpointMismatch(diff)
 
 
-def _check_tensors(cfg: ModelConfig, shapes: dict[str, tuple[int, ...]], ckpt: Checkpoint, ignore: set[str]) -> None:
-    """Raise CheckpointMismatch unless the checkpoint's config agrees with
-    ``cfg`` on every field outside ``ignore`` and its weights are exactly
-    the names and shapes of ``shapes``."""
-    check_config_match(cfg, ckpt.config, ignore)
-    missing = set(shapes) - set(ckpt.tensors)
-    extra = set(ckpt.tensors) - set(shapes)
-    if missing or extra:
-        raise CheckpointMismatch({"tensor_table": {"missing": sorted(missing), "unexpected": sorted(extra)}})
-    for name, shape in shapes.items():
-        arr = ckpt.tensors[name]
-        if tuple(arr.shape) != shape:
-            raise CheckpointMismatch({name: {"expected": list(shape), "checkpoint": list(arr.shape)}})
-
-
-def apply_checkpoint(model, ckpt: Checkpoint, ignore: set[str] = frozenset({"max_seq_len"})) -> None:
-    """Copy checkpoint weights into a built model; configs must agree on
-    every field not explicitly ignored."""
-    _check_tensors(model.config, {name: p.shape for name, p in model.params.items()}, ckpt, ignore)
-    for name, p in model.params.items():
-        p.value.data[...] = ckpt.tensors[name].astype(p.value.data.dtype, copy=False)
-
-
 def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_seq_len: int | None = None) -> Model:
     """Rebuild a model around copies of the checkpoint's weights, drawing
     no random init; max_seq_len may be raised for longer-context
@@ -247,11 +224,16 @@ def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_se
     if max_seq_len is not None:
         cfg = replace(cfg, max_seq_len=max(max_seq_len, cfg.max_seq_len))
     cfg.validate()
-    if precision is None:
-        any_arr = next(iter(ckpt.tensors.values()))
-        precision = _precision_of(any_arr)
+    precision = precision or _precision_of(next(iter(ckpt.tensors.values())))
     specs = param_specs(cfg)
-    _check_tensors(cfg, {name: shape for name, shape, _, _ in specs}, ckpt, {"max_seq_len"})
+    shapes = {name: shape for name, shape, _, _ in specs}
+    missing, extra = set(shapes) - set(ckpt.tensors), set(ckpt.tensors) - set(shapes)
+    if missing or extra:
+        raise CheckpointMismatch({"tensor_table": {"missing": sorted(missing), "unexpected": sorted(extra)}})
+    for name, shape in shapes.items():
+        found = tuple(ckpt.tensors[name].shape)
+        if found != shape:
+            raise CheckpointMismatch({name: {"expected": list(shape), "checkpoint": list(found)}})
     dtype = PRECISION_DTYPES[precision]
     params = {name: Parameter(Tensor(ckpt.tensors[name].astype(dtype)), name, group) for name, _, group, _ in specs}
     return Model(cfg, params, precision)

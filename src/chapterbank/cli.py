@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import PRESET_NAMES, ModelConfig
 from .errors import CheckpointMismatch, ConfigError, NumericError, TrainingAborted
 from .flops import flops_model
-from .model import Model, build_model
+from .model import build_model, collect_route_stats, route_stats_csv, route_stats_text
 from .retention import run_multi_seed, run_retention_protocol
 from .runconfig import RunConfig, load_runconfig, parse_runconfig
 from .tensor import RngState
@@ -164,78 +164,6 @@ def cmd_retention(args) -> int:
     print(report_for_stdout.summary())
     print(f"artifacts in {out_dir}")
     return 0
-
-
-@dataclass
-class LayerRouteStats:
-    layer: int
-    frequency: np.ndarray  # per chapter, routed selections / sequences
-    entropy: float  # nats, over the normalized selection histogram
-    mean_routed_mass: float  # mean over sequences of selected prob mass
-    never_selected_frac: float  # routed chapters never selected
-
-
-def collect_route_stats(model: Model, batches: list[np.ndarray], layers: list[int] | None = None) -> list[LayerRouteStats]:
-    cfg = model.config
-    if not cfg.has_memory:
-        raise ConfigError("route stats need a model with memory layers")
-    wanted = list(cfg.memory_layer_indices) if layers is None else list(layers)
-    bad = [l for l in wanted if l not in cfg.memory_layer_indices]
-    if bad:
-        raise ConfigError(f"layers {bad} are not memory layers {list(cfg.memory_layer_indices)}")
-    counts = {l: np.zeros(cfg.chapters, dtype=np.int64) for l in wanted}
-    mass = {l: 0.0 for l in wanted}
-    n_seqs = 0
-    for batch in batches:
-        trace = model.forward(batch)
-        n_seqs += batch.shape[0]
-        for layer_pos, layer_idx in enumerate(cfg.memory_layer_indices):
-            if layer_idx not in counts:
-                continue
-            decision = trace.decisions[layer_pos]
-            counts[layer_idx] += np.bincount(decision.selected.ravel(), minlength=cfg.chapters)
-            mass[layer_idx] += float(np.take_along_axis(decision.probs, decision.selected, axis=1).sum())
-    out = []
-    for layer_idx in wanted:
-        c = counts[layer_idx]
-        freq = c / n_seqs
-        total = c.sum()
-        p = c[c > 0] / total
-        entropy = float(-(p * np.log(p)).sum())
-        routed = cfg.routed_chapters
-        never = int(np.sum(c[cfg.shared_chapters :] == 0))
-        out.append(
-            LayerRouteStats(
-                layer=layer_idx,
-                frequency=freq,
-                entropy=entropy,
-                mean_routed_mass=mass[layer_idx] / n_seqs,
-                never_selected_frac=never / routed,
-            )
-        )
-    return out
-
-
-def route_stats_csv(stats: list[LayerRouteStats]) -> str:
-    lines = ["layer,chapter,frequency,entropy,mean_routed_mass,never_selected_frac"]
-    for s in stats:
-        for chapter, f in enumerate(s.frequency):
-            lines.append(
-                f"{s.layer},{chapter},{float(f)!r},{s.entropy!r},{s.mean_routed_mass!r},{s.never_selected_frac!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def route_stats_text(stats: list[LayerRouteStats]) -> str:
-    lines = []
-    for s in stats:
-        top = np.argsort(-s.frequency)[:5]
-        tops = ", ".join(f"{c}:{s.frequency[c]:.2f}" for c in top)
-        lines.append(
-            f"layer {s.layer}: entropy {s.entropy:.3f} nats; routed mass {s.mean_routed_mass:.3f};"
-            f" never-selected {s.never_selected_frac:.2%}; top chapters {tops}"
-        )
-    return "\n".join(lines)
 
 
 def cmd_route_stats(args) -> int:

@@ -20,9 +20,10 @@ class Config:
     equal config, and a malformed document raises ``ConfigError``.
     ``from_dict`` rejects unknown and missing keys and always runs
     ``validate()``, which checks nothing unless a subclass overrides it.
-    Errors name the class in words; a nested config's errors begin with
-    its dotted key path, as in ``train.schedule: schedule is missing
-    required keys: ['kind']``.
+    Errors name the class in words; a nested config's errors, those a
+    class raises on construction included, begin with its dotted key
+    path, as in ``train.schedule: schedule is missing required keys:
+    ['kind']``.
     """
 
     def validate(self) -> None:
@@ -45,11 +46,12 @@ class Config:
         if missing:
             raise ConfigError(f"{at}{name} is missing required keys: {missing}")
         hints = typing.get_type_hints(cls)
-        cfg = cls(**{
+        values = {
             key: _decode(value, hints[key], f"{at}invalid {name} key {key!r}", f"{path}.{key}" if path else key)
             for key, value in d.items()
-        })
-        try:
+        }
+        try:  # some classes check their values on construction, the rest in validate()
+            cfg = cls(**values)
             cfg.validate()
         except ConfigError as e:
             raise ConfigError(f"{at}{e}") from None

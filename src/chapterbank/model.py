@@ -65,6 +65,17 @@ class RouterDecision:
 
 
 @dataclass
+class LayerRouteStats:
+    """One memory layer's chapter use over a set of batches (``collect_route_stats``)."""
+
+    layer: int
+    frequency: np.ndarray  # per chapter, routed selections / sequences
+    entropy: float  # nats, over the normalized selection histogram
+    mean_routed_mass: float  # mean over sequences of selected prob mass
+    never_selected_frac: float  # routed chapters never selected
+
+
+@dataclass
 class ForwardTrace:
     """Losses and routing stats from one forward pass."""
 
@@ -221,7 +232,7 @@ def route(h: Tensor, weight: Parameter, bias: Parameter, cfg: ModelConfig) -> Ro
     sum to routed_scaling.
     """
     shared, b = cfg.shared_chapters, h.shape[0]
-    logits = ops.add(ops.matmul(ops.mean_axis(h, axis=1), weight), bias)  # (B,C)
+    logits = ops.router_logits(h, weight, bias)  # (B,C)
     probs = ops.softmax(logits.data)
     selected = shared + ops.topk(probs[:, shared:], cfg.top_k)  # (B,k)
     return RouterDecision(
@@ -237,18 +248,12 @@ def prepare_memory_tokens(model: Model, layer: int, decision: RouterDecision) ->
     """Gather the selected chapters of every sequence in one (B, S*t, d)
     read and produce normalized, weighted tokens for the K/V projections
     (norm first, then weight, so chapter weights survive and stay
-    differentiable)."""
-    pre = f"layers.{layer}"
-    t = model.bank.chapter_size
+    differentiable), as one ``ops.memory_tokens`` op."""
+    pre, t = f"layers.{layer}", model.bank.chapter_size
     rows = decision.selected_with_shared[:, :, None] * t + np.arange(t)  # (B, S, t)
-    sel = ops.gather_rows(model["bank.tokens"], rows)  # (B, S, t, d)
-    if model.config.adapter_enabled:
-        adapter = model[f"{pre}.mem.adapter"]
-        sel = ops.add(sel, ops.matmul(sel, adapter))
-    sel = ops.rmsnorm(sel, model[f"{pre}.mem.token_norm.gain"], RMSNORM_EPS)
-    b, s = decision.selected_with_shared.shape
-    sel = ops.mul(sel, ops.reshape(decision.chapter_weights, (b, s, 1, 1)))
-    return ops.reshape(sel, (b, s * t, sel.shape[-1]))
+    adapter = model[f"{pre}.mem.adapter"] if model.config.adapter_enabled else None
+    return ops.memory_tokens(model["bank.tokens"], rows, decision.chapter_weights,
+                             model[f"{pre}.mem.token_norm.gain"], adapter, RMSNORM_EPS)
 
 
 def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
@@ -373,3 +378,57 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None =
         memory_attention_mass=masses,
         loss=loss_tensor,
     )
+
+
+# ---------------------------------------------------------------------------
+# routing statistics
+
+
+def collect_route_stats(model: Model, batches: list[np.ndarray], layers: list[int] | None = None) -> list[LayerRouteStats]:
+    """Chapter use of the memory layers (all, or ``layers`` in that order)
+    over untaped forwards of ``batches``."""
+    cfg = model.config
+    if not cfg.has_memory:
+        raise ConfigError("route stats need a model with memory layers")
+    wanted = list(cfg.memory_layer_indices) if layers is None else list(layers)
+    bad = [l for l in wanted if l not in cfg.memory_layer_indices]
+    if bad:
+        raise ConfigError(f"layers {bad} are not memory layers {list(cfg.memory_layer_indices)}")
+    counts = {l: np.zeros(cfg.chapters, dtype=np.int64) for l in wanted}
+    mass = {l: 0.0 for l in wanted}
+    n_seqs = 0
+    for batch in batches:
+        trace = model.forward(batch)
+        n_seqs += batch.shape[0]
+        for layer, decision in zip(cfg.memory_layer_indices, trace.decisions):
+            if layer in counts:
+                counts[layer] += np.bincount(decision.selected.ravel(), minlength=cfg.chapters)
+                mass[layer] += float(np.take_along_axis(decision.probs, decision.selected, axis=1).sum())
+    out = []
+    for layer in wanted:
+        c = counts[layer]
+        p = c[c > 0] / c.sum()
+        never = int(np.sum(c[cfg.shared_chapters :] == 0))
+        entropy = float(-(p * np.log(p)).sum())
+        out.append(LayerRouteStats(layer, c / n_seqs, entropy, mass[layer] / n_seqs, never / cfg.routed_chapters))
+    return out
+
+
+def route_stats_csv(stats: list[LayerRouteStats]) -> str:
+    lines = ["layer,chapter,frequency,entropy,mean_routed_mass,never_selected_frac"]
+    for s in stats:
+        for chapter, f in enumerate(s.frequency):
+            lines.append(f"{s.layer},{chapter},{float(f)!r},{s.entropy!r},{s.mean_routed_mass!r},{s.never_selected_frac!r}")
+    return "\n".join(lines) + "\n"
+
+
+def route_stats_text(stats: list[LayerRouteStats]) -> str:
+    lines = []
+    for s in stats:
+        top = np.argsort(-s.frequency)[:5]
+        tops = ", ".join(f"{c}:{s.frequency[c]:.2f}" for c in top)
+        lines.append(
+            f"layer {s.layer}: entropy {s.entropy:.3f} nats; routed mass {s.mean_routed_mass:.3f};"
+            f" never-selected {s.never_selected_frac:.2%}; top chapters {tops}"
+        )
+    return "\n".join(lines)

@@ -36,16 +36,6 @@ def _as_tensor(x) -> Tensor:
     raise TypeError(f"ops take a Tensor or Parameter operand, got {type(x).__name__}")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (reverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 def _record(out: Tensor, inputs: list[Tensor], backward_fn) -> Tensor:
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -59,32 +49,18 @@ def _record(out: Tensor, inputs: list[Tensor], backward_fn) -> Tensor:
 
 
 def add(a, b) -> Tensor:
+    """a + b of two operands of one shape; no op broadcasts."""
     a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs two operands of one shape, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
     _check_finite(out.data, "add")
 
     def backward(g):
-        ga = None
         if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            a.accumulate_grad(ga, owned=True)
+            a.accumulate_grad(g, owned=True)
         if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-            b.accumulate_grad(gb, owned=gb is not ga)  # a copy only when a holds this very array
-
-    return _record(out, [a, b], backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
-    _check_finite(out.data, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), owned=True)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), owned=True)
+            b.accumulate_grad(g, owned=not a.requires_grad)  # a copy only when a holds this very array
 
     return _record(out, [a, b], backward)
 
@@ -141,17 +117,6 @@ def reshape(x, shape) -> Tensor:
     return _record(out, [x], backward)
 
 
-def swapaxes(x, a: int, b: int) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.ascontiguousarray(x.data.swapaxes(a, b)))
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.ascontiguousarray(g.swapaxes(a, b)))
-
-    return _record(out, [x], backward)
-
-
 def index_slice(x, key) -> Tensor:
     """Basic (slice/int) indexing. Backward scatters into a zero tensor."""
     x = _as_tensor(x)
@@ -166,63 +131,38 @@ def index_slice(x, key) -> Tensor:
     return _record(out, [x], backward)
 
 
-def gather_rows(x, ids: np.ndarray) -> Tensor:
-    """Select rows of a 2-D table by integer index (embedding/chapter gather).
-
-    ``ids`` may have any shape; output shape is ids.shape + (row_dim,).
-    Backward scatter-adds straight into ``x.grad`` (allocated on first
-    use), so rows never gathered keep their grad bit-unchanged.
-    """
-    x = _as_tensor(x)
+def _take_rows(x: Tensor, ids, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, the rows of the 2-D table ``x`` they pick), ids range-checked."""
     if x.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-D table, got {x.shape}")
+        raise ShapeError(f"{where} expects a 2-D table, got {x.shape}")
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= x.shape[0]):
-        raise IndexError(f"row index out of range [0, {x.shape[0]}) in gather_rows")
-    out = Tensor(x.data[ids])
-
-    def backward(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            # cast first, as accumulate_grad does: mixed-dtype add.at is ~7x slower
-            np.add.at(x.grad, ids, g.astype(x.grad.dtype, copy=False))
-
-    return _record(out, [x], backward)
+        raise IndexError(f"row index out of range [0, {x.shape[0]}) in {where}")
+    return ids, x.data[ids]
 
 
-def mean_axis(x, axis: int, keepdims: bool = False) -> Tensor:
+def _scatter_rows(x: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
+    """Scatter-add ``g`` straight into ``x.grad`` (allocated on first use)
+    at rows ``ids``, so rows never picked keep their grad bit-unchanged."""
+    if x.grad is None:
+        x.grad = np.zeros_like(x.data)
+    # cast first, as accumulate_grad does: mixed-dtype add.at is ~7x slower
+    np.add.at(x.grad, ids, g.astype(x.grad.dtype, copy=False))
+
+
+def gather_rows(x, ids: np.ndarray) -> Tensor:
+    """Select rows of a 2-D table by integer index (embedding gather).
+
+    ``ids`` may have any shape; output shape is ids.shape + (row_dim,).
+    Backward scatter-adds into ``x.grad`` (``_scatter_rows``).
+    """
     x = _as_tensor(x)
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
-    n = x.shape[axis]
+    ids, rows = _take_rows(x, ids, "gather_rows")
+    out = Tensor(rows)
 
     def backward(g):
         if x.requires_grad:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x.accumulate_grad(np.broadcast_to(gg, x.shape) / n, owned=True)
-
-    return _record(out, [x], backward)
-
-
-def sum_axis(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-
-    def backward(g):
-        if x.requires_grad:
-            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-            x.accumulate_grad(np.broadcast_to(gg, x.shape))
-
-    return _record(out, [x], backward)
-
-
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.asarray(x.data.mean()))
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g, x.shape) / x.size, owned=True)
+            _scatter_rows(x, ids, g)
 
     return _record(out, [x], backward)
 
@@ -240,22 +180,20 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def logsumexp_lastdim(x) -> Tensor:
-    """log(sum(exp(x))) over the last dim, max-subtracted. Backward: softmax * g."""
-    x = _as_tensor(x)
-    if x.ndim == 0 or x.shape[-1] < 1:
-        raise ShapeError(f"logsumexp over empty last dimension, shape {x.shape}")
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e.sum(axis=-1, keepdims=True)
-    out = Tensor((m + np.log(s)).squeeze(-1))
-    _check_finite(out.data, "logsumexp_lastdim")
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.expand_dims(g, -1) * (e / s), owned=True)
-
-    return _record(out, [x], backward)
+def _rmsnorm_grads(g: np.ndarray, x: np.ndarray, inv: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dx, dgain) of y = gain * x * inv, inv = 1 / sqrt(mean(x^2) + eps) over
+    the last dimension. With xhat = x * inv: dgain = sum over rows of g * xhat
+    and dx = (gg - xhat * mean(gg * xhat)) * inv, gg = g * gain; two full-size
+    buffers, and mean(gg * xhat) is one GEMV of g * xhat by gain."""
+    d = x.shape[-1]
+    xhat = x * inv
+    t = g * xhat
+    dgain = t.reshape(-1, d).sum(axis=0)
+    xhat *= (t.reshape(-1, d) @ gain).reshape(inv.shape) / d
+    np.multiply(g, gain, out=t)
+    t -= xhat
+    t *= inv
+    return t, dgain
 
 
 def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
@@ -269,45 +207,63 @@ def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
     _check_finite(out.data, "rmsnorm")
 
     def backward(g):
-        # with xhat = x * inv: dgain = sum over rows of g * xhat and
-        # dx = (gg - xhat * mean(gg * xhat)) * inv, gg = g * gain; two
-        # full-size buffers, and mean(gg * xhat) is one GEMV of g * xhat by gain
-        xhat = x.data * inv
-        t = g * xhat
+        dx, dgain = _rmsnorm_grads(g, x.data, inv, gain.data)
         if gain.requires_grad:
-            gain.accumulate_grad(t.reshape(-1, d).sum(axis=0), owned=True)
+            gain.accumulate_grad(dgain, owned=True)
         if x.requires_grad:
-            xhat *= (t.reshape(-1, d) @ gain.data).reshape(inv.shape) / d
-            np.multiply(g, gain.data, out=t)
-            t -= xhat
-            t *= inv
-            x.accumulate_grad(t, owned=True)
+            x.accumulate_grad(dx, owned=True)
 
     return _record(out, [x, gain], backward)
 
 
-def silu(x) -> Tensor:
-    """z * sigmoid(z). Backward: sigmoid(z) * (1 + z * (1 - sigmoid(z)))."""
-    x = _as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * sig)
-    _check_finite(out.data, "silu")
+def swiglu(x, w_up, w_gate, w_down) -> Tensor:
+    """down(silu(x @ w_gate) * (x @ w_up)), silu(z) = z * sigmoid(z), over the
+    flattened rows of ``x``: one op, like the fused SwiGLU of Liger Kernel
+    (Hsu et al. 2024, arXiv 2410.10989).
+
+    Backward keeps only x, gate = x @ w_gate and up = x @ w_up, and
+    recomputes s = sigmoid(gate) and the hidden h = silu(gate) * up: with
+    dh = dO w_down^T, d_up = dh * silu(gate) and
+    d_gate = dh * up * s * (1 + gate * (1 - s)).
+    """
+    x, w_up, w_gate, w_down = (_as_tensor(t) for t in (x, w_up, w_gate, w_down))
+    if x.ndim < 2 or w_down.ndim != 2 or w_up.shape != (x.shape[-1], w_down.shape[0]) or w_gate.shape != w_up.shape:
+        raise ShapeError(f"swiglu needs x (..., d), w_up and w_gate (d, f) and w_down (f, n), "
+                         f"got {x.shape}, {w_up.shape}, {w_gate.shape} and {w_down.shape}")
+    n = w_down.shape[1]
+    x2 = x.data.reshape(-1, x.shape[-1])
+    gate, up = x2 @ w_gate.data, x2 @ w_up.data
+
+    def hidden():  # s, silu(gate) and h, by the same ops every time
+        sig = 1.0 / (1.0 + np.exp(-gate))
+        act = gate * sig
+        return sig, act, act * up
+
+    out = Tensor((hidden()[2] @ w_down.data).reshape(x.shape[:-1] + (n,)))
+    _check_finite(out.data, "swiglu")
 
     def backward(g):
+        sig, act, h = hidden()
+        g2 = g.reshape(-1, n)
+        if w_down.requires_grad:
+            w_down.accumulate_grad(h.T @ g2, owned=True)
+        dh = g2 @ w_down.data.T
+        d_up = np.multiply(dh, act, out=act)
+        dh *= up
+        d_gate = np.subtract(1.0, sig, out=h)  # h's buffer, filled in place
+        d_gate *= gate
+        d_gate += 1.0
+        d_gate *= sig
+        d_gate *= dh
+        for w, dw in ((w_up, d_up), (w_gate, d_gate)):
+            if w.requires_grad:
+                w.accumulate_grad(x2.T @ dw, owned=True)
         if x.requires_grad:
-            dx = 1.0 - sig  # the one full-size buffer, filled in place
-            dx *= x.data
-            dx += 1.0
-            dx *= sig
-            dx *= g
-            x.accumulate_grad(dx, owned=True)
+            dx = d_up @ w_up.data.T
+            dx += d_gate @ w_gate.data.T
+            x.accumulate_grad(dx.reshape(x.shape), owned=True)
 
-    return _record(out, [x], backward)
-
-
-def swiglu(x, w_up, w_gate, w_down) -> Tensor:
-    """down(silu(x @ w_gate) * (x @ w_up)), composed from taped primitives."""
-    return matmul(mul(silu(matmul(x, w_gate)), matmul(x, w_up)), w_down)
+    return _record(out, [x, w_up, w_gate, w_down], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +351,7 @@ def attention(q, k, v, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: 
 
 
 # ---------------------------------------------------------------------------
-# loss and selection
+# routing, memory tokens, losses and selection
 
 
 def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
@@ -450,6 +406,73 @@ def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
                 inp.accumulate_grad(buf, owned=True)
 
     return _record(loss, [x, w], backward)
+
+
+def router_logits(h, weight, bias) -> Tensor:
+    """(B, C) router logits of a (B, L, d) batch: the mean over positions,
+    times the (d, C) ``weight``, plus the (C,) ``bias``. Backward:
+    dbias = sum of g over sequences, dweight = pooled^T g, and every
+    position gets dh = g weight^T / L."""
+    h, weight, bias = _as_tensor(h), _as_tensor(weight), _as_tensor(bias)
+    if h.ndim != 3 or weight.ndim != 2 or weight.shape[0] != h.shape[2] or bias.shape != weight.shape[1:]:
+        raise ShapeError(f"router_logits needs (B, L, d) states, a (d, C) weight and a (C,) bias, "
+                         f"got {h.shape}, {weight.shape} and {bias.shape}")
+    pooled = h.data.mean(axis=1)
+    out = Tensor(pooled @ weight.data + bias.data)
+    _check_finite(out.data, "router_logits")
+
+    def backward(g):
+        if bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=0), owned=True)
+        if weight.requires_grad:
+            weight.accumulate_grad(pooled.T @ g, owned=True)
+        if h.requires_grad:
+            h.accumulate_grad(np.broadcast_to((g @ weight.data.T)[:, None, :], h.shape) / h.shape[1], owned=True)
+
+    return _record(out, [h, weight, bias], backward)
+
+
+def memory_tokens(bank, rows, weights, gain, adapter=None, eps: float = 1e-6) -> Tensor:
+    """The (B, S*t, d) memory tokens of S selected chapters of t rows each:
+    the (B, S, t) ``rows`` of the 2-D ``bank``, plus x @ ``adapter`` when one
+    is given, RMS-normalized with ``gain``, then scaled by the (B, S) chapter
+    ``weights`` (norm first, so the weights survive it).
+
+    Backward keeps the picked rows x0, the adapted rows x and the inverse
+    RMS: dweights sums g * rmsnorm(x) over each chapter's tokens, the norm
+    backward (shared with ``rmsnorm``) takes g * weight, then
+    dadapter = x0^T dx, dx += dx adapter^T, and dx is scatter-added into
+    ``bank.grad`` (``_scatter_rows``, as in ``gather_rows``).
+    """
+    bank, weights, gain = _as_tensor(bank), _as_tensor(weights), _as_tensor(gain)
+    adapter = None if adapter is None else _as_tensor(adapter)
+    rows, x0 = _take_rows(bank, rows, "memory_tokens")
+    d = bank.shape[1]
+    if rows.ndim != 3 or weights.shape != rows.shape[:2] or gain.shape != (d,) or adapter is not None and adapter.shape != (d, d):
+        raise ShapeError(f"memory_tokens needs (B, S, t) rows, (B, S) weights, a (d,) gain and a (d, d) adapter, got "
+                         f"{rows.shape}, {weights.shape}, {gain.shape} and {None if adapter is None else adapter.shape}")
+    x = x0 if adapter is None else x0 + (x0.reshape(-1, d) @ adapter.data).reshape(x0.shape)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    w = weights.data[:, :, None, None]
+    out = Tensor((gain.data * x * inv * w).reshape(rows.shape[0], -1, d))
+    _check_finite(out.data, "memory_tokens")
+
+    def backward(g):
+        g = g.reshape(x.shape)
+        if weights.requires_grad:
+            weights.accumulate_grad((g * (gain.data * x * inv)).sum(axis=2).sum(axis=2), owned=True)
+        dx, dgain = _rmsnorm_grads(g * w, x, inv, gain.data)
+        if gain.requires_grad:
+            gain.accumulate_grad(dgain, owned=True)
+        if adapter is not None:
+            dx2 = dx.reshape(-1, d)
+            if adapter.requires_grad:
+                adapter.accumulate_grad(x0.reshape(-1, d).T @ dx2, owned=True)
+            dx += (dx2 @ adapter.data.T).reshape(dx.shape)
+        if bank.requires_grad:
+            _scatter_rows(bank, rows, dx)
+
+    return _record(out, [bank, weights, gain] + ([] if adapter is None else [adapter]), backward)
 
 
 def chapter_weights(logits, selected, shared: int, scaling: float) -> Tensor:

@@ -171,14 +171,19 @@ class AdamW:
 
 
 def global_grad_norm(params: Mapping[str, Parameter], frozen_groups: Iterable[str] = ()) -> float:
+    """L2 norm of all trainable grads; raises NumericError naming the first
+    trainable parameter whose sum of squares is not finite."""
     frozen = frozenset(frozen_groups)
     total = 0.0
-    for p in params.values():
+    for name, p in params.items():
         if p.group in frozen:
             continue
         # float64 on purpose: a float32 sum of squares over millions of elements loses digits
         g = p.value.grad.astype(np.float64, copy=False)
-        total += float(np.dot(g.ravel(), g.ravel()))
+        sq = float(np.dot(g.ravel(), g.ravel()))
+        if not math.isfinite(sq):
+            raise NumericError(f"non-finite gradient in {name}; step aborted")
+        total += sq
     return math.sqrt(total)
 
 

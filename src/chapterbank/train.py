@@ -232,9 +232,9 @@ def train(
             lb += trace.lb_loss
             z += trace.z_loss
             total += trace.total_loss
-        grad_norm = global_grad_norm(model.params, frozen)
-        clip_grad_norm(model.params, cfg.clip_norm, frozen, norm=grad_norm)
         try:
+            grad_norm = global_grad_norm(model.params, frozen)
+            clip_grad_norm(model.params, cfg.clip_norm, frozen, norm=grad_norm)
             optimizer.step(lrs, t=step + 1)
         except NumericError as e:
             raise TrainingAborted(str(e), last_ckpt, step) from e

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
+from chapterbank import ops
 from chapterbank.config import preset
-from chapterbank.tensor import Tensor
+from chapterbank.tensor import Parameter, Tensor
 
 
 def rand_tensor(shape, seed=0, scale=1.0, requires_grad=False):
     gen = np.random.default_rng(seed)
     return Tensor(gen.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def weighted_sum(x, w=1.0):
+    """Taped (1, 1) sum of x * w, w broadcast to x's shape: x flattened to
+    one row by ``reshape``, then ``matmul`` against the fixed column w in
+    x's precision. Two records; the tests' reduction to a scalar loss."""
+    x = x.value if isinstance(x, Parameter) else x
+    col = Tensor(np.broadcast_to(w, x.shape).reshape(x.size, 1), x.precision)
+    return ops.matmul(ops.reshape(x, (1, x.size)), col)
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from chapterbank.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     Checkpoint,
-    apply_checkpoint,
     check_config_match,
     checkpoint_from,
     config_diff,
@@ -204,25 +203,26 @@ class TestConfigDiff:
 
 
 class TestApply:
+    """The restore checks, through the two functions that make them."""
+
     def test_apply_restores_weights(self):
         ckpt, model, _ = stepped_checkpoint()
-        fresh = micro_model(seed=5)
-        apply_checkpoint(fresh, ckpt)
-        for name, p in fresh.params.items():
+        restored = model_from_checkpoint(ckpt)
+        for name, p in restored.params.items():
             np.testing.assert_array_equal(p.value.data, model[name].value.data)
 
     def test_mismatched_config_rejected(self):
         ckpt, _, _ = stepped_checkpoint()
-        other = build_model(replace(preset("micro"), d_ff=256), RngState(0), "double")
-        with pytest.raises(CheckpointMismatch):
-            apply_checkpoint(other, ckpt)
+        with pytest.raises(CheckpointMismatch) as err:
+            check_config_match(replace(preset("micro"), d_ff=256), ckpt.config)
+        assert err.value.diff == {"d_ff": {"expected": 256, "checkpoint": 192}}
 
     def test_tensor_table_mismatch_is_structured(self):
         ckpt, _, _ = stepped_checkpoint()
         dropped = ckpt.tensors.pop("layers.0.attn.wq")
         ckpt.tensors["layers.0.attn.wq_typo"] = dropped
         with pytest.raises(CheckpointMismatch) as err:
-            apply_checkpoint(micro_model(), ckpt)
+            model_from_checkpoint(ckpt)
         table = err.value.diff["tensor_table"]
         assert table["missing"] == ["layers.0.attn.wq"]
         assert table["unexpected"] == ["layers.0.attn.wq_typo"]
@@ -231,7 +231,7 @@ class TestApply:
         ckpt, _, _ = stepped_checkpoint()
         ckpt.tensors["final_norm.gain"] = np.zeros(65)
         with pytest.raises(CheckpointMismatch) as err:
-            apply_checkpoint(micro_model(), ckpt)
+            model_from_checkpoint(ckpt)
         assert "final_norm.gain" in err.value.diff
 
 

@@ -12,11 +12,11 @@ import pytest
 
 import chapterbank
 from chapterbank.checkpoint import checkpoint_from, load_checkpoint, save_checkpoint
-from chapterbank.cli import collect_route_stats, main, route_stats_csv
+from chapterbank.cli import main
 from chapterbank.config import preset
 from chapterbank.errors import ConfigError
 from chapterbank.flops import flops_model
-from chapterbank.model import build_model
+from chapterbank.model import build_model, collect_route_stats, route_stats_csv
 from chapterbank.tensor import RngState
 from chapterbank.train import METRICS_HEADER, make_synthetic_corpus
 
@@ -107,6 +107,14 @@ class TestTrainCommand:
         bad.write_text(json.dumps({"preset": "micro", "retention": {"phase_a": {"schedule": {"warmup": 1}}}}))
         assert main(["retention", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "error: retention.phase_a.schedule: schedule is missing required keys: ['kind']" in capsys.readouterr().err
+
+    def test_schedule_error_names_its_key_path(self, tmp_path, capsys):
+        # the schedule checks its kind on construction; the path still leads the message
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"preset": "micro", "train": {"schedule": {"kind": "bogus", "warmup": 1}}}))
+        assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "error: train.schedule: unknown schedule kind 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.json", "--out-dir", "/tmp/x"]) == 2

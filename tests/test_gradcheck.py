@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chapterbank import ops
+from conftest import weighted_sum
 from chapterbank.errors import NumericError
 from chapterbank.gradcheck import grad_check
 from chapterbank.ops import _record
@@ -33,7 +34,7 @@ def test_matmul_add_chain(seed):
     a = make_param((3, 4), seed)
     b = make_param((4, 2), seed + 100)
     c = make_param((3, 2), seed + 200)
-    check(lambda: ops.mean_all(ops.add(ops.matmul(a, b), c)), [a, b, c])
+    check(lambda: weighted_sum(ops.add(ops.matmul(a, b), c), 1 / 6), [a, b, c])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -41,21 +42,17 @@ def test_matmul_flattened_rows(seed):
     a = make_param((2, 3, 2, 4), seed)
     b = make_param((4, 3), seed + 100)
     w = np.random.default_rng(seed + 50).standard_normal((2, 3, 2, 3))
-    check(lambda: ops.mean_all(ops.mul(ops.matmul(a, b), Tensor(w))), [a, b])
+    check(lambda: weighted_sum(ops.matmul(a, b), w / w.size), [a, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mul_div_scale(seed):
-    # no taped division is left: the router's renormalization over the
-    # selection is inside ops.chapter_weights (test_chapter_weights)
+    # no taped division or mul is left: the router's renormalization is
+    # inside ops.chapter_weights and the elementwise products inside
+    # ops.swiglu, here with one weight as both the up and the gate weight
     a = make_param((2, 5), seed)
-    b = make_param((2, 5), seed + 1)
-
-    def f():
-        safe = ops.add(ops.mul(b, b), Tensor(np.ones((2, 5))))
-        return ops.mean_all(ops.scale(ops.mul(ops.mul(a, a), safe), 1.7))
-
-    check(f, [a, b])
+    b = make_param((5, 5), seed + 1)
+    check(lambda: weighted_sum(ops.scale(ops.swiglu(a, b, b, Tensor(np.eye(5))), 1.7), 1 / 10), [a, b])
 
 
 def every_chapter(rows, c, seed):
@@ -71,20 +68,20 @@ def test_softmax(seed):
     a = make_param((3, 6), seed)
     w = np.random.default_rng(seed + 50).standard_normal((3, 6))
     sel = every_chapter(3, 6, seed + 70)
-    check(lambda: ops.mean_all(ops.mul(ops.chapter_weights(a, sel, 0, 1.0), Tensor(w))), [a])
+    check(lambda: weighted_sum(ops.chapter_weights(a, sel, 0, 1.0), w / w.size), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_softmax_with_mask(seed):
     a = make_param((2, 4, 5), seed)
-    mask = np.zeros((1, 4, 5))
+    mask = np.zeros((2, 4, 5))  # add takes one shape: no broadcasting
     mask[..., 3:] = ops.MASK_VALUE
     w = np.random.default_rng(seed + 50).standard_normal((8, 5))
     sel = every_chapter(8, 5, seed + 70)
 
     def f():
         masked = ops.reshape(ops.add(a, Tensor(mask)), (8, 5))
-        return ops.mean_all(ops.mul(ops.chapter_weights(masked, sel, 0, 1.0), Tensor(w)))
+        return weighted_sum(ops.chapter_weights(masked, sel, 0, 1.0), w / w.size)
 
     check(f, [a])
 
@@ -96,7 +93,7 @@ def test_chapter_weights(seed, shared, k):
     gen = np.random.default_rng(seed + 60)
     sel = np.stack([shared + gen.permutation(7 - shared)[:k] for _ in range(4)])
     w = gen.standard_normal((4, shared + k))
-    check(lambda: ops.mean_all(ops.mul(ops.chapter_weights(logits, sel, shared, 1.7), Tensor(w))), [logits])
+    check(lambda: weighted_sum(ops.chapter_weights(logits, sel, shared, 1.7), w / w.size), [logits])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -116,7 +113,7 @@ def test_rmsnorm(seed):
     x = make_param((4, 6), seed)
     g = make_param((6,), seed + 1)
     w = np.random.default_rng(seed + 50).standard_normal((4, 6))
-    check(lambda: ops.mean_all(ops.mul(ops.rmsnorm(x, g), Tensor(w))), [x, g])
+    check(lambda: weighted_sum(ops.rmsnorm(x, g), w / w.size), [x, g])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -125,7 +122,31 @@ def test_swiglu(seed):
     wu = make_param((4, 5), seed + 1)
     wg = make_param((4, 5), seed + 2)
     wd = make_param((5, 4), seed + 3)
-    check(lambda: ops.mean_all(ops.swiglu(x, wu, wg, wd)), [x, wu, wg, wd])
+    check(lambda: weighted_sum(ops.swiglu(x, wu, wg, wd), 1 / 12), [x, wu, wg, wd])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_router_logits(seed):
+    h = make_param((3, 5, 4), seed)
+    w = make_param((4, 6), seed + 1)
+    b = make_param((6,), seed + 2)
+    wt = np.random.default_rng(seed + 50).standard_normal((3, 6))
+    check(lambda: weighted_sum(ops.router_logits(h, w, b), wt / wt.size), [h, w, b])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("adapter", [False, True])
+def test_memory_tokens(seed, adapter):
+    # 6 chapters of 2 rows: both sequences read shared chapter 0 and routed
+    # chapter 3, so those rows are picked twice; chapters 2 and 5 never are
+    bank = make_param((12, 4), seed, "bank.tokens", "memory_bank")
+    weights = make_param((2, 3), seed + 1)
+    gain = make_param((4,), seed + 2)
+    a = make_param((4, 4), seed + 3) if adapter else None
+    rows = np.array([[0, 3, 1], [0, 3, 4]])[:, :, None] * 2 + np.arange(2)
+    wt = np.random.default_rng(seed + 50).standard_normal((2, 6, 4))
+    params = [bank, weights, gain] + ([a] if adapter else [])
+    check(lambda: weighted_sum(ops.memory_tokens(bank, rows, weights, gain, a), wt / wt.size), params)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -138,7 +159,7 @@ def test_rope(seed):
         backward = lambda g: x.value.accumulate_grad(ops.rope(g, 100.0, inverse=True))
         return _record(Tensor(ops.rope(x.value.data, 100.0)), [x.value], backward)
 
-    check(lambda: ops.mean_all(ops.mul(rotated(q), Tensor(w))), [q])
+    check(lambda: weighted_sum(rotated(q), w / w.size), [q])
 
 
 @pytest.mark.parametrize("causal", (False, True))
@@ -151,7 +172,7 @@ def test_attention(seed, groups, causal):
     k = make_param((2, lk, 16 // groups), seed + 1)
     v = make_param((2, lk, 16 // groups), seed + 2)
     w = np.random.default_rng(seed + 50).standard_normal((2, lq, 16))
-    check(lambda: ops.mean_all(ops.mul(ops.attention(q, k, v, 4, 4 // groups, causal, 100.0), Tensor(w))), [q, k, v])
+    check(lambda: weighted_sum(ops.attention(q, k, v, 4, 4 // groups, causal, 100.0), w / w.size), [q, k, v])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -186,8 +207,12 @@ def test_linear_cross_entropy_at_chunk_size(transposed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_logsumexp(seed):
+    # logsumexp lives in z_loss (its square) and in the cross-entropy (an
+    # identity head makes the logits x)
     x = make_param((4, 5), seed)
-    check(lambda: ops.mean_all(ops.logsumexp_lastdim(x)), [x])
+    targets = np.random.default_rng(seed + 9).integers(0, 5, size=4)
+    check(lambda: ops.z_loss([x]), [x])
+    check(lambda: ops.linear_cross_entropy(x, Tensor(np.eye(5)), targets), [x])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -197,24 +222,29 @@ def test_reshape_swap_slice_concat_gather(seed):
 
     def f():
         g = ops.gather_rows(a, ids)  # (2,3,6)
-        g = ops.swapaxes(g, 0, 1)  # (3,2,6)
+        g = ops.index_slice(ops.reshape(g, (3, 2, 6)), (slice(None, None, -1),))  # reversed, as there is no swap
         left = ops.index_slice(g, (slice(0, 2),))
         right = ops.index_slice(g, (slice(1, 3),))  # joined by add, as there is no concat
-        both = ops.add(left, ops.mul(right, right))  # (2,2,6)
-        return ops.mean_all(ops.reshape(both, (24,)))
+        both = ops.add(left, ops.rmsnorm(right, Tensor(np.linspace(0.5, 1.5, 6))))  # (2,2,6)
+        return weighted_sum(ops.reshape(both, (24,)), 1 / 24)
 
     check(f, [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_repeat_and_reductions(seed):
+    # the repeat of each chapter weight over its tokens is inside
+    # ops.memory_tokens, the mean over positions inside ops.router_logits;
+    # a swiglu after them makes the loss nonlinear in the weights a
     a = make_param((3, 2), seed)
+    gen = np.random.default_rng(seed + 50)
+    bank, rows = Tensor(gen.standard_normal((8, 4))), gen.integers(0, 8, size=(3, 2, 3))
+    w, wu, wg = (Tensor(gen.standard_normal((4, 4))) for _ in range(3))
 
     def f():
-        # repeat each entry 3 times along axis 1 by a broadcast mul, as the chapter weights are
-        r = ops.reshape(ops.mul(ops.reshape(a, (3, 2, 1)), Tensor(np.ones((1, 1, 3)))), (3, 6))
-        s = ops.sum_axis(ops.mul(r, r), axis=1)  # (3,)
-        return ops.add(ops.mean_axis(s, axis=0), ops.scale(ops.sum_axis(a), 0.3))
+        m = ops.memory_tokens(bank, rows, a, Tensor(np.ones(4)))  # (3, 6, 4)
+        logits = ops.router_logits(m, w, Tensor(np.zeros(4)))  # (3, 4)
+        return weighted_sum(ops.swiglu(logits, wu, wg, Tensor(np.eye(4))), 1 / 12)
 
     check(f, [a])
 
@@ -230,7 +260,7 @@ def test_grad_check_catches_broken_backward():
 
         return _record(out, [x.value], backward)
 
-    err = grad_check(lambda: ops.mean_all(bad_square(a)), [a])
+    err = grad_check(lambda: weighted_sum(bad_square(a), 1 / 9), [a])
     assert err > 1e-2
 
 
@@ -238,7 +268,7 @@ def test_grad_check_reports_nonfinite_with_param_path():
     a = make_param((2, 2), 0, name="weights.w1")
 
     def f():
-        return ops.mean_all(ops.mul(a, Tensor(np.full((2, 2), np.inf))))
+        return weighted_sum(ops.scale(a, np.inf))
 
     with pytest.raises(NumericError):
         f()
@@ -247,4 +277,4 @@ def test_grad_check_reports_nonfinite_with_param_path():
 def test_grad_check_requires_double():
     a = Parameter(Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True), "p", "base")
     with pytest.raises(Exception):
-        grad_check(lambda: ops.mean_all(a), [a])
+        grad_check(lambda: weighted_sum(a), [a])

@@ -4,8 +4,8 @@ memory path against a per-sequence reference, a causality probe, and the
 fused LM-head loss against the unfused op composition.
 
 Oracles here are written in plain numpy loops, independent of the
-library's op layer; only the unfused head reference is built from ops, so
-that its gradients come from the tape.
+library's op layer; only the unfused head reference is built from ops
+(and a plain-numpy cross-entropy), so that its gradients come from the tape.
 """
 
 import math
@@ -34,6 +34,7 @@ from chapterbank.model import (
     mem_read,
     prepare_memory_tokens,
 )
+from chapterbank.ops import _record
 from chapterbank.tensor import PRECISION_DTYPES, RngState, Tape, Tensor
 
 EPS = 1e-6
@@ -678,18 +679,21 @@ class TestModelForward:
         assert trace.loss is None and trace.lm_loss == 0.0 and len(trace.decisions) == 2
 
     def test_micro_train_step_tape_length(self):
-        # Pins the tape of one micro train step (forward + loss). The head is
-        # four records: slice, final norm, reshape, linear_cross_entropy. Each
-        # of the two memory layers' routers is four: mean-pool, matmul, bias
-        # add, chapter_weights. The router losses are two (load_balance_loss
-        # and z_loss over both layers' logits), then two scales and two adds
-        # join them to the LM loss. A change that splits the head, the router
-        # or the matmuls into more ops fails here.
-        model = build_model(preset("micro"), RngState(12))
-        tokens = np.random.default_rng(12).integers(0, 256, (2, 16))
-        with Tape() as tape:
-            model_forward(model, tokens, tokens)
-        assert len(tape) == 99
+        # Pins the tape of one micro train step (forward + loss). Each MLP is
+        # three records: norm, swiglu, residual add. Each of the two memory
+        # layers' routers is two (router_logits, chapter_weights) and its
+        # tokens one (memory_tokens), with or without the adapter. The head is
+        # four records: slice, final norm, reshape, linear_cross_entropy. The
+        # router losses are two (load_balance_loss and z_loss over both
+        # layers' logits), then two scales and two adds join them to the LM
+        # loss. A change that splits the head, the router, the memory tokens,
+        # the MLP or the matmuls into more ops fails here.
+        for adapter in (False, True):
+            model = build_model(replace(preset("micro"), adapter_enabled=adapter), RngState(12))
+            tokens = np.random.default_rng(12).integers(0, 256, (2, 16))
+            with Tape() as tape:
+                model_forward(model, tokens, tokens)
+            assert len(tape) == 71
 
     def test_micro_train_step_backward_peak_near_forward_memory(self):
         # Backward consumes the tape, so activation grads and saved arrays are
@@ -732,19 +736,40 @@ class TestModelForward:
 # fused head against the unfused composition
 
 
+def _transposed(p) -> Tensor:
+    """A taped 2-D transpose of a parameter (no op transposes)."""
+    x = p.value
+    return _record(Tensor(np.ascontiguousarray(x.data.T)), [x], lambda g: x.accumulate_grad(g.T, owned=True))
+
+
+def _mean_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Taped mean of logsumexp(row) - row[target] over (N, V) logits in plain
+    numpy, max-subtracted; backward (softmax - onehot) * g / N."""
+    z, rows = logits.data, np.arange(logits.shape[0])
+    top = z.max(axis=1, keepdims=True)
+    e = np.exp(z - top)
+    s = e.sum(axis=1, keepdims=True)
+    loss = Tensor(np.mean(top[:, 0] + np.log(s[:, 0]) - z[rows, targets]))
+
+    def backward(g):
+        p = e / s
+        p[rows, targets] -= 1.0
+        logits.accumulate_grad(p * (float(g) / len(rows)), owned=True)
+
+    return _record(loss, [logits], backward)
+
+
 def unfused_total_loss(model: Model, tokens: np.ndarray) -> Tensor:
-    """Full (B, L, V) logits from the remaining ops, logsumexp, and the
-    target logits gathered from the flattened logits."""
+    """Full (B, L, V) logits from ops.matmul, then a plain-numpy
+    logsumexp cross-entropy over the flattened logits."""
     cfg = model.config
     h, decisions, _ = _run_stack(model, tokens)
     x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
-    w = ops.swapaxes(model["embedding.weight"], 0, 1) if cfg.tied_embeddings else model["lm_head.weight"]
+    w = _transposed(model["embedding.weight"]) if cfg.tied_embeddings else model["lm_head.weight"]
     b, l = tokens.shape
     n, v = b * (l - 1), cfg.vocab
     logits = ops.reshape(ops.index_slice(ops.matmul(x, w), (slice(None), slice(0, l - 1))), (n, v))
-    rows = np.arange(n) * v + tokens[:, 1:].reshape(-1)
-    picked = ops.reshape(ops.gather_rows(ops.reshape(logits, (n * v, 1)), rows), (n,))
-    loss = ops.mean_all(ops.add(ops.logsumexp_lastdim(logits), ops.scale(picked, -1.0)))
+    loss = _mean_cross_entropy(logits, tokens[:, 1:].reshape(-1))
     if decisions:
         lb, z = aux_losses(decisions, cfg)
         loss = ops.add(loss, ops.add(ops.scale(lb, cfg.lb_coeff), ops.scale(z, cfg.z_coeff)))

@@ -107,8 +107,22 @@ class TestStrictKeys:
             ({"retention": {"fact": {"n_facts": "3"}}}, "retention.fact: invalid fact spec key 'n_facts': expected int"),
             ({"retention": {"phase_b": {"eval_every": 0}}}, "retention.phase_b: eval_every must be >= 1"),
             ({"train": {"steps": 0.5}}, "train: invalid train config key 'steps': expected int"),
+            # Schedule checks its values on construction, not in validate()
+            ({"train": {"schedule": {"kind": "bogus", "warmup": 1}}}, "train.schedule: unknown schedule kind 'bogus'"),
+            ({"train": {"schedule": {"kind": "cosine", "warmup": -1}}}, "train.schedule: warmup must be >= 0, got -1"),
+            ({"train": {"schedule": {"kind": "wsd", "warmup": 1}}}, "train.schedule: wsd schedule requires decay_start"),
+            (
+                {"retention": {"phase_a": {"schedule": {"kind": "bogus", "warmup": 1}}}},
+                "retention.phase_a.schedule: unknown schedule kind 'bogus'",
+            ),
+            (
+                {"retention": {"phase_a": {"schedule": {"kind": "wsd", "warmup": -1, "decay_start": 2}}}},
+                "retention.phase_a.schedule: warmup must be >= 0, got -1",
+            ),
         ],
-        ids=["train.schedule", "retention.phase_a.schedule", "unknown-key", "invalid-value", "validate", "section"],
+        ids=["train.schedule", "retention.phase_a.schedule", "unknown-key", "invalid-value", "validate", "section",
+             "schedule-kind", "schedule-warmup", "wsd-without-decay-start", "retention-schedule-kind",
+             "retention-schedule-warmup"],
     )
     def test_nested_errors_start_with_the_key_path(self, doc, message):
         with pytest.raises(ConfigError) as info:

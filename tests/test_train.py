@@ -2,11 +2,13 @@
 abort paths, and the metrics/corpus plumbing."""
 
 import importlib
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chapterbank import ops
 from chapterbank.config import preset
 from chapterbank.errors import CheckpointMismatch, ConfigError, TrainingAborted
 from chapterbank.flops import flops_model
@@ -272,6 +274,22 @@ class TestAbortAndValidation:
         assert err.value.step == 5
         assert err.value.last_checkpoint.step == 5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_names_its_parameter(self, bad):
+        # a NaN norm used to reach the clip, which spread it to every grad
+        model = micro_model(4)
+        zero_grads = model.zero_grads
+
+        def poisoned():
+            zero_grads()
+            model["layers.3.router.bias"].value.grad[0] = bad
+
+        model.zero_grads = poisoned
+        with pytest.raises(TrainingAborted) as err:
+            train(model, CORPUS, quick_cfg(steps=1, schedule=cosine(0)))
+        assert err.value.step == 0 and err.value.last_checkpoint.step == 0
+        assert str(err.value) == "non-finite gradient in layers.3.router.bias; step aborted"
+
     def test_corpus_too_short(self):
         with pytest.raises(ConfigError, match="corpus length"):
             train(micro_model(0), Corpus(np.zeros(64, dtype=np.int64), 256), quick_cfg())
@@ -315,3 +333,23 @@ class TestContinueTrain:
         first = train(micro_model(5), CORPUS, quick_cfg(steps=4))
         result = continue_train(first.checkpoint, CORPUS, quick_cfg(steps=4), expected_config=preset("micro"))
         assert result.checkpoint.step == 4
+
+
+class TestNoDeadOps:
+    def test_one_micro_train_step_calls_every_public_op(self, monkeypatch):
+        public = [name for name, fn in vars(ops).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ops.__name__ and not name.startswith("_")]
+        calls = dict.fromkeys(public, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in public:
+            monkeypatch.setattr(ops, name, counted(name, getattr(ops, name)))
+        model = build_model(replace(preset("micro"), adapter_enabled=True), RngState(0), precision="double")
+        train(model, CORPUS, quick_cfg(steps=1, schedule=cosine(0)))
+        assert len(public) > 10
+        assert [name for name, n in calls.items() if n == 0] == []
