@@ -25,6 +25,7 @@ from .retention import run_multi_seed, run_retention_protocol
 from .runconfig import RunConfig, load_runconfig, parse_runconfig
 from .tensor import RngState
 from .train import (
+    BANK_MODES,
     SYNTHETIC_PERIOD,
     Corpus,
     TrainResult,
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--batch-size", type=int, dest="batch_size")
         p.add_argument("--seq-len", type=int, dest="seq_len")
-        p.add_argument("--bank-mode", choices=["frozen", "low_lr", "equal_lr", "custom"], dest="bank_mode")
+        p.add_argument("--bank-mode", choices=BANK_MODES, dest="bank_mode")
         p.add_argument("--lr", type=float)
 
     p = sub.add_parser("train", help="train from scratch on the synthetic corpus")

@@ -464,12 +464,11 @@ def memory_tokens(bank, rows, weights, gain, adapter=None, eps: float = 1e-6) ->
         dx, dgain = _rmsnorm_grads(g * w, x, inv, gain.data)
         if gain.requires_grad:
             gain.accumulate_grad(dgain, owned=True)
-        if adapter is not None:
-            dx2 = dx.reshape(-1, d)
-            if adapter.requires_grad:
-                adapter.accumulate_grad(x0.reshape(-1, d).T @ dx2, owned=True)
-            dx += (dx2 @ adapter.data.T).reshape(dx.shape)
-        if bank.requires_grad:
+        if adapter is not None and adapter.requires_grad:
+            adapter.accumulate_grad(x0.reshape(-1, d).T @ dx.reshape(-1, d), owned=True)
+        if bank.requires_grad:  # a frozen bank skips the adapter's dx term and the scatter
+            if adapter is not None:
+                dx += (dx.reshape(-1, d) @ adapter.data.T).reshape(dx.shape)
             _scatter_rows(bank, rows, dx)
 
     return _record(out, [bank, weights, gain] + ([] if adapter is None else [adapter]), backward)

@@ -1,9 +1,10 @@
 """AdamW with parameter groups, frozen groups, and global-norm clipping.
 
 Decoupled weight decay hits matrix-shaped weights only (ndim >= 2);
-norm gains and biases are exempt. Frozen groups get no moment buffers
-at all, so the optimizer-state footprint shrinks by exactly 2 elements
-per frozen parameter element (the m and v buffers).
+norm gains and biases are exempt. The optimizer alone decides what is
+trainable: frozen groups get no moment buffers and no gradient at all,
+so the optimizer-state footprint shrinks by exactly 2 elements per
+frozen parameter element (the m and v buffers) and backward skips them.
 
 The optimizer adopts its trainable parameters into flat segments, one
 per (dtype, group, decay) class, in the style of ZeRO's flat parameter
@@ -11,14 +12,15 @@ groups (Rajbhandari et al. 2020, arXiv 1910.02054): each segment holds
 one contiguous data, grad, m and v buffer, and every parameter's
 ``value.data``, ``value.grad`` and moments are views into them. Only
 this module knows the layout; everything else keeps writing through
-the views in place.
+the views in place. The gradient norm and the clip run over the same
+segments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 import numpy as np
 
@@ -54,13 +56,14 @@ class AdamW:
 
     ``step`` takes the per-group learning rates already evaluated for the
     current schedule position and a 1-based step count for bias
-    correction. Each step appends one {group: lr} entry to ``audit``, the
-    rates its updates applied, so tests can verify group/LR bookkeeping.
+    correction.
 
-    Building the optimizer copies each trainable parameter's data and grad
-    into its segment and rebinds them to views, so a ``Parameter`` belongs
-    to the last optimizer built over it. Frozen parameters are not
-    adopted. The update runs in place over each segment in blocks of
+    Building the optimizer sets ``requires_grad`` on every parameter it is
+    given. It copies each trainable parameter's data and grad (zeros if it
+    has none) into its segment and rebinds them to views, so a
+    ``Parameter`` belongs to the last optimizer built over it. Frozen
+    parameters are not adopted: their grad is dropped and ops skip them in
+    backward. The update runs in place over each segment in blocks of
     ``BLOCK`` elements; per dtype, two scratch buffers of one block (or
     the largest segment, when smaller) live for one ``step`` and hold
     every temporary of the update in turn.
@@ -81,14 +84,17 @@ class AdamW:
         self.decay_names = frozenset(
             name for name, p in self.params.items() if p.value.ndim >= 2
         )
-        trainable = self.trainable()
         classes: dict[tuple[np.dtype, str, bool], list[str]] = {}
-        for name, p in trainable:
+        # filled in parameter order; _adopt adds the moments
+        self.state: dict[str, dict[str, np.ndarray]] = {}
+        for name, p in self.params.items():
+            p.value.requires_grad = p.group not in self.frozen_groups
+            if not p.value.requires_grad:
+                p.value.grad = None
+                continue
             classes.setdefault((p.value.data.dtype, p.group, name in self.decay_names), []).append(name)
-        # made before _adopt fills it, so it iterates in parameter order
-        self.state: dict[str, dict[str, np.ndarray]] = {name: {} for name, _ in trainable}
+            self.state[name] = {}
         self.segments = [self._adopt(names, *key) for key, names in classes.items()]
-        self.audit: list[dict[str, float]] = []
 
     def _adopt(self, names: list[str], dtype: np.dtype, group: str, decay: bool) -> Segment:
         """Copy the named parameters into fresh flat buffers and rebind
@@ -101,7 +107,8 @@ class AdamW:
             value = self.params[name].value
             stop = start + value.size
             data, grad, m, v = (flat[start:stop].reshape(value.shape) for flat in (seg.data, seg.grad, seg.m, seg.v))
-            data[...], grad[...] = value.data, value.grad
+            data[...] = value.data
+            grad[...] = 0 if value.grad is None else value.grad
             value.data, value.grad = data, grad
             self.state[name] = {"m": m, "v": v}
             start = stop
@@ -111,14 +118,14 @@ class AdamW:
         return sum(buf["m"].size + buf["v"].size for buf in self.state.values())
 
     def trainable(self) -> list[tuple[str, Parameter]]:
-        return [(n, p) for n, p in self.params.items() if p.group not in self.frozen_groups]
+        return [(name, self.params[name]) for name in self.state]
 
     def load_moments(self, moments: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> None:
         """Copy moments into the segments in place; every name and shape is
         checked before anything is written."""
         for name, pair in moments.items():
             if name not in self.state:
-                raise ConfigError(f"moments for unknown or frozen parameter {name!r}")
+                raise ConfigError(f"moments for a parameter this optimizer does not train: {name!r}")
             for kind, arr in zip("mv", pair):
                 if arr.shape != self.state[name][kind].shape:
                     raise ConfigError(f"moment {kind} shape {arr.shape} does not match parameter {name!r}")
@@ -126,12 +133,19 @@ class AdamW:
             self.state[name]["m"][...] = m
             self.state[name]["v"][...] = v
 
+    def raise_non_finite(self) -> NoReturn:
+        """Raise NumericError naming the first trainable parameter, in
+        parameter order, whose grad is not finite."""
+        for name, p in self.trainable():
+            if not np.isfinite(p.value.grad).all():
+                raise NumericError(f"non-finite gradient in {name}; step aborted")
+        raise NumericError("gradient sum of squares overflows float64; step aborted")
+
     def step(self, group_lrs: Mapping[str, float], t: int) -> None:
         if t < 1:
             raise ConfigError(f"bias correction needs step >= 1, got {t}")
         if not all(np.isfinite(seg.grad).all() for seg in self.segments):
-            bad = next(name for name, p in self.trainable() if not np.isfinite(p.value.grad).all())
-            raise NumericError(f"non-finite gradient in {bad}; step aborted")
+            self.raise_non_finite()
         b1, b2 = self.cfg.betas
         c1, c2, eps, wd = 1.0 - b1, 1.0 - b2, self.cfg.eps, self.cfg.weight_decay
         inv1 = 1.0 / (1.0 - b1**t)
@@ -167,40 +181,36 @@ class AdamW:
                     s1 += s2
                 s1 *= lr
                 w -= s1
-        self.audit.append(lrs)
 
 
-def global_grad_norm(params: Mapping[str, Parameter], frozen_groups: Iterable[str] = ()) -> float:
-    """L2 norm of all trainable grads; raises NumericError naming the first
-    trainable parameter whose sum of squares is not finite."""
-    frozen = frozenset(frozen_groups)
+def global_grad_norm(optimizer: AdamW) -> float:
+    """L2 norm of the optimizer's trainable grads, summed in float64 over
+    its segments in ``BLOCK``-sized pieces through one scratch buffer;
+    raises NumericError naming the first trainable parameter whose grad is
+    not finite."""
+    scratch = np.empty(max((min(BLOCK, seg.grad.size) for seg in optimizer.segments), default=0), np.float64)
     total = 0.0
-    for name, p in params.items():
-        if p.group in frozen:
-            continue
-        # float64 on purpose: a float32 sum of squares over millions of elements loses digits
-        g = p.value.grad.astype(np.float64, copy=False)
-        sq = float(np.dot(g.ravel(), g.ravel()))
-        if not math.isfinite(sq):
-            raise NumericError(f"non-finite gradient in {name}; step aborted")
-        total += sq
+    for seg in optimizer.segments:
+        for a in range(0, seg.grad.size, BLOCK):
+            block = seg.grad[a : a + BLOCK]
+            g = scratch[: block.size]
+            g[...] = block  # float64 on purpose: a float32 sum of squares over millions of elements loses digits
+            total += float(np.dot(g, g))
+    if not math.isfinite(total):
+        optimizer.raise_non_finite()
     return math.sqrt(total)
 
 
-def clip_grad_norm(
-    params: Mapping[str, Parameter], max_norm: float, frozen_groups: Iterable[str] = (), norm: float | None = None
-) -> float:
-    """Scale all trainable grads by max_norm/norm when norm exceeds
-    max_norm; returns the applied scale factor. ``norm`` is the
-    ``global_grad_norm`` of these grads when the caller already has it."""
+def clip_grad_norm(optimizer: AdamW, max_norm: float, norm: float | None = None) -> float:
+    """Scale the optimizer's grads by max_norm/norm when norm exceeds
+    max_norm, one in-place multiply per segment; returns the applied scale
+    factor. ``norm`` is the ``global_grad_norm`` of these grads when the
+    caller already has it."""
     if norm is None:
-        norm = global_grad_norm(params, frozen_groups)
+        norm = global_grad_norm(optimizer)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
-    frozen = frozenset(frozen_groups)
-    for p in params.values():
-        if p.group in frozen:
-            continue
-        p.value.grad *= scale
+    for seg in optimizer.segments:
+        np.multiply(seg.grad, scale, out=seg.grad)
     return scale

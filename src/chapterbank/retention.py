@@ -133,28 +133,6 @@ def gen_fact_corpus(spec: FactSpec, vocab: int) -> tuple[Corpus, list[Probe]]:
     return Corpus(tokens, vocab), probes
 
 
-def parse_facts(tokens: np.ndarray) -> list[tuple[tuple, tuple]]:
-    """Recover (key, value) pairs from a rendered fact stream; used to
-    check that rendering is invertible."""
-    out = []
-    i = 0
-    toks = np.asarray(tokens)
-    while i < toks.size:
-        if toks[i] != FACT_OPEN:
-            raise ConfigError(f"expected fact-open marker at position {i}, got {toks[i]}")
-        j = i + 1
-        while toks[j] != FACT_SEP:
-            j += 1
-        key = tuple(int(t) for t in toks[i + 1 : j])
-        k = j + 1
-        while toks[k] != FACT_CLOSE:
-            k += 1
-        value = tuple(int(t) for t in toks[j + 1 : k])
-        out.append((key, value))
-        i = k + 1
-    return out
-
-
 def gen_instruction_corpus(spec: InstructionSpec, vocab: int) -> tuple[Corpus, list[Probe]]:
     """Transform task: [open] src [sep] f(src) [close], disjoint from the
     fact token ranges."""

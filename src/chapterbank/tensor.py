@@ -91,7 +91,8 @@ class Parameter:
 
     Every parameter belongs to exactly one group: base, memory_layers,
     or memory_bank (the per-group learning rates and freezing act on
-    these).
+    these). An optimizer that freezes the group drops the grad (``None``)
+    and turns off ``requires_grad``.
     """
 
     __slots__ = ("value", "name", "group")
@@ -106,7 +107,7 @@ class Parameter:
         self.group = group
 
     @property
-    def grad(self) -> np.ndarray:
+    def grad(self) -> np.ndarray | None:
         return self.value.grad
 
     @property
@@ -118,7 +119,8 @@ class Parameter:
         return self.value.size
 
     def zero_grad(self) -> None:
-        self.value.grad.fill(0)  # in place: the grad may be a view into an optimizer segment
+        if self.value.grad is not None:  # None: frozen
+            self.value.grad.fill(0)  # in place: the grad may be a view into an optimizer segment
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, group={self.group!r})"

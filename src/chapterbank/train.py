@@ -192,12 +192,16 @@ def train(
     if cfg.seq_len > model.config.max_seq_len:
         raise ConfigError(f"seq_len {cfg.seq_len} exceeds model max_seq_len {model.config.max_seq_len}")
 
-    frozen = cfg.frozen_groups
     if optimizer is None:
         optimizer = AdamW(
             model.params,
             AdamWConfig(betas=cfg.betas, weight_decay=cfg.weight_decay),
-            frozen_groups=frozen,
+            frozen_groups=cfg.frozen_groups,
+        )
+    elif optimizer.frozen_groups != cfg.frozen_groups:
+        raise ConfigError(
+            f"optimizer freezes {sorted(optimizer.frozen_groups)} but bank_mode={cfg.bank_mode!r} "
+            f"freezes {sorted(cfg.frozen_groups)}"
         )
     rng = RngState(cfg.seed)
     train_region, eval_region = corpus.split()
@@ -233,8 +237,8 @@ def train(
             z += trace.z_loss
             total += trace.total_loss
         try:
-            grad_norm = global_grad_norm(model.params, frozen)
-            clip_grad_norm(model.params, cfg.clip_norm, frozen, norm=grad_norm)
+            grad_norm = global_grad_norm(optimizer)
+            clip_grad_norm(optimizer, cfg.clip_norm, norm=grad_norm)
             optimizer.step(lrs, t=step + 1)
         except NumericError as e:
             raise TrainingAborted(str(e), last_ckpt, step) from e

@@ -3,6 +3,7 @@ import pytest
 
 from chapterbank import ops
 from chapterbank.config import preset
+from chapterbank.optim import AdamW
 from chapterbank.tensor import Parameter, Tensor
 
 
@@ -23,3 +24,18 @@ def weighted_sum(x, w=1.0):
 @pytest.fixture
 def micro_cfg():
     return preset("micro")
+
+
+@pytest.fixture
+def applied_lrs(monkeypatch):
+    """A list that gets one {group: lr} entry per completed ``AdamW.step``:
+    the rate its update applied to each group the optimizer trains."""
+    log = []
+    step = AdamW.step
+
+    def recorded(self, group_lrs, t):
+        step(self, group_lrs, t)
+        log.append({seg.group: float(group_lrs[seg.group]) for seg in self.segments})
+
+    monkeypatch.setattr(AdamW, "step", recorded)
+    return log

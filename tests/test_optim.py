@@ -101,8 +101,9 @@ class TestGroupsAndFreezing:
         before = params["bank"].value.data.copy()
         opt = AdamW(params, frozen_groups={"memory_bank"})
         assert "bank" not in opt.state
+        assert not params["bank"].value.requires_grad and params["bank"].grad is None
         for t in range(1, 4):
-            for p in params.values():
+            for _, p in opt.trainable():
                 p.value.grad[:] = 1.0
             opt.step(uniform_lrs(0.1), t)
         np.testing.assert_array_equal(params["bank"].value.data, before)
@@ -114,7 +115,7 @@ class TestGroupsAndFreezing:
         frozen = AdamW(params, frozen_groups={"memory_bank"}).state_element_count()
         assert full - frozen == 2 * params["bank"].size
 
-    def test_audit_records_group_lr(self):
+    def test_audit_records_group_lr(self, applied_lrs):
         params = self._params()
         opt = AdamW(params)
         lrs = {"base": 0.1, "memory_layers": 0.02, "memory_bank": 0.003}
@@ -122,10 +123,10 @@ class TestGroupsAndFreezing:
             p.value.grad[:] = 0.5
         opt.step(lrs, t=1)
         opt.step({**lrs, "base": 0.05}, t=2)
-        assert opt.audit == [lrs, {**lrs, "base": 0.05}]
+        assert applied_lrs == [lrs, {**lrs, "base": 0.05}]
         frozen = AdamW(params, frozen_groups={"memory_bank"})
         frozen.step(lrs, t=1)
-        assert frozen.audit == [{"base": 0.1, "memory_layers": 0.02}]
+        assert applied_lrs[2:] == [{"base": 0.1, "memory_layers": 0.02}]
 
     def test_different_group_lrs_change_update_magnitude(self):
         params = self._params()
@@ -144,7 +145,7 @@ class TestGroupsAndFreezing:
     def test_load_moments_round_trip_and_rejections(self):
         params = self._params()
         opt = AdamW(params, frozen_groups={"memory_bank"})
-        for p in params.values():
+        for _, p in opt.trainable():
             p.value.grad[:] = 0.3
         opt.step(uniform_lrs(0.1), t=1)
         saved = {n: (buf["m"].copy(), buf["v"].copy()) for n, buf in opt.state.items()}
@@ -201,7 +202,8 @@ class TestInPlaceStep:
         for t in range(1, 6):
             for name in params:
                 g = np.asarray(gen.standard_normal(params[name].shape)).astype(dtype)
-                params[name].value.grad[...] = g
+                if name in opt.state:  # a frozen parameter has no grad
+                    params[name].value.grad[...] = g
                 ref[name].value.grad[...] = g
             opt.step(lrs, t)
             old_formula_step(ref, state, lrs, t, opt.cfg, frozen)
@@ -418,24 +420,24 @@ class TestClipping:
     def test_norm_two_clipped_to_half(self):
         p = make_param(np.zeros(4))
         p.value.grad[:] = 1.0  # norm 2
-        assert abs(clip_grad_norm({"p": p}, 1.0) - 0.5) < 1e-12
-        assert abs(global_grad_norm({"p": p}) - 1.0) < 1e-12
+        assert abs(clip_grad_norm(AdamW({"p": p}), 1.0) - 0.5) < 1e-12
+        assert abs(global_grad_norm(AdamW({"p": p})) - 1.0) < 1e-12
 
     def test_given_norm_is_used_as_is(self):
         p = make_param(np.zeros(4))
         p.value.grad[:] = 1.0  # norm 2, but the caller's norm decides
-        assert abs(clip_grad_norm({"p": p}, 1.0, norm=4.0) - 0.25) < 1e-12
+        assert abs(clip_grad_norm(AdamW({"p": p}), 1.0, norm=4.0) - 0.25) < 1e-12
         np.testing.assert_array_equal(p.value.grad, np.full(4, 0.25))
 
     def test_small_norm_untouched(self):
         p = make_param(np.zeros(1))
         p.value.grad[:] = 0.5
-        assert clip_grad_norm({"p": p}, 1.0) == 1.0
+        assert clip_grad_norm(AdamW({"p": p}), 1.0) == 1.0
         assert p.value.grad[0] == 0.5
 
     def test_zero_grads_noop(self):
         p = make_param(np.zeros(3))
-        assert clip_grad_norm({"p": p}, 1.0) == 1.0
+        assert clip_grad_norm(AdamW({"p": p}), 1.0) == 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_post_clip_norm_bounded(self, seed):
@@ -445,21 +447,69 @@ class TestClipping:
         }
         for p in params.values():
             p.value.grad[:] = gen.standard_normal((4, 4)) * 10
-        clip_grad_norm(params, 1.0)
-        assert global_grad_norm(params) <= 1.0 + 1e-9
+        opt = AdamW(params)
+        clip_grad_norm(opt, 1.0)
+        assert global_grad_norm(opt) <= 1.0 + 1e-9
 
     def test_norm_spans_all_params_jointly(self):
         a, b = make_param(np.zeros(1), "a"), make_param(np.zeros(1), "b")
         a.value.grad[:] = 3.0
         b.value.grad[:] = 4.0
-        assert abs(global_grad_norm({"a": a, "b": b}) - 5.0) < 1e-12
+        assert abs(global_grad_norm(AdamW({"a": a, "b": b})) - 5.0) < 1e-12
 
     def test_frozen_groups_excluded_from_norm_and_scaling(self):
         w = make_param(np.zeros(1), "w")
         bank = make_param(np.zeros(1), "bank", "memory_bank")
         w.value.grad[:] = 2.0
         bank.value.grad[:] = 100.0
-        scale = clip_grad_norm({"w": w, "bank": bank}, 1.0, frozen_groups={"memory_bank"})
+        scale = clip_grad_norm(AdamW({"w": w, "bank": bank}, frozen_groups={"memory_bank"}), 1.0)
         assert abs(scale - 0.5) < 1e-12
-        assert bank.value.grad[0] == 100.0
+        assert bank.value.grad is None  # the frozen bank's grad is dropped, not scaled
         assert abs(w.value.grad[0] - 1.0) < 1e-12
+
+    def test_norm_sums_blocks_in_float64_through_one_scratch_block(self):
+        gen = np.random.default_rng(7)
+        shapes = (("big", (BLOCK // 32 + 5, 32)), ("gain", (40,)), ("w", (3, 3)))
+        params = {name: Parameter(Tensor(np.zeros(shape, np.float32)), name, "base") for name, shape in shapes}
+        for p in params.values():
+            p.value.grad[...] = gen.standard_normal(p.shape) * 3.0
+        want = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in params.values()))
+        opt = AdamW(params)
+        assert opt.segments[0].grad.size > BLOCK
+        tracemalloc.start()
+        try:
+            norm = global_grad_norm(opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(norm - want) <= 1e-12 * want
+        assert peak < BLOCK * 8 + 4096, f"norm peak {peak} B"
+
+    def test_clip_scales_each_segment_in_place(self):
+        gen = np.random.default_rng(8)
+        params = {name: Parameter(Tensor(np.zeros(shape, np.float32)), name, "base")
+                  for name, shape in (("w", (4, 5)), ("gain", (5,)))}
+        for p in params.values():
+            p.value.grad[...] = gen.standard_normal(p.shape) * 10.0
+        opt = AdamW(params)
+        before = {name: p.grad.copy() for name, p in params.items()}
+        scale = clip_grad_norm(opt, 1.0)
+        assert scale < 1.0
+        for name, p in params.items():
+            assert np.shares_memory(p.grad, segment_of(opt, name).grad)
+            np.testing.assert_array_equal(p.grad, before[name] * np.float32(scale))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_norm_names_the_first_non_finite_parameter(self, bad):
+        params = {name: make_param(np.zeros(shape), name) for name, shape in (("w", (2, 2)), ("gain", 2), ("bias", 3))}
+        opt = AdamW(params)
+        params["bias"].value.grad[0] = bad
+        params["gain"].value.grad[1] = bad
+        with pytest.raises(NumericError, match=r"^non-finite gradient in gain; step aborted$"):
+            global_grad_norm(opt)
+
+    def test_norm_that_overflows_float64_aborts(self):
+        p = make_param(np.zeros(2))
+        p.value.grad[:] = 1e300
+        with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
+            global_grad_norm(AdamW({"p": p}))

@@ -24,7 +24,6 @@ from chapterbank.retention import (
     gen_fact_corpus,
     gen_instruction_corpus,
     greedy_decode,
-    parse_facts,
     run_multi_seed,
     run_retention_protocol,
     variant_model_configs,
@@ -34,6 +33,26 @@ from chapterbank.tensor import RngState
 from chapterbank.train import TrainConfig, train
 
 VOCAB = 256
+
+
+def parse_facts(tokens: np.ndarray) -> list[tuple[tuple, tuple]]:
+    """Recover (key, value) pairs from a rendered fact stream: an oracle
+    written independently of the renderer."""
+    open_, sep, close = FACT_MARKERS
+    out = []
+    i = 0
+    toks = np.asarray(tokens)
+    while i < toks.size:
+        assert toks[i] == open_, f"expected fact-open marker at position {i}, got {toks[i]}"
+        j = i + 1
+        while toks[j] != sep:
+            j += 1
+        k = j + 1
+        while toks[k] != close:
+            k += 1
+        out.append((tuple(int(t) for t in toks[i + 1 : j]), tuple(int(t) for t in toks[j + 1 : k])))
+        i = k + 1
+    return out
 
 
 def tiny_train_cfg(steps, seq_len=16, **over):

@@ -13,6 +13,7 @@ from chapterbank.config import preset
 from chapterbank.errors import CheckpointMismatch, ConfigError, TrainingAborted
 from chapterbank.flops import flops_model
 from chapterbank.model import build_model
+from chapterbank.optim import AdamW
 from chapterbank.schedule import cosine, lr_at_step, wsd
 from chapterbank.tensor import RngState
 from chapterbank.train import (
@@ -227,13 +228,48 @@ class TestBankFreezing:
         assert np.abs(model["bank.tokens"].value.data - before).max() > 0
 
 
+    def test_frozen_bank_holds_no_grad_and_is_never_scattered_into(self, monkeypatch):
+        model = micro_model(2)
+        bank, emb = model["bank.tokens"], model["embedding.weight"]
+        before = bank.value.data.tobytes()
+        scattered = []
+        scatter = ops._scatter_rows
+
+        def recorded(x, ids, g):
+            scattered.append(x)
+            scatter(x, ids, g)
+
+        monkeypatch.setattr(ops, "_scatter_rows", recorded)
+        frozen = AdamW(model.params, frozen_groups={"memory_bank"})
+        assert not bank.value.requires_grad and bank.grad is None
+        train(model, CORPUS, quick_cfg(steps=3, bank_mode="frozen"), optimizer=frozen)
+        assert scattered and all(x is emb.value for x in scattered)
+        assert bank.grad is None and bank.value.data.tobytes() == before
+
+        # a later unfrozen optimizer over the same parameters adopts the bank again
+        scattered.clear()
+        unfrozen = AdamW(model.params)
+        assert bank.value.requires_grad and "bank.tokens" in unfrozen.state
+        assert np.shares_memory(bank.grad, next(s.grad for s in unfrozen.segments if "bank.tokens" in s.names))
+        train(model, CORPUS, quick_cfg(steps=3), optimizer=unfrozen)
+        assert any(x is bank.value for x in scattered)
+        assert bank.value.data.tobytes() != before
+
+    @pytest.mark.parametrize("opt_frozen,bank_mode", [((), "frozen"), ({"memory_bank"}, "equal_lr")])
+    def test_a_passed_optimizer_must_freeze_what_the_config_freezes(self, opt_frozen, bank_mode):
+        model = micro_model(2)
+        optimizer = AdamW(model.params, frozen_groups=opt_frozen)
+        with pytest.raises(ConfigError, match="optimizer freezes"):
+            train(model, CORPUS, quick_cfg(steps=1, bank_mode=bank_mode), optimizer=optimizer)
+
+
 class TestGroupLrAudit:
-    def test_every_update_uses_scheduled_group_lr(self):
+    def test_every_update_uses_scheduled_group_lr(self, applied_lrs):
         cfg = quick_cfg(steps=7, bank_mode="low_lr", lr_memory_layers=4e-4, schedule=cosine(3))
         result = train(micro_model(3), CORPUS, cfg)
         sched = cfg.schedule.with_total_steps(cfg.steps)
         base_lrs = cfg.group_lrs()
-        audit = result.optimizer.audit
+        audit = applied_lrs
         groups = {p.group for _, p in result.optimizer.trainable()}
         assert groups == {"base", "memory_layers", "memory_bank"}
         assert len(audit) == cfg.steps
