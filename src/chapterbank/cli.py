@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import PRESET_NAMES, ModelConfig
 from .errors import CheckpointMismatch, ConfigError, NumericError, TrainingAborted
@@ -32,6 +30,7 @@ from .train import (
     continue_train,
     make_synthetic_corpus,
     metrics_csv,
+    sample_batch,
     train,
 )
 
@@ -182,10 +181,7 @@ def cmd_route_stats(args) -> int:
     length = max(args.batches * args.seqlen * 8 + 64, SYNTHETIC_PERIOD)
     corpus = make_synthetic_corpus(model.config.vocab, length, args.seed)
     gen = RngState(args.seed).substream("route-stats")
-    batches = []
-    for _ in range(args.batches):
-        starts = gen.integers(0, len(corpus) - args.seqlen + 1, size=8)
-        batches.append(np.stack([corpus.tokens[s : s + args.seqlen] for s in starts]))
+    batches = [sample_batch(corpus.tokens, gen, 8, args.seqlen) for _ in range(args.batches)]
     stats = collect_route_stats(model, batches, layers)
     print(route_stats_text(stats))
     if args.csv:

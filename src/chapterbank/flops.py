@@ -82,6 +82,7 @@ class RouterFlops(Breakdown):
 class MemPreprocessFlops(Breakdown):
     weighting: int
     rmsnorm: int
+    adapter: int  # x @ adapter plus the add, 0 when the adapter is off
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,7 @@ def flops_memory_layer_extra(
     preprocess = MemPreprocessFlops(
         weighting=batch * n_sel * d,
         rmsnorm=batch * n_sel * (4 * d + 4),
+        adapter=batch * n_sel * (2 * d * d + d) if cfg.adapter_enabled else 0,
     )
     return MemoryExtraFlops(
         router=router,

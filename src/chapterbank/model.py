@@ -195,13 +195,11 @@ def param_count(model_or_cfg) -> dict[str, int]:
 
 def _attention(x: Tensor, kv: Tensor, model: Model, pre: str, n_heads: int, n_kv_heads: int, causal: bool) -> Tensor:
     """Grouped-query attention of queries from x over keys and values from
-    kv, through the ``{pre}.wq/wk/wv/wo`` projections. ``causal`` adds
-    RoPE on Q/K and the strict causal mask (self-attention)."""
-    q = ops.matmul(x, model[f"{pre}.wq"])
-    k = ops.matmul(kv, model[f"{pre}.wk"])
-    v = ops.matmul(kv, model[f"{pre}.wv"])
-    heads = ops.attention(q, k, v, n_heads, n_kv_heads, causal, model.config.rope_theta)
-    return ops.matmul(heads, model[f"{pre}.wo"])
+    kv, through the ``{pre}.wq/wk/wv/wo`` projections, as one
+    ``ops.attention`` op. ``causal`` adds RoPE on Q/K and the strict causal
+    mask (self-attention)."""
+    w = [model[f"{pre}.{name}"] for name in ("wq", "wk", "wv", "wo")]
+    return ops.attention(x, kv, *w, n_heads, n_kv_heads, causal, model.config.rope_theta)
 
 
 def self_attention_block(h: Tensor, model: Model, layer: int) -> Tensor:
@@ -356,11 +354,10 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None =
         targets = np.asarray(targets, dtype=np.int64)
         if targets.shape != tokens.shape:
             raise ConfigError(f"targets shape {targets.shape} must match tokens shape {tokens.shape}")
-        b, l = targets.shape
+        l = targets.shape[1]
         if l < 2:
             raise ConfigError("next-token loss needs sequence length >= 2")
         x = ops.rmsnorm(ops.index_slice(h, (slice(None), slice(0, l - 1))), model["final_norm.gain"], RMSNORM_EPS)
-        x = ops.reshape(x, (b * (l - 1), cfg.d_model))
         tied = cfg.tied_embeddings
         lm = ops.linear_cross_entropy(x, model["embedding.weight" if tied else "lm_head.weight"], targets[:, 1:], tied)
         lm_val = lm.item()

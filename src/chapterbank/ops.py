@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Parameter, Tensor, _check_finite, active_tape
+from .tensor import Parameter, Tensor, active_tape
 
 # Additive pre-softmax mask value for disallowed positions. Finite (keeps
 # the no-NaN/Inf invariant) but large enough that exp(x - max) underflows
@@ -34,6 +34,11 @@ def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     raise TypeError(f"ops take a Tensor or Parameter operand, got {type(x).__name__}")
+
+
+def _check_finite(arr: np.ndarray, where: str) -> None:
+    if not np.isfinite(arr).all():
+        raise NumericError(f"non-finite values produced by {where}")
 
 
 def _record(out: Tensor, inputs: list[Tensor], backward_fn) -> Tensor:
@@ -58,9 +63,9 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g, owned=True)
+            a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g, owned=not a.requires_grad)  # a copy only when a holds this very array
+            b.accumulate_grad(g.copy() if a.requires_grad else g)  # a copy only when a holds this very array
 
     return _record(out, [a, b], backward)
 
@@ -73,48 +78,13 @@ def scale(x, s: float) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g * s, owned=True)
+            x.accumulate_grad(g * s)
 
     return _record(out, [x], backward)
-
-
-def matmul(a, b) -> Tensor:
-    """a (..., k) @ b (k, n) as one 2-D GEMM over the flattened rows of ``a``.
-
-    Backward, each one 2-D GEMM: dA = dC @ B^T, dB = A^T @ dC with A and dC
-    flattened to rows.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul needs a (..., k) @ b (k, n), got {a.shape} and {b.shape}")
-    k, n = b.shape
-    a2 = a.data.reshape(-1, k)
-    out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n,)))
-    _check_finite(out.data, "matmul")
-
-    def backward(g):
-        g2 = g.reshape(-1, n)
-        if a.requires_grad:
-            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape), owned=True)
-        if b.requires_grad:
-            b.accumulate_grad(a2.T @ g2, owned=True)
-
-    return _record(out, [a, b], backward)
 
 
 # ---------------------------------------------------------------------------
 # shape plumbing
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape), owned=True)
-
-    return _record(out, [x], backward)
 
 
 def index_slice(x, key) -> Tensor:
@@ -126,7 +96,7 @@ def index_slice(x, key) -> Tensor:
         if x.requires_grad:
             dx = np.zeros_like(x.data)
             dx[key] += g
-            x.accumulate_grad(dx, owned=True)
+            x.accumulate_grad(dx)
 
     return _record(out, [x], backward)
 
@@ -209,9 +179,9 @@ def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
     def backward(g):
         dx, dgain = _rmsnorm_grads(g, x.data, inv, gain.data)
         if gain.requires_grad:
-            gain.accumulate_grad(dgain, owned=True)
+            gain.accumulate_grad(dgain)
         if x.requires_grad:
-            x.accumulate_grad(dx, owned=True)
+            x.accumulate_grad(dx)
 
     return _record(out, [x, gain], backward)
 
@@ -246,7 +216,7 @@ def swiglu(x, w_up, w_gate, w_down) -> Tensor:
         sig, act, h = hidden()
         g2 = g.reshape(-1, n)
         if w_down.requires_grad:
-            w_down.accumulate_grad(h.T @ g2, owned=True)
+            w_down.accumulate_grad(h.T @ g2)
         dh = g2 @ w_down.data.T
         d_up = np.multiply(dh, act, out=act)
         dh *= up
@@ -257,11 +227,11 @@ def swiglu(x, w_up, w_gate, w_down) -> Tensor:
         d_gate *= dh
         for w, dw in ((w_up, d_up), (w_gate, d_gate)):
             if w.requires_grad:
-                w.accumulate_grad(x2.T @ dw, owned=True)
+                w.accumulate_grad(x2.T @ dw)
         if x.requires_grad:
             dx = d_up @ w_up.data.T
             dx += d_gate @ w_gate.data.T
-            x.accumulate_grad(dx.reshape(x.shape), owned=True)
+            x.accumulate_grad(dx.reshape(x.shape))
 
     return _record(out, [x, w_up, w_gate, w_down], backward)
 
@@ -293,33 +263,45 @@ def rope(x: np.ndarray, theta: float, inverse: bool = False) -> np.ndarray:
     return y
 
 
-def attention(q, k, v, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float) -> Tensor:
-    """Grouped-query scaled dot-product attention over projected heads.
+def attention(x, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float) -> Tensor:
+    """One grouped-query attention block: queries x @ wq attend over keys
+    kv @ wk and values kv @ wv, and the heads are projected out by ``wo``.
 
-    ``q`` is (B, Lq, n_heads*d_h), ``k`` and ``v`` are (B, Lk, n_kv_heads*d_h)
-    and the output is (B, Lq, n_heads*d_h). Query head i reads KV head i // g
+    ``x`` is (B, Lq, d) and ``kv`` (B, Lk, d_kv); ``wq`` is (d, n_heads*d_h),
+    ``wk`` and ``wv`` are (d_kv, n_kv_heads*d_h) and ``wo`` is
+    (n_heads*d_h, n), so the output is (B, Lq, n). Each projection is one
+    2-D GEMM over flattened rows. Query head i reads KV head i // g
     (g = n_heads // n_kv_heads): the g heads sharing a KV head are stacked as
     rows of one (g*Lq, d_h) @ (d_h, Lk) product, so K/V are never expanded.
     ``causal`` rotates Q and K by ``rope`` and masks every key after the
-    query position (Lq == Lk).
+    query position (Lq == Lk). Self-attention passes one tensor as x and kv.
 
-    Backward keeps P and the rotated Q, K and V: dV = P^T dO,
-    dS = P * (dP - sum(dP * P)) with dP = dO V^T, dQ = dS K, dK = dS^T Q,
-    then scaled and un-rotated.
+    Backward keeps the heads H, P and the rotated Q, K and V:
+    dwo = H^T dO and dH = dO wo^T; dV = P^T dH, dS = P * (dP - sum(dP * P))
+    with dP = dH V^T, dQ = dS K, dK = dS^T Q, then scaled and un-rotated;
+    dwq = x^T dQ, dwk = kv^T dK, dwv = kv^T dV. The input grads are
+    dkv = dV wv^T + dK wk^T and dx = dQ wq^T, summed in that order into one
+    array when kv is x.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    x, kv, wq, wk, wv, wo = (_as_tensor(t) for t in (x, kv, wq, wk, wv, wo))
     if n_heads < 1 or n_kv_heads < 1 or n_heads % n_kv_heads:
         raise ConfigError(f"attention needs n_heads ({n_heads}) to be a multiple of n_kv_heads ({n_kv_heads})")
-    b, lq, dim = q.shape if q.ndim == 3 else (0, 0, -1)
-    d_h, g, lk = dim // n_heads, n_heads // n_kv_heads, k.shape[1] if k.ndim == 3 else 0
-    kv_shape = (b, lk, n_kv_heads * d_h)
-    if d_h * n_heads != dim or k.shape != kv_shape or v.shape != kv_shape or not lk or (causal and lk != lq):
-        raise ShapeError(f"{n_heads}/{n_kv_heads}-head attention, causal={causal}: q {q.shape}, k {k.shape}, v {v.shape}")
-    q_rows = lambda x: x.reshape(b, lq, n_kv_heads, g, d_h).transpose(0, 2, 3, 1, 4)  # (B,hkv,g,Lq,dh)
-    q_cols = lambda x: x.reshape(b, n_kv_heads, g, lq, d_h).transpose(0, 3, 1, 2, 4).reshape(q.shape)
-    kv_rows = lambda x: x.reshape(b, lk, n_kv_heads, d_h).transpose(0, 2, 1, 3)  # (B,hkv,Lk,dh)
-    kv_cols = lambda x: x.transpose(0, 2, 1, 3).reshape(k.shape)
-    qh, kh, vh = q_rows(q.data), kv_rows(k.data), kv_rows(v.data)
+    b, lq, d = x.shape if x.ndim == 3 else (0, 0, -1)
+    lk, d_kv = kv.shape[1:] if kv.ndim == 3 else (0, -1)
+    dim = wq.shape[1] if wq.ndim == 2 else 0
+    d_h, g = dim // n_heads, n_heads // n_kv_heads
+    kv_w = (d_kv, n_kv_heads * d_h)
+    if (not d_h or wq.shape != (d, d_h * n_heads) or wk.shape != kv_w or wv.shape != kv_w or wo.ndim != 2
+            or wo.shape[0] != dim or not lk or kv.shape[0] != b or (causal and lk != lq)):
+        raise ShapeError(f"{n_heads}/{n_kv_heads}-head attention, causal={causal}: x {x.shape}, kv {kv.shape}, "
+                         f"wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, wo {wo.shape}")
+    n = wo.shape[1]
+    q_rows = lambda a: a.reshape(b, lq, n_kv_heads, g, d_h).transpose(0, 2, 3, 1, 4)  # (B,hkv,g,Lq,dh)
+    q_cols = lambda a: a.reshape(b, n_kv_heads, g, lq, d_h).transpose(0, 3, 1, 2, 4).reshape(-1, dim)
+    kv_rows = lambda a: a.reshape(b, lk, n_kv_heads, d_h).transpose(0, 2, 1, 3)  # (B,hkv,Lk,dh)
+    kv_cols = lambda a: a.transpose(0, 2, 1, 3).reshape(-1, kv_w[1])
+    x2, kv2 = x.data.reshape(-1, d), kv.data.reshape(-1, d_kv)
+    qh, kh, vh = q_rows(x2 @ wq.data), kv_rows(kv2 @ wk.data), kv_rows(kv2 @ wv.data)
     if causal:
         qh, kh = rope(qh, rope_theta), rope(kh, rope_theta)
     qh = qh.reshape(b, n_kv_heads, g * lq, d_h)
@@ -330,24 +312,36 @@ def attention(q, k, v, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: 
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(q_cols(p @ vh))
+    heads = q_cols(p @ vh)  # (B*Lq, n_heads*dh)
+    out = Tensor((heads @ wo.data).reshape(b, lq, n))
     _check_finite(out.data, "attention")
 
     def backward(grad):
-        do = q_rows(grad).reshape(qh.shape)
+        g2 = grad.reshape(-1, n)
+        if wo.requires_grad:
+            wo.accumulate_grad(heads.T @ g2)
+        do = q_rows(g2 @ wo.data.T).reshape(qh.shape)
         ds = do @ vh.swapaxes(-1, -2)  # dP
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
-        if q.requires_grad:
-            dq = ((ds @ kh) * scale_).reshape(b, n_kv_heads, g, lq, d_h)
-            q.accumulate_grad(q_cols(rope(dq, rope_theta, inverse=True) if causal else dq), owned=True)
-        if k.requires_grad:
-            dk = (ds.swapaxes(-1, -2) @ qh) * scale_
-            k.accumulate_grad(kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk), owned=True)
-        if v.requires_grad:
-            v.accumulate_grad(kv_cols(p.swapaxes(-1, -2) @ do), owned=True)
+        dq = ((ds @ kh) * scale_).reshape(b, n_kv_heads, g, lq, d_h)
+        dq = q_cols(rope(dq, rope_theta, inverse=True) if causal else dq)
+        dk = (ds.swapaxes(-1, -2) @ qh) * scale_
+        dk = kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk)
+        dv = kv_cols(p.swapaxes(-1, -2) @ do)
+        for w, rows, dw in ((wq, x2, dq), (wk, kv2, dk), (wv, kv2, dv)):
+            if w.requires_grad:
+                w.accumulate_grad(rows.T @ dw)
+        if kv.requires_grad:
+            dkv = dv @ wv.data.T
+            dkv += dk @ wk.data.T
+            if kv is x:
+                dkv += dq @ wq.data.T
+            kv.accumulate_grad(dkv.reshape(kv.shape))
+        if x.requires_grad and kv is not x:
+            x.accumulate_grad((dq @ wq.data.T).reshape(x.shape))
 
-    return _record(out, [q, k, v], backward)
+    return _record(out, [x, kv, wq, wk, wv, wo], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -355,29 +349,32 @@ def attention(q, k, v, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: 
 
 
 def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
-    """Mean cross-entropy of the logits x @ w against ``targets``, one per row.
+    """Mean cross-entropy of the logits x @ w against ``targets``, one per
+    row of ``x``.
 
-    ``x`` is (N, d); ``w`` is (d, V), or (V, d) used as x @ w^T with no
-    transposed copy when ``transposed`` (a tied embedding). Rows run in
-    chunks of CE_CHUNK_ROWS, so the (N, V) logits are never all live. Under
-    a tape each chunk's dlogits = softmax - onehot is folded into dx and dW
-    during the forward pass; backward only scales them by g / N.
+    ``x`` is (..., d) with targets of shape x.shape[:-1]; its N rows are
+    flattened, and dx goes back as a view of the (N, d) buffer. ``w`` is
+    (d, V), or (V, d) used as x @ w^T with no transposed copy when
+    ``transposed`` (a tied embedding). Rows run in chunks of CE_CHUNK_ROWS,
+    so the (N, V) logits are never all live. Under a tape each chunk's
+    dlogits = softmax - onehot is folded into dx and dW during the forward
+    pass; backward only scales them by g / N.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    n, d = x.shape if x.ndim == 2 else (0, -1)
     wt = w.data.T if transposed else w.data  # (d, V) view
-    t = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if not n or w.ndim != 2 or wt.shape[0] != d or t.shape[0] != n:
-        raise ShapeError(f"linear_cross_entropy got x {x.shape}, w {w.shape} (transposed={transposed}), {t.shape[0]} targets")
-    v = wt.shape[1]
+    t = np.asarray(targets, dtype=np.int64)
+    if x.ndim < 2 or not t.size or w.ndim != 2 or wt.shape[0] != x.shape[-1] or t.shape != x.shape[:-1]:
+        raise ShapeError(f"linear_cross_entropy got x {x.shape}, w {w.shape} (transposed={transposed}), targets {t.shape}")
+    n, v = t.size, wt.shape[1]
+    x2, t = x.data.reshape(n, -1), t.reshape(-1)
     if t.min() < 0 or t.max() >= v:
         raise IndexError(f"target index out of range [0, {v})")
     taped = active_tape() is not None
-    dx = np.empty_like(x.data) if taped and x.requires_grad else None
+    dx = np.empty_like(x2) if taped and x.requires_grad else None
     dw = np.zeros_like(w.data) if taped and w.requires_grad else None
     total = 0.0
     for start in range(0, n, CE_CHUNK_ROWS):
-        xs, ts = x.data[start : start + CE_CHUNK_ROWS], t[start : start + CE_CHUNK_ROWS]
+        xs, ts = x2[start : start + CE_CHUNK_ROWS], t[start : start + CE_CHUNK_ROWS]
         rows = np.arange(ts.shape[0])
         z = xs @ wt  # (rows, V) logits of this chunk, turned into dlogits in place
         m = z.max(axis=1, keepdims=True)
@@ -403,7 +400,7 @@ def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
         for inp, buf in ((x, dx), (w, dw)):
             if buf is not None:
                 buf *= s
-                inp.accumulate_grad(buf, owned=True)
+                inp.accumulate_grad(buf.reshape(inp.shape))
 
     return _record(loss, [x, w], backward)
 
@@ -423,11 +420,11 @@ def router_logits(h, weight, bias) -> Tensor:
 
     def backward(g):
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0), owned=True)
+            bias.accumulate_grad(g.sum(axis=0))
         if weight.requires_grad:
-            weight.accumulate_grad(pooled.T @ g, owned=True)
+            weight.accumulate_grad(pooled.T @ g)
         if h.requires_grad:
-            h.accumulate_grad(np.broadcast_to((g @ weight.data.T)[:, None, :], h.shape) / h.shape[1], owned=True)
+            h.accumulate_grad(np.broadcast_to((g @ weight.data.T)[:, None, :], h.shape) / h.shape[1])
 
     return _record(out, [h, weight, bias], backward)
 
@@ -460,12 +457,12 @@ def memory_tokens(bank, rows, weights, gain, adapter=None, eps: float = 1e-6) ->
     def backward(g):
         g = g.reshape(x.shape)
         if weights.requires_grad:
-            weights.accumulate_grad((g * (gain.data * x * inv)).sum(axis=2).sum(axis=2), owned=True)
+            weights.accumulate_grad((g * (gain.data * x * inv)).sum(axis=2).sum(axis=2))
         dx, dgain = _rmsnorm_grads(g * w, x, inv, gain.data)
         if gain.requires_grad:
-            gain.accumulate_grad(dgain, owned=True)
+            gain.accumulate_grad(dgain)
         if adapter is not None and adapter.requires_grad:
-            adapter.accumulate_grad(x0.reshape(-1, d).T @ dx.reshape(-1, d), owned=True)
+            adapter.accumulate_grad(x0.reshape(-1, d).T @ dx.reshape(-1, d))
         if bank.requires_grad:  # a frozen bank skips the adapter's dx term and the scatter
             if adapter is not None:
                 dx += (dx.reshape(-1, d) @ adapter.data.T).reshape(dx.shape)
@@ -493,7 +490,7 @@ def chapter_weights(logits, selected, shared: int, scaling: float) -> Tensor:
         if logits.requires_grad:
             gw, dl = g[:, shared:], np.zeros_like(logits.data)
             np.add.at(dl, (rows, sel), w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scaling)
-            logits.accumulate_grad(dl, owned=True)
+            logits.accumulate_grad(dl)
 
     return _record(out, [logits], backward)
 
@@ -511,7 +508,7 @@ def _layer_loss(logits, where: str, loss_and_grad) -> Tensor:
     def backward(g):
         for t, d in zip(ts, dz):
             if t.requires_grad:
-                t.accumulate_grad(d * float(g), owned=True)  # a Python float keeps float32 grads
+                t.accumulate_grad(d * float(g))  # a Python float keeps float32 grads
 
     return _record(out, ts, backward)
 

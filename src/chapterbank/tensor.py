@@ -17,17 +17,12 @@ import hashlib
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 PRECISION_DTYPES = {"double": np.float64, "single": np.float32}
 _DTYPE_PRECISION = {np.dtype(np.float64): "double", np.dtype(np.float32): "single"}
 
 PARAM_GROUPS = ("base", "memory_layers", "memory_bank")
-
-
-def _check_finite(arr: np.ndarray, where: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values produced by {where}")
 
 
 class Tensor:
@@ -70,15 +65,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.ndim else float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` into ``grad``. The first gradient is copied unless
-        ``owned``: the caller then hands over an exclusive array, one no
-        live tensor holds (an array it has just allocated, or the upstream
-        gradient the tape has taken off its output), so it is stored as is."""
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad``. The caller hands over an exclusive array,
+        one no live tensor holds (an array it has just allocated, or the
+        upstream gradient the tape has taken off its output), so the first
+        gradient is stored as is, cast only if its dtype differs."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=not owned)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 

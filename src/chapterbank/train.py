@@ -151,7 +151,8 @@ class TrainResult:
         return [r for r in self.metrics if r.split == "eval"]
 
 
-def _sample_batch(region: np.ndarray, gen: np.random.Generator, batch_size: int, seq_len: int) -> np.ndarray:
+def sample_batch(region: np.ndarray, gen: np.random.Generator, batch_size: int, seq_len: int) -> np.ndarray:
+    """(batch_size, seq_len) windows of ``region`` at uniform random starts."""
     starts = gen.integers(0, region.size - seq_len + 1, size=batch_size)
     return np.stack([region[s : s + seq_len] for s in starts])
 
@@ -159,7 +160,7 @@ def _sample_batch(region: np.ndarray, gen: np.random.Generator, batch_size: int,
 def _eval_batches(region: np.ndarray, rng: RngState, cfg: TrainConfig) -> list[np.ndarray]:
     gen = rng.substream("eval-batches")
     n = min(cfg.batch_size, 4)
-    return [_sample_batch(region, gen, n, cfg.seq_len) for _ in range(EVAL_BATCHES)]
+    return [sample_batch(region, gen, n, cfg.seq_len) for _ in range(EVAL_BATCHES)]
 
 
 def _eval_losses(model: Model, batches: list[np.ndarray]) -> tuple[float, float, float, float]:
@@ -221,7 +222,7 @@ def train(
         model.zero_grads()
         lm = lb = z = total = 0.0
         for micro in range(cfg.grad_accum):
-            batch = _sample_batch(
+            batch = sample_batch(
                 train_region, rng.substream("batch", step, micro), cfg.batch_size, cfg.seq_len
             )
             try:

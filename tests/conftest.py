@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chapterbank import ops
+from chapterbank.ops import _record
 from chapterbank.config import preset
 from chapterbank.optim import AdamW
 from chapterbank.tensor import Parameter, Tensor
@@ -13,12 +13,13 @@ def rand_tensor(shape, seed=0, scale=1.0, requires_grad=False):
 
 
 def weighted_sum(x, w=1.0):
-    """Taped (1, 1) sum of x * w, w broadcast to x's shape: x flattened to
-    one row by ``reshape``, then ``matmul`` against the fixed column w in
-    x's precision. Two records; the tests' reduction to a scalar loss."""
+    """Taped (1, 1) sum of x * w, w broadcast to x's shape and cast to x's
+    precision: x flattened to one row times the fixed column w. One record;
+    the tests' reduction to a scalar loss. Backward: dx = g * w."""
     x = x.value if isinstance(x, Parameter) else x
-    col = Tensor(np.broadcast_to(w, x.shape).reshape(x.size, 1), x.precision)
-    return ops.matmul(ops.reshape(x, (1, x.size)), col)
+    col = np.broadcast_to(w, x.shape).reshape(x.size, 1).astype(x.data.dtype)
+    out = Tensor(x.data.reshape(1, x.size) @ col)
+    return _record(out, [x], lambda g: x.accumulate_grad((g @ col.T).reshape(x.shape)))
 
 
 @pytest.fixture

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 import chapterbank
-from chapterbank.checkpoint import checkpoint_from, load_checkpoint, save_checkpoint
+from chapterbank.checkpoint import checkpoint_from, load_checkpoint, model_from_checkpoint, save_checkpoint
 from chapterbank.cli import main
 from chapterbank.config import preset
 from chapterbank.errors import ConfigError
 from chapterbank.flops import flops_model
-from chapterbank.model import build_model, collect_route_stats, route_stats_csv
+from chapterbank.model import build_model, collect_route_stats, route_stats_csv, route_stats_text
 from chapterbank.tensor import RngState
-from chapterbank.train import METRICS_HEADER, make_synthetic_corpus
+from chapterbank.train import METRICS_HEADER, SYNTHETIC_PERIOD, make_synthetic_corpus, sample_batch
 
 
 def write_train_config(path, steps=8, extra_train=None, data_length=2048):
@@ -354,6 +354,20 @@ class TestRouteStats:
         assert "layer 3:" in out and "layer 1:" not in out
         assert main(["route-stats", "--checkpoint", str(trained_ckpt), "--layers", "0"]) == 2
         assert "not memory layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_cli_matches_library_on_batches_from_sample_batch(self, trained_ckpt, tmp_path, capsys, seed):
+        # the command draws its batches through the trainer's sampler
+        csv_path = tmp_path / "routes.csv"
+        argv = ["route-stats", "--checkpoint", str(trained_ckpt), "--batches", "3", "--seqlen", "16",
+                "--seed", str(seed), "--csv", str(csv_path)]
+        assert main(argv) == 0
+        model = model_from_checkpoint(load_checkpoint(trained_ckpt))
+        corpus = make_synthetic_corpus(model.config.vocab, max(3 * 16 * 8 + 64, SYNTHETIC_PERIOD), seed)
+        gen = RngState(seed).substream("route-stats")
+        stats = collect_route_stats(model, [sample_batch(corpus.tokens, gen, 8, 16) for _ in range(3)])
+        assert capsys.readouterr().out == route_stats_text(stats) + "\n"
+        assert csv_path.read_text() == route_stats_csv(stats)
 
     @pytest.fixture()
     def untrained_ckpt(self, tmp_path):

@@ -65,6 +65,16 @@ class TestMemoryLayerExtra:
         assert f.extra_norm == 3_149_824
         assert f.extra_residual == 786_432
 
+    def test_adapter_adds_its_gemm_and_add(self):
+        # memory_tokens runs x0 @ adapter plus x0 over every selected token
+        cfg = preset("micro")
+        off = flops_memory_layer_extra(cfg, 3, 16).mem_preprocess
+        on = flops_memory_layer_extra(replace(cfg, adapter_enabled=True), 3, 16).mem_preprocess
+        d, n_sel = cfg.d_model, cfg.selected_tokens
+        assert off.adapter == 0
+        assert on.adapter == 3 * n_sel * (2 * d * d + d)
+        assert on.total - off.total == on.adapter
+
     def test_k_projection(self):
         f = flops_memory_layer_extra(FULL, 1, 1024)
         assert f.mem_attention.k == 2 * 4160 * 768 * 768 == 4_907_335_680
@@ -164,7 +174,8 @@ class TestStructuralSums:
                  "self_attention.matmuls", "self_attention.softmax", "self_attention.total", "rope", "norms",
                  "mlp.up", "mlp.gate", "mlp.down", "mlp.activation", "mlp.total", "residuals", "total"]
         extra = ["router.pool", "router.linear", "router.softmax", "router.topk", "router.total", "router_aux",
-                 "mem_preprocess.weighting", "mem_preprocess.rmsnorm", "mem_preprocess.total",
+                 "mem_preprocess.weighting", "mem_preprocess.rmsnorm", "mem_preprocess.adapter",
+                 "mem_preprocess.total",
                  "mem_attention.q", "mem_attention.k", "mem_attention.v", "mem_attention.o",
                  "mem_attention.matmuls", "mem_attention.softmax", "mem_attention.total",
                  "extra_norm", "extra_residual", "total"]

@@ -31,18 +31,25 @@ def check(f, params, tol=TOL):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matmul_add_chain(seed):
-    a = make_param((3, 4), seed)
+    # no taped matmul is left: the GEMM chain is attention's value path. Over
+    # one key each softmax row is exactly 1, so the block is (a @ b) @ wo for
+    # every query, here added to c
+    a = make_param((3, 1, 4), seed)
     b = make_param((4, 2), seed + 100)
-    c = make_param((3, 2), seed + 200)
-    check(lambda: weighted_sum(ops.add(ops.matmul(a, b), c), 1 / 6), [a, b, c])
+    c = make_param((3, 1, 2), seed + 200)
+    wo = make_param((2, 2), seed + 300)
+    x, wq = Tensor(np.ones((3, 1, 4))), Tensor(np.ones((4, 2)))
+    check(lambda: weighted_sum(ops.add(ops.attention(x, a, wq, wq, b, wo, 1, 1, False, 1e4), c), 1 / 6), [a, b, c, wo])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matmul_flattened_rows(seed):
+    # the head's GEMM runs over the flattened rows of a (..., d) input and
+    # hands dx back in its shape
     a = make_param((2, 3, 2, 4), seed)
     b = make_param((4, 3), seed + 100)
-    w = np.random.default_rng(seed + 50).standard_normal((2, 3, 2, 3))
-    check(lambda: weighted_sum(ops.matmul(a, b), w / w.size), [a, b])
+    targets = np.random.default_rng(seed + 50).integers(0, 3, size=(2, 3, 2))
+    check(lambda: ops.scale(ops.linear_cross_entropy(a, b, targets), 0.37), [a, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -73,17 +80,12 @@ def test_softmax(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_softmax_with_mask(seed):
-    a = make_param((2, 4, 5), seed)
-    mask = np.zeros((2, 4, 5))  # add takes one shape: no broadcasting
+    a = make_param((8, 5), seed)
+    mask = np.zeros((8, 5))  # add takes one shape: no broadcasting
     mask[..., 3:] = ops.MASK_VALUE
     w = np.random.default_rng(seed + 50).standard_normal((8, 5))
     sel = every_chapter(8, 5, seed + 70)
-
-    def f():
-        masked = ops.reshape(ops.add(a, Tensor(mask)), (8, 5))
-        return weighted_sum(ops.chapter_weights(masked, sel, 0, 1.0), w / w.size)
-
-    check(f, [a])
+    check(lambda: weighted_sum(ops.chapter_weights(ops.add(a, Tensor(mask)), sel, 0, 1.0), w / w.size), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -166,13 +168,18 @@ def test_rope(seed):
 @pytest.mark.parametrize("groups", (1, 2))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_attention(seed, groups, causal):
-    # 4 query heads of d_h = 4 over 4 // groups KV heads; cross-attention has Lq != Lk
-    lq, lk = (4, 4) if causal else (3, 5)
-    q = make_param((2, lq, 16), seed)
-    k = make_param((2, lk, 16 // groups), seed + 1)
-    v = make_param((2, lk, 16 // groups), seed + 2)
-    w = np.random.default_rng(seed + 50).standard_normal((2, lq, 16))
-    check(lambda: weighted_sum(ops.attention(q, k, v, 4, 4 // groups, causal, 100.0), w / w.size), [q, k, v])
+    # 4 query heads of d_h = 4 over 4 // groups KV heads, all six inputs:
+    # causal self-attention passes x as kv, cross-attention reads a kv of
+    # another length and width
+    lq, lk, d_kv = (4, 4, 8) if causal else (3, 5, 6)
+    x = make_param((2, lq, 8), seed)
+    kv = x if causal else make_param((2, lk, d_kv), seed + 1)
+    wq = make_param((8, 16), seed + 2)
+    wk, wv = make_param((d_kv, 16 // groups), seed + 3), make_param((d_kv, 16 // groups), seed + 4)
+    wo = make_param((16, 8), seed + 5)
+    w = np.random.default_rng(seed + 50).standard_normal((2, lq, 8))
+    params = [x, wq, wk, wv, wo] + ([] if causal else [kv])
+    check(lambda: weighted_sum(ops.attention(x, kv, wq, wk, wv, wo, 4, 4 // groups, causal, 100.0), w / w.size), params)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -221,12 +228,12 @@ def test_reshape_swap_slice_concat_gather(seed):
     ids = np.random.default_rng(seed).integers(0, 4, size=(2, 3))
 
     def f():
-        g = ops.gather_rows(a, ids)  # (2,3,6)
-        g = ops.index_slice(ops.reshape(g, (3, 2, 6)), (slice(None, None, -1),))  # reversed, as there is no swap
+        g = ops.gather_rows(a, ids.reshape(3, 2))  # (3,2,6): no taped reshape, the ids take the shape
+        g = ops.index_slice(g, (slice(None, None, -1),))  # reversed, as there is no swap
         left = ops.index_slice(g, (slice(0, 2),))
         right = ops.index_slice(g, (slice(1, 3),))  # joined by add, as there is no concat
         both = ops.add(left, ops.rmsnorm(right, Tensor(np.linspace(0.5, 1.5, 6))))  # (2,2,6)
-        return weighted_sum(ops.reshape(both, (24,)), 1 / 24)
+        return weighted_sum(both, 1 / 24)
 
     check(f, [a])
 

@@ -294,12 +294,12 @@ class TestSelfAttention:
         np.testing.assert_array_equal(base[0, :5], pert[0, :5])
         assert np.abs(pert[0, 5:] - base[0, 5:]).max() > 1e-8
 
-    def test_one_block_records_seven_tape_entries(self):
-        # norm, the Q/K/V projections, one attention op, the output projection, residual add
+    def test_one_block_records_three_tape_entries(self):
+        # norm, one attention op with its four projections, residual add
         model = micro_double()
         with Tape() as tape:
             self_attention_block(Tensor(np.random.default_rng(3).standard_normal((2, 6, 64))), model, 0)
-        assert len(tape) == 7
+        assert len(tape) == 3
 
     def test_sequence_length_cap(self):
         model = micro_double()
@@ -679,21 +679,24 @@ class TestModelForward:
         assert trace.loss is None and trace.lm_loss == 0.0 and len(trace.decisions) == 2
 
     def test_micro_train_step_tape_length(self):
-        # Pins the tape of one micro train step (forward + loss). Each MLP is
-        # three records: norm, swiglu, residual add. Each of the two memory
-        # layers' routers is two (router_logits, chapter_weights) and its
-        # tokens one (memory_tokens), with or without the adapter. The head is
-        # four records: slice, final norm, reshape, linear_cross_entropy. The
-        # router losses are two (load_balance_loss and z_loss over both
-        # layers' logits), then two scales and two adds join them to the LM
-        # loss. A change that splits the head, the router, the memory tokens,
-        # the MLP or the matmuls into more ops fails here.
+        # Pins the tape of one micro train step (forward + loss): 1 embedding
+        # gather, 4 layers of 6, 2 memory reads of 6 and 9 in the head and
+        # losses, 46 records. Each attention block, self or memory, is three:
+        # norm, attention (with its four projections), residual add; each MLP
+        # is three: norm, swiglu, residual add. Each of the two memory layers'
+        # routers is two (router_logits, chapter_weights) and its tokens one
+        # (memory_tokens), with or without the adapter. The head is three
+        # records: slice, final norm, linear_cross_entropy. The router losses
+        # are two (load_balance_loss and z_loss over both layers' logits), then
+        # two scales and two adds join them to the LM loss. A change that
+        # splits the head, the router, the memory tokens, the MLP or the
+        # attention into more ops fails here.
         for adapter in (False, True):
             model = build_model(replace(preset("micro"), adapter_enabled=adapter), RngState(12))
             tokens = np.random.default_rng(12).integers(0, 256, (2, 16))
             with Tape() as tape:
                 model_forward(model, tokens, tokens)
-            assert len(tape) == 71
+            assert len(tape) == 46
 
     def test_micro_train_step_backward_peak_near_forward_memory(self):
         # Backward consumes the tape, so activation grads and saved arrays are
@@ -736,40 +739,49 @@ class TestModelForward:
 # fused head against the unfused composition
 
 
-def _transposed(p) -> Tensor:
-    """A taped 2-D transpose of a parameter (no op transposes)."""
-    x = p.value
-    return _record(Tensor(np.ascontiguousarray(x.data.T)), [x], lambda g: x.accumulate_grad(g.T, owned=True))
+def _logits(x: Tensor, w: Tensor, transposed: bool) -> Tensor:
+    """Taped (..., V) logits x @ w, or x @ w^T when ``transposed``, as one
+    2-D GEMM over the flattened rows of x."""
+    wt = w.data.T if transposed else w.data
+    x2 = x.data.reshape(-1, wt.shape[0])
+
+    def backward(g):
+        g2 = g.reshape(-1, wt.shape[1])
+        x.accumulate_grad((g2 @ wt.T).reshape(x.shape))
+        dw = x2.T @ g2
+        w.accumulate_grad(dw.T if transposed else dw)
+
+    return _record(Tensor((x2 @ wt).reshape(x.shape[:-1] + (wt.shape[1],))), [x, w], backward)
 
 
 def _mean_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Taped mean of logsumexp(row) - row[target] over (N, V) logits in plain
-    numpy, max-subtracted; backward (softmax - onehot) * g / N."""
-    z, rows = logits.data, np.arange(logits.shape[0])
+    """Taped mean of logsumexp(row) - row[target] over the rows of (..., V)
+    logits in plain numpy, max-subtracted; backward (softmax - onehot) * g / N."""
+    z, t = logits.data.reshape(-1, logits.shape[-1]), targets.reshape(-1)
+    rows = np.arange(z.shape[0])
     top = z.max(axis=1, keepdims=True)
     e = np.exp(z - top)
     s = e.sum(axis=1, keepdims=True)
-    loss = Tensor(np.mean(top[:, 0] + np.log(s[:, 0]) - z[rows, targets]))
+    loss = Tensor(np.mean(top[:, 0] + np.log(s[:, 0]) - z[rows, t]))
 
     def backward(g):
         p = e / s
-        p[rows, targets] -= 1.0
-        logits.accumulate_grad(p * (float(g) / len(rows)), owned=True)
+        p[rows, t] -= 1.0
+        logits.accumulate_grad((p * (float(g) / len(rows))).reshape(logits.shape))
 
     return _record(loss, [logits], backward)
 
 
 def unfused_total_loss(model: Model, tokens: np.ndarray) -> Tensor:
-    """Full (B, L, V) logits from ops.matmul, then a plain-numpy
-    logsumexp cross-entropy over the flattened logits."""
+    """Full (B, L, V) logits from one taped GEMM, sliced to the first L - 1
+    positions, then a plain-numpy logsumexp cross-entropy over them."""
     cfg = model.config
     h, decisions, _ = _run_stack(model, tokens)
     x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
-    w = _transposed(model["embedding.weight"]) if cfg.tied_embeddings else model["lm_head.weight"]
-    b, l = tokens.shape
-    n, v = b * (l - 1), cfg.vocab
-    logits = ops.reshape(ops.index_slice(ops.matmul(x, w), (slice(None), slice(0, l - 1))), (n, v))
-    loss = _mean_cross_entropy(logits, tokens[:, 1:].reshape(-1))
+    w = model["embedding.weight" if cfg.tied_embeddings else "lm_head.weight"].value
+    l = tokens.shape[1]
+    logits = ops.index_slice(_logits(x, w, cfg.tied_embeddings), (slice(None), slice(0, l - 1)))
+    loss = _mean_cross_entropy(logits, tokens[:, 1:])
     if decisions:
         lb, z = aux_losses(decisions, cfg)
         loss = ops.add(loss, ops.add(ops.scale(lb, cfg.lb_coeff), ops.scale(z, cfg.z_coeff)))
