@@ -13,7 +13,9 @@ that run-to-run reproducibility.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
 
 import numpy as np
 
@@ -23,6 +25,28 @@ PRECISION_DTYPES = {"double": np.float64, "single": np.float32}
 _DTYPE_PRECISION = {np.dtype(np.float64): "double", np.dtype(np.float32): "single"}
 
 PARAM_GROUPS = ("base", "memory_layers", "memory_bank")
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory a consumed tape frees in the process, for the next
+    step to reuse. By default glibc serves blocks above an adaptive
+    threshold from fresh mmaps and returns heap tops to the OS, so every
+    forward faults its activations back in. A fixed 32 MiB mmap threshold
+    (glibc's 64-bit maximum) and a trim threshold no step reaches keep freed
+    blocks in the heap instead. Process-wide, set once at import; RSS does
+    not shrink below its peak. A no-op on any other C library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):  # no confstr name, no libc symbol
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, in bytes
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 
 class Tensor:

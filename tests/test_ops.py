@@ -165,6 +165,22 @@ class TestChapterWeights:
             ops.chapter_weights(logits, np.array([[0, 2], [1, 2]]), 1, 1.0)  # a shared chapter
         with pytest.raises(IndexError):
             ops.chapter_weights(logits, np.array([[1, 6], [1, 2]]), 1, 1.0)
+        with pytest.raises(ConfigError):
+            ops.chapter_weights(logits, np.array([[1, 3], [2, 2]]), 1, 1.0)  # a chapter twice in one row
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_equals_the_add_at_scatter(self, dtype):
+        # shared chapter 0 takes no logit gradient; the routed ones are scattered by row
+        logits = Tensor(rand_tensor((4, 7), 6, scale=2.0).data.astype(dtype), requires_grad=True)
+        sel = np.array([[3, 1, 6], [2, 5, 1], [6, 4, 3], [1, 2, 3]])
+        g = rand_tensor((4, 4), 7).data.astype(dtype)
+        with Tape() as tape:
+            out = ops.chapter_weights(logits, sel, 1, 1.3)
+            tape.backward(weighted_sum(out, g))
+        rows = np.arange(4)[:, None]
+        w, gw, want = ops.softmax(logits.data[rows, sel]), g[:, 1:], np.zeros_like(logits.data)
+        np.add.at(want, (rows, sel), w * (gw - (gw * w).sum(axis=1, keepdims=True)) * 1.3)
+        assert logits.grad.tobytes() == want.tobytes()
 
 
 class TestRouterLogits:
@@ -467,6 +483,21 @@ class TestRope:
         after = qr[..., 0::2] ** 2 + qr[..., 1::2] ** 2
         np.testing.assert_allclose(before, after, rtol=1e-10)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_cached_tables_keep_the_bits_and_are_read_only(self, dtype, inverse):
+        x = rand_tensor((2, 3, 7, 8), 4).data.astype(dtype)
+        inv_freq = 1e4 ** (-2.0 * np.arange(4, dtype=np.float64) / 8)
+        angles = np.arange(7, dtype=np.float64)[:, None] * inv_freq[None, :]
+        cos, sin = np.cos(angles).astype(dtype), np.sin(-angles if inverse else angles).astype(dtype)
+        want = np.empty_like(x)
+        want[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+        want[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+        for _ in range(2):  # the second call reads the cached tables
+            assert ops.rope(x, 1e4, inverse=inverse).tobytes() == want.tobytes()
+        tables = ops._rope_tables(7, 8, 1e4, np.dtype(dtype), inverse)
+        assert all(t.dtype == dtype and not t.flags.writeable for t in tables)
+
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
             ops.rope(np.zeros((1, 2, 3)), 1e4)
@@ -767,6 +798,37 @@ class TestTapeBasics:
         with Tape() as tape:
             tape.backward(weighted_sum(ops.gather_rows(x, np.array([1, 1]))))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+class TestScatterRows:
+    """``_scatter_rows`` adds by duplicate rank and must equal the unbuffered
+    ``np.add.at`` bit for bit, zeros' signs included."""
+
+    IDS = {
+        "all_equal": lambda gen, shape: np.full(shape, 3),
+        "duplicates": lambda gen, shape: gen.integers(0, 5, size=shape),
+        "distinct": lambda gen, shape: gen.permutation(9)[: math.prod(shape)].reshape(shape),
+        "empty": lambda gen, shape: np.zeros((0,) + shape[1:], dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(IDS))
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2, 2)])
+    @pytest.mark.parametrize("dtype, g_dtype", [(np.float64, np.float64), (np.float32, np.float32),
+                                                (np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_equals_add_at(self, kind, shape, dtype, g_dtype, prefilled):
+        gen = np.random.default_rng(len(kind) + len(shape))
+        ids = self.IDS[kind](gen, shape)
+        g = (gen.standard_normal(ids.shape + (3,)) * 10.0 ** gen.integers(-6, 6, size=ids.shape + (3,))).astype(g_dtype)
+        g.reshape(-1)[::5] = -0.0
+        x = Tensor(np.zeros((9, 3), dtype=dtype), requires_grad=True)
+        if prefilled:
+            x.grad = gen.standard_normal((9, 3)).astype(dtype)
+            x.grad[0] = -0.0
+        want = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+        np.add.at(want, ids, g.astype(dtype))
+        ops._scatter_rows(x, ids, g)
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
 
 
 class TestConsumingBackward:
