@@ -138,8 +138,9 @@ def _check_keys(obj, keys: tuple[tuple[str, type], ...], where: str, path) -> No
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a truncated or corrupt file, a payload whose
-    CRC-32 differs from its entry's, or a header that lacks a key or holds
-    one with the wrong type, raises ConfigError.
+    CRC-32 differs from its entry's, a header that lacks a key or holds
+    one with the wrong type, a name listed twice, or an optimizer moment
+    without its pair, raises ConfigError.
     Each payload is read straight into its own array, so the peak is one
     file's worth of memory."""
     with open(path, "rb") as f:
@@ -179,17 +180,20 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ConfigError(f"{path}: tensor {entry['name']} was cut short while being read")
             if zlib.crc32(arr) != entry["crc32"]:
                 raise ConfigError(f"{path}: tensor {entry['name']} fails its CRC-32 check (corrupt payload)")
-            if entry["name"].startswith("optim."):
-                moments_flat[entry["name"]] = arr
-            else:
-                tensors[entry["name"]] = arr
+            table = moments_flat if entry["name"].startswith("optim.") else tensors
+            if entry["name"] in table:
+                raise ConfigError(f"{path}: tensor {entry['name']} appears twice in the tensor table")
+            table[entry["name"]] = arr
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for key, arr in moments_flat.items():
-        kind, name = key.split(".", 2)[1:]
+    for key in moments_flat:
+        _, kind, name = (key.split(".", 2) + [""])[:3]
+        pair = f"optim.{'v' if kind == 'm' else 'm'}.{name}"
+        if kind not in ("m", "v") or not name:
+            raise ConfigError(f"{path}: tensor {key} is neither optim.m.<name> nor optim.v.<name>")
+        if pair not in moments_flat:
+            raise ConfigError(f"{path}: optimizer moment {key} has no {pair}")
         if kind == "m":
-            if f"optim.v.{name}" not in moments_flat:
-                raise ConfigError(f"{path}: optimizer moment {key} has no optim.v.{name}")
-            moments[name] = (arr, moments_flat[f"optim.v.{name}"])
+            moments[name] = (moments_flat[key], moments_flat[pair])
     return Checkpoint(
         config=ModelConfig.from_dict(header["model_config"]),
         step=header["step"],
@@ -219,12 +223,12 @@ def check_config_match(expected: ModelConfig, found: ModelConfig, ignore: set[st
 def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_seq_len: int | None = None) -> Model:
     """Rebuild a model around copies of the checkpoint's weights, drawing
     no random init; max_seq_len may be raised for longer-context
-    continuation."""
+    continuation. A tensor table that does not match the config raises
+    CheckpointMismatch, and weights of mixed precision ConfigError."""
     cfg = ckpt.config
     if max_seq_len is not None:
         cfg = replace(cfg, max_seq_len=max(max_seq_len, cfg.max_seq_len))
     cfg.validate()
-    precision = precision or _precision_of(next(iter(ckpt.tensors.values())))
     specs = param_specs(cfg)
     shapes = {name: shape for name, shape, _, _ in specs}
     missing, extra = set(shapes) - set(ckpt.tensors), set(ckpt.tensors) - set(shapes)
@@ -234,6 +238,10 @@ def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_se
         found = tuple(ckpt.tensors[name].shape)
         if found != shape:
             raise CheckpointMismatch({name: {"expected": list(shape), "checkpoint": list(found)}})
+    precisions = sorted({_precision_of(arr) for arr in ckpt.tensors.values()})
+    if len(precisions) > 1:
+        raise ConfigError(f"checkpoint weights mix precisions {precisions}; a checkpoint holds one")
+    precision = precision or precisions[0]
     dtype = PRECISION_DTYPES[precision]
     params = {name: Parameter(Tensor(ckpt.tensors[name].astype(dtype)), name, group) for name, _, group, _ in specs}
     return Model(cfg, params, precision)

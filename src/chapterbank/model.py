@@ -283,21 +283,22 @@ def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, R
     return ops.add(h, readout), decision, mass
 
 
-def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Router regularizers from the per-layer decisions.
+def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tensor, float, float]:
+    """The router penalty lb_coeff * lb + z_coeff * z of the per-layer
+    decisions, as one taped ``ops.router_penalty`` op over all layers, with
+    the plain lb and z.
 
     Load balance: C_r * sum_c f_c * P_c over routed chapters, averaged
     over layers, where f_c is the fraction of selection slots assigned to
     chapter c and P_c the mean probability renormalized over routed
     chapters. Uniform routing gives exactly 1; full collapse (k=1) gives
     C_r. z-loss: mean over sequences and layers of squared
-    log-partition of the router logits. Each is one op over all layers.
+    log-partition of the router logits.
     """
     if not decisions or not len(decisions[0]):
         raise ConfigError("aux_losses needs at least one routing decision")
-    logits = [d.logits for d in decisions]
-    lb = ops.load_balance_loss(logits, [d.selected for d in decisions], cfg.shared_chapters)
-    return lb, ops.z_loss(logits)
+    return ops.router_penalty([d.logits for d in decisions], [d.selected for d in decisions],
+                              cfg.shared_chapters, cfg.lb_coeff, cfg.z_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +337,9 @@ def _head_logits(model: Model, h: Tensor) -> np.ndarray:
 
 
 def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None = None) -> ForwardTrace:
-    """Embed, run the stack, then on positions 0..L-2 the final norm and
-    one chunked LM-head cross-entropy against the next tokens.
+    """Embed, run the stack, then one ``ops.lm_head_loss`` (the final norm
+    and the chunked LM-head cross-entropy of positions 0..L-2 against the
+    next tokens), added to the router penalty.
 
     total = lm + lb_coeff * lb + z_coeff * z. Without targets the LM head
     is skipped, ``lm_loss`` is 0 and ``loss`` is None (router losses and
@@ -345,36 +347,21 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None =
     """
     cfg = model.config
     h, decisions, masses = _run_stack(model, tokens)
-
-    lb, z = aux_losses(decisions, cfg) if decisions else (None, None)
-
-    loss_tensor = None
-    lm_val = 0.0
+    penalty, lb, z = aux_losses(decisions, cfg) if decisions else (None, 0.0, 0.0)
+    loss, lm = None, 0.0
     if targets is not None:
         targets = np.asarray(targets, dtype=np.int64)
         if targets.shape != tokens.shape:
             raise ConfigError(f"targets shape {targets.shape} must match tokens shape {tokens.shape}")
-        l = targets.shape[1]
-        if l < 2:
+        if targets.shape[1] < 2:
             raise ConfigError("next-token loss needs sequence length >= 2")
-        x = ops.rmsnorm(ops.index_slice(h, (slice(None), slice(0, l - 1))), model["final_norm.gain"], RMSNORM_EPS)
         tied = cfg.tied_embeddings
-        lm = ops.linear_cross_entropy(x, model["embedding.weight" if tied else "lm_head.weight"], targets[:, 1:], tied)
-        lm_val = lm.item()
-        loss_tensor = lm
-        if decisions:
-            loss_tensor = ops.add(loss_tensor, ops.add(ops.scale(lb, cfg.lb_coeff), ops.scale(z, cfg.z_coeff)))
-
-    lb_val, z_val = (lb.item(), z.item()) if decisions else (0.0, 0.0)
-    return ForwardTrace(
-        lm_loss=lm_val,
-        lb_loss=lb_val,
-        z_loss=z_val,
-        total_loss=lm_val + cfg.lb_coeff * lb_val + cfg.z_coeff * z_val,
-        decisions=decisions,
-        memory_attention_mass=masses,
-        loss=loss_tensor,
-    )
+        loss = ops.lm_head_loss(h, model["final_norm.gain"], model["embedding.weight" if tied else "lm_head.weight"],
+                                targets, tied, RMSNORM_EPS)
+        lm = loss.item()
+        if penalty is not None:
+            loss = ops.add(loss, penalty)
+    return ForwardTrace(lm, lb, z, lm + cfg.lb_coeff * lb + cfg.z_coeff * z, decisions, masses, loss)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .tensor import Parameter, Tensor, active_tape
 # to exactly 0.0 in both single and double precision.
 MASK_VALUE = -1e30
 
-# Rows per chunk of linear_cross_entropy: a (CE_CHUNK_ROWS, V) logits block
-# is the largest head temporary.
+# Rows per chunk of lm_head_loss: a (CE_CHUNK_ROWS, V) logits block is the
+# largest head temporary.
 CE_CHUNK_ROWS = 256
 
 
@@ -86,21 +86,7 @@ def scale(x, s: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape plumbing
-
-
-def index_slice(x, key) -> Tensor:
-    """Basic (slice/int) indexing. Backward scatters into a zero tensor."""
-    x = _as_tensor(x)
-    out = Tensor(np.ascontiguousarray(x.data[key]))
-
-    def backward(g):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[key] += g
-            x.accumulate_grad(dx)
-
-    return _record(out, [x], backward)
+# row gathers
 
 
 def _take_rows(x: Tensor, ids, where: str) -> tuple[np.ndarray, np.ndarray]:
@@ -374,29 +360,39 @@ def attention(x, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool
 # routing, memory tokens, losses and selection
 
 
-def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
-    """Mean cross-entropy of the logits x @ w against ``targets``, one per
-    row of ``x``.
+def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-6) -> Tensor:
+    """Mean next-token cross-entropy of the LM head, one op like the fused
+    linear cross-entropy of Liger Kernel (Hsu et al. 2024, arXiv 2410.10989):
+    a copy of positions 0..L-2 of the (..., L, d) states ``h``, RMS-normalized
+    with ``gain``, scores the logits x @ w against ``targets[..., 1:]``
+    (targets are h.shape[:-1]).
 
-    ``x`` is (..., d) with targets of shape x.shape[:-1]; its N rows are
-    flattened, and dx goes back as a view of the (N, d) buffer. ``w`` is
-    (d, V), or (V, d) used as x @ w^T with no transposed copy when
+    ``w`` is (d, V), or (V, d) used as x @ w^T with no copy when
     ``transposed`` (a tied embedding). Rows run in chunks of CE_CHUNK_ROWS,
-    so the (N, V) logits are never all live. Under a tape each chunk's
-    dlogits = softmax - onehot is folded into dx and dW during the forward
-    pass; backward only scales them by g / N.
+    so the (N, V) logits are never all live; under a tape each chunk's
+    dlogits = softmax - onehot is folded into dx and dW during the forward.
+    Backward scales both by g / N and hands dW to ``w``, then the norm
+    backward (shared with ``rmsnorm``) of dx to the gain and to h, whose
+    last position gets zero; each buffer is dropped once handed over.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
+    h, gain, w = _as_tensor(h), _as_tensor(gain), _as_tensor(w)
     wt = w.data.T if transposed else w.data  # (d, V) view
     t = np.asarray(targets, dtype=np.int64)
-    if x.ndim < 2 or not t.size or w.ndim != 2 or wt.shape[0] != x.shape[-1] or t.shape != x.shape[:-1]:
-        raise ShapeError(f"linear_cross_entropy got x {x.shape}, w {w.shape} (transposed={transposed}), targets {t.shape}")
-    n, v = t.size, wt.shape[1]
-    x2, t = x.data.reshape(n, -1), t.reshape(-1)
+    if (h.ndim < 2 or h.shape[-2] < 2 or not t.size or t.shape != h.shape[:-1] or gain.shape != h.shape[-1:]
+            or w.ndim != 2 or wt.shape[0] != h.shape[-1]):
+        raise ShapeError(f"lm_head_loss needs (..., L>=2, d) states, a (d,) gain, a {'(V, d)' if transposed else '(d, V)'} "
+                         f"weight and targets of shape (..., L), got {h.shape}, {gain.shape}, {w.shape} and {t.shape}")
+    d, v = h.shape[-1], wt.shape[1]
+    t = t[..., 1:].reshape(-1)
+    n = t.size
     if t.min() < 0 or t.max() >= v:
         raise IndexError(f"target index out of range [0, {v})")
+    x0 = np.ascontiguousarray(h.data[..., :-1, :])
+    inv = 1.0 / np.sqrt((x0 * x0).mean(axis=-1, keepdims=True) + eps)
+    x2 = (gain.data * x0).reshape(n, d)
+    x2 *= inv.reshape(n, 1)  # in place: the products of gain * x0 * inv, one buffer fewer
     taped = active_tape() is not None
-    dx = np.empty_like(x2) if taped and x.requires_grad else None
+    dx = np.empty_like(x2) if taped and (h.requires_grad or gain.requires_grad) else None
     dw = np.zeros_like(w.data) if taped and w.requires_grad else None
     total = 0.0
     for start in range(0, n, CE_CHUNK_ROWS):
@@ -418,17 +414,30 @@ def linear_cross_entropy(x, w, targets, transposed: bool = False) -> Tensor:
             dx[start : start + CE_CHUNK_ROWS] = z @ wt.T
         if dw is not None:
             dw += z.T @ xs if transposed else xs.T @ z
-    loss = Tensor(np.asarray(total / n, dtype=x.data.dtype))
-    _check_finite(loss.data, "linear_cross_entropy")
+    loss = Tensor(np.asarray(total / n, dtype=x2.dtype))
+    _check_finite(loss.data, "lm_head_loss")
 
     def backward(g):
+        nonlocal dx, dw, x0
         s = float(g) / n  # a Python float: an np.float64 would promote float32 grads
-        for inp, buf in ((x, dx), (w, dw)):
-            if buf is not None:
-                buf *= s
-                inp.accumulate_grad(buf.reshape(inp.shape))
+        if dw is not None:
+            dw *= s
+            w.accumulate_grad(dw)
+            dw = None
+        if dx is None:
+            return
+        dx *= s
+        dx0, dgain = _rmsnorm_grads(dx.reshape(x0.shape), x0, inv, gain.data)
+        dx = x0 = None
+        if gain.requires_grad:
+            gain.accumulate_grad(dgain)
+        if h.requires_grad:
+            dh = np.empty_like(h.data)
+            dh[..., -1, :] = 0.0
+            np.add(dx0, 0.0, out=dh[..., :-1, :])  # + 0.0: the bits of adding into zeros (-0.0 turns +0.0)
+            h.accumulate_grad(dh)
 
-    return _record(loss, [x, w], backward)
+    return _record(loss, [h, gain, w], backward)
 
 
 def router_logits(h, weight, bias) -> Tensor:
@@ -523,56 +532,47 @@ def chapter_weights(logits, selected, shared: int, scaling: float) -> Tensor:
     return _record(out, [logits], backward)
 
 
-def _layer_loss(logits, where: str, loss_and_grad) -> Tensor:
-    """One taped scalar over per-layer (B, C) logits of one shape;
-    loss_and_grad(z) on their (layers, B, C) stack gives the loss and dloss/dz."""
+def router_penalty(logits, selected, shared: int, lb_coeff: float, z_coeff: float) -> tuple[Tensor, float, float]:
+    """(lb_coeff * lb + z_coeff * z, taped, then lb and z as floats) over
+    the per-layer (B, C) router ``logits`` and (B, k) ``selected`` chapters.
+
+    lb, the Switch load balance (Fedus et al. 2021), is the layer mean of
+    C_r * sum_c f_c * mean_b q[b, c]: q = softmax(logits[:, shared:]), f_c the
+    share of the B*k slots on chapter c; uniform routing gives 1, all slots
+    on one chapter C_r. f is constant, so with u = C_r * f / (layers * B):
+    dlogits[:, shared:] = q * (u - sum(u * q)). z, the ST-MoE router z-loss
+    (Zoph et al. 2022), is the mean of lse^2 over layers and sequences, lse
+    the logsumexp of all C logits: dlogits = 2 * lse / (layers * B) *
+    softmax(logits). Backward adds each layer's z part, then its lb part,
+    each scaled by g times its coefficient.
+    """
     ts = [_as_tensor(t) for t in logits]
     if not ts or ts[0].ndim != 2 or any(t.shape != ts[0].shape for t in ts):
-        raise ShapeError(f"{where} needs one or more (B, C) logits of one shape, got {[t.shape for t in ts]}")
-    value, dz = loss_and_grad(np.stack([t.data for t in ts]))
-    out = Tensor(np.asarray(value))
-    _check_finite(out.data, where)
+        raise ShapeError(f"router_penalty needs one or more (B, C) logits of one shape, got {[t.shape for t in ts]}")
+    z, sel = np.stack([t.data for t in ts]), np.asarray(selected)  # (layers, B, C), (layers, B, k)
+    (n, b, c), c_r = z.shape, z.shape[2] - shared
+    if sel.shape[:2] != (n, b) or sel.ndim != 3 or not sel.size or sel.min() < shared or sel.max() >= c:
+        raise IndexError(f"router_penalty needs {n} (B={b}, k) selections in [{shared}, {c}), got {sel.shape}")
+    f = (np.stack([np.bincount(s.ravel() - shared, minlength=c_r) for s in sel]) / sel[0].size).astype(z.dtype)
+    q = softmax(z[:, :, shared:])
+    u, d_lb = (f * (c_r / n / b))[:, None, :], np.zeros_like(z)
+    d_lb[:, :, shared:] = q * (u - (u * q).sum(axis=-1, keepdims=True))
+    lb = (q.mean(axis=1) * f).sum() * (c_r / n)
+    m = z.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))  # (layers, B, 1)
+    zl, d_z = (lse * lse).mean(), np.exp(z - lse) * ((2.0 / lse.size) * lse)
+    lb_coeff, z_coeff = float(lb_coeff), float(z_coeff)  # Python floats keep float32 values
+    out = Tensor(np.asarray(lb * lb_coeff + zl * z_coeff))
+    _check_finite(out.data, "router_penalty")
 
     def backward(g):
-        for t, d in zip(ts, dz):
+        s_lb, s_z = float(g * lb_coeff), float(g * z_coeff)
+        for t, dl, dz in zip(ts, d_lb, d_z):
             if t.requires_grad:
-                t.accumulate_grad(d * float(g))  # a Python float keeps float32 grads
+                t.accumulate_grad(dz * s_z)
+                t.accumulate_grad(dl * s_lb)
 
-    return _record(out, ts, backward)
-
-
-def load_balance_loss(logits, selected, shared: int) -> Tensor:
-    """Switch load balance (Fedus et al. 2021), the mean over layers of
-    C_r * sum_c f_c * mean_b q[b, c]: q = softmax(logits[:, shared:]), f_c the
-    share of the B*k ``selected`` slots on chapter c. Uniform routing gives 1,
-    all slots on one chapter C_r. f is constant, so with u = C_r * f / (layers
-    * B): dlogits[:, shared:] = q * (u - sum(u * q))."""
-    sel = np.asarray(selected)  # (layers, B, k)
-
-    def loss_and_grad(z):
-        (n, b, c), c_r = z.shape, z.shape[2] - shared
-        if sel.shape[:2] != (n, b) or sel.ndim != 3 or not sel.size or sel.min() < shared or sel.max() >= c:
-            raise IndexError(f"load_balance_loss needs {n} (B={b}, k) selections in [{shared}, {c}), got {sel.shape}")
-        f = (np.stack([np.bincount(s.ravel() - shared, minlength=c_r) for s in sel]) / sel[0].size).astype(z.dtype)
-        q = softmax(z[:, :, shared:])
-        u, dz = (f * (c_r / n / b))[:, None, :], np.zeros_like(z)
-        dz[:, :, shared:] = q * (u - (u * q).sum(axis=-1, keepdims=True))
-        return (q.mean(axis=1) * f).sum() * (c_r / n), dz
-
-    return _layer_loss(logits, "load_balance_loss", loss_and_grad)
-
-
-def z_loss(logits) -> Tensor:
-    """ST-MoE router z-loss (Zoph et al. 2022): mean over layers and
-    sequences of lse^2, lse = logsumexp over all C chapter logits.
-    Backward: dlogits = 2 * lse / (layers * B) * softmax(logits)."""
-
-    def loss_and_grad(z):
-        m = z.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))  # (layers, B, 1)
-        return (lse * lse).mean(), np.exp(z - lse) * ((2.0 / lse.size) * lse)
-
-    return _layer_loss(logits, "z_loss", loss_and_grad)
+    return _record(out, ts, backward), float(lb), float(zl)
 
 
 def topk(p, k: int) -> np.ndarray:

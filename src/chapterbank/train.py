@@ -65,6 +65,8 @@ class TrainConfig(Config):
             raise ConfigError(
                 f"wsd decay_start {self.schedule.decay_start} must be < steps {self.steps}"
             )
+        if 0 < self.steps <= self.schedule.warmup and self.schedule.total_steps is None:
+            raise ConfigError(f"steps {self.steps} must exceed schedule.warmup {self.schedule.warmup}")
 
     def group_lrs(self) -> dict[str, float]:
         bank = {
@@ -204,6 +206,10 @@ def train(
             f"optimizer freezes {sorted(optimizer.frozen_groups)} but bank_mode={cfg.bank_mode!r} "
             f"freezes {sorted(cfg.frozen_groups)}"
         )
+    for name in ("betas", "weight_decay"):
+        have, want = getattr(optimizer.cfg, name), getattr(cfg, name)
+        if have != want:
+            raise ConfigError(f"optimizer {name} {have} differs from the config's {want}")
     rng = RngState(cfg.seed)
     train_region, eval_region = corpus.split()
     if train_region.size < cfg.seq_len or eval_region.size < cfg.seq_len:

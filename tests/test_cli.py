@@ -14,7 +14,7 @@ import chapterbank
 from chapterbank.checkpoint import checkpoint_from, load_checkpoint, model_from_checkpoint, save_checkpoint
 from chapterbank.cli import main
 from chapterbank.config import preset
-from chapterbank.errors import ConfigError
+from chapterbank.errors import CheckpointMismatch, ConfigError
 from chapterbank.flops import flops_model
 from chapterbank.model import build_model, collect_route_stats, route_stats_csv, route_stats_text
 from chapterbank.tensor import RngState
@@ -115,6 +115,11 @@ class TestTrainCommand:
         assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "error: train.schedule: unknown schedule kind 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_steps_within_the_default_warmup_name_the_fields(self, tmp_path, capsys):
+        assert main(["train", "--preset", "micro", "--steps", "5", "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "steps 5 must exceed schedule.warmup 10" in err and "total_steps" not in err
 
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.json", "--out-dir", "/tmp/x"]) == 2
@@ -407,6 +412,14 @@ def _drop_v_moment(header):
     header["tensors"] = [e for e in header["tensors"] if e["name"] != "optim.v.final_norm.gain"]
 
 
+def _drop_m_moment(header):
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != "optim.m.final_norm.gain"]
+
+
+def _repeat_a_tensor(header):
+    header["tensors"].append(dict(header["tensors"][0]))  # same payload, so its CRC holds
+
+
 def _misstate_nbytes(header):
     header["tensors"][0]["nbytes"] -= 4
 
@@ -468,15 +481,24 @@ class TestCorruptCheckpoint:
         save_checkpoint(ckpt, path)
         return path
 
-    def assert_exit_2(self, path, tmp_path, capsys):
-        argvs = [
-            ["continue", "--checkpoint", str(path), "--out-dir", str(tmp_path / "o"), "--steps", "2"],
+    @staticmethod
+    def argvs(path, tmp_path):
+        # 11 steps: more than the default schedule's warmup of 10, so only the
+        # checkpoint can make these fail (test_good_checkpoint_passes_both_legs)
+        return [
+            ["continue", "--checkpoint", str(path), "--out-dir", str(tmp_path / "o"), "--steps", "11"],
             ["route-stats", "--checkpoint", str(path), "--batches", "1", "--seqlen", "8"],
         ]
-        for argv in argvs:
+
+    def assert_exit_2(self, path, tmp_path, capsys):
+        for argv in self.argvs(path, tmp_path):
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
+
+    def test_good_checkpoint_passes_both_legs(self, ckpt_path, tmp_path, capsys):
+        for argv in self.argvs(ckpt_path, tmp_path):
+            assert main(argv) == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", sorted(CORRUPTIONS))
     def test_damaged_bytes_exit_2(self, mode, ckpt_path, tmp_path, capsys):
@@ -498,6 +520,25 @@ class TestCorruptCheckpoint:
         self.assert_exit_2(ckpt_path, tmp_path, capsys)
         with pytest.raises(ConfigError) as e:
             load_checkpoint(ckpt_path)
+        assert message in str(e.value)
+
+    @pytest.mark.parametrize("case", ["empty tensor table", "lone v moment", "repeated tensor", "mixed precision"])
+    def test_restore_hole_exits_2(self, case, ckpt_path, tmp_path, capsys):
+        if case in ("lone v moment", "repeated tensor"):
+            _rewrite_header(ckpt_path, _drop_m_moment if case == "lone v moment" else _repeat_a_tensor)
+            message = {"lone v moment": "optim.v.final_norm.gain has no optim.m.final_norm.gain",
+                       "repeated tensor": "appears twice"}[case]
+        else:
+            ckpt = load_checkpoint(ckpt_path)
+            if case == "empty tensor table":
+                ckpt.tensors, ckpt.moments, message = {}, {}, "tensor_table"
+            else:
+                ckpt.tensors["final_norm.gain"] = ckpt.tensors["final_norm.gain"].astype(np.float64)
+                message = "mix precisions ['double', 'single']"
+            save_checkpoint(ckpt, ckpt_path)
+        self.assert_exit_2(ckpt_path, tmp_path, capsys)
+        with pytest.raises((ConfigError, CheckpointMismatch)) as e:
+            model_from_checkpoint(load_checkpoint(ckpt_path))
         assert message in str(e.value)
 
     def test_only_format_version_exits_2(self, ckpt_path, tmp_path, capsys):

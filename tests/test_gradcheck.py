@@ -44,12 +44,13 @@ def test_matmul_add_chain(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matmul_flattened_rows(seed):
-    # the head's GEMM runs over the flattened rows of a (..., d) input and
-    # hands dx back in its shape
-    a = make_param((2, 3, 2, 4), seed)
+    # the head's GEMM runs over the flattened rows of the first L - 1
+    # positions of a (..., L, d) input and hands dh back in its shape
+    a = make_param((2, 3, 3, 4), seed)
+    gain = make_param((4,), seed + 200)
     b = make_param((4, 3), seed + 100)
-    targets = np.random.default_rng(seed + 50).integers(0, 3, size=(2, 3, 2))
-    check(lambda: ops.scale(ops.linear_cross_entropy(a, b, targets), 0.37), [a, b])
+    targets = np.random.default_rng(seed + 50).integers(0, 3, size=(2, 3, 3))
+    check(lambda: ops.scale(ops.lm_head_loss(a, gain, b, targets), 0.37), [a, gain, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -105,9 +106,10 @@ def test_router_losses(seed, n_layers, shared, k):
     gen = np.random.default_rng(seed + 60)
     logits = [make_param((4, 7), seed + 10 * i, name=f"layers.{i}.logits") for i in range(n_layers)]
     sel = [np.stack([shared + gen.permutation(7 - shared)[:k] for _ in range(4)]) for _ in range(n_layers)]
-    # a scale != 1 on each, as the lb and z coefficients apply
-    check(lambda: ops.scale(ops.load_balance_loss(logits, sel, shared), 0.37), logits)
-    check(lambda: ops.scale(ops.z_loss(logits), 2.5), logits)
+    # each term alone and both, at coefficients != 1
+    check(lambda: ops.router_penalty(logits, sel, shared, 0.37, 0.0)[0], logits)
+    check(lambda: ops.router_penalty(logits, sel, shared, 0.0, 2.5)[0], logits)
+    check(lambda: ops.router_penalty(logits, sel, shared, 0.37, 2.5)[0], logits)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -184,10 +186,10 @@ def test_attention(seed, groups, causal):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cross_entropy(seed):
-    # an identity head makes the logits the parameter itself
-    logits = make_param((5, 7), seed)
-    targets = np.random.default_rng(seed + 9).integers(0, 7, size=5)
-    check(lambda: ops.linear_cross_entropy(logits, Tensor(np.eye(7)), targets), [logits])
+    # an identity head makes the logits the normed states themselves
+    h = make_param((5, 2, 7), seed)
+    targets = np.random.default_rng(seed + 9).integers(0, 7, size=(5, 2))
+    check(lambda: ops.lm_head_loss(h, Tensor(np.ones(7)), Tensor(np.eye(7)), targets), [h])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -195,31 +197,35 @@ def test_cross_entropy(seed):
 @pytest.mark.parametrize("n", [3, 10])  # below a 4-row chunk, and not a multiple of it
 def test_linear_cross_entropy(seed, transposed, n, monkeypatch):
     monkeypatch.setattr(ops, "CE_CHUNK_ROWS", 4)
-    x = make_param((n, 3), seed)
+    h = make_param((1, n + 1, 3), seed)  # n loss rows
+    gain = make_param((3,), seed + 2)
     w = make_param((5, 3) if transposed else (3, 5), seed + 1)
-    targets = np.random.default_rng(seed + 9).integers(0, 5, size=n)
+    targets = np.random.default_rng(seed + 9).integers(0, 5, size=(1, n + 1))
     # an upstream scale != 1, as grad_accum applies
-    check(lambda: ops.scale(ops.linear_cross_entropy(x, w, targets, transposed), 0.37), [x, w])
+    check(lambda: ops.scale(ops.lm_head_loss(h, gain, w, targets, transposed), 0.37), [h, gain, w])
 
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_linear_cross_entropy_at_chunk_size(transposed):
     n = ops.CE_CHUNK_ROWS + 3
-    x = make_param((n, 3), 0)
+    h = make_param((1, n + 1, 3), 0)  # n loss rows
+    gain = make_param((3,), 3)
     w = make_param((4, 3) if transposed else (3, 4), 1)
-    targets = np.random.default_rng(2).integers(0, 4, size=n)
-    f = lambda: ops.scale(ops.linear_cross_entropy(x, w, targets, transposed), 2.5)
-    assert grad_check(f, [x, w], h=1e-5, max_entries_per_param=60) < TOL
+    targets = np.random.default_rng(2).integers(0, 4, size=(1, n + 1))
+    f = lambda: ops.scale(ops.lm_head_loss(h, gain, w, targets, transposed), 2.5)
+    assert grad_check(f, [h, gain, w], h=1e-5, max_entries_per_param=60) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_logsumexp(seed):
-    # logsumexp lives in z_loss (its square) and in the cross-entropy (an
-    # identity head makes the logits x)
+    # logsumexp lives in the router z-loss (its square) and in the
+    # cross-entropy (an identity head makes the logits the normed x, here one
+    # sequence of four positions)
     x = make_param((4, 5), seed)
     targets = np.random.default_rng(seed + 9).integers(0, 5, size=4)
-    check(lambda: ops.z_loss([x]), [x])
-    check(lambda: ops.linear_cross_entropy(x, Tensor(np.eye(5)), targets), [x])
+    sel = np.arange(4)[:, None]  # any selection: the load balance is weighted 0
+    check(lambda: ops.router_penalty([x], [sel], 0, 0.0, 1.0)[0], [x])
+    check(lambda: ops.lm_head_loss(x, Tensor(np.ones(5)), Tensor(np.eye(5)), targets), [x])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -228,11 +234,11 @@ def test_reshape_swap_slice_concat_gather(seed):
     ids = np.random.default_rng(seed).integers(0, 4, size=(2, 3))
 
     def f():
-        g = ops.gather_rows(a, ids.reshape(3, 2))  # (3,2,6): no taped reshape, the ids take the shape
-        g = ops.index_slice(g, (slice(None, None, -1),))  # reversed, as there is no swap
-        left = ops.index_slice(g, (slice(0, 2),))
-        right = ops.index_slice(g, (slice(1, 3),))  # joined by add, as there is no concat
-        both = ops.add(left, ops.rmsnorm(right, Tensor(np.linspace(0.5, 1.5, 6))))  # (2,2,6)
+        # no taped reshape, swap or slice is left: the ids take the shape, are
+        # reversed and are sliced, so the gathers overlap in row 1
+        g = ids.reshape(3, 2)[::-1]
+        left, right = ops.gather_rows(a, g[0:2]), ops.gather_rows(a, g[1:3])
+        both = ops.add(left, ops.rmsnorm(right, Tensor(np.linspace(0.5, 1.5, 6))))  # (2,2,6), as there is no concat
         return weighted_sum(both, 1 / 24)
 
     check(f, [a])

@@ -515,10 +515,11 @@ class TestBatchedMatchesPerSequence:
             route(Tensor(h), model[f"layers.{i}.router.weight"], model[f"layers.{i}.router.bias"], cfg)
             for h, i in zip(hs, layers)
         ]
-        lb, z = aux_losses(decisions, cfg)
+        penalty, lb, z = aux_losses(decisions, cfg)
         want_lb, want_z = per_sequence_aux_losses(hs, model, layers)
-        assert abs(lb.item() - want_lb) < 1e-12
-        assert abs(z.item() - want_z) < 1e-12
+        assert abs(lb - want_lb) < 1e-12
+        assert abs(z - want_z) < 1e-12
+        assert penalty.item() == cfg.lb_coeff * lb + cfg.z_coeff * z
         assert abs(want_lb - 1.0) > 1e-3  # far from the uniform-routing value
 
 
@@ -680,23 +681,24 @@ class TestModelForward:
 
     def test_micro_train_step_tape_length(self):
         # Pins the tape of one micro train step (forward + loss): 1 embedding
-        # gather, 4 layers of 6, 2 memory reads of 6 and 9 in the head and
-        # losses, 46 records. Each attention block, self or memory, is three:
+        # gather, 4 layers of 6, 2 memory reads of 6 and 3 in the head and
+        # losses, 40 records. Each attention block, self or memory, is three:
         # norm, attention (with its four projections), residual add; each MLP
         # is three: norm, swiglu, residual add. Each of the two memory layers'
         # routers is two (router_logits, chapter_weights) and its tokens one
-        # (memory_tokens), with or without the adapter. The head is three
-        # records: slice, final norm, linear_cross_entropy. The router losses
-        # are two (load_balance_loss and z_loss over both layers' logits), then
-        # two scales and two adds join them to the LM loss. A change that
-        # splits the head, the router, the memory tokens, the MLP or the
-        # attention into more ops fails here.
-        for adapter in (False, True):
-            model = build_model(replace(preset("micro"), adapter_enabled=adapter), RngState(12))
-            tokens = np.random.default_rng(12).integers(0, 256, (2, 16))
+        # (memory_tokens), with or without the adapter. The head is one record,
+        # lm_head_loss (slice, final norm and cross-entropy); the router
+        # penalty is one (router_penalty over both layers' logits), and one add
+        # joins the two. The dense model has no penalty and no add: 26. A
+        # change that splits the head, the penalty, the router, the memory
+        # tokens, the MLP or the attention into more ops fails here.
+        tokens = np.random.default_rng(12).integers(0, 256, (2, 16))
+        for overrides, want in (({"adapter_enabled": False}, 40), ({"adapter_enabled": True}, 40),
+                                ({"memory_layer_indices": ()}, 26)):
+            model = build_model(replace(preset("micro"), **overrides), RngState(12))
             with Tape() as tape:
                 model_forward(model, tokens, tokens)
-            assert len(tape) == 46
+            assert len(tape) == want, overrides
 
     def test_micro_train_step_backward_peak_near_forward_memory(self):
         # Backward consumes the tape, so activation grads and saved arrays are
@@ -754,10 +756,11 @@ def _logits(x: Tensor, w: Tensor, transposed: bool) -> Tensor:
     return _record(Tensor((x2 @ wt).reshape(x.shape[:-1] + (wt.shape[1],))), [x, w], backward)
 
 
-def _mean_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Taped mean of logsumexp(row) - row[target] over the rows of (..., V)
-    logits in plain numpy, max-subtracted; backward (softmax - onehot) * g / N."""
-    z, t = logits.data.reshape(-1, logits.shape[-1]), targets.reshape(-1)
+def _next_token_cross_entropy(logits: Tensor, tokens: np.ndarray) -> Tensor:
+    """Taped mean of logsumexp(row) - row[next token] over positions 0..L-2
+    of (B, L, V) logits in plain numpy, max-subtracted; backward
+    (softmax - onehot) * g / N there and zero at position L-1."""
+    z, t = logits.data[:, :-1].reshape(-1, logits.shape[-1]), tokens[:, 1:].reshape(-1)
     rows = np.arange(z.shape[0])
     top = z.max(axis=1, keepdims=True)
     e = np.exp(z - top)
@@ -767,24 +770,24 @@ def _mean_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def backward(g):
         p = e / s
         p[rows, t] -= 1.0
-        logits.accumulate_grad((p * (float(g) / len(rows))).reshape(logits.shape))
+        dz = np.zeros_like(logits.data)
+        dz[:, :-1] = (p * (float(g) / len(rows))).reshape(dz[:, :-1].shape)
+        logits.accumulate_grad(dz)
 
     return _record(loss, [logits], backward)
 
 
 def unfused_total_loss(model: Model, tokens: np.ndarray) -> Tensor:
-    """Full (B, L, V) logits from one taped GEMM, sliced to the first L - 1
-    positions, then a plain-numpy logsumexp cross-entropy over them."""
+    """The final norm of all L positions, full (B, L, V) logits from one
+    taped GEMM, then a plain-numpy logsumexp cross-entropy over the first
+    L - 1 positions, plus the router penalty."""
     cfg = model.config
     h, decisions, _ = _run_stack(model, tokens)
     x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
     w = model["embedding.weight" if cfg.tied_embeddings else "lm_head.weight"].value
-    l = tokens.shape[1]
-    logits = ops.index_slice(_logits(x, w, cfg.tied_embeddings), (slice(None), slice(0, l - 1)))
-    loss = _mean_cross_entropy(logits, tokens[:, 1:])
+    loss = _next_token_cross_entropy(_logits(x, w, cfg.tied_embeddings), tokens)
     if decisions:
-        lb, z = aux_losses(decisions, cfg)
-        loss = ops.add(loss, ops.add(ops.scale(lb, cfg.lb_coeff), ops.scale(z, cfg.z_coeff)))
+        loss = ops.add(loss, aux_losses(decisions, cfg)[0])
     return loss
 
 

@@ -4,6 +4,7 @@ abort paths, and the metrics/corpus plumbing."""
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,9 +21,9 @@ from chapterbank.config import preset
 from chapterbank.errors import CheckpointMismatch, ConfigError, TrainingAborted
 from chapterbank.flops import flops_model
 from chapterbank.model import build_model
-from chapterbank.optim import AdamW
+from chapterbank.optim import AdamW, AdamWConfig
 from chapterbank.schedule import cosine, lr_at_step, wsd
-from chapterbank.tensor import RngState
+from chapterbank.tensor import RngState, Tape
 from chapterbank.train import (
     BANK_MODES,
     METRICS_HEADER,
@@ -32,6 +33,7 @@ from chapterbank.train import (
     make_synthetic_corpus,
     metrics_csv,
     resume_train,
+    sample_batch,
     train,
 )
 
@@ -74,6 +76,13 @@ class TestTrainConfig:
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             quick_cfg(**kwargs).validate()
+
+    def test_steps_must_exceed_the_warmup_without_a_horizon(self):
+        with pytest.raises(ConfigError, match=r"steps 5 must exceed schedule\.warmup 10"):
+            TrainConfig(steps=5).validate()
+        TrainConfig(steps=0).validate()  # nothing to schedule
+        TrainConfig(steps=11).validate()
+        TrainConfig(steps=5, schedule=cosine(10, total_steps=20)).validate()  # a run cut short of its horizon
 
     def test_group_lrs_per_bank_mode(self):
         assert quick_cfg(bank_mode="frozen").group_lrs()["memory_bank"] == 0.0
@@ -175,6 +184,27 @@ class TestDeterminism:
         assert result.checkpoint.step == 0
 
 
+class TestGradAccum:
+    def test_one_step_averages_two_micro_batches(self):
+        # by hand: each micro-batch's forward and backward at scale 1/2
+        cfg = quick_cfg(steps=1, grad_accum=2, schedule=cosine(0))
+        row = train(micro_model(4), CORPUS, cfg).metrics[0]
+        model, rng = micro_model(4), RngState(cfg.seed)
+        lm = 0.0
+        for micro in range(2):
+            batch = sample_batch(CORPUS.split()[0], rng.substream("batch", 0, micro), cfg.batch_size, cfg.seq_len)
+            with Tape() as tape:
+                trace = model.forward(batch, batch)
+                tape.backward(ops.scale(trace.loss, 0.5))
+            lm += trace.lm_loss
+        norm = math.sqrt(sum(float((p.grad**2).sum()) for p in model.parameters()))
+        assert (row.step, row.split) == (1, "train")
+        assert row.lm_loss == lm / 2
+        assert row.grad_norm == pytest.approx(norm, rel=1e-12)
+        single = train(micro_model(4), CORPUS, replace(cfg, grad_accum=1)).metrics[0]
+        assert abs(single.grad_norm - row.grad_norm) > 1e-6 * row.grad_norm  # the second batch counts
+
+
 class TestResume:
     def test_resume_is_bit_identical_to_uninterrupted_run(self):
         cfg = quick_cfg(steps=24, eval_every=6)
@@ -267,7 +297,16 @@ class TestBankFreezing:
         model = micro_model(2)
         optimizer = AdamW(model.params, frozen_groups=opt_frozen)
         with pytest.raises(ConfigError, match="optimizer freezes"):
-            train(model, CORPUS, quick_cfg(steps=1, bank_mode=bank_mode), optimizer=optimizer)
+            train(model, CORPUS, quick_cfg(steps=3, bank_mode=bank_mode), optimizer=optimizer)
+
+    @pytest.mark.parametrize("name, value", [("weight_decay", 0.0), ("betas", (0.8, 0.95))])
+    def test_a_passed_optimizer_must_match_the_update_settings(self, name, value):
+        model = micro_model(2)
+        optimizer = AdamW(model.params, AdamWConfig(**{name: value}))
+        cfg = quick_cfg(steps=3)
+        with pytest.raises(ConfigError) as e:
+            train(model, CORPUS, cfg, optimizer=optimizer)
+        assert f"optimizer {name} {value} differs from the config's {getattr(cfg, name)}" in str(e.value)
 
 
 class TestGroupLrAudit:

@@ -1,0 +1,98 @@
+"""Bit-identity fingerprint of the model's losses, gradients and a short run.
+
+Prints one SHA-256 line per case. Two trees that compute the same bits
+print the same lines, so a refactor that claims bit-identity is checked by
+running this script in both trees and diffing the output:
+
+    python tools/fingerprint.py > after.txt
+    (cd /path/to/other/tree && python tools/fingerprint.py) > before.txt
+    diff before.txt after.txt
+
+The script imports ``chapterbank`` from the ``src/`` of the tree it sits
+in. Cases: single and double precision; tied, untied, adapter (set to
+non-zero) and dense models; the ``micro`` preset at (3, 13) and a mid
+config at (3, 100), whose 297 loss rows span two cross-entropy chunks.
+Each case runs one taped forward and a backward at upstream scale 0.5 and
+hashes the four loss values, the taped loss, every parameter gradient and
+``forward_logits``. The last three lines hash the artifacts of
+``chapterbank train --preset micro --steps 12``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")  # one BLAS thread: the same summation order on every run
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from chapterbank import ops  # noqa: E402
+from chapterbank.cli import main as cli_main  # noqa: E402
+from chapterbank.config import preset  # noqa: E402
+from chapterbank.model import build_model, model_forward  # noqa: E402
+from chapterbank.tensor import RngState, Tape  # noqa: E402
+
+MID = dict(d_model=96, n_heads=4, n_kv_heads=2, d_ff=192, vocab=700, max_seq_len=128)
+SHAPES = {"micro": ({}, (3, 13)), "mid": (MID, (3, 100))}
+VARIANTS = {
+    "tied": {},
+    "untied": {"tied_embeddings": False},
+    "adapter": {"adapter_enabled": True},
+    "dense": {"memory_layer_indices": ()},
+}
+
+
+def case_digest(precision: str, variant: str, shape_name: str) -> str:
+    overrides, shape = SHAPES[shape_name]
+    cfg = replace(preset("micro"), **overrides, **VARIANTS[variant])
+    model = build_model(cfg, RngState(14), precision)
+    gen = np.random.default_rng(14)
+    if cfg.adapter_enabled:  # adapters start at zero, which would hide their path
+        for i in cfg.memory_layer_indices:
+            adapter = model[f"layers.{i}.mem.adapter"].value.data
+            adapter[...] = gen.standard_normal(adapter.shape) * 0.02
+    tokens = gen.integers(0, cfg.vocab, shape)
+    model.zero_grads()
+    with Tape() as tape:
+        trace = model_forward(model, tokens, tokens)
+        tape.backward(ops.scale(trace.loss, 0.5))
+    h = hashlib.sha256()
+    h.update(np.array([trace.lm_loss, trace.lb_loss, trace.z_loss, trace.total_loss]).tobytes())
+    h.update(trace.loss.data.tobytes())
+    for name, p in model.params.items():
+        h.update(name.encode())
+        h.update(p.grad.tobytes())
+    h.update(model.forward_logits(tokens).tobytes())
+    return h.hexdigest()
+
+
+def train_digests() -> list[tuple[str, str]]:
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["train", "--preset", "micro", "--steps", "12", "--out-dir", out])
+        if code != 0:
+            raise SystemExit(f"chapterbank train exited {code}")
+        return [(hashlib.sha256((Path(out) / name).read_bytes()).hexdigest(), f"train-micro-12/{name}")
+                for name in ("metrics.csv", "final.ckpt", "config.resolved")]
+
+
+def main() -> None:
+    for precision in ("single", "double"):
+        for variant in VARIANTS:
+            for shape_name in SHAPES:
+                print(case_digest(precision, variant, shape_name), f"{precision}/{variant}/{shape_name}")
+    for digest, name in train_digests():
+        print(digest, name)
+
+
+if __name__ == "__main__":
+    main()
