@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import types
 import typing
@@ -163,6 +164,12 @@ class ModelConfig(Config):
             fail(f"head dimension {self.head_dim} must be even for rotary embedding")
         if self.max_seq_len < 1:
             fail("max_seq_len must be >= 1")
+        if not (math.isfinite(self.rope_theta) and self.rope_theta > 0):
+            fail(f"rope_theta must be finite and > 0, got {self.rope_theta}")
+        for name in ("routed_scaling", "lb_coeff", "z_coeff", "bank_init_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                fail(f"{name} must be finite and >= 0, got {value}")
         bad = [i for i in self.memory_layer_indices if not 0 <= i < self.n_layers]
         if bad:
             fail(f"memory_layer_indices {bad} outside [0, {self.n_layers})")

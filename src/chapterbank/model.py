@@ -375,6 +375,8 @@ def collect_route_stats(model: Model, batches: list[np.ndarray], layers: list[in
     if not cfg.has_memory:
         raise ConfigError("route stats need a model with memory layers")
     wanted = list(cfg.memory_layer_indices) if layers is None else list(layers)
+    if len(set(wanted)) != len(wanted):
+        raise ConfigError(f"layers {wanted} name a layer more than once")
     bad = [l for l in wanted if l not in cfg.memory_layer_indices]
     if bad:
         raise ConfigError(f"layers {bad} are not memory layers {list(cfg.memory_layer_indices)}")

@@ -32,9 +32,20 @@ BLOCK = 1 << 16  # elements per pass of the update: 256-512 KB per buffer, cache
 
 @dataclass(frozen=True)
 class AdamWConfig:
+    """Update settings, checked when built: each beta in [0, 1), ``eps``
+    finite and > 0, ``weight_decay`` finite and >= 0."""
+
     betas: tuple[float, float] = (0.9, 0.95)
     eps: float = 1e-8
     weight_decay: float = 0.1
+
+    def __post_init__(self):
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(f"betas must each lie in [0, 1), got {self.betas}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -201,13 +212,10 @@ def global_grad_norm(optimizer: AdamW) -> float:
     return math.sqrt(total)
 
 
-def clip_grad_norm(optimizer: AdamW, max_norm: float, norm: float | None = None) -> float:
-    """Scale the optimizer's grads by max_norm/norm when norm exceeds
-    max_norm, one in-place multiply per segment; returns the applied scale
-    factor. ``norm`` is the ``global_grad_norm`` of these grads when the
-    caller already has it."""
-    if norm is None:
-        norm = global_grad_norm(optimizer)
+def clip_grad_norm(optimizer: AdamW, max_norm: float, norm: float) -> float:
+    """Scale the optimizer's grads by max_norm/norm when norm, their
+    ``global_grad_norm``, exceeds max_norm, one in-place multiply per
+    segment; returns the applied scale factor."""
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm

@@ -21,7 +21,7 @@ from .errors import ConfigError, TrainingAborted
 from .model import Model, build_model
 from .schedule import cosine
 from .tensor import RngState
-from .train import Corpus, TrainConfig, _eval_batches, _eval_losses, continue_train, train
+from .train import Corpus, TrainConfig, _eval_losses, continue_train, train
 
 FACT_OPEN, FACT_SEP, FACT_CLOSE = 1, 2, 3
 INSTR_OPEN, INSTR_SEP, INSTR_CLOSE = 4, 5, 6
@@ -315,13 +315,13 @@ def run_retention_protocol(
             res_a = train(model, fact_corpus, phase_a)
             result.fact_recall_a = eval_fact_recall(model, fact_probes)
             result.task_acc_a = eval_fact_recall(model, instr_probes)
-            result.fact_loss_a = _fact_eval_loss(model, fact_corpus, phase_a)
+            result.fact_loss_a = _eval_losses(model, res_a.eval_batches)[0]
             bank_before = res_a.checkpoint.tensors.get("bank.tokens")
             res_b = continue_train(res_a.checkpoint, instr_corpus, phase_b)
             model_b = res_b.model
             result.fact_recall_b = eval_fact_recall(model_b, fact_probes)
             result.task_acc_b = eval_fact_recall(model_b, instr_probes)
-            result.fact_loss_b = _fact_eval_loss(model_b, fact_corpus, phase_a)
+            result.fact_loss_b = _eval_losses(model_b, res_a.eval_batches)[0]
             if bank_before is not None:
                 result.bank_unchanged_in_b = bool(
                     np.array_equal(bank_before, model_b["bank.tokens"].value.data)
@@ -329,13 +329,6 @@ def run_retention_protocol(
         except TrainingAborted:
             result.failed = True
     return report
-
-
-def _fact_eval_loss(model: Model, fact_corpus: Corpus, phase_a: TrainConfig) -> float:
-    _, eval_region = fact_corpus.split()
-    batches = _eval_batches(eval_region, RngState(phase_a.seed), phase_a)
-    lm, _, _, _ = _eval_losses(model, batches)
-    return lm
 
 
 def run_multi_seed(

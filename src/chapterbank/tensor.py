@@ -208,7 +208,7 @@ def _derive_seed(*parts) -> int:
 
 
 class RngState:
-    """Seeded randomness with named, splittable substreams.
+    """Seeded randomness with named substreams.
 
     Backed by numpy's PCG64 generator. A substream is derived from
     (seed, label) via SHA-256, so identical seeds give bit-identical
@@ -223,9 +223,6 @@ class RngState:
 
     def substream(self, *labels) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(_derive_seed(self.seed, *labels)))
-
-    def split(self, *labels) -> "RngState":
-        return RngState(_derive_seed(self.seed, *labels))
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, algorithm={self.algorithm!r})"

@@ -18,7 +18,7 @@ from . import ops
 from .checkpoint import Checkpoint, check_config_match, checkpoint_from, model_from_checkpoint
 from .config import Config, ModelConfig
 from .errors import ConfigError, NumericError, TrainingAborted
-from .model import Model
+from .model import ForwardTrace, Model
 from .optim import AdamW, AdamWConfig, clip_grad_norm, global_grad_norm
 from .schedule import Schedule, cosine, lr_at_step
 from .tensor import RngState, Tape
@@ -59,8 +59,13 @@ class TrainConfig(Config):
             raise ConfigError("bank_mode=custom requires lr_memory_bank")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:  # NaN too; inf means no clipping
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
+        for name in ("lr_base", "lr_memory_layers", "lr_memory_bank"):
+            lr = getattr(self, name)
+            if lr is not None and not (math.isfinite(lr) and lr >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {lr}")
+        AdamWConfig(betas=self.betas, weight_decay=self.weight_decay)  # checks the update settings
         if self.steps > 0 and self.schedule.kind == "wsd" and self.schedule.decay_start >= self.steps:
             raise ConfigError(
                 f"wsd decay_start {self.schedule.decay_start} must be < steps {self.steps}"
@@ -148,6 +153,7 @@ class TrainResult:
     checkpoint: Checkpoint
     model: Model
     optimizer: AdamW
+    eval_batches: list[np.ndarray]  # the batches every eval row was measured on
 
     def eval_rows(self) -> list[MetricsRow]:
         return [r for r in self.metrics if r.split == "eval"]
@@ -165,16 +171,27 @@ def _eval_batches(region: np.ndarray, rng: RngState, cfg: TrainConfig) -> list[n
     return [sample_batch(region, gen, n, cfg.seq_len) for _ in range(EVAL_BATCHES)]
 
 
-def _eval_losses(model: Model, batches: list[np.ndarray]) -> tuple[float, float, float, float]:
+def _mean_losses(traces: list[ForwardTrace]) -> tuple[float, float, float, float]:
+    """The mean (lm, lb, z, total) losses of ``traces``, summed in order."""
     lm = lb = z = total = 0.0
-    for batch in batches:
-        trace = model.forward(batch, batch)
+    for trace in traces:
         lm += trace.lm_loss
         lb += trace.lb_loss
         z += trace.z_loss
         total += trace.total_loss
-    n = len(batches)
+    n = len(traces)
     return lm / n, lb / n, z / n, total / n
+
+
+def _eval_losses(model: Model, batches: list[np.ndarray]) -> tuple[float, float, float, float]:
+    return _mean_losses([model.forward(batch, batch) for batch in batches])
+
+
+def _optimizer(model: Model, cfg: TrainConfig) -> AdamW:
+    """A fresh AdamW over ``model`` as ``cfg`` sets it; built through the
+    module global, so replacing ``AdamW`` here replaces every run's."""
+    return AdamW(model.params, AdamWConfig(betas=cfg.betas, weight_decay=cfg.weight_decay),
+                 frozen_groups=cfg.frozen_groups)
 
 
 def train(
@@ -186,6 +203,8 @@ def train(
     optimizer: AdamW | None = None,
 ) -> TrainResult:
     cfg.validate()
+    if not 0 <= start_step <= cfg.steps:
+        raise ConfigError(f"start_step {start_step} outside [0, steps={cfg.steps}]")
     if len(corpus) < cfg.batch_size * cfg.seq_len:
         raise ConfigError(
             f"corpus length {len(corpus)} below batch_size*seq_len = {cfg.batch_size * cfg.seq_len}"
@@ -196,20 +215,11 @@ def train(
         raise ConfigError(f"seq_len {cfg.seq_len} exceeds model max_seq_len {model.config.max_seq_len}")
 
     if optimizer is None:
-        optimizer = AdamW(
-            model.params,
-            AdamWConfig(betas=cfg.betas, weight_decay=cfg.weight_decay),
-            frozen_groups=cfg.frozen_groups,
-        )
-    elif optimizer.frozen_groups != cfg.frozen_groups:
-        raise ConfigError(
-            f"optimizer freezes {sorted(optimizer.frozen_groups)} but bank_mode={cfg.bank_mode!r} "
-            f"freezes {sorted(cfg.frozen_groups)}"
-        )
-    for name in ("betas", "weight_decay"):
-        have, want = getattr(optimizer.cfg, name), getattr(cfg, name)
-        if have != want:
-            raise ConfigError(f"optimizer {name} {have} differs from the config's {want}")
+        optimizer = _optimizer(model, cfg)
+    have = (sorted(optimizer.frozen_groups), optimizer.cfg.betas, optimizer.cfg.weight_decay)
+    want = (sorted(cfg.frozen_groups), cfg.betas, cfg.weight_decay)
+    if have != want:
+        raise ConfigError(f"optimizer (frozen groups, betas, weight_decay) {have} differs from the config's {want}")
     rng = RngState(cfg.seed)
     train_region, eval_region = corpus.split()
     if train_region.size < cfg.seq_len or eval_region.size < cfg.seq_len:
@@ -226,47 +236,32 @@ def train(
     for step in range(start_step, cfg.steps):
         lrs = {g: lr_at_step(sched, step, base) for g, base in base_lrs.items()}
         model.zero_grads()
-        lm = lb = z = total = 0.0
-        for micro in range(cfg.grad_accum):
-            batch = sample_batch(
-                train_region, rng.substream("batch", step, micro), cfg.batch_size, cfg.seq_len
-            )
-            try:
+        traces = []
+        try:
+            for micro in range(cfg.grad_accum):
+                batch = sample_batch(
+                    train_region, rng.substream("batch", step, micro), cfg.batch_size, cfg.seq_len
+                )
                 with Tape() as tape:
                     trace = model.forward(batch, batch)
                     if not math.isfinite(trace.total_loss):
                         raise NumericError(f"non-finite loss {trace.total_loss}")
                     tape.backward(ops.scale(trace.loss, 1.0 / cfg.grad_accum))
-            except NumericError as e:
-                raise TrainingAborted(str(e), last_ckpt, step) from e
-            lm += trace.lm_loss
-            lb += trace.lb_loss
-            z += trace.z_loss
-            total += trace.total_loss
-        try:
+                traces.append(trace)
             grad_norm = global_grad_norm(optimizer)
-            clip_grad_norm(optimizer, cfg.clip_norm, norm=grad_norm)
+            clip_grad_norm(optimizer, cfg.clip_norm, grad_norm)
             optimizer.step(lrs, t=step + 1)
         except NumericError as e:
             raise TrainingAborted(str(e), last_ckpt, step) from e
         done = step + 1
-        a = cfg.grad_accum
-        rows.append(
-            MetricsRow(done, "train", lm / a, lb / a, z / a, total / a,
-                       lrs["base"], lrs["memory_layers"], lrs["memory_bank"], grad_norm)
-        )
+        logged = (lrs["base"], lrs["memory_layers"], lrs["memory_bank"], grad_norm)
+        rows.append(MetricsRow(done, "train", *_mean_losses(traces), *logged))
         if done % cfg.eval_every == 0 or done == cfg.steps:
-            elm, elb, ez, etotal = _eval_losses(model, eval_batches)
-            rows.append(
-                MetricsRow(done, "eval", elm, elb, ez, etotal,
-                           lrs["base"], lrs["memory_layers"], lrs["memory_bank"], grad_norm)
-            )
+            rows.append(MetricsRow(done, "eval", *_eval_losses(model, eval_batches), *logged))
             last_ckpt = checkpoint_from(model, step=done, seed=cfg.seed, optimizer=optimizer)
 
-    final = last_ckpt  # the last step always snapshots, so this is the final state
-    if final.step != cfg.steps:
-        final = checkpoint_from(model, step=cfg.steps, seed=cfg.seed, optimizer=optimizer)
-    return TrainResult(metrics=rows, checkpoint=final, model=model, optimizer=optimizer)
+    # the last step always snapshots, and start_step == steps snapshots the final state
+    return TrainResult(rows, last_ckpt, model, optimizer, eval_batches)
 
 
 def resume_train(ckpt: Checkpoint, corpus: Corpus, cfg: TrainConfig) -> TrainResult:
@@ -278,11 +273,7 @@ def resume_train(ckpt: Checkpoint, corpus: Corpus, cfg: TrainConfig) -> TrainRes
     if ckpt.step > cfg.steps:
         raise ConfigError(f"checkpoint step {ckpt.step} beyond configured steps {cfg.steps}")
     model = model_from_checkpoint(ckpt)
-    optimizer = AdamW(
-        model.params,
-        AdamWConfig(betas=cfg.betas, weight_decay=cfg.weight_decay),
-        frozen_groups=cfg.frozen_groups,
-    )
+    optimizer = _optimizer(model, cfg)
     optimizer.load_moments(ckpt.moments)
     return train(model, corpus, cfg, start_step=ckpt.step, optimizer=optimizer)
 

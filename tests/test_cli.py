@@ -135,6 +135,8 @@ MALFORMED_RUN_CONFIGS = [
     {"preset": "micro", "model": {"d_model": "64"}},
     {"preset": "micro", "model": {"top_k": 2.0}},
     {"preset": ["micro"]},
+    {"preset": "micro", "train": {"betas": [1.0, 0.95]}},  # AdamW's bias correction divided by zero
+    {"preset": "micro", "train": {"betas": [0.9, 1.0]}},
 ]
 
 
@@ -154,6 +156,24 @@ def test_malformed_run_config_is_exit_2(doc, tmp_path):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "config.resolved").exists()
+
+
+@pytest.mark.parametrize("doc, flags, field", [
+    ({"train": {"betas": [1.0, 0.95]}}, [], "train: betas"),
+    ({}, ["--lr", "nan"], "lr_base"),
+    ({"train": {"clip_norm": float("nan")}}, [], "train: clip_norm"),
+    ({"train": {"weight_decay": -1e9}}, [], "train: weight_decay"),
+    ({"model": {"rope_theta": 0.0}}, [], "model: invalid model config: rope_theta"),
+    ({"model": {"lb_coeff": float("nan")}}, [], "model: invalid model config: lb_coeff"),
+])
+def test_bad_optimizer_or_model_numbers_exit_2_naming_the_field(doc, flags, field, tmp_path, capsys):
+    """These used to train into a numeric abort (exit 1) or a traceback."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "micro", **doc}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--steps", "12", *flags, "--out-dir", str(out)]) == 2
+    assert f"error: {field} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestNumericAbort:
@@ -379,6 +399,14 @@ class TestRouteStats:
         path = tmp_path / "untrained.ckpt"
         save_checkpoint(checkpoint_from(build_model(preset("micro"), RngState(0))), path)
         return path
+
+    def test_a_repeated_layer_exits_2(self, untrained_ckpt, capsys):
+        model = model_from_checkpoint(load_checkpoint(untrained_ckpt))
+        with pytest.raises(ConfigError, match=r"^layers \[1, 1\] name a layer more than once$"):
+            collect_route_stats(model, [np.zeros((1, 4), dtype=np.int64)], [1, 1])
+        assert main(["route-stats", "--checkpoint", str(untrained_ckpt), "--layers", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: layers [1, 1] name a layer more than once" in captured.err and captured.out == ""
 
     def test_non_integer_layers_exit_2(self, untrained_ckpt, capsys):
         assert main(["route-stats", "--checkpoint", str(untrained_ckpt), "--layers", "1,x"]) == 2

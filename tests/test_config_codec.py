@@ -157,5 +157,5 @@ def test_values_checked_against_field_types(cls, doc, words):
 
 
 def test_float_takes_int_and_optional_takes_null():
-    cfg = TrainConfig.from_dict({"lr_base": 1, "lr_memory_layers": None, "betas": [1, 0.5]})
-    assert (cfg.lr_base, cfg.lr_memory_layers, cfg.betas) == (1, None, (1, 0.5))
+    cfg = TrainConfig.from_dict({"lr_base": 1, "lr_memory_layers": None, "betas": [0, 0.5]})
+    assert (cfg.lr_base, cfg.lr_memory_layers, cfg.betas) == (1, None, (0, 0.5))

@@ -257,6 +257,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             replace(preset("micro"), n_heads=3).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("rope_theta", 0.0), ("rope_theta", -1.0), ("rope_theta", math.inf), ("rope_theta", math.nan),
+        ("routed_scaling", math.nan), ("routed_scaling", -1.0),
+        ("lb_coeff", math.nan), ("lb_coeff", -0.01),
+        ("z_coeff", math.inf), ("z_coeff", -0.001),
+        ("bank_init_std", math.nan), ("bank_init_std", -0.02),
+    ])
+    def test_numbers_must_be_finite_and_in_range(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^invalid model config: {name} must be finite"):
+            replace(preset("micro"), **{name: value}).validate()
+
+    def test_zero_coefficients_and_scale_pass(self):
+        replace(preset("micro"), routed_scaling=0.0, lb_coeff=0.0, z_coeff=0.0, bank_init_std=0.0).validate()
+
 
 # ---------------------------------------------------------------------------
 # attention blocks

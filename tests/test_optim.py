@@ -416,11 +416,26 @@ class TestNonFiniteGuard:
         AdamW(params, frozen_groups={"memory_bank"}).step(uniform_lrs(0.1), t=1)
 
 
+class TestAdamWConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("betas", (1.0, 0.95)), ("betas", (0.9, 1.0)), ("betas", (-0.1, 0.95)), ("betas", (math.nan, 0.95)),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan), ("eps", math.inf),
+        ("weight_decay", -1e-9), ("weight_decay", math.nan), ("weight_decay", math.inf),
+    ])
+    def test_bad_settings_fail_when_built(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must"):
+            AdamWConfig(**{name: value})
+
+    def test_edges_pass(self):
+        AdamWConfig(betas=(0.0, 0.0), eps=1e-30, weight_decay=0.0)
+
+
 class TestClipping:
     def test_norm_two_clipped_to_half(self):
         p = make_param(np.zeros(4))
         p.value.grad[:] = 1.0  # norm 2
-        assert abs(clip_grad_norm(AdamW({"p": p}), 1.0) - 0.5) < 1e-12
+        opt = AdamW({"p": p})
+        assert abs(clip_grad_norm(opt, 1.0, global_grad_norm(opt)) - 0.5) < 1e-12
         assert abs(global_grad_norm(AdamW({"p": p})) - 1.0) < 1e-12
 
     def test_given_norm_is_used_as_is(self):
@@ -432,12 +447,13 @@ class TestClipping:
     def test_small_norm_untouched(self):
         p = make_param(np.zeros(1))
         p.value.grad[:] = 0.5
-        assert clip_grad_norm(AdamW({"p": p}), 1.0) == 1.0
+        opt = AdamW({"p": p})
+        assert clip_grad_norm(opt, 1.0, global_grad_norm(opt)) == 1.0
         assert p.value.grad[0] == 0.5
 
     def test_zero_grads_noop(self):
-        p = make_param(np.zeros(3))
-        assert clip_grad_norm(AdamW({"p": p}), 1.0) == 1.0
+        opt = AdamW({"p": make_param(np.zeros(3))})
+        assert clip_grad_norm(opt, 1.0, global_grad_norm(opt)) == 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_post_clip_norm_bounded(self, seed):
@@ -448,7 +464,7 @@ class TestClipping:
         for p in params.values():
             p.value.grad[:] = gen.standard_normal((4, 4)) * 10
         opt = AdamW(params)
-        clip_grad_norm(opt, 1.0)
+        clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert global_grad_norm(opt) <= 1.0 + 1e-9
 
     def test_norm_spans_all_params_jointly(self):
@@ -462,7 +478,8 @@ class TestClipping:
         bank = make_param(np.zeros(1), "bank", "memory_bank")
         w.value.grad[:] = 2.0
         bank.value.grad[:] = 100.0
-        scale = clip_grad_norm(AdamW({"w": w, "bank": bank}, frozen_groups={"memory_bank"}), 1.0)
+        opt = AdamW({"w": w, "bank": bank}, frozen_groups={"memory_bank"})
+        scale = clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert abs(scale - 0.5) < 1e-12
         assert bank.value.grad is None  # the frozen bank's grad is dropped, not scaled
         assert abs(w.value.grad[0] - 1.0) < 1e-12
@@ -493,7 +510,7 @@ class TestClipping:
             p.value.grad[...] = gen.standard_normal(p.shape) * 10.0
         opt = AdamW(params)
         before = {name: p.grad.copy() for name, p in params.items()}
-        scale = clip_grad_norm(opt, 1.0)
+        scale = clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert scale < 1.0
         for name, p in params.items():
             assert np.shares_memory(p.grad, segment_of(opt, name).grad)

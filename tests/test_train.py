@@ -29,6 +29,7 @@ from chapterbank.train import (
     METRICS_HEADER,
     Corpus,
     TrainConfig,
+    _eval_losses,
     continue_train,
     make_synthetic_corpus,
     metrics_csv,
@@ -76,6 +77,23 @@ class TestTrainConfig:
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             quick_cfg(**kwargs).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("lr_base", math.nan), ("lr_base", -1e-3), ("lr_base", math.inf),
+        ("lr_memory_layers", math.nan), ("lr_memory_layers", -1e-3),
+        ("lr_memory_bank", math.inf), ("lr_memory_bank", -1e-3),
+        ("betas", (1.0, 0.95)), ("betas", (0.9, 1.0)), ("betas", (-0.1, 0.95)), ("betas", (0.9, math.nan)),
+        ("weight_decay", -1e9), ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("clip_norm", math.nan), ("clip_norm", -1.0),
+    ])
+    def test_update_numbers_are_checked_and_name_their_field(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must"):
+            quick_cfg(**{name: value}).validate()
+
+    def test_update_numbers_at_their_edges_pass(self):
+        quick_cfg(lr_base=0.0, lr_memory_layers=0.0, bank_mode="custom", lr_memory_bank=0.0,
+                  betas=(0.0, 0.0), weight_decay=0.0).validate()
+        quick_cfg(clip_norm=math.inf).validate()  # no clipping
 
     def test_steps_must_exceed_the_warmup_without_a_horizon(self):
         with pytest.raises(ConfigError, match=r"steps 5 must exceed schedule\.warmup 10"):
@@ -182,6 +200,12 @@ class TestDeterminism:
         result = train(micro_model(0), CORPUS, quick_cfg(steps=0))
         assert result.metrics == []
         assert result.checkpoint.step == 0
+
+    def test_eval_batches_reproduce_the_last_eval_row(self):
+        result = train(micro_model(0), CORPUS, quick_cfg(steps=5, eval_every=3))
+        last = result.eval_rows()[-1]
+        assert len(result.eval_batches) == 4
+        assert _eval_losses(result.model, result.eval_batches) == (last.lm_loss, last.lb_loss, last.z_loss, last.total_loss)
 
 
 class TestGradAccum:
@@ -292,21 +316,30 @@ class TestBankFreezing:
         assert any(x is bank.value for x in scattered)
         assert bank.value.data.tobytes() != before
 
+    @staticmethod
+    def mismatch(have: tuple, want: tuple) -> str:
+        return f"optimizer (frozen groups, betas, weight_decay) {have} differs from the config's {want}"
+
     @pytest.mark.parametrize("opt_frozen,bank_mode", [((), "frozen"), ({"memory_bank"}, "equal_lr")])
     def test_a_passed_optimizer_must_freeze_what_the_config_freezes(self, opt_frozen, bank_mode):
         model = micro_model(2)
         optimizer = AdamW(model.params, frozen_groups=opt_frozen)
-        with pytest.raises(ConfigError, match="optimizer freezes"):
-            train(model, CORPUS, quick_cfg(steps=3, bank_mode=bank_mode), optimizer=optimizer)
+        cfg = quick_cfg(steps=3, bank_mode=bank_mode)
+        with pytest.raises(ConfigError) as e:
+            train(model, CORPUS, cfg, optimizer=optimizer)
+        settings = (cfg.betas, cfg.weight_decay)
+        assert str(e.value) == self.mismatch((sorted(opt_frozen), *settings), (sorted(cfg.frozen_groups), *settings))
 
     @pytest.mark.parametrize("name, value", [("weight_decay", 0.0), ("betas", (0.8, 0.95))])
     def test_a_passed_optimizer_must_match_the_update_settings(self, name, value):
         model = micro_model(2)
-        optimizer = AdamW(model.params, AdamWConfig(**{name: value}))
+        opt_cfg = AdamWConfig(**{name: value})
+        optimizer = AdamW(model.params, opt_cfg)
         cfg = quick_cfg(steps=3)
         with pytest.raises(ConfigError) as e:
             train(model, CORPUS, cfg, optimizer=optimizer)
-        assert f"optimizer {name} {value} differs from the config's {getattr(cfg, name)}" in str(e.value)
+        have, want = ([], opt_cfg.betas, opt_cfg.weight_decay), ([], cfg.betas, cfg.weight_decay)
+        assert have != want and str(e.value) == self.mismatch(have, want)
 
 
 class TestGroupLrAudit:
@@ -371,6 +404,18 @@ class TestAbortAndValidation:
             train(model, CORPUS, quick_cfg(steps=1, schedule=cosine(0)))
         assert err.value.step == 0 and err.value.last_checkpoint.step == 0
         assert str(err.value) == "non-finite gradient in layers.3.router.bias; step aborted"
+
+    @pytest.mark.parametrize("start_step", [-1, 5])
+    def test_start_step_outside_the_run_is_rejected(self, start_step):
+        with pytest.raises(ConfigError, match=rf"^start_step {start_step} outside \[0, steps=4\]$"):
+            train(micro_model(0), CORPUS, quick_cfg(steps=4), start_step=start_step)
+
+    def test_start_step_at_steps_returns_the_start_state(self):
+        model = micro_model(0)
+        result = train(model, CORPUS, quick_cfg(steps=4), start_step=4)
+        assert result.metrics == [] and result.checkpoint.step == 4
+        for name, p in model.params.items():
+            assert result.checkpoint.tensors[name].tobytes() == p.value.data.tobytes()
 
     def test_corpus_too_short(self):
         with pytest.raises(ConfigError, match="corpus length"):
@@ -444,7 +489,7 @@ def _glibc() -> bool:
         return False
 
 
-# 12 micro steps at (8, 32) in a fresh process; prints the minor page
+# 20 micro steps at (8, 32) in a fresh process; prints the minor page
 # faults of each step, counted between the ends of consecutive AdamW steps.
 STEP_FAULTS = textwrap.dedent("""
     import json, resource
@@ -463,7 +508,7 @@ STEP_FAULTS = textwrap.dedent("""
     AdamW.step = counted
     model = build_model(preset("micro"), RngState(0))
     train(model, make_synthetic_corpus(vocab=256, length=8192, seed=1),
-          TrainConfig(steps=12, batch_size=8, seq_len=32, eval_every=100))
+          TrainConfig(steps=20, batch_size=8, seq_len=32, eval_every=100))
     print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
 """)
 
@@ -471,11 +516,17 @@ STEP_FAULTS = textwrap.dedent("""
 @pytest.mark.skipif(not _glibc(), reason="the allocator policy is set on glibc only")
 def test_steady_state_steps_fault_no_step_memory_back_in():
     """Freed step memory stays in the process (``tensor._keep_freed_memory``),
-    so a steady-state step reuses it instead of faulting it back in (about
-    800 minor faults per step without the policy)."""
+    so a steady-state step reuses it instead of faulting it back in.
+
+    The bound is on the sum over steps 6 to 20, not on one step: while the
+    heap settles, a new 64 KB placement can touch 16 or 17 fresh pages in
+    one step, and where that happens moves with the code size and the
+    environment. Across working directories, environment sizes and
+    PYTEST_CURRENT_TEST set or not, the sum read 3 to 40 with the policy
+    and 4210 to 22727 without it."""
     env = {**os.environ, "PYTHONPATH": str(Path(chapterbank.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", STEP_FAULTS], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     faults = json.loads(proc.stdout.splitlines()[-1])  # faults[i] is step i + 2
-    assert len(faults) == 11 and max(faults[4:]) <= 16, faults
+    assert len(faults) == 19 and sum(faults[4:]) <= 15 * 16, faults

@@ -14,8 +14,12 @@ non-zero) and dense models; the ``micro`` preset at (3, 13) and a mid
 config at (3, 100), whose 297 loss rows span two cross-entropy chunks.
 Each case runs one taped forward and a backward at upstream scale 0.5 and
 hashes the four loss values, the taped loss, every parameter gradient and
-``forward_logits``. The last three lines hash the artifacts of
-``chapterbank train --preset micro --steps 12``.
+``forward_logits``. Then come the artifacts of
+``chapterbank train --preset micro --steps 12`` (three lines), the
+``metrics.csv`` of the same run at ``grad_accum: 2`` through ``--config``,
+the checkpoint of a ``resume_train`` that completes a 12-step run
+interrupted at step 6, and the ``retention.csv`` of
+``chapterbank retention --config`` with phases of 20 and 16 steps.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -36,10 +41,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from chapterbank import ops  # noqa: E402
+from chapterbank.checkpoint import save_checkpoint  # noqa: E402
 from chapterbank.cli import main as cli_main  # noqa: E402
 from chapterbank.config import preset  # noqa: E402
 from chapterbank.model import build_model, model_forward  # noqa: E402
+from chapterbank.schedule import cosine  # noqa: E402
 from chapterbank.tensor import RngState, Tape  # noqa: E402
+from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train  # noqa: E402
 
 MID = dict(d_model=96, n_heads=4, n_kv_heads=2, d_ff=192, vocab=700, max_seq_len=128)
 SHAPES = {"micro": ({}, (3, 13)), "mid": (MID, (3, 100))}
@@ -75,14 +83,57 @@ def case_digest(precision: str, variant: str, shape_name: str) -> str:
     return h.hexdigest()
 
 
+def run_cli(argv: list[str], out: str, config: dict | None = None) -> Path:
+    """Run ``chapterbank`` with ``--out-dir out`` (and ``--config`` when given);
+    returns the output directory."""
+    if config is not None:
+        path = Path(out) / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(argv + ["--out-dir", out])
+    if code != 0:
+        raise SystemExit(f"chapterbank {' '.join(argv)} exited {code}")
+    return Path(out)
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def train_digests() -> list[tuple[str, str]]:
     with tempfile.TemporaryDirectory() as out:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["train", "--preset", "micro", "--steps", "12", "--out-dir", out])
-        if code != 0:
-            raise SystemExit(f"chapterbank train exited {code}")
-        return [(hashlib.sha256((Path(out) / name).read_bytes()).hexdigest(), f"train-micro-12/{name}")
+        run_cli(["train", "--preset", "micro", "--steps", "12"], out)
+        return [(digest(Path(out) / name), f"train-micro-12/{name}")
                 for name in ("metrics.csv", "final.ckpt", "config.resolved")]
+
+
+def grad_accum_digest() -> str:
+    with tempfile.TemporaryDirectory() as out:
+        run_cli(["train"], out, {"preset": "micro", "train": {"steps": 12, "grad_accum": 2}})
+        return digest(Path(out) / "metrics.csv")
+
+
+def resume_digest() -> str:
+    cfg = TrainConfig(steps=12, batch_size=4, seq_len=32, schedule=cosine(2), eval_every=4, seed=5)
+    corpus = make_synthetic_corpus(vocab=256, length=4096, seed=5)
+    model = build_model(preset("micro"), RngState(5))
+    half = train(model, corpus, replace(cfg, steps=6, schedule=cfg.schedule.with_total_steps(12)))
+    rest = resume_train(half.checkpoint, corpus, cfg)
+    with tempfile.TemporaryDirectory() as out:
+        save_checkpoint(rest.checkpoint, Path(out) / "final.ckpt")
+        return digest(Path(out) / "final.ckpt")
+
+
+def retention_digest() -> str:
+    def phase(steps: int, seq_len: int) -> dict:
+        return {"steps": steps, "batch_size": 8, "seq_len": seq_len,
+                "schedule": cosine(2).to_dict(), "eval_every": steps // 2}
+
+    config = {"preset": "micro", "retention": {"phase_a": phase(20, 16), "phase_b": phase(16, 32), "seed": 1}}
+    with tempfile.TemporaryDirectory() as out:
+        run_cli(["retention"], out, config)
+        return digest(Path(out) / "retention.csv")
 
 
 def main() -> None:
@@ -90,8 +141,11 @@ def main() -> None:
         for variant in VARIANTS:
             for shape_name in SHAPES:
                 print(case_digest(precision, variant, shape_name), f"{precision}/{variant}/{shape_name}")
-    for digest, name in train_digests():
-        print(digest, name)
+    for line, name in train_digests():
+        print(line, name)
+    print(grad_accum_digest(), "train-micro-12-accum-2/metrics.csv")
+    print(resume_digest(), "resume-micro-6-of-12/final.ckpt")
+    print(retention_digest(), "retention-micro-20-16/retention.csv")
 
 
 if __name__ == "__main__":
