@@ -23,7 +23,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CheckpointMismatch, ConfigError
 from .model import Model, param_specs
-from .tensor import PRECISION_DTYPES, Parameter, Tensor
+from .tensor import DTYPE_PRECISION, Parameter
 
 MAGIC = b"MOCCKPT1"
 FORMAT_VERSION = 2  # 2: every tensor entry carries a crc32
@@ -38,11 +38,10 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]  # weights, keyed by parameter name
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 def checkpoint_from(model, step: int = 0, seed: int = 0, optimizer=None, metadata: dict | None = None) -> Checkpoint:
-    tensors = {name: p.value.data.copy() for name, p in model.params.items()}
+    tensors = {name: p.data.copy() for name, p in model.params.items()}
     moments = {}
     if optimizer is not None:
         moments = {name: (buf["m"].copy(), buf["v"].copy()) for name, buf in optimizer.state.items()}
@@ -57,11 +56,9 @@ def checkpoint_from(model, step: int = 0, seed: int = 0, optimizer=None, metadat
 
 
 def _precision_of(arr: np.ndarray) -> str:
-    if arr.dtype == np.float32:
-        return "single"
-    if arr.dtype == np.float64:
-        return "double"
-    raise ConfigError(f"unsupported tensor dtype {arr.dtype}")
+    if arr.dtype not in DTYPE_PRECISION:
+        raise ConfigError(f"unsupported tensor dtype {arr.dtype}")
+    return DTYPE_PRECISION[arr.dtype]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -97,7 +94,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         put(f"optim.v.{name}", v)
 
     header = {
-        "format_version": ckpt.version,
+        "format_version": FORMAT_VERSION,
         "model_config": ckpt.config.to_dict(),
         "step": ckpt.step,
         "rng": {"seed": ckpt.seed, "algorithm": "pcg64-sha256-substreams"},
@@ -201,7 +198,6 @@ def load_checkpoint(path) -> Checkpoint:
         tensors=tensors,
         moments=moments,
         metadata=header.get("metadata", {}),
-        version=header["format_version"],
     )
 
 
@@ -220,11 +216,12 @@ def check_config_match(expected: ModelConfig, found: ModelConfig, ignore: set[st
         raise CheckpointMismatch(diff)
 
 
-def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_seq_len: int | None = None) -> Model:
-    """Rebuild a model around copies of the checkpoint's weights, drawing
-    no random init; max_seq_len may be raised for longer-context
-    continuation. A tensor table that does not match the config raises
-    CheckpointMismatch, and weights of mixed precision ConfigError."""
+def model_from_checkpoint(ckpt: Checkpoint, max_seq_len: int | None = None) -> Model:
+    """Rebuild a model around copies of the checkpoint's weights, in their
+    saved precision, drawing no random init; max_seq_len may be raised for
+    longer-context continuation. A tensor table that does not match the
+    config raises CheckpointMismatch, and weights of mixed precision
+    ConfigError."""
     cfg = ckpt.config
     if max_seq_len is not None:
         cfg = replace(cfg, max_seq_len=max(max_seq_len, cfg.max_seq_len))
@@ -241,7 +238,5 @@ def model_from_checkpoint(ckpt: Checkpoint, precision: str | None = None, max_se
     precisions = sorted({_precision_of(arr) for arr in ckpt.tensors.values()})
     if len(precisions) > 1:
         raise ConfigError(f"checkpoint weights mix precisions {precisions}; a checkpoint holds one")
-    precision = precision or precisions[0]
-    dtype = PRECISION_DTYPES[precision]
-    params = {name: Parameter(Tensor(ckpt.tensors[name].astype(dtype)), name, group) for name, _, group, _ in specs}
-    return Model(cfg, params, precision)
+    params = {name: Parameter(ckpt.tensors[name].copy(), name, group) for name, _, group, _ in specs}
+    return Model(cfg, params)

@@ -3,8 +3,8 @@
 Thin wrapper over the library; every artifact a command writes is byte
 reproducible from the corresponding library calls. Each run directory
 receives the fully expanded effective config as `config.resolved`.
-Exit codes: 0 success, 1 numeric abort during training, 2 usage or
-config errors.
+Exit codes: 0 success, 1 numeric abort during training, 2 usage, config
+or path errors.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ def _write_resolved(out_dir: Path, rc: RunConfig) -> None:
 
 
 def _train_into(out_dir: Path, rc: RunConfig, run) -> TrainResult | None:
-    """Run ``run()`` and fill the run directory: ``config.resolved``, then
-    ``metrics.csv`` and ``final.ckpt``, or ``last.ckpt`` and None after a
-    numeric abort."""
+    """Create the run directory, run ``run()`` and fill the directory:
+    ``config.resolved``, then ``metrics.csv`` and ``final.ckpt``, or
+    ``last.ckpt`` and None after a numeric abort."""
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the first step
     try:
         result = run()
     except TrainingAborted as e:
@@ -252,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointMismatch, FileNotFoundError) as e:
+    except (ConfigError, CheckpointMismatch, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingAborted, NumericError) as e:

@@ -246,6 +246,8 @@ def flops_memory_layer_extra(
     _check(batch, seq_len)
     if not cfg.has_memory:
         raise ConfigError("config has no memory layers")
+    if aux_override is not None and aux_override < 0:
+        raise ConfigError(f"aux_override must be >= 0, got {aux_override}")
     d, c = cfg.d_model, cfg.chapters
     n_sel = cfg.selected_tokens
     router = RouterFlops(

@@ -38,8 +38,8 @@ def grad_check(
     checked.
     """
     for p in params:
-        if p.value.precision != "double":
-            raise NumericError(f"grad_check requires double precision, {p.name} is {p.value.precision}")
+        if p.precision != "double":
+            raise NumericError(f"grad_check requires double precision, {p.name} is {p.precision}")
         p.zero_grad()
 
     with Tape() as tape:
@@ -52,7 +52,7 @@ def grad_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for p, grad in zip(params, analytic):
-        flat = p.value.data.reshape(-1)
+        flat = p.data.reshape(-1)
         n = flat.shape[0]
         if max_entries_per_param is None or n <= max_entries_per_param:
             idx = np.arange(n)

@@ -27,7 +27,7 @@ import numpy as np
 from . import ops
 from .config import ModelConfig
 from .errors import ConfigError, SequenceLengthError, ShapeError
-from .tensor import Parameter, RngState, Tensor
+from .tensor import PRECISION_DTYPES, Parameter, RngState, Tensor
 
 RMSNORM_EPS = 1e-6
 
@@ -91,13 +91,12 @@ class ForwardTrace:
 class Model:
     """Built model: config, named parameters, and the shared bank."""
 
-    def __init__(self, cfg: ModelConfig, params: dict[str, Parameter], precision: str):
+    def __init__(self, cfg: ModelConfig, params: dict[str, Parameter]):
         self.config = cfg
         self.params = params
         self.bank = None
         if cfg.has_memory:
             self.bank = MemoryBank(params["bank.tokens"], cfg.chapters, cfg.chapter_size, cfg.shared_chapters)
-        self.precision = precision
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -163,6 +162,7 @@ def build_model(cfg: ModelConfig, rng: RngState, precision: str = "single") -> M
     bank N(0, bank_init_std); each drawn from a per-name substream so the
     result depends only on (seed, name)."""
     cfg.validate()
+    dtype = PRECISION_DTYPES[precision]
     params: dict[str, Parameter] = {}
     for name, shape, group, kind in param_specs(cfg):
         if kind == "ones":
@@ -172,8 +172,8 @@ def build_model(cfg: ModelConfig, rng: RngState, precision: str = "single") -> M
         else:
             std = cfg.bank_init_std if kind == "bank" else 0.02
             data = rng.substream("init", name).standard_normal(shape) * std
-        params[name] = Parameter(Tensor(data, precision=precision), name, group)
-    return Model(cfg, params, precision)
+        params[name] = Parameter(np.asarray(data, dtype=dtype), name, group)
+    return Model(cfg, params)
 
 
 def param_count(model_or_cfg) -> dict[str, int]:
@@ -331,7 +331,7 @@ def _head_logits(model: Model, h: Tensor) -> np.ndarray:
     """Final norm, then the LM head on plain arrays (decoding, no tape):
     the embedding used transposed when tied, else ``lm_head.weight``."""
     tied = model.config.tied_embeddings
-    w = model["embedding.weight"].value.data.T if tied else model["lm_head.weight"].value.data  # (d, V)
+    w = model["embedding.weight"].data.T if tied else model["lm_head.weight"].data  # (d, V)
     x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS).data
     return (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 

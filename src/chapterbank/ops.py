@@ -7,8 +7,8 @@ oracle in gradcheck.py verifies every one of them.
 
 All ops raise NumericError if they produce NaN/Inf, ShapeError on operand
 mismatch (naming both shapes), ConfigError on bad structural arguments,
-and TypeError for an operand that is not a Tensor or Parameter (a raw
-scalar or array would carry its own dtype into the result).
+and TypeError for an operand that is not a Tensor (a raw scalar or array
+would carry its own dtype into the result).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Parameter, Tensor, active_tape
+from .tensor import Tensor, active_tape
 
 # Additive pre-softmax mask value for disallowed positions. Finite (keeps
 # the no-NaN/Inf invariant) but large enough that exp(x - max) underflows
@@ -31,11 +31,9 @@ CE_CHUNK_ROWS = 256
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Parameter):
-        return x.value
     if isinstance(x, Tensor):
         return x
-    raise TypeError(f"ops take a Tensor or Parameter operand, got {type(x).__name__}")
+    raise TypeError(f"ops take a Tensor operand, got {type(x).__name__}")
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:

@@ -93,17 +93,17 @@ class AdamW:
         if unknown:
             raise ConfigError(f"unknown frozen groups: {sorted(unknown)}")
         self.decay_names = frozenset(
-            name for name, p in self.params.items() if p.value.ndim >= 2
+            name for name, p in self.params.items() if p.ndim >= 2
         )
         classes: dict[tuple[np.dtype, str, bool], list[str]] = {}
         # filled in parameter order; _adopt adds the moments
         self.state: dict[str, dict[str, np.ndarray]] = {}
         for name, p in self.params.items():
-            p.value.requires_grad = p.group not in self.frozen_groups
-            if not p.value.requires_grad:
-                p.value.grad = None
+            p.requires_grad = p.group not in self.frozen_groups
+            if not p.requires_grad:
+                p.grad = None
                 continue
-            classes.setdefault((p.value.data.dtype, p.group, name in self.decay_names), []).append(name)
+            classes.setdefault((p.data.dtype, p.group, name in self.decay_names), []).append(name)
             self.state[name] = {}
         self.segments = [self._adopt(names, *key) for key, names in classes.items()]
 
@@ -115,12 +115,12 @@ class AdamW:
                       np.zeros(n, dtype), np.zeros(n, dtype))
         start = 0
         for name in names:
-            value = self.params[name].value
-            stop = start + value.size
-            data, grad, m, v = (flat[start:stop].reshape(value.shape) for flat in (seg.data, seg.grad, seg.m, seg.v))
-            data[...] = value.data
-            grad[...] = 0 if value.grad is None else value.grad
-            value.data, value.grad = data, grad
+            p = self.params[name]
+            stop = start + p.size
+            data, grad, m, v = (flat[start:stop].reshape(p.shape) for flat in (seg.data, seg.grad, seg.m, seg.v))
+            data[...] = p.data
+            grad[...] = 0 if p.grad is None else p.grad
+            p.data, p.grad = data, grad
             self.state[name] = {"m": m, "v": v}
             start = stop
         return seg
@@ -148,7 +148,7 @@ class AdamW:
         """Raise NumericError naming the first trainable parameter, in
         parameter order, whose grad is not finite."""
         for name, p in self.trainable():
-            if not np.isfinite(p.value.grad).all():
+            if not np.isfinite(p.grad).all():
                 raise NumericError(f"non-finite gradient in {name}; step aborted")
         raise NumericError("gradient sum of squares overflows float64; step aborted")
 

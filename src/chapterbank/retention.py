@@ -236,14 +236,20 @@ class RetentionReport:
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0) -> "RetentionReport":
+        """Parse ``to_csv`` text; a missing header, or a row without five
+        fields or with a phase value that is not a number, raises
+        ConfigError naming the line."""
         lines = [ln for ln in text.strip().splitlines() if ln]
-        if lines[0] != "variant,metric,phaseA,phaseB,delta":
-            raise ConfigError(f"bad retention CSV header: {lines[0]!r}")
+        if not lines or lines[0] != "variant,metric,phaseA,phaseB,delta":
+            raise ConfigError(f"bad retention CSV header: {lines[0] if lines else ''!r}")
         report = cls(seed=seed)
         for ln in lines[1:]:
-            variant, metric, a, b, d = ln.split(",")
+            try:
+                variant, metric, a, b, _ = ln.split(",")
+                a, b = float(a), float(b)
+            except ValueError:
+                raise ConfigError(f"bad retention CSV line {ln!r}: want five fields, phaseA and phaseB numbers") from None
             r = report.variants.setdefault(variant, VariantResult(variant))
-            a, b = float(a), float(b)
             if metric in METRIC_FIELDS:
                 setattr(r, f"{METRIC_FIELDS[metric]}_a", a)
                 setattr(r, f"{METRIC_FIELDS[metric]}_b", b)
@@ -323,9 +329,7 @@ def run_retention_protocol(
             result.task_acc_b = eval_fact_recall(model_b, instr_probes)
             result.fact_loss_b = _eval_losses(model_b, res_a.eval_batches)[0]
             if bank_before is not None:
-                result.bank_unchanged_in_b = bool(
-                    np.array_equal(bank_before, model_b["bank.tokens"].value.data)
-                )
+                result.bank_unchanged_in_b = bool(np.array_equal(bank_before, model_b["bank.tokens"].data))
         except TrainingAborted:
             result.failed = True
     return report

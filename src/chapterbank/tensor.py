@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ShapeError
 
 PRECISION_DTYPES = {"double": np.float64, "single": np.float32}
-_DTYPE_PRECISION = {np.dtype(np.float64): "double", np.dtype(np.float32): "single"}
+DTYPE_PRECISION = {np.dtype(np.float64): "double", np.dtype(np.float32): "single"}
 
 PARAM_GROUPS = ("base", "memory_layers", "memory_bank")
 
@@ -64,7 +64,7 @@ class Tensor:
             arr = np.asarray(data, dtype=PRECISION_DTYPES[precision])
         else:
             arr = np.asarray(data)
-            if arr.dtype not in _DTYPE_PRECISION:
+            if arr.dtype not in DTYPE_PRECISION:
                 arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
@@ -84,7 +84,7 @@ class Tensor:
 
     @property
     def precision(self) -> str:
-        return _DTYPE_PRECISION[self.data.dtype]
+        return DTYPE_PRECISION[self.data.dtype]
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.ndim else float(self.data)
@@ -105,7 +105,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, precision={self.precision}, requires_grad={self.requires_grad})"
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named trainable tensor with a persistent zero-initialized grad.
 
     Every parameter belongs to exactly one group: base, memory_layers,
@@ -114,32 +114,24 @@ class Parameter:
     and turns off ``requires_grad``.
     """
 
-    __slots__ = ("value", "name", "group")
+    __slots__ = ("name", "group")
 
-    def __init__(self, value: Tensor, name: str, group: str):
+    def __init__(self, data: np.ndarray, name: str, group: str):
         if group not in PARAM_GROUPS:
             raise ValueError(f"unknown parameter group {group!r} for {name!r}")
-        value.requires_grad = True
-        value.grad = np.zeros_like(value.data)
-        self.value = value
+        super().__init__(data, requires_grad=True)
+        self.grad = np.zeros_like(self.data)
         self.name = name
         self.group = group
 
     @property
-    def grad(self) -> np.ndarray | None:
-        return self.value.grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    @property
-    def size(self) -> int:
-        return self.value.size
+    def value(self) -> "Parameter":
+        """The parameter itself; the benchmark harness reads ``p.value.data``."""
+        return self
 
     def zero_grad(self) -> None:
-        if self.value.grad is not None:  # None: frozen
-            self.value.grad.fill(0)  # in place: the grad may be a view into an optimizer segment
+        if self.grad is not None:  # None: frozen
+            self.grad.fill(0)  # in place: the grad may be a view into an optimizer segment
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, group={self.group!r})"

@@ -4,7 +4,7 @@ import pytest
 from chapterbank.ops import _record
 from chapterbank.config import preset
 from chapterbank.optim import AdamW
-from chapterbank.tensor import Parameter, Tensor
+from chapterbank.tensor import Tensor
 
 
 def rand_tensor(shape, seed=0, scale=1.0, requires_grad=False):
@@ -16,7 +16,6 @@ def weighted_sum(x, w=1.0):
     """Taped (1, 1) sum of x * w, w broadcast to x's shape and cast to x's
     precision: x flattened to one row times the fixed column w. One record;
     the tests' reduction to a scalar loss. Backward: dx = g * w."""
-    x = x.value if isinstance(x, Parameter) else x
     col = np.broadcast_to(w, x.shape).reshape(x.size, 1).astype(x.data.dtype)
     out = Tensor(x.data.reshape(1, x.size) @ col)
     return _record(out, [x], lambda g: x.accumulate_grad((g @ col.T).reshape(x.shape)))

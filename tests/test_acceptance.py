@@ -175,9 +175,9 @@ class TestAcceptance:
         for _ in range(20):
             h = Tensor(gen.standard_normal((1, 5, 64)))
             d0 = route(h, w, b, model.config)
-            b.value.data += 123.456
+            b.data += 123.456
             d1 = route(h, w, b, model.config)
-            b.value.data -= 123.456
+            b.data -= 123.456
             np.testing.assert_array_equal(d1.selected, d0.selected)
             np.testing.assert_allclose(d1.probs, d0.probs, atol=1e-12)
             np.testing.assert_allclose(d1.chapter_weights.data, d0.chapter_weights.data, atol=1e-12)
@@ -194,8 +194,8 @@ class TestAcceptance:
     def test_06_aux_loss_closed_forms(self):
         model = build_model(preset("micro"), RngState(0), precision="double")
         for layer in model.config.memory_layer_indices:
-            model[f"layers.{layer}.router.weight"].value.data[...] = 0.0
-            model[f"layers.{layer}.router.bias"].value.data[...] = 0.0
+            model[f"layers.{layer}.router.weight"].data[...] = 0.0
+            model[f"layers.{layer}.router.bias"].data[...] = 0.0
         tokens = np.random.default_rng(4).integers(0, 256, (3, 12))
         trace = model_forward(model, tokens, tokens)
         assert abs(trace.lb_loss - 1.0) < 1e-9
@@ -262,8 +262,8 @@ class TestAcceptance:
         equal = continue_train(ckpt, corpus_b, micro_cfg(8, bank_mode="equal_lr"))
 
         bank0 = ckpt.tensors["bank.tokens"]
-        assert frozen.model["bank.tokens"].value.data.tobytes() == bank0.tobytes()
-        assert equal.model["bank.tokens"].value.data.tobytes() != bank0.tobytes()
+        assert frozen.model["bank.tokens"].data.tobytes() == bank0.tobytes()
+        assert equal.model["bank.tokens"].data.tobytes() != bank0.tobytes()
 
         cfg = preset("micro")
         n_m_times_d = cfg.bank_tokens * cfg.d_model

@@ -20,11 +20,13 @@ from chapterbank.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
+from chapterbank import ops
 from chapterbank.config import preset
 from chapterbank.errors import CheckpointMismatch, ConfigError
 from chapterbank.model import build_model
 from chapterbank.optim import AdamW
-from chapterbank.tensor import RngState
+from chapterbank.tensor import Parameter, RngState, Tape, Tensor
+from conftest import weighted_sum
 
 
 def micro_model(seed=0, precision="double"):
@@ -37,7 +39,7 @@ def stepped_checkpoint(seed=0):
     opt = AdamW(model.params)
     gen = np.random.default_rng(seed)
     for p in model.parameters():
-        p.value.grad[:] = gen.standard_normal(p.shape)
+        p.grad[:] = gen.standard_normal(p.shape)
     opt.step({"base": 1e-3, "memory_layers": 1e-3, "memory_bank": 1e-3}, t=1)
     return checkpoint_from(model, step=7, seed=seed, optimizer=opt, metadata={"note": "fixture"}), model, opt
 
@@ -46,6 +48,17 @@ def _header(raw) -> tuple[int, dict]:
     """The payload base offset and the decoded JSON header of checkpoint bytes."""
     base = 16 + int.from_bytes(raw[8:16], "little")
     return base, json.loads(bytes(raw[16:base]))
+
+
+def _save_as_version(ckpt, path, version: int) -> None:
+    """Save ``ckpt``, then rewrite the header's format_version to ``version``
+    (length prefix included)."""
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    base, header = _header(raw)
+    header["format_version"] = version
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[base:])
 
 
 class TestRoundTrip:
@@ -59,7 +72,7 @@ class TestRoundTrip:
         assert back.config == model.config
         assert set(back.tensors) == set(model.params)
         for name, p in model.params.items():
-            assert back.tensors[name].tobytes() == p.value.data.tobytes()
+            assert back.tensors[name].tobytes() == p.data.tobytes()
         assert set(back.moments) == set(opt.state)
         for name, buf in opt.state.items():
             m, v = back.moments[name]
@@ -80,7 +93,7 @@ class TestRoundTrip:
         back = load_checkpoint(path)
         arr = back.tensors["bank.tokens"]
         assert arr.dtype == np.float32
-        assert arr.tobytes() == model["bank.tokens"].value.data.tobytes()
+        assert arr.tobytes() == model["bank.tokens"].data.tobytes()
 
     def test_load_peak_is_one_file(self, tmp_path):
         # each payload is read straight into its array: no whole-file buffer
@@ -118,18 +131,14 @@ class TestFileFormat:
             load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        ckpt = checkpoint_from(micro_model())
-        ckpt.version = FORMAT_VERSION + 1
         path = tmp_path / "v.ckpt"
-        save_checkpoint(ckpt, path)
+        _save_as_version(checkpoint_from(micro_model()), path, FORMAT_VERSION + 1)
         with pytest.raises(ConfigError, match="version"):
             load_checkpoint(path)
 
     def test_version_1_files_are_not_read(self, tmp_path):
-        ckpt = checkpoint_from(micro_model())
-        ckpt.version = 1
         path = tmp_path / "v1.ckpt"
-        save_checkpoint(ckpt, path)
+        _save_as_version(checkpoint_from(micro_model()), path, 1)
         with pytest.raises(ConfigError, match="format version 1"):
             load_checkpoint(path)
 
@@ -209,7 +218,7 @@ class TestApply:
         ckpt, model, _ = stepped_checkpoint()
         restored = model_from_checkpoint(ckpt)
         for name, p in restored.params.items():
-            np.testing.assert_array_equal(p.value.data, model[name].value.data)
+            np.testing.assert_array_equal(p.data, model[name].data)
 
     def test_mismatched_config_rejected(self):
         ckpt, _, _ = stepped_checkpoint()
@@ -241,9 +250,9 @@ class TestModelFromCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, path)
         rebuilt = model_from_checkpoint(load_checkpoint(path))
-        assert rebuilt.precision == "double"
         for name, p in rebuilt.params.items():
-            np.testing.assert_array_equal(p.value.data, model[name].value.data)
+            assert p.precision == "double"
+            np.testing.assert_array_equal(p.data, model[name].data)
 
     def test_max_seq_len_bump(self):
         ckpt, _, _ = stepped_checkpoint()
@@ -266,10 +275,10 @@ class TestModelFromCheckpoint:
 
         monkeypatch.setattr(RngState, "substream", no_draws)
         rebuilt = model_from_checkpoint(load_checkpoint(path))
-        assert rebuilt.precision == precision and list(rebuilt.params) == list(model.params)
+        assert list(rebuilt.params) == list(model.params)
         for name, p in rebuilt.params.items():
-            assert p.value.data.dtype == model[name].value.data.dtype
-            np.testing.assert_array_equal(p.value.data, model[name].value.data)
+            assert p.precision == model[name].precision == precision
+            np.testing.assert_array_equal(p.data, model[name].data)
             assert p.group == model[name].group and not p.grad.any()
         save_checkpoint(checkpoint_from(rebuilt, step=2, seed=3), again)
         assert again.read_bytes() == path.read_bytes()
@@ -277,15 +286,24 @@ class TestModelFromCheckpoint:
     def test_restore_copies_the_checkpoint_arrays(self):
         ckpt, _, _ = stepped_checkpoint()
         before = ckpt.tensors["bank.tokens"].copy()
-        model_from_checkpoint(ckpt)["bank.tokens"].value.data[...] = 0.0
+        model_from_checkpoint(ckpt)["bank.tokens"].data[...] = 0.0
         np.testing.assert_array_equal(ckpt.tensors["bank.tokens"], before)
 
-    def test_restore_casts_to_requested_precision(self):
-        ckpt, model, _ = stepped_checkpoint()
-        single = model_from_checkpoint(ckpt, precision="single")
-        assert single.precision == "single"
-        for name, p in single.params.items():
-            np.testing.assert_array_equal(p.value.data, model[name].value.data.astype(np.float32))
+    def test_a_parameter_is_a_tensor_and_a_saved_header_holds_the_format_version(self, tmp_path):
+        p = Parameter(np.arange(6.0).reshape(3, 2), "w", "base")
+        assert isinstance(p, Tensor) and p.requires_grad and not p.grad.any()
+        assert p.value is p  # bench/ reads p.value.data
+        with Tape() as tape:
+            rows = ops.gather_rows(p, np.array([2, 0, 2]))
+            np.testing.assert_array_equal(rows.data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
+            tape.backward(weighted_sum(ops.add(rows, rows)))
+        np.testing.assert_array_equal(p.grad, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])
+
+        path, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(checkpoint_from(micro_model()), path)
+        save_checkpoint(load_checkpoint(path), again)
+        for saved in (path, again):
+            assert _header(saved.read_bytes())[1]["format_version"] == FORMAT_VERSION
 
     def test_restore_rejects_table_and_shape_mismatch(self):
         ckpt, _, _ = stepped_checkpoint()

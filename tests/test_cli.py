@@ -53,6 +53,11 @@ class TestFlopsCommand:
         assert main(["flops"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_aux_override_is_exit_2(self, capsys):
+        assert main(["flops", "--preset", "micro", "--aux-override", "-7"]) == 2
+        captured = capsys.readouterr()
+        assert "error: aux_override must be >= 0, got -7" in captured.err and captured.out == ""
+
     def test_bad_preset_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["flops", "--preset", "mega"])
@@ -176,6 +181,31 @@ def test_bad_optimizer_or_model_numbers_exit_2_naming_the_field(doc, flags, fiel
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "continue --checkpoint DIR --out-dir OUT",
+    "route-stats --checkpoint DIR",
+    "train --config DIR --out-dir OUT",
+    "route-stats --checkpoint CKPT --batches 1 --seqlen 8 --csv DIR",
+    "train --preset micro --steps 12 --out-dir FILE",
+    "continue --checkpoint CKPT --steps 12 --out-dir FILE",
+], ids=["continue-checkpoint-dir", "route-stats-checkpoint-dir", "train-config-dir", "route-stats-csv-dir",
+        "train-out-dir-file", "continue-out-dir-file"])
+def test_a_bad_path_exits_2_before_any_step(argv, tmp_path, monkeypatch, capsys):
+    """A directory where a file is wanted, or a file where the run
+    directory goes, is an ``error:`` line and exit 2; no step runs."""
+    paths = {"CKPT": tmp_path / "m.ckpt", "DIR": tmp_path / "dir", "FILE": tmp_path / "file", "OUT": tmp_path / "out"}
+    save_checkpoint(checkpoint_from(build_model(preset("micro"), RngState(0))), paths["CKPT"])
+    paths["DIR"].mkdir()
+    paths["FILE"].write_text("")
+    runs = []
+    monkeypatch.setattr("chapterbank.cli.train", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr("chapterbank.cli.continue_train", lambda *args, **kwargs: runs.append(args))
+    assert main([str(paths.get(word, word)) for word in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+    assert runs == []
+
+
 class TestNumericAbort:
     def assert_aborted(self, out, step, capsys):
         err = capsys.readouterr().err
@@ -194,7 +224,7 @@ class TestNumericAbort:
 
     def test_continue_from_nan_checkpoint_exits_1(self, tmp_path, capsys):
         model = build_model(preset("micro"), RngState(0))
-        model["embedding.weight"].value.data[7] = np.nan
+        model["embedding.weight"].data[7] = np.nan
         ckpt_path = tmp_path / "nan.ckpt"
         save_checkpoint(checkpoint_from(model, step=0, seed=0), ckpt_path)
         out = tmp_path / "cont"
@@ -504,7 +534,7 @@ class TestCorruptCheckpoint:
     def ckpt_path(self, tmp_path):
         model = build_model(preset("micro"), RngState(0))
         ckpt = checkpoint_from(model)
-        ckpt.moments = {name: (p.value.data * 0.5, p.value.data**2) for name, p in model.params.items()}
+        ckpt.moments = {name: (p.data * 0.5, p.data**2) for name, p in model.params.items()}
         path = tmp_path / "good.ckpt"
         save_checkpoint(ckpt, path)
         return path

@@ -57,6 +57,11 @@ class TestMemoryLayerExtra:
     def test_total_with_reference_aux(self):
         assert flops_memory_layer_extra(FULL, 1, 1024, aux_override=AUX).total == 25_702_029_150
 
+    def test_negative_aux_override_rejected(self):
+        with pytest.raises(ConfigError, match=r"^aux_override must be >= 0, got -7$"):
+            flops_memory_layer_extra(FULL, 1, 1024, aux_override=-7)
+        assert flops_memory_layer_extra(FULL, 1, 1024, aux_override=0).router_aux == 0
+
     def test_subtotals(self):
         f = flops_memory_layer_extra(FULL, 1, 1024, aux_override=AUX)
         assert f.router.total == 7_124_491

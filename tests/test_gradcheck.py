@@ -21,7 +21,7 @@ TOL = 1e-6
 
 def make_param(shape, seed, name="p", group="base"):
     gen = np.random.default_rng(seed)
-    return Parameter(Tensor(gen.standard_normal(shape), requires_grad=True), name, group)
+    return Parameter(gen.standard_normal(shape), name, group)
 
 
 def check(f, params, tol=TOL):
@@ -160,8 +160,8 @@ def test_rope(seed):
     w = np.random.default_rng(seed + 50).standard_normal((2, 3, 4))
 
     def rotated(x):
-        backward = lambda g: x.value.accumulate_grad(ops.rope(g, 100.0, inverse=True))
-        return _record(Tensor(ops.rope(x.value.data, 100.0)), [x.value], backward)
+        backward = lambda g: x.accumulate_grad(ops.rope(g, 100.0, inverse=True))
+        return _record(Tensor(ops.rope(x.data, 100.0)), [x], backward)
 
     check(lambda: weighted_sum(rotated(q), w / w.size), [q])
 
@@ -266,12 +266,12 @@ def test_grad_check_catches_broken_backward():
     a = make_param((3, 3), 0)
 
     def bad_square(x):
-        out = Tensor(x.value.data**2)
+        out = Tensor(x.data**2)
 
         def backward(g):
-            x.value.accumulate_grad(g)  # wrong: missing 2x factor
+            x.accumulate_grad(g)  # wrong: missing 2x factor
 
-        return _record(out, [x.value], backward)
+        return _record(out, [x], backward)
 
     err = grad_check(lambda: weighted_sum(bad_square(a), 1 / 9), [a])
     assert err > 1e-2
@@ -288,6 +288,6 @@ def test_grad_check_reports_nonfinite_with_param_path():
 
 
 def test_grad_check_requires_double():
-    a = Parameter(Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True), "p", "base")
+    a = Parameter(np.zeros((2, 2), dtype=np.float32), "p", "base")
     with pytest.raises(Exception):
         grad_check(lambda: weighted_sum(a), [a])

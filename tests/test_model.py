@@ -70,7 +70,7 @@ def softmax_np(v):
 
 def naive_self_attention(h, model: Model, layer: int):
     cfg = model.config
-    p = lambda n: model[f"layers.{layer}.{n}"].value.data
+    p = lambda n: model[f"layers.{layer}.{n}"].data
     b_sz, length, d = h.shape
     dh = cfg.head_dim
     groups = cfg.n_heads // cfg.n_kv_heads
@@ -94,8 +94,8 @@ def naive_self_attention(h, model: Model, layer: int):
 
 
 def naive_logits(h_seq, model: Model, layer: int):
-    w = model[f"layers.{layer}.router.weight"].value.data
-    b = model[f"layers.{layer}.router.bias"].value.data
+    w = model[f"layers.{layer}.router.weight"].data
+    b = model[f"layers.{layer}.router.bias"].data
     return h_seq.mean(axis=0) @ w + b
 
 
@@ -116,12 +116,12 @@ def naive_memory_layer(h_seq, model: Model, layer: int, chapters=None, weights=N
     """Dense weighted cross-attention over the given chapters (default:
     route first). Returns h_seq + readout."""
     cfg = model.config
-    p = lambda n: model[f"layers.{layer}.{n}"].value.data
+    p = lambda n: model[f"layers.{layer}.{n}"].data
     if chapters is None:
         _, selected, weights = naive_route(h_seq, model, layer)
         chapters = list(range(cfg.shared_chapters)) + selected
     t_sz = cfg.chapter_size
-    bank = model["bank.tokens"].value.data
+    bank = model["bank.tokens"].data
     rows = np.concatenate([np.arange(c * t_sz, (c + 1) * t_sz) for c in chapters])
     sel = rmsnorm_np(bank[rows], p("mem.token_norm.gain"))
     sel = sel * np.repeat(weights, t_sz)[:, None]
@@ -292,7 +292,7 @@ class TestSelfAttention:
 
     def test_zero_value_projection_is_identity(self):
         model = micro_double()
-        model["layers.0.attn.wv"].value.data[...] = 0.0
+        model["layers.0.attn.wv"].data[...] = 0.0
         h = np.random.default_rng(1).standard_normal((2, 6, 64))
         got = self_attention_block(Tensor(h), model, 0).data
         np.testing.assert_array_equal(got, h)
@@ -343,19 +343,19 @@ class TestMemRead:
         h = gen.standard_normal((1, 5, 64))
         m = Tensor(gen.standard_normal((1, 1, 64)))
         out = mem_read(Tensor(h), m, model, 1).data[0]
-        want = (m.data[0] @ model["layers.1.mem.wv"].value.data) @ model["layers.1.mem.wo"].value.data
+        want = (m.data[0] @ model["layers.1.mem.wv"].data) @ model["layers.1.mem.wo"].data
         np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), atol=1e-12)
 
     def test_zero_values_passthrough(self):
         model = micro_double()
-        model["layers.1.mem.wv"].value.data[...] = 0.0
+        model["layers.1.mem.wv"].data[...] = 0.0
         h = np.random.default_rng(4).standard_normal((2, 6, 64))
         h2, _, _ = memory_layer_forward(Tensor(h), model, 1)
         np.testing.assert_array_equal(h2.data, h)
 
     def test_zero_bank_passthrough(self):
         model = micro_double()
-        model["bank.tokens"].value.data[...] = 0.0
+        model["bank.tokens"].data[...] = 0.0
         h = np.random.default_rng(5).standard_normal((2, 6, 64))
         h2, _, _ = memory_layer_forward(Tensor(h), model, 1)
         np.testing.assert_allclose(h2.data, h, atol=1e-12)
@@ -396,12 +396,12 @@ class TestRouting:
         h = np.tile(vec, (1, 7, 1))
         w, b = model["layers.1.router.weight"], model["layers.1.router.bias"]
         d = route(Tensor(h), w, b, model.config)
-        np.testing.assert_allclose(d.logits.data[0], vec @ w.value.data + b.value.data, atol=1e-12)
+        np.testing.assert_allclose(d.logits.data[0], vec @ w.data + b.data, atol=1e-12)
 
     def test_zero_router_uniform_and_tiebreak_prefix(self):
         model = micro_double()
-        model["layers.1.router.weight"].value.data[...] = 0.0
-        model["layers.1.router.bias"].value.data[...] = 0.0
+        model["layers.1.router.weight"].data[...] = 0.0
+        model["layers.1.router.bias"].data[...] = 0.0
         h = np.random.default_rng(1).standard_normal((2, 6, 64))
         d = route(Tensor(h), model["layers.1.router.weight"], model["layers.1.router.bias"], model.config)
         np.testing.assert_allclose(d.probs, np.full((2, 17), 1 / 17), atol=1e-12)
@@ -426,7 +426,7 @@ class TestRouting:
         h = np.random.default_rng(2).standard_normal((1, 5, 64))
         w, b = model["layers.1.router.weight"], model["layers.1.router.bias"]
         before = route(Tensor(h), w, b, cfg)
-        b.value.data += 123.456
+        b.data += 123.456
         after = route(Tensor(h), w, b, cfg)
         np.testing.assert_allclose(after.probs, before.probs, atol=1e-12)
         np.testing.assert_array_equal(after.selected, before.selected)
@@ -495,8 +495,8 @@ class TestBatchedMatchesPerSequence:
         model = micro_double(seed)
         gen = np.random.default_rng(seed + 3000)
         for i in model.config.memory_layer_indices:
-            model[f"layers.{i}.router.weight"].value.data[...] = gen.standard_normal((64, 17))
-            model[f"layers.{i}.router.bias"].value.data[...] = gen.standard_normal(17)
+            model[f"layers.{i}.router.weight"].data[...] = gen.standard_normal((64, 17))
+            model[f"layers.{i}.router.bias"].data[...] = gen.standard_normal(17)
         return model
 
     @pytest.mark.parametrize("seed", range(3))
@@ -545,8 +545,8 @@ class TestAuxLosses:
     def _zero_router_model(self, **overrides):
         model = micro_double(**overrides)
         for i in model.config.memory_layer_indices:
-            model[f"layers.{i}.router.weight"].value.data[...] = 0.0
-            model[f"layers.{i}.router.bias"].value.data[...] = 0.0
+            model[f"layers.{i}.router.weight"].data[...] = 0.0
+            model[f"layers.{i}.router.bias"].data[...] = 0.0
         return model
 
     def test_uniform_routing_gives_unit_lb(self):
@@ -564,9 +564,9 @@ class TestAuxLosses:
     def test_collapsed_router_gives_cr_lb(self):
         model = micro_double(top_k=1)
         for i in model.config.memory_layer_indices:
-            model[f"layers.{i}.router.weight"].value.data[...] = 0.0
-            model[f"layers.{i}.router.bias"].value.data[...] = 0.0
-            model[f"layers.{i}.router.bias"].value.data[5] = 60.0
+            model[f"layers.{i}.router.weight"].data[...] = 0.0
+            model[f"layers.{i}.router.bias"].data[...] = 0.0
+            model[f"layers.{i}.router.bias"].data[5] = 60.0
         tokens = np.random.default_rng(2).integers(0, 256, (2, 8))
         trace = model_forward(model, tokens, tokens)
         assert abs(trace.lb_loss - 16.0) < 1e-9
@@ -657,7 +657,7 @@ class TestModelForward:
         ce = np.mean(top + np.log(np.exp(logits - top[:, None]).sum(axis=1)) - picked)
         assert abs(ce - model_forward(model, tokens, tokens).lm_loss) < 1e-12
         if not tied:
-            model["lm_head.weight"].value.data[...] = 0.0
+            model["lm_head.weight"].data[...] = 0.0
             assert not model.forward_logits(tokens).any()
 
     @pytest.mark.parametrize("precision", ["single", "double"])
@@ -689,7 +689,7 @@ class TestModelForward:
     def test_forward_without_targets_skips_the_head(self):
         # a NaN head would raise NumericError if its logits were computed
         model = micro_double(11, tied_embeddings=False)
-        model["lm_head.weight"].value.data[...] = np.nan
+        model["lm_head.weight"].data[...] = np.nan
         trace = model_forward(model, np.random.default_rng(11).integers(0, 256, (2, 8)))
         assert trace.loss is None and trace.lm_loss == 0.0 and len(trace.decisions) == 2
 
@@ -798,7 +798,7 @@ def unfused_total_loss(model: Model, tokens: np.ndarray) -> Tensor:
     cfg = model.config
     h, decisions, _ = _run_stack(model, tokens)
     x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
-    w = model["embedding.weight" if cfg.tied_embeddings else "lm_head.weight"].value
+    w = model["embedding.weight" if cfg.tied_embeddings else "lm_head.weight"]
     loss = _next_token_cross_entropy(_logits(x, w, cfg.tied_embeddings), tokens)
     if decisions:
         loss = ops.add(loss, aux_losses(decisions, cfg)[0])

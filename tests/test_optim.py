@@ -11,12 +11,12 @@ from chapterbank.errors import ConfigError, NumericError
 from chapterbank.model import build_model
 from chapterbank.optim import BLOCK, AdamW, AdamWConfig, clip_grad_norm, global_grad_norm
 from chapterbank.schedule import cosine
-from chapterbank.tensor import Parameter, RngState, Tensor
+from chapterbank.tensor import Parameter, RngState
 from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train
 
 
 def make_param(data, name="p", group="base"):
-    return Parameter(Tensor(np.asarray(data, dtype=np.float64)), name, group)
+    return Parameter(np.asarray(data, dtype=np.float64), name, group)
 
 
 def uniform_lrs(lr):
@@ -45,32 +45,32 @@ class TestAdamTrajectory:
         opt = AdamW({"p": p}, AdamWConfig(betas=(b1, b2), eps=eps, weight_decay=0.0))
         got = []
         for t in (1, 2):
-            p.value.grad[:] = 2.0 * p.value.data
+            p.grad[:] = 2.0 * p.data
             opt.step(uniform_lrs(lr), t)
-            got.append(float(p.value.data[0]))
+            got.append(float(p.data[0]))
         assert abs(got[0] - want[0]) < 1e-12
         assert abs(got[1] - want[1]) < 1e-12
 
     def test_first_step_is_negative_lr_sign_of_grad(self):
         p = make_param(np.zeros((2, 2)))
-        p.value.grad[:] = np.array([[3.0, -40.0], [1e6, -2e-3]])
+        p.grad[:] = np.array([[3.0, -40.0], [1e6, -2e-3]])
         opt = AdamW({"p": p}, AdamWConfig(weight_decay=0.0))
         opt.step(uniform_lrs(0.01), t=1)
         # m_hat/(sqrt(v_hat)+eps) = g/(|g|+eps) ~ sign(g) for |g| >> eps
-        np.testing.assert_allclose(p.value.data, -0.01 * np.sign(p.value.grad), rtol=1e-5)
+        np.testing.assert_allclose(p.data, -0.01 * np.sign(p.grad), rtol=1e-5)
 
     def test_zero_grad_pure_decay(self):
         start = np.array([[2.0, -3.0], [0.5, 8.0]])
         p = make_param(start.copy())
         opt = AdamW({"p": p}, AdamWConfig(weight_decay=0.1))
         opt.step(uniform_lrs(0.2), t=1)
-        np.testing.assert_allclose(p.value.data, start * (1 - 0.2 * 0.1), atol=1e-15)
+        np.testing.assert_allclose(p.data, start * (1 - 0.2 * 0.1), atol=1e-15)
 
     def test_decay_skips_vectors(self):
         gain = make_param(np.full(4, 2.0), name="gain")  # ndim 1: exempt
         opt = AdamW({"gain": gain}, AdamWConfig(weight_decay=0.1))
         opt.step(uniform_lrs(0.2), t=1)
-        np.testing.assert_array_equal(gain.value.data, np.full(4, 2.0))
+        np.testing.assert_array_equal(gain.data, np.full(4, 2.0))
 
     def test_decay_set_is_matrix_shaped_params_only(self):
         params = {
@@ -98,16 +98,16 @@ class TestGroupsAndFreezing:
 
     def test_frozen_group_has_no_state_and_is_never_touched(self):
         params = self._params()
-        before = params["bank"].value.data.copy()
+        before = params["bank"].data.copy()
         opt = AdamW(params, frozen_groups={"memory_bank"})
         assert "bank" not in opt.state
-        assert not params["bank"].value.requires_grad and params["bank"].grad is None
+        assert not params["bank"].requires_grad and params["bank"].grad is None
         for t in range(1, 4):
             for _, p in opt.trainable():
-                p.value.grad[:] = 1.0
+                p.grad[:] = 1.0
             opt.step(uniform_lrs(0.1), t)
-        np.testing.assert_array_equal(params["bank"].value.data, before)
-        assert params["w"].value.data[0, 0] != 1.0
+        np.testing.assert_array_equal(params["bank"].data, before)
+        assert params["w"].data[0, 0] != 1.0
 
     def test_state_element_count_shrinks_by_two_per_frozen_element(self):
         params = self._params()
@@ -120,7 +120,7 @@ class TestGroupsAndFreezing:
         opt = AdamW(params)
         lrs = {"base": 0.1, "memory_layers": 0.02, "memory_bank": 0.003}
         for p in params.values():
-            p.value.grad[:] = 0.5
+            p.grad[:] = 0.5
         opt.step(lrs, t=1)
         opt.step({**lrs, "base": 0.05}, t=2)
         assert applied_lrs == [lrs, {**lrs, "base": 0.05}]
@@ -132,11 +132,11 @@ class TestGroupsAndFreezing:
         params = self._params()
         opt = AdamW(params, AdamWConfig(weight_decay=0.0))
         for p in params.values():
-            p.value.grad[:] = 1.0
+            p.grad[:] = 1.0
         opt.step({"base": 0.1, "memory_layers": 0.01, "memory_bank": 0.0}, t=1)
-        assert abs(params["w"].value.data[0, 0] - 0.9) < 1e-6
-        assert abs(params["mem"].value.data[0, 0] - 0.99) < 1e-6
-        np.testing.assert_array_equal(params["bank"].value.data, np.ones((8, 4)))
+        assert abs(params["w"].data[0, 0] - 0.9) < 1e-6
+        assert abs(params["mem"].data[0, 0] - 0.99) < 1e-6
+        np.testing.assert_array_equal(params["bank"].data, np.ones((8, 4)))
 
     def test_unknown_frozen_group_rejected(self):
         with pytest.raises(ConfigError):
@@ -146,7 +146,7 @@ class TestGroupsAndFreezing:
         params = self._params()
         opt = AdamW(params, frozen_groups={"memory_bank"})
         for _, p in opt.trainable():
-            p.value.grad[:] = 0.3
+            p.grad[:] = 0.3
         opt.step(uniform_lrs(0.1), t=1)
         saved = {n: (buf["m"].copy(), buf["v"].copy()) for n, buf in opt.state.items()}
 
@@ -170,15 +170,15 @@ def old_formula_step(params, state, lrs, t, cfg, frozen):
     for name, p in params.items():
         if p.group in frozen:
             continue
-        g, m, v = p.value.grad, state[name]["m"], state[name]["v"]
+        g, m, v = p.grad, state[name]["m"], state[name]["v"]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
         update = (m * (1.0 / (1.0 - b1**t))) / (np.sqrt(v * (1.0 / (1.0 - b2**t))) + cfg.eps)
-        if p.value.ndim >= 2:
-            update = update + cfg.weight_decay * p.value.data
-        p.value.data -= lrs[p.group] * update
+        if p.ndim >= 2:
+            update = update + cfg.weight_decay * p.data
+        p.data -= lrs[p.group] * update
 
 
 class TestInPlaceStep:
@@ -187,7 +187,7 @@ class TestInPlaceStep:
         shapes = {"w": ((5, 3), "base"), "gain": ((3,), "base"), "mem": ((4, 4), "memory_layers"),
                   "bank": ((16, 3), "memory_bank")}
         return {
-            name: Parameter(Tensor(gen.standard_normal(shape).astype(dtype)), name, group)
+            name: Parameter(gen.standard_normal(shape).astype(dtype), name, group)
             for name, (shape, group) in shapes.items()
         }
 
@@ -195,21 +195,21 @@ class TestInPlaceStep:
     def _five_steps_match(opt, params, ref, lrs, frozen, seed):
         """Step ``opt`` and the old formula over ``ref`` five times on the same
         random grads; weights and moments must agree bit for bit."""
-        dtype = next(iter(params.values())).value.data.dtype
-        state = {n: {"m": np.zeros_like(p.value.data), "v": np.zeros_like(p.value.data)}
+        dtype = next(iter(params.values())).data.dtype
+        state = {n: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
                  for n, p in ref.items() if p.group not in frozen}
         gen = np.random.default_rng(seed)
         for t in range(1, 6):
             for name in params:
                 g = np.asarray(gen.standard_normal(params[name].shape)).astype(dtype)
                 if name in opt.state:  # a frozen parameter has no grad
-                    params[name].value.grad[...] = g
-                ref[name].value.grad[...] = g
+                    params[name].grad[...] = g
+                ref[name].grad[...] = g
             opt.step(lrs, t)
             old_formula_step(ref, state, lrs, t, opt.cfg, frozen)
         for name, p in params.items():
-            assert p.value.data.dtype == dtype
-            np.testing.assert_array_equal(p.value.data, ref[name].value.data)
+            assert p.data.dtype == dtype
+            np.testing.assert_array_equal(p.data, ref[name].data)
             if name in state:
                 np.testing.assert_array_equal(opt.state[name]["m"], state[name]["m"])
                 np.testing.assert_array_equal(opt.state[name]["v"], state[name]["v"])
@@ -220,7 +220,7 @@ class TestInPlaceStep:
         params, ref = self._params(dtype, 0), self._params(dtype, 0)
         opt = AdamW(params, AdamWConfig(weight_decay=0.1), frozen_groups=frozen)
         self._five_steps_match(opt, params, ref, {"base": 0.01, "memory_layers": 0.003, "memory_bank": 0.5}, frozen, 1)
-        np.testing.assert_array_equal(params["bank"].value.data, self._params(dtype, 0)["bank"].value.data)
+        np.testing.assert_array_equal(params["bank"].data, self._params(dtype, 0)["bank"].data)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_segments_spanning_params_of_mixed_decay_match_bit_for_bit(self, dtype):
@@ -231,7 +231,7 @@ class TestInPlaceStep:
         shapes = (("w1", (5, 3)), ("gain1", (3,)), ("big", (BLOCK // 64 + 7, 64)), ("bias", (17,)),
                   ("w2", (4, 6)), ("gain2", (6,)), ("scalar", ()))
         init = {name: np.asarray(gen.standard_normal(shape)).astype(dtype) for name, shape in shapes}
-        params, ref = ({name: Parameter(Tensor(a.copy()), name, "base") for name, a in init.items()} for _ in range(2))
+        params, ref = ({name: Parameter(a.copy(), name, "base") for name, a in init.items()} for _ in range(2))
         opt = AdamW(params, AdamWConfig(weight_decay=0.1))
         assert [seg.names for seg in opt.segments] == [("w1", "big", "w2"), ("gain1", "bias", "gain2", "scalar")]
         assert opt.segments[0].data.size > BLOCK
@@ -240,11 +240,11 @@ class TestInPlaceStep:
     def test_step_peak_is_two_scratch_buffers(self):
         gen = np.random.default_rng(2)
         params = {
-            name: Parameter(Tensor(gen.standard_normal(shape)), name, "base")
+            name: Parameter(gen.standard_normal(shape), name, "base")
             for name, shape in (("big", (256, 128)), ("mid", (64, 64)), ("gain", (128,)))
         }
         for p in params.values():
-            p.value.grad[...] = gen.standard_normal(p.shape)
+            p.grad[...] = gen.standard_normal(p.shape)
         opt = AdamW(params)
         tracemalloc.start()
         try:
@@ -252,7 +252,7 @@ class TestInPlaceStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        largest = params["big"].value.data.nbytes
+        largest = params["big"].data.nbytes
         assert peak <= 2.5 * largest, f"step peak {peak} B is {peak / largest:.2f}x the largest parameter"
 
 
@@ -266,8 +266,8 @@ def assert_adopted(model, opt):
     assert trainable
     for name, p in trainable.items():
         seg = segment_of(opt, name)
-        assert np.shares_memory(p.value.data, seg.data), name
-        assert np.shares_memory(p.value.grad, seg.grad), name
+        assert np.shares_memory(p.data, seg.data), name
+        assert np.shares_memory(p.grad, seg.grad), name
         assert np.shares_memory(opt.state[name]["m"], seg.m), name
         assert np.shares_memory(opt.state[name]["v"], seg.v), name
         assert model.params[name] is p
@@ -281,7 +281,7 @@ class TestFlatSegments:
 
     def test_one_segment_per_dtype_group_and_decay_class(self):
         model = build_model(preset("micro"), RngState(0))
-        before = {name: (p.value.data.copy(), p.value.grad.copy()) for name, p in model.params.items()}
+        before = {name: (p.data.copy(), p.grad.copy()) for name, p in model.params.items()}
         opt = AdamW(model.params)
         keys = [(seg.data.dtype, seg.group, seg.decay) for seg in opt.segments]
         assert len(keys) == len(set(keys))
@@ -292,15 +292,15 @@ class TestFlatSegments:
             assert {n in opt.decay_names for n in seg.names} == {seg.decay}
         assert_adopted(model, opt)
         for name, p in model.params.items():
-            np.testing.assert_array_equal(p.value.data, before[name][0])
-            np.testing.assert_array_equal(p.value.grad, before[name][1])
-            assert p.value.data.flags.c_contiguous
+            np.testing.assert_array_equal(p.data, before[name][0])
+            np.testing.assert_array_equal(p.grad, before[name][1])
+            assert p.data.flags.c_contiguous
 
     def test_views_survive_zero_grads_train_and_resume(self):
         model = build_model(preset("micro"), RngState(0))
         opt = AdamW(model.params)
         for p in model.params.values():
-            p.value.grad[...] = 1.0
+            p.grad[...] = 1.0
         model.zero_grads()
         assert_adopted(model, opt)
         assert all(not seg.grad.any() for seg in opt.segments)
@@ -313,7 +313,7 @@ class TestFlatSegments:
         resumed = resume_train(half.checkpoint, self.CORPUS, cfg)
         assert_adopted(resumed.model, resumed.optimizer)
         for name, p in resumed.model.params.items():
-            np.testing.assert_array_equal(p.value.data, result.model.params[name].value.data)
+            np.testing.assert_array_equal(p.data, result.model.params[name].data)
 
     def test_zero_grads_allocates_nothing(self):
         model = build_model(preset("micro"), RngState(0))
@@ -330,32 +330,32 @@ class TestFlatSegments:
     def test_frozen_bank_is_not_adopted_and_never_changes(self):
         model = build_model(preset("micro"), RngState(0))
         bank = model.params["bank.tokens"]
-        data, before = bank.value.data, bank.value.data.copy()
+        data, before = bank.data, bank.data.copy()
         opt = AdamW(model.params, frozen_groups={"memory_bank"})
-        assert bank.value.data is data
+        assert bank.data is data
         assert all("bank.tokens" not in seg.names and not np.shares_memory(data, seg.data) for seg in opt.segments)
         assert "bank.tokens" not in opt.state
         result = train(model, self.CORPUS, self._cfg(bank_mode="frozen"), optimizer=opt)
-        assert result.model.params["bank.tokens"].value.data is data
+        assert result.model.params["bank.tokens"].data is data
         np.testing.assert_array_equal(data, before)
 
     def test_a_parameter_belongs_to_the_last_optimizer_built_over_it(self):
         params = {"w": make_param(np.ones((2, 2)), "w")}
         first, second = AdamW(params), AdamW(params)
-        assert np.shares_memory(params["w"].value.data, second.segments[0].data)
-        assert not np.shares_memory(params["w"].value.data, first.segments[0].data)
+        assert np.shares_memory(params["w"].data, second.segments[0].data)
+        assert not np.shares_memory(params["w"].data, first.segments[0].data)
 
     def test_nan_in_the_middle_of_a_segment_names_it_and_changes_nothing(self):
         params = {name: make_param(np.full((3, 2), 1.0 + i), name) for i, name in enumerate(("a", "mid", "c"))}
         for p in params.values():
-            p.value.grad[...] = 0.5
+            p.grad[...] = 0.5
         opt = AdamW(params)
         assert len(opt.segments) == 1 and opt.segments[0].names == ("a", "mid", "c")
-        params["mid"].value.grad[1, 0] = np.nan
+        params["mid"].grad[1, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite gradient in mid"):
             opt.step(uniform_lrs(0.1), t=1)
         for i, (name, p) in enumerate(params.items()):
-            np.testing.assert_array_equal(p.value.data, np.full((3, 2), 1.0 + i))
+            np.testing.assert_array_equal(p.data, np.full((3, 2), 1.0 + i))
             np.testing.assert_array_equal(opt.state[name]["m"], np.zeros((3, 2)))
             np.testing.assert_array_equal(opt.state[name]["v"], np.zeros((3, 2)))
 
@@ -363,8 +363,8 @@ class TestFlatSegments:
         params = {name: make_param(np.ones(shape), name) for name, shape in (("w1", (2, 2)), ("gain", 2), ("w2", (2, 2)))}
         opt = AdamW(params)
         assert [seg.names for seg in opt.segments] == [("w1", "w2"), ("gain",)]
-        params["gain"].value.grad[0] = np.nan
-        params["w2"].value.grad[0, 0] = np.inf
+        params["gain"].grad[0] = np.nan
+        params["w2"].grad[0, 0] = np.inf
         with pytest.raises(NumericError, match="in gain;"):
             opt.step(uniform_lrs(0.1), t=1)
 
@@ -393,17 +393,17 @@ class TestNonFiniteGuard:
             "a": make_param(np.ones(3), "a"),
             "bad": make_param(np.ones(3), "bad"),
         }
-        params["a"].value.grad[:] = 1.0
-        params["bad"].value.grad[1] = np.nan
+        params["a"].grad[:] = 1.0
+        params["bad"].grad[1] = np.nan
         opt = AdamW(params)
         with pytest.raises(NumericError, match="bad"):
             opt.step(uniform_lrs(0.1), t=1)
-        np.testing.assert_array_equal(params["a"].value.data, np.ones(3))
+        np.testing.assert_array_equal(params["a"].data, np.ones(3))
         np.testing.assert_array_equal(opt.state["a"]["m"], np.zeros(3))
 
     def test_inf_grad_also_aborts(self):
         p = make_param(np.ones(2))
-        p.value.grad[0] = np.inf
+        p.grad[0] = np.inf
         with pytest.raises(NumericError):
             AdamW({"p": p}).step(uniform_lrs(0.1), t=1)
 
@@ -412,7 +412,7 @@ class TestNonFiniteGuard:
             "w": make_param(np.ones(2), "w"),
             "bank": make_param(np.ones(2), "bank", "memory_bank"),
         }
-        params["bank"].value.grad[:] = np.nan
+        params["bank"].grad[:] = np.nan
         AdamW(params, frozen_groups={"memory_bank"}).step(uniform_lrs(0.1), t=1)
 
 
@@ -433,23 +433,23 @@ class TestAdamWConfig:
 class TestClipping:
     def test_norm_two_clipped_to_half(self):
         p = make_param(np.zeros(4))
-        p.value.grad[:] = 1.0  # norm 2
+        p.grad[:] = 1.0  # norm 2
         opt = AdamW({"p": p})
         assert abs(clip_grad_norm(opt, 1.0, global_grad_norm(opt)) - 0.5) < 1e-12
         assert abs(global_grad_norm(AdamW({"p": p})) - 1.0) < 1e-12
 
     def test_given_norm_is_used_as_is(self):
         p = make_param(np.zeros(4))
-        p.value.grad[:] = 1.0  # norm 2, but the caller's norm decides
+        p.grad[:] = 1.0  # norm 2, but the caller's norm decides
         assert abs(clip_grad_norm(AdamW({"p": p}), 1.0, norm=4.0) - 0.25) < 1e-12
-        np.testing.assert_array_equal(p.value.grad, np.full(4, 0.25))
+        np.testing.assert_array_equal(p.grad, np.full(4, 0.25))
 
     def test_small_norm_untouched(self):
         p = make_param(np.zeros(1))
-        p.value.grad[:] = 0.5
+        p.grad[:] = 0.5
         opt = AdamW({"p": p})
         assert clip_grad_norm(opt, 1.0, global_grad_norm(opt)) == 1.0
-        assert p.value.grad[0] == 0.5
+        assert p.grad[0] == 0.5
 
     def test_zero_grads_noop(self):
         opt = AdamW({"p": make_param(np.zeros(3))})
@@ -462,34 +462,34 @@ class TestClipping:
             f"p{i}": make_param(np.zeros((4, 4)), f"p{i}") for i in range(3)
         }
         for p in params.values():
-            p.value.grad[:] = gen.standard_normal((4, 4)) * 10
+            p.grad[:] = gen.standard_normal((4, 4)) * 10
         opt = AdamW(params)
         clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert global_grad_norm(opt) <= 1.0 + 1e-9
 
     def test_norm_spans_all_params_jointly(self):
         a, b = make_param(np.zeros(1), "a"), make_param(np.zeros(1), "b")
-        a.value.grad[:] = 3.0
-        b.value.grad[:] = 4.0
+        a.grad[:] = 3.0
+        b.grad[:] = 4.0
         assert abs(global_grad_norm(AdamW({"a": a, "b": b})) - 5.0) < 1e-12
 
     def test_frozen_groups_excluded_from_norm_and_scaling(self):
         w = make_param(np.zeros(1), "w")
         bank = make_param(np.zeros(1), "bank", "memory_bank")
-        w.value.grad[:] = 2.0
-        bank.value.grad[:] = 100.0
+        w.grad[:] = 2.0
+        bank.grad[:] = 100.0
         opt = AdamW({"w": w, "bank": bank}, frozen_groups={"memory_bank"})
         scale = clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert abs(scale - 0.5) < 1e-12
-        assert bank.value.grad is None  # the frozen bank's grad is dropped, not scaled
-        assert abs(w.value.grad[0] - 1.0) < 1e-12
+        assert bank.grad is None  # the frozen bank's grad is dropped, not scaled
+        assert abs(w.grad[0] - 1.0) < 1e-12
 
     def test_norm_sums_blocks_in_float64_through_one_scratch_block(self):
         gen = np.random.default_rng(7)
         shapes = (("big", (BLOCK // 32 + 5, 32)), ("gain", (40,)), ("w", (3, 3)))
-        params = {name: Parameter(Tensor(np.zeros(shape, np.float32)), name, "base") for name, shape in shapes}
+        params = {name: Parameter(np.zeros(shape, np.float32), name, "base") for name, shape in shapes}
         for p in params.values():
-            p.value.grad[...] = gen.standard_normal(p.shape) * 3.0
+            p.grad[...] = gen.standard_normal(p.shape) * 3.0
         want = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in params.values()))
         opt = AdamW(params)
         assert opt.segments[0].grad.size > BLOCK
@@ -504,10 +504,10 @@ class TestClipping:
 
     def test_clip_scales_each_segment_in_place(self):
         gen = np.random.default_rng(8)
-        params = {name: Parameter(Tensor(np.zeros(shape, np.float32)), name, "base")
+        params = {name: Parameter(np.zeros(shape, np.float32), name, "base")
                   for name, shape in (("w", (4, 5)), ("gain", (5,)))}
         for p in params.values():
-            p.value.grad[...] = gen.standard_normal(p.shape) * 10.0
+            p.grad[...] = gen.standard_normal(p.shape) * 10.0
         opt = AdamW(params)
         before = {name: p.grad.copy() for name, p in params.items()}
         scale = clip_grad_norm(opt, 1.0, global_grad_norm(opt))
@@ -520,13 +520,13 @@ class TestClipping:
     def test_norm_names_the_first_non_finite_parameter(self, bad):
         params = {name: make_param(np.zeros(shape), name) for name, shape in (("w", (2, 2)), ("gain", 2), ("bias", 3))}
         opt = AdamW(params)
-        params["bias"].value.grad[0] = bad
-        params["gain"].value.grad[1] = bad
+        params["bias"].grad[0] = bad
+        params["gain"].grad[1] = bad
         with pytest.raises(NumericError, match=r"^non-finite gradient in gain; step aborted$"):
             global_grad_norm(opt)
 
     def test_norm_that_overflows_float64_aborts(self):
         p = make_param(np.zeros(2))
-        p.value.grad[:] = 1e300
+        p.grad[:] = 1e300
         with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
             global_grad_norm(AdamW({"p": p}))

@@ -2,6 +2,7 @@
 schema, and the zero-update identity of the two-phase protocol."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +271,18 @@ class TestReportSchema:
     def test_bad_header_rejected(self):
         with pytest.raises(ConfigError, match="header"):
             RetentionReport.from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "bad retention CSV header: ''"),
+        ("moc,fact_recall,0.5", "bad retention CSV line 'moc,fact_recall,0.5'"),
+        ("moc,fact_recall,0.5,x,0", "bad retention CSV line 'moc,fact_recall,0.5,x,0'"),
+        ("moc,fact_recall,0.5,0.5,0,0", "bad retention CSV line 'moc,fact_recall,0.5,0.5,0,0'"),
+    ], ids=["empty", "three fields", "not a number", "six fields"])
+    def test_malformed_csv_names_the_line(self, text, message):
+        if text:
+            text = "variant,metric,phaseA,phaseB,delta\n" + text + "\n"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            RetentionReport.from_csv(text)
 
     def test_config_round_trip(self):
         cfg = RetentionConfig(

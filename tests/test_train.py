@@ -192,7 +192,7 @@ class TestDeterminism:
         assert calls == {"norm": 25, "snapshot": 4}  # start, then steps 10, 20 and 25
         assert result.checkpoint.step == 25
         for name, p in result.model.params.items():
-            assert result.checkpoint.tensors[name].tobytes() == p.value.data.tobytes()
+            assert result.checkpoint.tensors[name].tobytes() == p.data.tobytes()
         for name, buf in result.optimizer.state.items():
             assert result.checkpoint.moments[name][0].tobytes() == buf["m"].tobytes()
 
@@ -270,9 +270,9 @@ class TestResume:
 class TestBankFreezing:
     def test_frozen_bank_is_bit_identical_and_stateless(self):
         model = micro_model(2)
-        before = model["bank.tokens"].value.data.tobytes()
+        before = model["bank.tokens"].data.tobytes()
         result = train(model, CORPUS, quick_cfg(steps=10, bank_mode="frozen"))
-        assert model["bank.tokens"].value.data.tobytes() == before
+        assert model["bank.tokens"].data.tobytes() == before
         assert "bank.tokens" not in result.optimizer.state
 
     def test_optimizer_state_shrinks_by_two_elements_per_bank_element(self):
@@ -284,15 +284,15 @@ class TestBankFreezing:
 
     def test_unfrozen_bank_moves(self):
         model = micro_model(2)
-        before = model["bank.tokens"].value.data.copy()
+        before = model["bank.tokens"].data.copy()
         train(model, CORPUS, quick_cfg(steps=10, bank_mode="equal_lr"))
-        assert np.abs(model["bank.tokens"].value.data - before).max() > 0
+        assert np.abs(model["bank.tokens"].data - before).max() > 0
 
 
     def test_frozen_bank_holds_no_grad_and_is_never_scattered_into(self, monkeypatch):
         model = micro_model(2)
         bank, emb = model["bank.tokens"], model["embedding.weight"]
-        before = bank.value.data.tobytes()
+        before = bank.data.tobytes()
         scattered = []
         scatter = ops._scatter_rows
 
@@ -302,19 +302,19 @@ class TestBankFreezing:
 
         monkeypatch.setattr(ops, "_scatter_rows", recorded)
         frozen = AdamW(model.params, frozen_groups={"memory_bank"})
-        assert not bank.value.requires_grad and bank.grad is None
+        assert not bank.requires_grad and bank.grad is None
         train(model, CORPUS, quick_cfg(steps=3, bank_mode="frozen"), optimizer=frozen)
-        assert scattered and all(x is emb.value for x in scattered)
-        assert bank.grad is None and bank.value.data.tobytes() == before
+        assert scattered and all(x is emb for x in scattered)
+        assert bank.grad is None and bank.data.tobytes() == before
 
         # a later unfrozen optimizer over the same parameters adopts the bank again
         scattered.clear()
         unfrozen = AdamW(model.params)
-        assert bank.value.requires_grad and "bank.tokens" in unfrozen.state
+        assert bank.requires_grad and "bank.tokens" in unfrozen.state
         assert np.shares_memory(bank.grad, next(s.grad for s in unfrozen.segments if "bank.tokens" in s.names))
         train(model, CORPUS, quick_cfg(steps=3), optimizer=unfrozen)
-        assert any(x is bank.value for x in scattered)
-        assert bank.value.data.tobytes() != before
+        assert any(x is bank for x in scattered)
+        assert bank.data.tobytes() != before
 
     @staticmethod
     def mismatch(have: tuple, want: tuple) -> str:
@@ -370,7 +370,7 @@ class TestGroupLrAudit:
 class TestAbortAndValidation:
     def test_nan_loss_aborts_with_last_checkpoint(self):
         model = micro_model(4)
-        model["embedding.weight"].value.data[0, 0] = np.nan
+        model["embedding.weight"].data[0, 0] = np.nan
         with pytest.raises(TrainingAborted) as err, np.errstate(invalid="ignore"):
             train(model, CORPUS, quick_cfg(steps=5))
         assert err.value.step == 0
@@ -383,7 +383,7 @@ class TestAbortAndValidation:
         model = micro_model(4)
         cfg = quick_cfg(steps=10, eval_every=5)
         train(model, CORPUS, replace(cfg, steps=5))
-        model["embedding.weight"].value.data[0, 0] = np.inf
+        model["embedding.weight"].data[0, 0] = np.inf
         with pytest.raises(TrainingAborted) as err, np.errstate(invalid="ignore"):
             train(model, CORPUS, cfg, start_step=5)
         assert err.value.step == 5
@@ -397,7 +397,7 @@ class TestAbortAndValidation:
 
         def poisoned():
             zero_grads()
-            model["layers.3.router.bias"].value.grad[0] = bad
+            model["layers.3.router.bias"].grad[0] = bad
 
         model.zero_grads = poisoned
         with pytest.raises(TrainingAborted) as err:
@@ -415,7 +415,7 @@ class TestAbortAndValidation:
         result = train(model, CORPUS, quick_cfg(steps=4), start_step=4)
         assert result.metrics == [] and result.checkpoint.step == 4
         for name, p in model.params.items():
-            assert result.checkpoint.tensors[name].tobytes() == p.value.data.tobytes()
+            assert result.checkpoint.tensors[name].tobytes() == p.data.tobytes()
 
     def test_corpus_too_short(self):
         with pytest.raises(ConfigError, match="corpus length"):

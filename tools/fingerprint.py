@@ -15,7 +15,8 @@ config at (3, 100), whose 297 loss rows span two cross-entropy chunks.
 Each case runs one taped forward and a backward at upstream scale 0.5 and
 hashes the four loss values, the taped loss, every parameter gradient and
 ``forward_logits``. Then come the artifacts of
-``chapterbank train --preset micro --steps 12`` (three lines), the
+``chapterbank train --preset micro --steps 12`` (three lines), the stdout
+and ``--csv`` of ``chapterbank route-stats`` on its ``final.ckpt``, the
 ``metrics.csv`` of the same run at ``grad_accum: 2`` through ``--config``,
 the checkpoint of a ``resume_train`` that completes a 12-step run
 interrupted at step 6, and the ``retention.csv`` of
@@ -41,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from chapterbank import ops  # noqa: E402
-from chapterbank.checkpoint import save_checkpoint  # noqa: E402
+from chapterbank.checkpoint import checkpoint_from, model_from_checkpoint, save_checkpoint  # noqa: E402
 from chapterbank.cli import main as cli_main  # noqa: E402
 from chapterbank.config import preset  # noqa: E402
 from chapterbank.model import build_model, model_forward  # noqa: E402
@@ -65,9 +66,12 @@ def case_digest(precision: str, variant: str, shape_name: str) -> str:
     model = build_model(cfg, RngState(14), precision)
     gen = np.random.default_rng(14)
     if cfg.adapter_enabled:  # adapters start at zero, which would hide their path
+        # set through a checkpoint, so this also runs on trees where a Parameter wraps a Tensor
+        ckpt = checkpoint_from(model)
         for i in cfg.memory_layer_indices:
-            adapter = model[f"layers.{i}.mem.adapter"].value.data
+            adapter = ckpt.tensors[f"layers.{i}.mem.adapter"]
             adapter[...] = gen.standard_normal(adapter.shape) * 0.02
+        model = model_from_checkpoint(ckpt)
     tokens = gen.integers(0, cfg.vocab, shape)
     model.zero_grads()
     with Tape() as tape:
@@ -83,6 +87,16 @@ def case_digest(precision: str, variant: str, shape_name: str) -> str:
     return h.hexdigest()
 
 
+def cli_stdout(argv: list[str]) -> str:
+    """Run ``chapterbank argv``; returns what it printed."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"chapterbank {' '.join(argv)} exited {code}")
+    return stdout.getvalue()
+
+
 def run_cli(argv: list[str], out: str, config: dict | None = None) -> Path:
     """Run ``chapterbank`` with ``--out-dir out`` (and ``--config`` when given);
     returns the output directory."""
@@ -90,10 +104,7 @@ def run_cli(argv: list[str], out: str, config: dict | None = None) -> Path:
         path = Path(out) / "run.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(path)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main(argv + ["--out-dir", out])
-    if code != 0:
-        raise SystemExit(f"chapterbank {' '.join(argv)} exited {code}")
+    cli_stdout(argv + ["--out-dir", out])
     return Path(out)
 
 
@@ -104,8 +115,13 @@ def digest(path: Path) -> str:
 def train_digests() -> list[tuple[str, str]]:
     with tempfile.TemporaryDirectory() as out:
         run_cli(["train", "--preset", "micro", "--steps", "12"], out)
-        return [(digest(Path(out) / name), f"train-micro-12/{name}")
-                for name in ("metrics.csv", "final.ckpt", "config.resolved")]
+        lines = [(digest(Path(out) / name), f"train-micro-12/{name}")
+                 for name in ("metrics.csv", "final.ckpt", "config.resolved")]
+        csv = Path(out) / "routes.csv"
+        stdout = cli_stdout(["route-stats", "--checkpoint", str(Path(out) / "final.ckpt"), "--csv", str(csv)])
+        h = hashlib.sha256(stdout.encode())
+        h.update(csv.read_bytes())
+        return lines + [(h.hexdigest(), "train-micro-12/route-stats")]
 
 
 def grad_accum_digest() -> str:
