@@ -175,9 +175,11 @@ class FlopsReport:
         return "\n".join(lines) + "\n"
 
 
-def _check(b: int, l: int) -> None:
+def _check(b: int, l: int, aux_override: int | None = None) -> None:
     if b < 1 or l < 1:
         raise ConfigError(f"batch={b} and seq_len={l} must be >= 1")
+    if aux_override is not None and aux_override < 0:
+        raise ConfigError(f"aux_override must be >= 0, got {aux_override}")
 
 
 def _attention_flops(d: int, batch: int, lq: int, lk: int, heads: int, kv_heads: int) -> AttentionFlops:
@@ -243,11 +245,9 @@ def flops_memory_layer_extra(
     cfg: ModelConfig, batch: int = 1, seq_len: int = 1024, aux_override: int | None = None
 ) -> MemoryExtraFlops:
     """Extra cost a memory layer adds on top of a standard layer."""
-    _check(batch, seq_len)
+    _check(batch, seq_len, aux_override)
     if not cfg.has_memory:
         raise ConfigError("config has no memory layers")
-    if aux_override is not None and aux_override < 0:
-        raise ConfigError(f"aux_override must be >= 0, got {aux_override}")
     d, c = cfg.d_model, cfg.chapters
     n_sel = cfg.selected_tokens
     router = RouterFlops(
@@ -287,7 +287,7 @@ def flops_model(
 ) -> FlopsReport:
     """Full-model report: n_standard * layer + n_memory * (layer + extra)
     + head."""
-    _check(batch, seq_len)
+    _check(batch, seq_len, aux_override)
     n_mem = len(cfg.memory_layer_indices)
     return FlopsReport(
         batch=batch,

@@ -236,19 +236,27 @@ class RetentionReport:
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0) -> "RetentionReport":
-        """Parse ``to_csv`` text; a missing header, or a row without five
-        fields or with a phase value that is not a number, raises
-        ConfigError naming the line."""
+        """Parse ``to_csv`` text; a missing header, a row without five
+        fields or with a value that is not a number, and a missing or
+        repeated (variant, metric) row raise ConfigError naming the line or
+        the pair."""
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0] != "variant,metric,phaseA,phaseB,delta":
             raise ConfigError(f"bad retention CSV header: {lines[0] if lines else ''!r}")
         report = cls(seed=seed)
+        seen = set()
         for ln in lines[1:]:
             try:
-                variant, metric, a, b, _ = ln.split(",")
+                variant, metric, a, b, delta = ln.split(",")
                 a, b = float(a), float(b)
+                float(delta)  # checked, not kept: rows() recomputes the delta
             except ValueError:
-                raise ConfigError(f"bad retention CSV line {ln!r}: want five fields, phaseA and phaseB numbers") from None
+                raise ConfigError(f"bad retention CSV line {ln!r}: want five fields, phaseA, phaseB and delta numbers") from None
+            if variant not in VARIANTS:
+                raise ConfigError(f"unknown retention variant {variant!r}")
+            if (variant, metric) in seen:
+                raise ConfigError(f"retention CSV repeats the row ({variant}, {metric})")
+            seen.add((variant, metric))
             r = report.variants.setdefault(variant, VariantResult(variant))
             if metric in METRIC_FIELDS:
                 setattr(r, f"{METRIC_FIELDS[metric]}_a", a)
@@ -257,6 +265,9 @@ class RetentionReport:
                 r.failed = b == 1.0
             else:
                 raise ConfigError(f"unknown retention metric {metric!r}")
+        missing = [(v, m) for v in VARIANTS for m in (*METRIC_FIELDS, "failed") if (v, m) not in seen]
+        if missing:
+            raise ConfigError(f"retention CSV lacks the row ({missing[0][0]}, {missing[0][1]})")
         return report
 
 
@@ -300,38 +311,47 @@ def run_retention_protocol(
     cfg: RetentionConfig, model_cfg: ModelConfig | None = None
 ) -> RetentionReport:
     """Train each variant on facts, fine-tune on the instruction task
-    with doubled context, and measure what happened to fact recall."""
+    with doubled context, and measure what happened to fact recall.
+    Variants with equal model configs branch from one phase-A run, whose
+    abort fails them all."""
     fact_corpus, fact_probes = gen_fact_corpus(cfg.fact, vocab=(model_cfg or preset("micro")).vocab)
     instr_corpus, instr_probes = gen_instruction_corpus(
         cfg.instruction, vocab=(model_cfg or preset("micro")).vocab
     )
     _check_disjoint(fact_corpus, instr_corpus)
-    report = RetentionReport(seed=cfg.seed)
+    configs = variant_model_configs(model_cfg)
+    report = RetentionReport(seed=cfg.seed, variants={v: VariantResult(v) for v in configs})
     phase_a = replace(cfg.phase_a, seed=cfg.seed)
-    for variant, mc in variant_model_configs(model_cfg).items():
-        result = VariantResult(variant)
-        report.variants[variant] = result
-        phase_b = replace(
-            cfg.phase_b,
-            seed=cfg.seed + 1,
-            bank_mode="frozen" if variant == "moc-frozen-bank" else cfg.phase_b.bank_mode,
-        )
+    mcs = list(configs.values())
+    for mc in (c for i, c in enumerate(mcs) if c not in mcs[:i]):  # each distinct config once
+        group = [report.variants[v] for v, c in configs.items() if c == mc]
+        model = build_model(mc, RngState(cfg.seed))
         try:
-            model = build_model(mc, RngState(cfg.seed))
             res_a = train(model, fact_corpus, phase_a)
-            result.fact_recall_a = eval_fact_recall(model, fact_probes)
-            result.task_acc_a = eval_fact_recall(model, instr_probes)
-            result.fact_loss_a = _eval_losses(model, res_a.eval_batches)[0]
-            bank_before = res_a.checkpoint.tensors.get("bank.tokens")
-            res_b = continue_train(res_a.checkpoint, instr_corpus, phase_b)
-            model_b = res_b.model
+        except TrainingAborted:
+            for result in group:
+                result.failed = True
+            continue
+        measured_a = (eval_fact_recall(model, fact_probes), eval_fact_recall(model, instr_probes),
+                      _eval_losses(model, res_a.eval_batches)[0])
+        bank_before = res_a.checkpoint.tensors.get("bank.tokens")
+        for result in group:
+            result.fact_recall_a, result.task_acc_a, result.fact_loss_a = measured_a
+            phase_b = replace(
+                cfg.phase_b,
+                seed=cfg.seed + 1,
+                bank_mode="frozen" if result.variant == "moc-frozen-bank" else cfg.phase_b.bank_mode,
+            )
+            try:
+                model_b = continue_train(res_a.checkpoint, instr_corpus, phase_b).model
+            except TrainingAborted:
+                result.failed = True
+                continue
             result.fact_recall_b = eval_fact_recall(model_b, fact_probes)
             result.task_acc_b = eval_fact_recall(model_b, instr_probes)
             result.fact_loss_b = _eval_losses(model_b, res_a.eval_batches)[0]
             if bank_before is not None:
                 result.bank_unchanged_in_b = bool(np.array_equal(bank_before, model_b["bank.tokens"].data))
-        except TrainingAborted:
-            result.failed = True
     return report
 
 

@@ -58,6 +58,12 @@ class TestFlopsCommand:
         captured = capsys.readouterr()
         assert "error: aux_override must be >= 0, got -7" in captured.err and captured.out == ""
 
+    def test_negative_aux_override_on_a_dense_model_is_exit_2(self, capsys):
+        # a dense model has no memory-layer line to pin; the bad value is still bad input
+        assert main(["flops", "--preset", "vanilla-backbone", "--aux-override", "-7"]) == 2
+        captured = capsys.readouterr()
+        assert "error: aux_override must be >= 0, got -7" in captured.err and captured.out == ""
+
     def test_bad_preset_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["flops", "--preset", "mega"])

@@ -62,6 +62,12 @@ class TestMemoryLayerExtra:
             flops_memory_layer_extra(FULL, 1, 1024, aux_override=-7)
         assert flops_memory_layer_extra(FULL, 1, 1024, aux_override=0).router_aux == 0
 
+    def test_negative_aux_override_rejected_without_memory_layers(self):
+        dense = replace(FULL, memory_layer_indices=[])
+        with pytest.raises(ConfigError, match=r"^aux_override must be >= 0, got -7$"):
+            flops_model(dense, 1, 1024, aux_override=-7)
+        assert flops_model(dense, 1, 1024, aux_override=0) == flops_model(dense, 1, 1024)
+
     def test_subtotals(self):
         f = flops_memory_layer_extra(FULL, 1, 1024, aux_override=AUX)
         assert f.router.total == 7_124_491

@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chapterbank import retention
 from chapterbank.config import ModelConfig, preset
-from chapterbank.errors import ConfigError
+from chapterbank.errors import ConfigError, TrainingAborted
 from chapterbank.model import build_model
 from chapterbank.retention import (
     FACT_MARKERS,
@@ -54,6 +55,11 @@ def parse_facts(tokens: np.ndarray) -> list[tuple[tuple, tuple]]:
         out.append((tuple(int(t) for t in toks[i + 1 : j]), tuple(int(t) for t in toks[j + 1 : k])))
         i = k + 1
     return out
+
+
+# every (variant, metric) row that RetentionReport.rows() writes, all values 0
+ROWS = "".join(f"{v},{m},0.0,0.0,0.0\n" for v in VARIANTS
+               for m in ("fact_recall", "task_accuracy", "fact_eval_loss", "failed"))
 
 
 def tiny_train_cfg(steps, seq_len=16, **over):
@@ -272,15 +278,20 @@ class TestReportSchema:
         with pytest.raises(ConfigError, match="header"):
             RetentionReport.from_csv("a,b,c\n1,2,3\n")
 
-    @pytest.mark.parametrize("text, message", [
-        ("", "bad retention CSV header: ''"),
+    @pytest.mark.parametrize("body, message", [
+        (None, "bad retention CSV header: ''"),
         ("moc,fact_recall,0.5", "bad retention CSV line 'moc,fact_recall,0.5'"),
         ("moc,fact_recall,0.5,x,0", "bad retention CSV line 'moc,fact_recall,0.5,x,0'"),
         ("moc,fact_recall,0.5,0.5,0,0", "bad retention CSV line 'moc,fact_recall,0.5,0.5,0,0'"),
-    ], ids=["empty", "three fields", "not a number", "six fields"])
-    def test_malformed_csv_names_the_line(self, text, message):
-        if text:
-            text = "variant,metric,phaseA,phaseB,delta\n" + text + "\n"
+        ("moc,fact_recall,0.5,0.5,banana", "bad retention CSV line 'moc,fact_recall,0.5,0.5,banana'"),
+        ("", "retention CSV lacks the row (vanilla-like, fact_recall)"),
+        (ROWS.replace("moc,task_accuracy,0.0,0.0,0.0\n", ""), "retention CSV lacks the row (moc, task_accuracy)"),
+        (ROWS + "moc,fact_recall,0.0,0.0,0.0\n", "retention CSV repeats the row (moc, fact_recall)"),
+        ("vanilla,fact_recall,0.0,0.0,0.0\n" + ROWS, "unknown retention variant 'vanilla'"),
+    ], ids=["empty", "three fields", "not a number", "six fields", "delta not a number",
+            "header only", "missing row", "repeated row", "unknown variant"])
+    def test_malformed_csv_names_the_line(self, body, message):
+        text = "" if body is None else "variant,metric,phaseA,phaseB,delta\n" + body + "\n"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             RetentionReport.from_csv(text)
 
@@ -326,6 +337,66 @@ class TestProtocol:
         for name in VARIANTS:
             vals = [r.variants[name].fact_loss_b for r in reports]
             assert abs(mean.variants[name].fact_loss_b - float(np.mean(vals))) < 1e-12
+
+    SMALL = RetentionConfig(phase_a=tiny_train_cfg(6, seq_len=16), phase_b=tiny_train_cfg(4, seq_len=32), seed=3)
+
+    def test_equal_configs_share_one_phase_a_run(self, monkeypatch):
+        calls = {"train": 0, "continue_train": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(retention, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(retention, name, counted)
+        report = run_retention_protocol(self.SMALL)
+        assert calls == {"train": 2, "continue_train": 3}
+        assert not any(r.failed for r in report.variants.values())
+
+    def test_shared_phase_a_equals_a_separate_moc_run(self):
+        cfg = self.SMALL
+        frozen = run_retention_protocol(cfg).variants["moc-frozen-bank"]
+        micro = preset("micro")
+        fact_corpus, fact_probes = gen_fact_corpus(cfg.fact, micro.vocab)
+        _, instr_probes = gen_instruction_corpus(cfg.instruction, micro.vocab)
+        model = build_model(micro, RngState(cfg.seed))
+        res = train(model, fact_corpus, replace(cfg.phase_a, seed=cfg.seed))
+        assert frozen.fact_recall_a == eval_fact_recall(model, fact_probes)
+        assert frozen.task_acc_a == eval_fact_recall(model, instr_probes)
+        # the last eval row is measured on the final model over the same eval batches
+        assert frozen.fact_loss_a == res.eval_rows()[-1].lm_loss
+
+    def test_phase_a_abort_fails_its_whole_group(self, monkeypatch):
+        trained = []
+
+        def abort_memory_models(model, corpus, cfg, **kwargs):
+            trained.append(model.config.has_memory)
+            if model.config.has_memory:
+                raise TrainingAborted("injected abort", None, 0)
+            return train(model, corpus, cfg, **kwargs)
+
+        monkeypatch.setattr(retention, "train", abort_memory_models)
+        report = run_retention_protocol(self.SMALL)
+        assert trained == [False, True]
+        for name in ("moc", "moc-frozen-bank"):
+            r = report.variants[name]
+            assert r.failed and math.isnan(r.fact_recall_a) and math.isnan(r.fact_loss_b)
+        vanilla = report.variants["vanilla-like"]
+        assert not vanilla.failed and math.isfinite(vanilla.fact_loss_b)
+
+    def test_phase_b_abort_fails_only_its_variant(self, monkeypatch):
+        real = retention.continue_train
+
+        def abort_frozen_bank(ckpt, corpus, cfg, *args):
+            if cfg.bank_mode == "frozen":
+                raise TrainingAborted("injected abort", ckpt, 0)
+            return real(ckpt, corpus, cfg, *args)
+
+        monkeypatch.setattr(retention, "continue_train", abort_frozen_bank)
+        report = run_retention_protocol(self.SMALL)
+        moc, frozen = report.variants["moc"], report.variants["moc-frozen-bank"]
+        assert not moc.failed and frozen.failed
+        assert (frozen.fact_recall_a, frozen.task_acc_a, frozen.fact_loss_a) == (
+            moc.fact_recall_a, moc.task_acc_a, moc.fact_loss_a)
+        assert math.isnan(frozen.fact_loss_b) and math.isfinite(moc.fact_loss_b)
 
     def test_multi_seed_requires_seeds(self):
         with pytest.raises(ConfigError):

@@ -19,8 +19,10 @@ hashes the four loss values, the taped loss, every parameter gradient and
 and ``--csv`` of ``chapterbank route-stats`` on its ``final.ckpt``, the
 ``metrics.csv`` of the same run at ``grad_accum: 2`` through ``--config``,
 the checkpoint of a ``resume_train`` that completes a 12-step run
-interrupted at step 6, and the ``retention.csv`` of
-``chapterbank retention --config`` with phases of 20 and 16 steps.
+interrupted at step 6, the ``retention.csv`` of
+``chapterbank retention --config`` with phases of 20 and 16 steps, and the
+two per-seed CSVs and ``retention.mean.csv`` of the same command at
+``--seeds 2``.
 """
 
 from __future__ import annotations
@@ -141,15 +143,20 @@ def resume_digest() -> str:
         return digest(Path(out) / "final.ckpt")
 
 
-def retention_digest() -> str:
+def retention_digest(argv: list[str], names: tuple[str, ...]) -> str:
+    """Hash the bytes of the files ``names``, in order, written by
+    ``chapterbank retention argv`` with phases of 20 and 16 steps at seed 1."""
     def phase(steps: int, seq_len: int) -> dict:
         return {"steps": steps, "batch_size": 8, "seq_len": seq_len,
                 "schedule": cosine(2).to_dict(), "eval_every": steps // 2}
 
     config = {"preset": "micro", "retention": {"phase_a": phase(20, 16), "phase_b": phase(16, 32), "seed": 1}}
     with tempfile.TemporaryDirectory() as out:
-        run_cli(["retention"], out, config)
-        return digest(Path(out) / "retention.csv")
+        run_cli(["retention", *argv], out, config)
+        h = hashlib.sha256()
+        for name in names:
+            h.update((Path(out) / name).read_bytes())
+        return h.hexdigest()
 
 
 def main() -> None:
@@ -161,7 +168,9 @@ def main() -> None:
         print(line, name)
     print(grad_accum_digest(), "train-micro-12-accum-2/metrics.csv")
     print(resume_digest(), "resume-micro-6-of-12/final.ckpt")
-    print(retention_digest(), "retention-micro-20-16/retention.csv")
+    print(retention_digest([], ("retention.csv",)), "retention-micro-20-16/retention.csv")
+    print(retention_digest(["--seeds", "2"], ("retention.seed1.csv", "retention.seed2.csv", "retention.mean.csv")),
+          "retention-micro-20-16-seeds-2/retention.seed1+seed2+mean.csv")
 
 
 if __name__ == "__main__":
