@@ -225,7 +225,6 @@ def model_from_checkpoint(ckpt: Checkpoint, max_seq_len: int | None = None) -> M
     cfg = ckpt.config
     if max_seq_len is not None:
         cfg = replace(cfg, max_seq_len=max(max_seq_len, cfg.max_seq_len))
-    cfg.validate()
     specs = param_specs(cfg)
     shapes = {name: shape for name, shape, _, _ in specs}
     missing, extra = set(shapes) - set(ckpt.tensors), set(ckpt.tensors) - set(shapes)

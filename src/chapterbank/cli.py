@@ -49,20 +49,10 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    tr = rc.train
-    for flag, field_name in [
-        ("steps", "steps"),
-        ("seed", "seed"),
-        ("batch_size", "batch_size"),
-        ("seq_len", "seq_len"),
-        ("bank_mode", "bank_mode"),
-        ("lr", "lr_base"),
-    ]:
-        val = getattr(args, flag, None)
-        if val is not None:
-            tr = replace(tr, **{field_name: val})
-    tr.validate()
-    return replace(rc, train=tr)
+    flags = {"steps": "steps", "seed": "seed", "batch_size": "batch_size", "seq_len": "seq_len",
+             "bank_mode": "bank_mode", "lr": "lr_base"}
+    overrides = {name: getattr(args, flag) for flag, name in flags.items() if getattr(args, flag, None) is not None}
+    return replace(rc, train=replace(rc.train, **overrides))
 
 
 def _corpus_from(rc: RunConfig) -> Corpus:

@@ -19,16 +19,13 @@ class Config:
     ``from_dict``, a tuple field is rebuilt as a tuple, and an ``int``
     takes neither a bool nor a float. So a JSON round trip gives an
     equal config, and a malformed document raises ``ConfigError``.
-    ``from_dict`` rejects unknown and missing keys and always runs
-    ``validate()``, which checks nothing unless a subclass overrides it.
-    Errors name the class in words; a nested config's errors, those a
-    class raises on construction included, begin with its dotted key
-    path, as in ``train.schedule: schedule is missing required keys:
-    ['kind']``.
+    ``from_dict`` rejects unknown and missing keys. Every config checks
+    its own values in ``__post_init__``, so one that is built, directly,
+    by ``replace`` or by ``from_dict``, is valid. Errors name the class
+    in words; a nested config's errors, those a class raises on
+    construction included, begin with its dotted key path, as in
+    ``train.schedule: schedule is missing required keys: ['kind']``.
     """
-
-    def validate(self) -> None:
-        pass
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
@@ -51,12 +48,10 @@ class Config:
             key: _decode(value, hints[key], f"{at}invalid {name} key {key!r}", f"{path}.{key}" if path else key)
             for key, value in d.items()
         }
-        try:  # some classes check their values on construction, the rest in validate()
-            cfg = cls(**values)
-            cfg.validate()
+        try:
+            return cls(**values)
         except ConfigError as e:
             raise ConfigError(f"{at}{e}") from None
-        return cfg
 
 
 def _decode(value, hint, where: str, path: str):
@@ -96,7 +91,7 @@ def _plain(value):
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig(Config):
     """Complete architectural description of one model.
 
@@ -150,7 +145,7 @@ class ModelConfig(Config):
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         def fail(msg):
             raise ConfigError(f"invalid model config: {msg}")
 
@@ -236,6 +231,4 @@ def preset(name: str) -> ModelConfig:
     make = _PRESETS.get(name) if isinstance(name, str) else None
     if make is None:
         raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}")
-    cfg = make()
-    cfg.validate()
-    return cfg
+    return make()

@@ -161,7 +161,6 @@ def build_model(cfg: ModelConfig, rng: RngState, precision: str = "single") -> M
     """Initialize all parameters: weights N(0, 0.02), gains 1, biases 0,
     bank N(0, bank_init_std); each drawn from a per-name substream so the
     result depends only on (seed, name)."""
-    cfg.validate()
     dtype = PRECISION_DTYPES[precision]
     params: dict[str, Parameter] = {}
     for name, shape, group, kind in param_specs(cfg):
@@ -181,7 +180,6 @@ def param_count(model_or_cfg) -> dict[str, int]:
     total}, counted from the config's shapes (a built Model's config or a
     ModelConfig; nothing allocated)."""
     cfg = model_or_cfg.config if isinstance(model_or_cfg, Model) else model_or_cfg
-    cfg.validate()
     counts = {"base": 0, "memory_layers": 0, "memory_bank": 0}
     for _, shape, group, _ in param_specs(cfg):
         counts[group] += int(np.prod(shape))
@@ -374,6 +372,8 @@ def collect_route_stats(model: Model, batches: list[np.ndarray], layers: list[in
     cfg = model.config
     if not cfg.has_memory:
         raise ConfigError("route stats need a model with memory layers")
+    if not batches:
+        raise ConfigError("route stats need at least one batch")
     wanted = list(cfg.memory_layer_indices) if layers is None else list(layers)
     if len(set(wanted)) != len(wanted):
         raise ConfigError(f"layers {wanted} name a layer more than once")

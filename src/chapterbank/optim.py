@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, NoReturn
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigError, NumericError
 from .tensor import PARAM_GROUPS, Parameter
 
@@ -31,7 +32,7 @@ BLOCK = 1 << 16  # elements per pass of the update: 256-512 KB per buffer, cache
 
 
 @dataclass(frozen=True)
-class AdamWConfig:
+class AdamWConfig(Config):
     """Update settings, checked when built: each beta in [0, 1), ``eps``
     finite and > 0, ``weight_decay`` finite and >= 0."""
 

@@ -45,24 +45,21 @@ class FactSpec(Config):
     key_base: int = 10  # key symbol token ids start here
     value_base: int = 96  # value symbol token ids start here
 
-    def validate(self, vocab: int | None = None) -> None:
-        """Check the spec; the symbol ranges also against ``vocab`` when given."""
+    def __post_init__(self) -> None:
         if self.n_facts < 1:
             raise ConfigError(f"n_facts must be >= 1, got {self.n_facts}")
         if self.key_alphabet < 2 or self.value_alphabet < 2:
             raise ConfigError("key and value alphabets must have >= 2 symbols")
         if self.key_len < 1 or self.value_len < 1:
             raise ConfigError("key_len and value_len must be >= 1")
+        if self.key_base <= max(INSTR_MARKERS):
+            raise ConfigError(f"key_base {self.key_base} must exceed the marker ids, up to {max(INSTR_MARKERS)}")
         if self.key_alphabet**self.key_len < self.n_facts:
             raise ConfigError(
                 f"{self.n_facts} unique keys do not fit in alphabet {self.key_alphabet}^{self.key_len}"
             )
         if self.key_base + self.key_alphabet > self.value_base:
             raise ConfigError("key symbol range overlaps value symbol range")
-        if vocab is not None and self.value_base + self.value_alphabet > vocab:
-            raise ConfigError(
-                f"value symbols reach {self.value_base + self.value_alphabet}, beyond vocab {vocab}"
-            )
 
 
 @dataclass(frozen=True)
@@ -75,18 +72,15 @@ class InstructionSpec(Config):
     seed: int = 0
     symbol_base: int = 180
 
-    def validate(self, vocab: int | None = None) -> None:
-        """Check the spec; the symbol range also against ``vocab`` when given."""
+    def __post_init__(self) -> None:
         if self.n_examples < 1 or self.src_len < 1 or self.repeats < 1:
             raise ConfigError("n_examples, src_len, and repeats must be >= 1")
         if self.alphabet < 2:
             raise ConfigError("instruction alphabet must have >= 2 symbols")
         if self.transform not in TRANSFORMS:
             raise ConfigError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
-        if vocab is not None and self.symbol_base + self.alphabet > vocab:
-            raise ConfigError(
-                f"instruction symbols reach {self.symbol_base + self.alphabet}, beyond vocab {vocab}"
-            )
+        if self.symbol_base <= max(INSTR_MARKERS):
+            raise ConfigError(f"symbol_base {self.symbol_base} must exceed the marker ids, up to {max(INSTR_MARKERS)}")
 
     def apply(self, src: np.ndarray) -> np.ndarray:
         if self.transform == "reverse":
@@ -107,7 +101,8 @@ def _render_fact(key: np.ndarray, value: np.ndarray) -> np.ndarray:
 def gen_fact_corpus(spec: FactSpec, vocab: int) -> tuple[Corpus, list[Probe]]:
     """Render n_facts unique (key, value) pairs `repeats` times each in
     shuffled order; probes pair each key prompt with its value tokens."""
-    spec.validate(vocab)
+    if spec.value_base + spec.value_alphabet > vocab:
+        raise ConfigError(f"value symbols reach {spec.value_base + spec.value_alphabet}, beyond vocab {vocab}")
     rng = RngState(spec.seed)
     n_keys = spec.key_alphabet**spec.key_len
     key_codes = rng.substream("keys").choice(n_keys, size=spec.n_facts, replace=False)
@@ -136,7 +131,8 @@ def gen_fact_corpus(spec: FactSpec, vocab: int) -> tuple[Corpus, list[Probe]]:
 def gen_instruction_corpus(spec: InstructionSpec, vocab: int) -> tuple[Corpus, list[Probe]]:
     """Transform task: [open] src [sep] f(src) [close], disjoint from the
     fact token ranges."""
-    spec.validate(vocab)
+    if spec.symbol_base + spec.alphabet > vocab:
+        raise ConfigError(f"instruction symbols reach {spec.symbol_base + spec.alphabet}, beyond vocab {vocab}")
     rng = RngState(spec.seed)
     gen = rng.substream("instructions")
     rows = []

@@ -28,11 +28,13 @@ class DataConfig(Config):
     seed: int = 0
     period: int = 97
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind != "synthetic":
             raise ConfigError(f"unknown data kind {self.kind!r}; only 'synthetic' is supported")
         if self.length < 4:
             raise ConfigError(f"data length must be >= 4, got {self.length}")
+        if not 2 <= self.period <= self.length:
+            raise ConfigError(f"data period {self.period} must be in [2, length {self.length}]")
 
 
 @dataclass(frozen=True)

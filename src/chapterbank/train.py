@@ -46,7 +46,7 @@ class TrainConfig(Config):
     seed: int = 0
     eval_every: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1 or self.grad_accum < 1:
@@ -202,7 +202,6 @@ def train(
     start_step: int = 0,
     optimizer: AdamW | None = None,
 ) -> TrainResult:
-    cfg.validate()
     if not 0 <= start_step <= cfg.steps:
         raise ConfigError(f"start_step {start_step} outside [0, steps={cfg.steps}]")
     if len(corpus) < cfg.batch_size * cfg.seq_len:

@@ -132,6 +132,14 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "steps 5 must exceed schedule.warmup 10" in err and "total_steps" not in err
 
+    @pytest.mark.parametrize("data", [{"length": 50}, {"length": 50, "period": 1}])
+    def test_a_period_the_corpus_rejects_is_exit_2_before_the_run_directory(self, data, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "micro", "data": data}), encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"error: data: data period {data.get('period', 97)} must be in [2, length 50]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.json", "--out-dir", "/tmp/x"]) == 2
         assert "not found" in capsys.readouterr().err
@@ -443,6 +451,11 @@ class TestRouteStats:
         assert main(["route-stats", "--checkpoint", str(untrained_ckpt), "--layers", "1,1"]) == 2
         captured = capsys.readouterr()
         assert "error: layers [1, 1] name a layer more than once" in captured.err and captured.out == ""
+
+    def test_no_batches_is_a_config_error(self, untrained_ckpt):
+        model = model_from_checkpoint(load_checkpoint(untrained_ckpt))
+        with pytest.raises(ConfigError, match=r"^route stats need at least one batch$"):
+            collect_route_stats(model, [])
 
     def test_non_integer_layers_exit_2(self, untrained_ckpt, capsys):
         assert main(["route-stats", "--checkpoint", str(untrained_ckpt), "--layers", "1,x"]) == 2

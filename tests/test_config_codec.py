@@ -4,12 +4,13 @@ with a message naming the class."""
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from chapterbank.config import ModelConfig
+from chapterbank.config import ModelConfig, preset
 from chapterbank.errors import ConfigError
+from chapterbank.optim import AdamWConfig
 from chapterbank.retention import FactSpec, InstructionSpec, RetentionConfig
 from chapterbank.runconfig import DataConfig, RunConfig, parse_runconfig
 from chapterbank.schedule import Schedule, cosine, wsd
@@ -159,3 +160,47 @@ def test_values_checked_against_field_types(cls, doc, words):
 def test_float_takes_int_and_optional_takes_null():
     cfg = TrainConfig.from_dict({"lr_base": 1, "lr_memory_layers": None, "betas": [0, 0.5]})
     assert (cfg.lr_base, cfg.lr_memory_layers, cfg.betas) == (1, None, (0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "base, bad",
+    [
+        # the first two once reached flops_model and iso_depth_search unchecked
+        (preset("micro"), {"top_k": 40}),
+        (preset("micro"), {"n_heads": 5}),
+        (preset("micro"), {"memory_layer_indices": [9]}),
+        (TrainConfig(), {"seq_len": 1}),
+        (TrainConfig(), {"bank_mode": "off"}),
+        (DataConfig(), {"length": 2}),
+        (DataConfig(), {"length": 50}),
+        (FactSpec(), {"n_facts": 0}),
+        (FactSpec(), {"key_base": 0, "value_base": 2}),
+        (InstructionSpec(), {"transform": "rotate"}),
+        (InstructionSpec(), {"symbol_base": 4}),
+        (cosine(10), {"warmup": -1}),
+        (wsd(2, 10), {"decay_start": 1}),
+        (AdamWConfig(), {"betas": (0.9, 1.0)}),
+        (AdamWConfig(), {"eps": 0.0}),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, dict) else ",".join(f"{k}={v[k]}" for k in v),
+)
+def test_an_invalid_config_cannot_be_built(base, bad):
+    """Built directly, by ``replace`` or by ``from_dict``, a bad value
+    raises the same ConfigError."""
+    cls = type(base)
+    messages = []
+    for build in (
+        lambda: cls(**{**{f.name: getattr(base, f.name) for f in fields(base)}, **bad}),
+        lambda: replace(base, **bad),
+        lambda: cls.from_dict({**base.to_dict(), **bad}),
+    ):
+        with pytest.raises(ConfigError) as info:
+            build()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == messages[2]
+
+
+def test_a_built_model_config_cannot_be_changed():
+    cfg = preset("micro")
+    with pytest.raises(FrozenInstanceError):
+        cfg.top_k = 40

@@ -112,10 +112,10 @@ class TestHeadAndLoss:
         assert flops_head_and_loss(FULL, 1, 1024).lm_head == 2 * 1024 * 768 * 49152 == 77_309_411_328
 
     def test_tiny_hand_derived(self):
-        # V=2, L=2, d=1: norm 2*(4+4), head 2*2*1*2, CE 1*2*5
-        f = flops_head_and_loss(ModelConfig(d_model=1, n_layers=1, n_heads=1, n_kv_heads=1, d_ff=1, vocab=2), 1, 2)
-        assert (f.norm, f.lm_head, f.ce) == (16, 8, 10)
-        assert f.total == 34
+        # V=2, L=2, d=2: norm 2*(4*2+4), head 2*2*2*2, CE 1*2*5
+        f = flops_head_and_loss(ModelConfig(d_model=2, n_layers=1, n_heads=1, n_kv_heads=1, d_ff=1, vocab=2), 1, 2)
+        assert (f.norm, f.lm_head, f.ce) == (24, 16, 10)
+        assert f.total == 50
 
 
 class TestModelTotals:

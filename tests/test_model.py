@@ -243,19 +243,19 @@ class TestParamCounts:
 class TestConfigValidation:
     def test_bank_tokens_must_equal_chapters_times_size(self):
         with pytest.raises(ConfigError):
-            replace(preset("micro"), bank_tokens=100).validate()
+            replace(preset("micro"), bank_tokens=100)
 
     def test_memory_indices_in_range(self):
         with pytest.raises(ConfigError):
-            replace(preset("micro"), memory_layer_indices=(9,)).validate()
+            replace(preset("micro"), memory_layer_indices=(9,))
 
     def test_topk_plus_shared_bounded(self):
         with pytest.raises(ConfigError):
-            replace(preset("micro"), top_k=17).validate()
+            replace(preset("micro"), top_k=17)
 
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
-            replace(preset("micro"), n_heads=3).validate()
+            replace(preset("micro"), n_heads=3)
 
     @pytest.mark.parametrize("name, value", [
         ("rope_theta", 0.0), ("rope_theta", -1.0), ("rope_theta", math.inf), ("rope_theta", math.nan),
@@ -266,10 +266,10 @@ class TestConfigValidation:
     ])
     def test_numbers_must_be_finite_and_in_range(self, name, value):
         with pytest.raises(ConfigError, match=rf"^invalid model config: {name} must be finite"):
-            replace(preset("micro"), **{name: value}).validate()
+            replace(preset("micro"), **{name: value})
 
     def test_zero_coefficients_and_scale_pass(self):
-        replace(preset("micro"), routed_scaling=0.0, lb_coeff=0.0, z_coeff=0.0, bank_init_std=0.0).validate()
+        replace(preset("micro"), routed_scaling=0.0, lb_coeff=0.0, z_coeff=0.0, bank_init_std=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -117,11 +117,17 @@ class TestFactCorpus:
             (dict(value_base=250, value_alphabet=12), "vocab"),
             (dict(key_len=0), ">= 1"),
             (dict(value_alphabet=1), ">= 2"),
+            (dict(key_base=0, value_base=2), "key_base 0 must exceed the marker ids"),
+            (dict(key_base=6), "key_base 6 must exceed the marker ids"),
         ],
     )
     def test_spec_validation(self, kwargs, msg):
         with pytest.raises(ConfigError, match=msg):
-            FactSpec(**kwargs).validate(VOCAB)
+            gen_fact_corpus(FactSpec(**kwargs), VOCAB)
+
+    def test_key_symbols_may_start_just_past_the_markers(self):
+        corpus, _ = gen_fact_corpus(FactSpec(key_base=max(INSTR_MARKERS) + 1), VOCAB)
+        assert set(corpus.tokens.tolist()).isdisjoint(INSTR_MARKERS)
 
     def test_spec_round_trip(self):
         spec = FactSpec(n_facts=7, seed=5)
@@ -158,9 +164,11 @@ class TestInstructionCorpus:
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="transform"):
-            InstructionSpec(transform="rotate").validate(VOCAB)
+            InstructionSpec(transform="rotate")
         with pytest.raises(ConfigError, match="vocab"):
-            InstructionSpec(symbol_base=250).validate(VOCAB)
+            gen_instruction_corpus(InstructionSpec(symbol_base=250), VOCAB)
+        with pytest.raises(ConfigError, match="symbol_base 4 must exceed the marker ids"):
+            InstructionSpec(symbol_base=min(INSTR_MARKERS))
 
     def test_round_trip(self):
         spec = InstructionSpec(n_examples=3, transform="shift")

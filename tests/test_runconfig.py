@@ -107,7 +107,6 @@ class TestStrictKeys:
             ({"retention": {"fact": {"n_facts": "3"}}}, "retention.fact: invalid fact spec key 'n_facts': expected int"),
             ({"retention": {"phase_b": {"eval_every": 0}}}, "retention.phase_b: eval_every must be >= 1"),
             ({"train": {"steps": 0.5}}, "train: invalid train config key 'steps': expected int"),
-            # Schedule checks its values on construction, not in validate()
             ({"train": {"schedule": {"kind": "bogus", "warmup": 1}}}, "train.schedule: unknown schedule kind 'bogus'"),
             ({"train": {"schedule": {"kind": "cosine", "warmup": -1}}}, "train.schedule: warmup must be >= 0, got -1"),
             ({"train": {"schedule": {"kind": "wsd", "warmup": 1}}}, "train.schedule: wsd schedule requires decay_start"),
@@ -141,11 +140,17 @@ class TestDataConfig:
 
     def test_only_synthetic_supported(self):
         with pytest.raises(ConfigError, match="synthetic"):
-            DataConfig(kind="files").validate()
+            DataConfig(kind="files")
 
     def test_round_trip(self):
         d = DataConfig(length=512, seed=3, period=13)
         assert DataConfig.from_dict(d.to_dict()) == d
+
+    @pytest.mark.parametrize("data, period", [({"length": 50}, 97), ({"length": 50, "period": 1}, 1)])
+    def test_period_must_fit_the_corpus(self, data, period):
+        with pytest.raises(ConfigError, match=rf"^data: data period {period} must be in \[2, length 50\]$"):
+            parse_runconfig({"preset": "micro", "data": data})
+        assert parse_runconfig({"preset": "micro", "data": {"length": 50, "period": 50}}).data.period == 50
 
 
 class TestSerialization:

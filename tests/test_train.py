@@ -76,7 +76,7 @@ class TestTrainConfig:
     )
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
-            quick_cfg(**kwargs).validate()
+            quick_cfg(**kwargs)
 
     @pytest.mark.parametrize("name, value", [
         ("lr_base", math.nan), ("lr_base", -1e-3), ("lr_base", math.inf),
@@ -88,19 +88,19 @@ class TestTrainConfig:
     ])
     def test_update_numbers_are_checked_and_name_their_field(self, name, value):
         with pytest.raises(ConfigError, match=rf"^{name} must"):
-            quick_cfg(**{name: value}).validate()
+            quick_cfg(**{name: value})
 
     def test_update_numbers_at_their_edges_pass(self):
         quick_cfg(lr_base=0.0, lr_memory_layers=0.0, bank_mode="custom", lr_memory_bank=0.0,
-                  betas=(0.0, 0.0), weight_decay=0.0).validate()
-        quick_cfg(clip_norm=math.inf).validate()  # no clipping
+                  betas=(0.0, 0.0), weight_decay=0.0)
+        quick_cfg(clip_norm=math.inf)  # no clipping
 
     def test_steps_must_exceed_the_warmup_without_a_horizon(self):
         with pytest.raises(ConfigError, match=r"steps 5 must exceed schedule\.warmup 10"):
-            TrainConfig(steps=5).validate()
-        TrainConfig(steps=0).validate()  # nothing to schedule
-        TrainConfig(steps=11).validate()
-        TrainConfig(steps=5, schedule=cosine(10, total_steps=20)).validate()  # a run cut short of its horizon
+            TrainConfig(steps=5)
+        TrainConfig(steps=0)  # nothing to schedule
+        TrainConfig(steps=11)
+        TrainConfig(steps=5, schedule=cosine(10, total_steps=20))  # a run cut short of its horizon
 
     def test_group_lrs_per_bank_mode(self):
         assert quick_cfg(bank_mode="frozen").group_lrs()["memory_bank"] == 0.0
