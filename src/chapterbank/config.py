@@ -6,7 +6,7 @@ import math
 import re
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
 
@@ -65,11 +65,12 @@ def _decode(value, hint, where: str, path: str):
         (hint,) = (a for a in args if a is not type(None))
         args = typing.get_args(hint)
     origin = typing.get_origin(hint) or hint
-    if origin in (list, tuple) and isinstance(value, (list, tuple)):
-        if origin is tuple and len(value) != len(args):
+    if origin is tuple and isinstance(value, (list, tuple)):
+        if args[-1] is Ellipsis:  # tuple[X, ...]
+            args = args[:1] * len(value)
+        if len(value) != len(args):
             raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
-        item_hints = args if origin is tuple else args * len(value)
-        return origin(_decode(v, h, f"{where}[{i}]", f"{path}[{i}]") for i, (v, h) in enumerate(zip(value, item_hints)))
+        return tuple(_decode(v, h, f"{where}[{i}]", f"{path}[{i}]") for i, (v, h) in enumerate(zip(value, args)))
     if isinstance(origin, type) and issubclass(origin, Config) and isinstance(value, dict):
         return origin.from_dict(value, path)
     if type(value) is origin or (origin is float and type(value) in (int, float)):
@@ -113,7 +114,7 @@ class ModelConfig(Config):
     vocab: int = 49152
     rope_theta: float = 100000.0
     tied_embeddings: bool = True
-    memory_layer_indices: list[int] = field(default_factory=list)
+    memory_layer_indices: tuple[int, ...] = ()
     bank_tokens: int = 0
     chapters: int = 0
     shared_chapters: int = 0
@@ -149,6 +150,7 @@ class ModelConfig(Config):
         def fail(msg):
             raise ConfigError(f"invalid model config: {msg}")
 
+        object.__setattr__(self, "memory_layer_indices", tuple(self.memory_layer_indices))  # replace may pass a list
         if self.d_model <= 0 or self.n_layers <= 0 or self.vocab <= 0:
             fail("d_model, n_layers and vocab must be positive")
         if self.d_model % self.n_heads != 0:
@@ -195,7 +197,7 @@ class ModelConfig(Config):
 
 _PRESETS = {
     "moc-paper": lambda: ModelConfig(
-        memory_layer_indices=[2, 6, 10, 14],
+        memory_layer_indices=(2, 6, 10, 14),
         bank_tokens=262208,
         chapters=4097,
         shared_chapters=1,
@@ -211,7 +213,7 @@ _PRESETS = {
         n_kv_heads=2,
         d_ff=192,
         vocab=256,
-        memory_layer_indices=[1, 3],
+        memory_layer_indices=(1, 3),
         bank_tokens=136,
         chapters=17,
         shared_chapters=1,

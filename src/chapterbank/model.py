@@ -84,8 +84,7 @@ class ForwardTrace:
     z_loss: float
     total_loss: float
     decisions: list[RouterDecision]  # one per memory layer, batched over sequences
-    memory_attention_mass: list[float]  # per memory layer
-    loss: Tensor | None = None  # taped total, present when targets given
+    loss: Tensor  # the taped total
 
 
 class Model:
@@ -108,12 +107,12 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    def forward(self, tokens: np.ndarray, targets: np.ndarray | None = None) -> ForwardTrace:
+    def forward(self, tokens: np.ndarray, targets: np.ndarray) -> ForwardTrace:
         return model_forward(self, tokens, targets)
 
     def forward_logits(self, tokens: np.ndarray) -> np.ndarray:
         """(B, L, vocab) logits without loss or tape (greedy decoding)."""
-        h, _, _ = _run_stack(self, tokens)
+        h, _ = _run_stack(self, tokens)
         return _head_logits(self, h)
 
 
@@ -175,11 +174,9 @@ def build_model(cfg: ModelConfig, rng: RngState, precision: str = "single") -> M
     return Model(cfg, params)
 
 
-def param_count(model_or_cfg) -> dict[str, int]:
+def param_count(cfg: ModelConfig) -> dict[str, int]:
     """Exact per-group parameter counts {base, memory_layers, memory_bank,
-    total}, counted from the config's shapes (a built Model's config or a
-    ModelConfig; nothing allocated)."""
-    cfg = model_or_cfg.config if isinstance(model_or_cfg, Model) else model_or_cfg
+    total}, counted from the config's shapes (nothing allocated)."""
     counts = {"base": 0, "memory_layers": 0, "memory_bank": 0}
     for _, shape, group, _ in param_specs(cfg):
         counts[group] += int(np.prod(shape))
@@ -269,16 +266,13 @@ def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
     return _attention(x, m_tokens, model, f"layers.{layer}.mem", cfg.mem_heads, cfg.mem_kv_heads, causal=False)
 
 
-def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, RouterDecision, float]:
+def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, RouterDecision]:
     """Route, gather+weight chapters, cross-attend, add residual, for the
-    whole batch at once. Returns (h', decision, memory-attention mass)."""
+    whole batch at once. Returns (h', decision)."""
     pre = f"layers.{layer}"
     decision = route(h, model[f"{pre}.router.weight"], model[f"{pre}.router.bias"], model.config)
     readout = mem_read(h, prepare_memory_tokens(model, layer, decision), model, layer)
-    # float64 on purpose: each norm sums a whole (B, L, d) activation, and only the scalar is kept
-    readout_norm, h_norm = (float(np.linalg.norm(x.data.astype(np.float64))) for x in (readout, h))
-    mass = readout_norm / (readout_norm + h_norm) if readout_norm + h_norm > 0 else 0.0
-    return ops.add(h, readout), decision, mass
+    return ops.add(h, readout), decision
 
 
 def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tensor, float, float]:
@@ -303,26 +297,23 @@ def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tenso
 # full forward
 
 
-def _run_stack(model: Model, tokens: np.ndarray) -> tuple[Tensor, list[RouterDecision], list[float]]:
+def _run_stack(model: Model, tokens: np.ndarray) -> tuple[Tensor, list[RouterDecision]]:
+    """Embed the (B, L) ``tokens`` and run every layer: the final hidden
+    states and the memory layers' decisions. The embedding gather checks
+    the token ids, layer 0's self-attention the sequence length."""
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ConfigError(f"token batch must be 2-D (B, L), got shape {tokens.shape}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab):
-        raise IndexError(f"token id out of vocab range [0, {cfg.vocab})")
-    if tokens.shape[1] > cfg.max_seq_len:
-        raise SequenceLengthError(f"sequence length {tokens.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
     h = ops.gather_rows(model["embedding.weight"], tokens)
     decisions: list[RouterDecision] = []
-    masses: list[float] = []
     for i in range(cfg.n_layers):
         h = self_attention_block(h, model, i)
         if i in cfg.memory_layer_indices:
-            h, decision, mass = memory_layer_forward(h, model, i)
+            h, decision = memory_layer_forward(h, model, i)
             decisions.append(decision)
-            masses.append(mass)
         h = _mlp_block(h, model, i)
-    return h, decisions, masses
+    return h, decisions
 
 
 def _head_logits(model: Model, h: Tensor) -> np.ndarray:
@@ -334,32 +325,24 @@ def _head_logits(model: Model, h: Tensor) -> np.ndarray:
     return (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
-def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray | None = None) -> ForwardTrace:
+def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray) -> ForwardTrace:
     """Embed, run the stack, then one ``ops.lm_head_loss`` (the final norm
     and the chunked LM-head cross-entropy of positions 0..L-2 against the
-    next tokens), added to the router penalty.
+    next tokens, which checks the targets' shape), added to the router
+    penalty.
 
-    total = lm + lb_coeff * lb + z_coeff * z. Without targets the LM head
-    is skipped, ``lm_loss`` is 0 and ``loss`` is None (router losses and
-    routing stats are still collected).
+    total = lm + lb_coeff * lb + z_coeff * z.
     """
     cfg = model.config
-    h, decisions, masses = _run_stack(model, tokens)
+    h, decisions = _run_stack(model, tokens)
     penalty, lb, z = aux_losses(decisions, cfg) if decisions else (None, 0.0, 0.0)
-    loss, lm = None, 0.0
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.shape != tokens.shape:
-            raise ConfigError(f"targets shape {targets.shape} must match tokens shape {tokens.shape}")
-        if targets.shape[1] < 2:
-            raise ConfigError("next-token loss needs sequence length >= 2")
-        tied = cfg.tied_embeddings
-        loss = ops.lm_head_loss(h, model["final_norm.gain"], model["embedding.weight" if tied else "lm_head.weight"],
-                                targets, tied, RMSNORM_EPS)
-        lm = loss.item()
-        if penalty is not None:
-            loss = ops.add(loss, penalty)
-    return ForwardTrace(lm, lb, z, lm + cfg.lb_coeff * lb + cfg.z_coeff * z, decisions, masses, loss)
+    tied = cfg.tied_embeddings
+    loss = ops.lm_head_loss(h, model["final_norm.gain"], model["embedding.weight" if tied else "lm_head.weight"],
+                            targets, tied, RMSNORM_EPS)
+    lm = loss.item()
+    if penalty is not None:
+        loss = ops.add(loss, penalty)
+    return ForwardTrace(lm, lb, z, lm + cfg.lb_coeff * lb + cfg.z_coeff * z, decisions, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +367,9 @@ def collect_route_stats(model: Model, batches: list[np.ndarray], layers: list[in
     mass = {l: 0.0 for l in wanted}
     n_seqs = 0
     for batch in batches:
-        trace = model.forward(batch)
+        _, decisions = _run_stack(model, batch)
         n_seqs += batch.shape[0]
-        for layer, decision in zip(cfg.memory_layer_indices, trace.decisions):
+        for layer, decision in zip(cfg.memory_layer_indices, decisions):
             if layer in counts:
                 counts[layer] += np.bincount(decision.selected.ravel(), minlength=cfg.chapters)
                 mass[layer] += float(np.take_along_axis(decision.probs, decision.selected, axis=1).sum())

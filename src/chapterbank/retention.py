@@ -289,7 +289,7 @@ def variant_model_configs(base: ModelConfig | None = None) -> dict[str, ModelCon
     if not cfg.has_memory:
         raise ConfigError("retention base config must have memory layers")
     return {
-        "vanilla-like": replace(cfg, memory_layer_indices=[]),
+        "vanilla-like": replace(cfg, memory_layer_indices=()),
         "moc": cfg,
         "moc-frozen-bank": cfg,
     }

@@ -243,21 +243,19 @@ def train(
                 )
                 with Tape() as tape:
                     trace = model.forward(batch, batch)
-                    if not math.isfinite(trace.total_loss):
-                        raise NumericError(f"non-finite loss {trace.total_loss}")
                     tape.backward(ops.scale(trace.loss, 1.0 / cfg.grad_accum))
                 traces.append(trace)
             grad_norm = global_grad_norm(optimizer)
             clip_grad_norm(optimizer, cfg.clip_norm, grad_norm)
             optimizer.step(lrs, t=step + 1)
+            done = step + 1
+            logged = (lrs["base"], lrs["memory_layers"], lrs["memory_bank"], grad_norm)
+            rows.append(MetricsRow(done, "train", *_mean_losses(traces), *logged))
+            if done % cfg.eval_every == 0 or done == cfg.steps:
+                rows.append(MetricsRow(done, "eval", *_eval_losses(model, eval_batches), *logged))
+                last_ckpt = checkpoint_from(model, step=done, seed=cfg.seed, optimizer=optimizer)
         except NumericError as e:
             raise TrainingAborted(str(e), last_ckpt, step) from e
-        done = step + 1
-        logged = (lrs["base"], lrs["memory_layers"], lrs["memory_bank"], grad_norm)
-        rows.append(MetricsRow(done, "train", *_mean_losses(traces), *logged))
-        if done % cfg.eval_every == 0 or done == cfg.steps:
-            rows.append(MetricsRow(done, "eval", *_eval_losses(model, eval_batches), *logged))
-            last_ckpt = checkpoint_from(model, step=done, seed=cfg.seed, optimizer=optimizer)
 
     # the last step always snapshots, and start_step == steps snapshots the final state
     return TrainResult(rows, last_ckpt, model, optimizer, eval_batches)

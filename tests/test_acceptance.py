@@ -131,14 +131,14 @@ class TestAcceptance:
             # k = C - shared: the selection covers every routed chapter
             full = build_model(replace(preset("micro"), top_k=16), RngState(seed), precision="double")
             h = np.random.default_rng(5000 + seed).standard_normal((2, 6, 64))
-            got, _, _ = memory_layer_forward(Tensor(h), full, 1)
+            got, _ = memory_layer_forward(Tensor(h), full, 1)
             for b in range(2):
                 np.testing.assert_allclose(
                     got.data[b], oracles.naive_memory_layer(h[b], full, 1), atol=1e-10
                 )
             # k < C - shared: dense attention restricted to the selected chapters
             part = build_model(preset("micro"), RngState(seed), precision="double")
-            got, _, _ = memory_layer_forward(Tensor(h), part, 1)
+            got, _ = memory_layer_forward(Tensor(h), part, 1)
             for b in range(2):
                 np.testing.assert_allclose(
                     got.data[b], oracles.naive_memory_layer(h[b], part, 1), atol=1e-10

@@ -236,6 +236,17 @@ class TestNumericAbort:
             assert main(argv + ["--lr", "1e30", "--out-dir", str(out)]) == 1
         self.assert_aborted(out, 2, capsys)
 
+    def test_divergence_at_an_eval_point_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "micro", "train": {
+            "steps": 4, "batch_size": 4, "seq_len": 16, "lr_base": 1e30,
+            "schedule": {"kind": "cosine", "warmup": 2}, "eval_every": 1}}), encoding="utf-8")
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        self.assert_aborted(out, 1, capsys)
+        assert load_checkpoint(out / "last.ckpt").step == 1
+
     def test_continue_from_nan_checkpoint_exits_1(self, tmp_path, capsys):
         model = build_model(preset("micro"), RngState(0))
         model["embedding.weight"].data[7] = np.nan

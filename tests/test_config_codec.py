@@ -157,6 +157,13 @@ def test_values_checked_against_field_types(cls, doc, words):
         cls.from_dict(doc)
 
 
+def test_memory_layer_indices_round_trip_as_a_tuple():
+    doc = json.loads(json.dumps(preset("micro").to_dict()))
+    assert doc["memory_layer_indices"] == [1, 3]  # written as a JSON list
+    cfg = ModelConfig.from_dict(doc)
+    assert cfg.memory_layer_indices == (1, 3) and cfg == preset("micro")
+
+
 def test_float_takes_int_and_optional_takes_null():
     cfg = TrainConfig.from_dict({"lr_base": 1, "lr_memory_layers": None, "betas": [0, 0.5]})
     assert (cfg.lr_base, cfg.lr_memory_layers, cfg.betas) == (1, None, (0, 0.5))

@@ -26,6 +26,7 @@ from chapterbank.model import (
     _run_stack,
     aux_losses,
     build_model,
+    collect_route_stats,
     memory_layer_forward,
     model_forward,
     param_count,
@@ -350,14 +351,14 @@ class TestMemRead:
         model = micro_double()
         model["layers.1.mem.wv"].data[...] = 0.0
         h = np.random.default_rng(4).standard_normal((2, 6, 64))
-        h2, _, _ = memory_layer_forward(Tensor(h), model, 1)
+        h2, _ = memory_layer_forward(Tensor(h), model, 1)
         np.testing.assert_array_equal(h2.data, h)
 
     def test_zero_bank_passthrough(self):
         model = micro_double()
         model["bank.tokens"].data[...] = 0.0
         h = np.random.default_rng(5).standard_normal((2, 6, 64))
-        h2, _, _ = memory_layer_forward(Tensor(h), model, 1)
+        h2, _ = memory_layer_forward(Tensor(h), model, 1)
         np.testing.assert_allclose(h2.data, h, atol=1e-12)
 
     def test_empty_selection_rejected(self):
@@ -452,7 +453,7 @@ class TestRoutedDenseEquivalence:
         # k = C - shared: selection covers the whole bank
         model = micro_double(seed, top_k=16)
         h = np.random.default_rng(seed + 1000).standard_normal((2, 6, 64))
-        got, decisions, _ = memory_layer_forward(Tensor(h), model, 1)
+        got, decisions = memory_layer_forward(Tensor(h), model, 1)
         for b in range(2):
             want = naive_memory_layer(h[b], model, 1)
             np.testing.assert_allclose(got.data[b], want, atol=1e-10)
@@ -461,7 +462,7 @@ class TestRoutedDenseEquivalence:
     def test_restricted_selection_equals_restricted_dense(self, seed):
         model = micro_double(seed)  # k=4 < C_r=16
         h = np.random.default_rng(seed + 2000).standard_normal((2, 6, 64))
-        got, decisions, _ = memory_layer_forward(Tensor(h), model, 1)
+        got, decisions = memory_layer_forward(Tensor(h), model, 1)
         for b in range(2):
             want = naive_memory_layer(h[b], model, 1)  # oracle routes too
             np.testing.assert_allclose(got.data[b], want, atol=1e-10)
@@ -482,8 +483,8 @@ class TestRoutedDenseEquivalence:
         model = micro_double(2)
         gen = np.random.default_rng(12)
         h = gen.standard_normal((2, 6, 64))
-        out, _, _ = memory_layer_forward(Tensor(h), model, 1)
-        swapped, _, _ = memory_layer_forward(Tensor(h[::-1].copy()), model, 1)
+        out, _ = memory_layer_forward(Tensor(h), model, 1)
+        swapped, _ = memory_layer_forward(Tensor(h[::-1].copy()), model, 1)
         np.testing.assert_allclose(out.data, swapped.data[::-1], atol=1e-12)
 
 
@@ -504,7 +505,7 @@ class TestBatchedMatchesPerSequence:
         model = self._random_router_model(seed)
         cfg = model.config
         h = np.random.default_rng(seed + 4000).standard_normal((5, 6, 64))
-        got, d, _ = memory_layer_forward(Tensor(h), model, 1)
+        got, d = memory_layer_forward(Tensor(h), model, 1)
         want, probs, selected, weights = per_sequence_memory_layer(h, model, 1)
         assert len({tuple(row) for row in selected}) > 1  # sequences read different chapters
         assert np.ptp(probs[:, cfg.shared_chapters :], axis=1).min() > 1e-3  # router is not uniform
@@ -602,12 +603,12 @@ class TestModelForward:
     def test_token_out_of_range(self):
         model = micro_double()
         with pytest.raises(IndexError):
-            model_forward(model, np.array([[0, 300]]))
+            model_forward(model, np.array([[0, 300]]), np.array([[0, 1]]))
 
     def test_sequence_length_error(self):
         model = micro_double()
         with pytest.raises(SequenceLengthError):
-            model_forward(model, np.zeros((1, 65), dtype=np.int64))
+            model_forward(model, np.zeros((1, 65), dtype=np.int64), np.zeros((1, 65), dtype=np.int64))
 
     def test_all_params_receive_grads_except_unselected_chapters(self):
         model = micro_double(5)
@@ -686,12 +687,19 @@ class TestModelForward:
             assert p.grad.dtype == dtype, f"{name} grad is {p.grad.dtype}"
         assert model.forward_logits(tokens).dtype == dtype
 
-    def test_forward_without_targets_skips_the_head(self):
-        # a NaN head would raise NumericError if its logits were computed
+    def test_forward_without_targets_skips_the_head(self, monkeypatch):
+        # route stats read only the decisions: a NaN head would raise
+        # NumericError if its logits were computed, and the penalty is not built
         model = micro_double(11, tied_embeddings=False)
         model["lm_head.weight"].data[...] = np.nan
-        trace = model_forward(model, np.random.default_rng(11).integers(0, 256, (2, 8)))
-        assert trace.loss is None and trace.lm_loss == 0.0 and len(trace.decisions) == 2
+
+        def no_penalty(*args):
+            raise AssertionError("route stats built the router penalty")
+
+        monkeypatch.setattr("chapterbank.model.aux_losses", no_penalty)
+        stats = collect_route_stats(model, [np.random.default_rng(11).integers(0, 256, (2, 8))])
+        assert [s.layer for s in stats] == [1, 3]
+        assert all(s.frequency.sum() == model.config.top_k for s in stats)
 
     def test_micro_train_step_tape_length(self):
         # Pins the tape of one micro train step (forward + loss): 1 embedding
@@ -732,13 +740,6 @@ class TestModelForward:
             tracemalloc.stop()
         assert peak <= 1.25 * held, f"backward peak {peak} B is {peak / held:.2f}x the {held} B the forward holds"
         assert len(tape) == 0
-
-    def test_memory_attention_mass_recorded(self):
-        model = micro_double(6)
-        tokens = np.random.default_rng(5).integers(0, 256, (2, 8))
-        trace = model_forward(model, tokens, tokens)
-        assert len(trace.memory_attention_mass) == 2
-        assert all(0.0 < m < 1.0 for m in trace.memory_attention_mass)
 
     def test_full_model_grad_check_sampled(self):
         model = micro_double(7)
@@ -796,7 +797,7 @@ def unfused_total_loss(model: Model, tokens: np.ndarray) -> Tensor:
     taped GEMM, then a plain-numpy logsumexp cross-entropy over the first
     L - 1 positions, plus the router penalty."""
     cfg = model.config
-    h, decisions, _ = _run_stack(model, tokens)
+    h, decisions = _run_stack(model, tokens)
     x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
     w = model["embedding.weight" if cfg.tied_embeddings else "lm_head.weight"]
     loss = _next_token_cross_entropy(_logits(x, w, cfg.tied_embeddings), tokens)

@@ -390,6 +390,15 @@ class TestProtocol:
         vanilla = report.variants["vanilla-like"]
         assert not vanilla.failed and math.isfinite(vanilla.fact_loss_b)
 
+    @pytest.mark.parametrize("eval_every", [1, 10])
+    def test_phase_a_divergence_fails_every_variant(self, eval_every):
+        # with eval_every 1 the divergence first shows at an eval point,
+        # which once raised out of the protocol
+        diverging = tiny_train_cfg(4, lr_base=1e30, eval_every=eval_every)
+        with np.errstate(all="ignore"):
+            report = run_retention_protocol(replace(self.SMALL, phase_a=diverging))
+        assert all(r.failed for r in report.variants.values())
+
     def test_phase_b_abort_fails_only_its_variant(self, monkeypatch):
         real = retention.continue_train
 

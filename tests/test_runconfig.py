@@ -65,8 +65,19 @@ class TestPresetTable:
         assert replace(preset("vanilla-backbone"), n_layers=24) == preset("vanilla-iso")
 
     def test_each_call_returns_a_new_config(self):
-        preset("micro").memory_layer_indices.append(0)
-        assert preset("micro").memory_layer_indices == [1, 3]
+        assert preset("micro") is not preset("micro")
+        with pytest.raises(AttributeError):  # the indices are a tuple, so no preset can be mutated
+            preset("micro").memory_layer_indices.append(0)
+        assert preset("micro").memory_layer_indices == (1, 3)
+
+    def test_a_config_is_hashable(self):
+        assert hash(preset("micro")) == hash(preset("micro"))
+        assert len({preset(name) for name in ("micro", "micro", "moc-paper")}) == 2
+
+    def test_a_list_given_through_replace_becomes_a_tuple(self):
+        cfg = replace(preset("micro"), memory_layer_indices=[3])
+        assert cfg.memory_layer_indices == (3,)
+        assert cfg == replace(preset("micro"), memory_layer_indices=(3,))
 
 
 class TestStrictKeys:

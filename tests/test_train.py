@@ -389,6 +389,14 @@ class TestAbortAndValidation:
         assert err.value.step == 5
         assert err.value.last_checkpoint.step == 5
 
+    def test_numeric_failure_at_an_eval_point_aborts_with_last_checkpoint(self):
+        # the second step trains, then its eval row overflows; the eval point
+        # used to raise a bare NumericError, with no checkpoint
+        cfg = TrainConfig(steps=4, batch_size=4, seq_len=16, lr_base=1e30, schedule=cosine(2), eval_every=1)
+        with pytest.raises(TrainingAborted) as err, np.errstate(all="ignore"):
+            train(build_model(preset("micro"), RngState(0)), make_synthetic_corpus(256), cfg)
+        assert err.value.step == 1 and err.value.last_checkpoint.step == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_names_its_parameter(self, bad):
         # a NaN norm used to reach the clip, which spread it to every grad

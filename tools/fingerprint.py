@@ -20,9 +20,11 @@ and ``--csv`` of ``chapterbank route-stats`` on its ``final.ckpt``, the
 ``metrics.csv`` of the same run at ``grad_accum: 2`` through ``--config``,
 the checkpoint of a ``resume_train`` that completes a 12-step run
 interrupted at step 6, the ``retention.csv`` of
-``chapterbank retention --config`` with phases of 20 and 16 steps, and the
+``chapterbank retention --config`` with phases of 20 and 16 steps, the
 two per-seed CSVs and ``retention.mean.csv`` of the same command at
-``--seeds 2``.
+``--seeds 2``, and the ``config.resolved`` and ``last.ckpt`` of a
+``chapterbank train --config`` run at ``lr_base`` 1e30 that diverges at
+its step-2 eval point and exits 1 with the step-1 checkpoint.
 """
 
 from __future__ import annotations
@@ -89,24 +91,25 @@ def case_digest(precision: str, variant: str, shape_name: str) -> str:
     return h.hexdigest()
 
 
-def cli_stdout(argv: list[str]) -> str:
-    """Run ``chapterbank argv``; returns what it printed."""
+def cli_stdout(argv: list[str], want: int = 0) -> str:
+    """Run ``chapterbank argv``, which must exit ``want``; returns what it
+    printed. numpy's overflow warnings are silenced."""
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    with contextlib.redirect_stdout(stdout), np.errstate(all="ignore"):
         code = cli_main(argv)
-    if code != 0:
+    if code != want:
         raise SystemExit(f"chapterbank {' '.join(argv)} exited {code}")
     return stdout.getvalue()
 
 
-def run_cli(argv: list[str], out: str, config: dict | None = None) -> Path:
-    """Run ``chapterbank`` with ``--out-dir out`` (and ``--config`` when given);
-    returns the output directory."""
+def run_cli(argv: list[str], out: str, config: dict | None = None, want: int = 0) -> Path:
+    """Run ``chapterbank`` with ``--out-dir out`` (and ``--config`` when given),
+    which must exit ``want``; returns the output directory."""
     if config is not None:
         path = Path(out) / "run.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(path)]
-    cli_stdout(argv + ["--out-dir", out])
+    cli_stdout(argv + ["--out-dir", out], want)
     return Path(out)
 
 
@@ -159,6 +162,16 @@ def retention_digest(argv: list[str], names: tuple[str, ...]) -> str:
         return h.hexdigest()
 
 
+def eval_abort_digest() -> str:
+    config = {"preset": "micro", "train": {"steps": 4, "batch_size": 4, "seq_len": 16, "lr_base": 1e30,
+                                           "schedule": cosine(2).to_dict(), "eval_every": 1}}
+    with tempfile.TemporaryDirectory() as out:
+        run_cli(["train"], out, config, want=1)
+        h = hashlib.sha256((Path(out) / "config.resolved").read_bytes())
+        h.update((Path(out) / "last.ckpt").read_bytes())
+        return h.hexdigest()
+
+
 def main() -> None:
     for precision in ("single", "double"):
         for variant in VARIANTS:
@@ -171,6 +184,7 @@ def main() -> None:
     print(retention_digest([], ("retention.csv",)), "retention-micro-20-16/retention.csv")
     print(retention_digest(["--seeds", "2"], ("retention.seed1.csv", "retention.seed2.csv", "retention.mean.csv")),
           "retention-micro-20-16-seeds-2/retention.seed1+seed2+mean.csv")
+    print(eval_abort_digest(), "train-micro-lr-1e30-eval-every-1/config.resolved+last.ckpt")
 
 
 if __name__ == "__main__":
