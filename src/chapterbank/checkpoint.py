@@ -40,11 +40,24 @@ class Checkpoint:
     metadata: dict = field(default_factory=dict)
 
 
-def checkpoint_from(model, step: int = 0, seed: int = 0, optimizer=None, metadata: dict | None = None) -> Checkpoint:
+def checkpoint_from(
+    model, step: int = 0, seed: int = 0, optimizer=None, metadata: dict | None = None, *, zero_views: bool = False
+) -> Checkpoint:
+    """Snapshot ``model``'s weights and ``optimizer``'s moments as copies.
+    With ``zero_views``, a moment that is all zero is kept instead as a
+    shared read-only view that holds one element. Only an optimizer that
+    has not stepped has such moments, so only a snapshot taken before a
+    step asks for the scan."""
+
+    def snapshot(arr: np.ndarray) -> np.ndarray:
+        if zero_views and not arr.any():
+            return np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
+        return arr.copy()
+
     tensors = {name: p.data.copy() for name, p in model.params.items()}
     moments = {}
     if optimizer is not None:
-        moments = {name: (buf["m"].copy(), buf["v"].copy()) for name, buf in optimizer.state.items()}
+        moments = {name: (snapshot(buf["m"]), snapshot(buf["v"])) for name, buf in optimizer.state.items()}
     return Checkpoint(
         config=model.config,
         step=step,

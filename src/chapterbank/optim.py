@@ -133,14 +133,17 @@ class AdamW:
         return [(name, self.params[name]) for name in self.state]
 
     def load_moments(self, moments: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> None:
-        """Copy moments into the segments in place; every name and shape is
-        checked before anything is written."""
+        """Copy moments into the segments in place; every name, shape and
+        dtype is checked before anything is written."""
         for name, pair in moments.items():
             if name not in self.state:
                 raise ConfigError(f"moments for a parameter this optimizer does not train: {name!r}")
             for kind, arr in zip("mv", pair):
-                if arr.shape != self.state[name][kind].shape:
+                own = self.state[name][kind]
+                if arr.shape != own.shape:
                     raise ConfigError(f"moment {kind} shape {arr.shape} does not match parameter {name!r}")
+                if arr.dtype != own.dtype:
+                    raise ConfigError(f"moment {kind} dtype {arr.dtype} does not match parameter {name!r} ({own.dtype})")
         for name, (m, v) in moments.items():
             self.state[name]["m"][...] = m
             self.state[name]["v"][...] = v

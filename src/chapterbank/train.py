@@ -230,7 +230,8 @@ def train(
     base_lrs = cfg.group_lrs()
 
     rows: list[MetricsRow] = []
-    last_ckpt = checkpoint_from(model, step=start_step, seed=cfg.seed, optimizer=optimizer)
+    # only this snapshot can meet a fresh optimizer's all-zero moments, so only it scans for them
+    last_ckpt = checkpoint_from(model, step=start_step, seed=cfg.seed, optimizer=optimizer, zero_views=True)
 
     for step in range(start_step, cfg.steps):
         lrs = {g: lr_at_step(sched, step, base) for g, base in base_lrs.items()}
@@ -253,6 +254,9 @@ def train(
             rows.append(MetricsRow(done, "train", *_mean_losses(traces), *logged))
             if done % cfg.eval_every == 0 or done == cfg.steps:
                 rows.append(MetricsRow(done, "eval", *_eval_losses(model, eval_batches), *logged))
+                # one snapshot live at a time: the eval row was this point's last
+                # possible NumericError, and a copy raises none
+                last_ckpt = None
                 last_ckpt = checkpoint_from(model, step=done, seed=cfg.seed, optimizer=optimizer)
         except NumericError as e:
             raise TrainingAborted(str(e), last_ckpt, step) from e

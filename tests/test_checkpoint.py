@@ -118,6 +118,56 @@ class TestRoundTrip:
         assert back.step == 3 and back.seed == 9
 
 
+class TestZeroMoments:
+    """With ``zero_views``, an all-zero moment is snapshot as a shared
+    read-only view; any other moment, and every moment without it, is copied."""
+
+    def test_fresh_optimizer_snapshot_costs_the_weights_only(self):
+        model = micro_model(precision="single")
+        opt = AdamW(model.params)
+        weight_bytes = sum(p.data.nbytes for p in model.params.values())
+        tracemalloc.start()
+        try:
+            ckpt = checkpoint_from(model, optimizer=opt, zero_views=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(ckpt.moments) == set(opt.state)
+        assert peak < 1.1 * weight_bytes, f"snapshot peak {peak} B is {peak / weight_bytes:.2f}x the weights"
+
+    @pytest.mark.parametrize("zero_views", [False, True])
+    def test_stepped_moments_are_equal_copies(self, zero_views):
+        _, model, opt = stepped_checkpoint()
+        ckpt = checkpoint_from(model, optimizer=opt, zero_views=zero_views)
+        for name, buf in opt.state.items():
+            for kind, arr in zip("mv", ckpt.moments[name]):
+                assert arr.flags.writeable and arr.tobytes() == buf[kind].tobytes()
+                assert not np.shares_memory(arr, buf[kind]), (name, kind)
+
+    def test_zero_moments_are_copied_unless_asked(self):
+        model = micro_model()
+        m, v = checkpoint_from(model, optimizer=AdamW(model.params)).moments["bank.tokens"]
+        assert m.flags.writeable and v.flags.writeable and not m.any()
+
+    def test_a_zero_moment_is_read_only(self):
+        model = micro_model()
+        ckpt = checkpoint_from(model, optimizer=AdamW(model.params), zero_views=True)
+        m, v = ckpt.moments["bank.tokens"]
+        assert m.shape == v.shape == model["bank.tokens"].shape
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_a_start_snapshot_saves_the_bytes_of_real_zeros(self, tmp_path, precision):
+        model = micro_model(precision=precision)
+        ckpt = checkpoint_from(model, step=0, seed=4, optimizer=AdamW(model.params), zero_views=True)
+        zeros = replace(ckpt, moments={name: (np.zeros(m.shape, m.dtype), np.zeros(v.shape, v.dtype))
+                                       for name, (m, v) in ckpt.moments.items()})
+        save_checkpoint(ckpt, tmp_path / "view.ckpt")
+        save_checkpoint(zeros, tmp_path / "zeros.ckpt")
+        assert (tmp_path / "view.ckpt").read_bytes() == (tmp_path / "zeros.ckpt").read_bytes()
+
+
 class TestFileFormat:
     def test_magic_bytes_lead_the_file(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -386,6 +386,17 @@ class TestFlatSegments:
             opt.load_moments({"w": (np.full((2, 2), 0.25), bad_v)})
         np.testing.assert_array_equal(opt.segments[0].m, np.zeros(4))  # nothing written
 
+    def test_load_moments_rejects_moments_of_another_dtype(self):
+        # float64 moments would otherwise be rounded into float32 segments
+        params = {"w": Parameter(np.ones((2, 2), np.float32), "w", "base"),
+                  "b": Parameter(np.ones(2, np.float32), "b", "base")}
+        opt = AdamW(params)
+        good = (np.full((2, 2), 0.25, np.float32), np.full((2, 2), 0.5, np.float32))
+        with pytest.raises(ConfigError, match=r"moment v dtype float64 does not match parameter 'b' \(float32\)"):
+            opt.load_moments({"w": good, "b": (np.zeros(2, np.float32), np.full(2, 0.1))})
+        for seg in opt.segments:  # nothing written, not even w's
+            assert not seg.m.any() and not seg.v.any()
+
 
 class TestNonFiniteGuard:
     def test_nan_grad_aborts_naming_param_without_partial_update(self):

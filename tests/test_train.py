@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 
 import chapterbank
 from chapterbank import ops
+from chapterbank.checkpoint import checkpoint_from, load_checkpoint, save_checkpoint
 from chapterbank.config import preset
 from chapterbank.errors import CheckpointMismatch, ConfigError, TrainingAborted
 from chapterbank.flops import flops_model
@@ -256,6 +258,29 @@ class TestResume:
         with pytest.raises(ConfigError, match="moment v shape"):
             resume_train(half.checkpoint, CORPUS, quick_cfg(steps=8))
 
+    def test_resume_from_a_step_0_snapshot_is_bit_identical(self, tmp_path):
+        # as train() snapshots a fresh optimizer: its moments are read-only zero views
+        cfg = quick_cfg(steps=12, eval_every=6)
+        full = train(micro_model(1), CORPUS, cfg)
+        model = micro_model(1)
+        start = checkpoint_from(model, step=0, seed=cfg.seed, optimizer=AdamW(model.params), zero_views=True)
+        assert not any(m.flags.writeable or v.flags.writeable for m, v in start.moments.values())
+        save_checkpoint(start, tmp_path / "start.ckpt")
+        for ckpt in (start, load_checkpoint(tmp_path / "start.ckpt")):
+            rest = resume_train(ckpt, CORPUS, cfg)
+            assert metrics_csv(rest.metrics) == metrics_csv(full.metrics)
+            for name, arr in full.checkpoint.tensors.items():
+                assert arr.tobytes() == rest.checkpoint.tensors[name].tobytes(), name
+
+    def test_resume_rejects_moments_of_another_precision(self, tmp_path):
+        # float64 moments saved next to float32 weights would be rounded on load
+        half = train(build_model(preset("micro"), RngState(1)), CORPUS, quick_cfg(steps=4))
+        moments = {name: (m.astype(np.float64), v.astype(np.float64)) for name, (m, v) in half.checkpoint.moments.items()}
+        save_checkpoint(replace(half.checkpoint, moments=moments), tmp_path / "mixed.ckpt")
+        first = min(moments)  # the file lists moments by name
+        with pytest.raises(ConfigError, match=rf"moment m dtype float64 does not match parameter '{first}' \(float32\)"):
+            resume_train(load_checkpoint(tmp_path / "mixed.ckpt"), CORPUS, quick_cfg(steps=8))
+
     def test_resume_requires_same_seed(self):
         half = train(micro_model(1), CORPUS, quick_cfg(steps=4))
         with pytest.raises(ConfigError):
@@ -417,6 +442,36 @@ class TestAbortAndValidation:
     def test_start_step_outside_the_run_is_rejected(self, start_step):
         with pytest.raises(ConfigError, match=rf"^start_step {start_step} outside \[0, steps=4\]$"):
             train(micro_model(0), CORPUS, quick_cfg(steps=4), start_step=start_step)
+
+    def test_only_a_start_snapshot_of_zero_moments_shares_them(self):
+        # a fresh run's start snapshot holds views; an eval point's, or a resume's start, holds copies
+        cfg = quick_cfg(steps=4, eval_every=2)
+        fresh = train(micro_model(1), CORPUS, cfg, start_step=4)
+        assert not any(m.flags.writeable or v.flags.writeable or m.any() or v.any()
+                       for m, v in fresh.checkpoint.moments.values())
+        full = train(micro_model(1), CORPUS, cfg)
+        resumed = resume_train(full.checkpoint, CORPUS, cfg)
+        assert resumed.checkpoint.step == 4 and resumed.metrics == []
+        for result in (full, resumed):
+            for name, (m, v) in result.checkpoint.moments.items():
+                assert m.flags.writeable and v.flags.writeable, name
+                assert not np.shares_memory(m, result.optimizer.state[name]["m"]), name
+
+    def test_one_snapshot_is_live_at_a_time(self, monkeypatch):
+        # each eval point drops the last snapshot before it copies the next
+        train_module = importlib.import_module("chapterbank.train")
+        real, taken, live = train_module.checkpoint_from, [], []
+
+        def counting(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in taken))
+            ckpt = real(*args, **kwargs)
+            taken.append(weakref.ref(ckpt))
+            return ckpt
+
+        monkeypatch.setattr(train_module, "checkpoint_from", counting)
+        result = train(micro_model(1), CORPUS, quick_cfg(steps=12, eval_every=4))
+        assert live == [0, 0, 0, 0]
+        assert [ref() for ref in taken] == [None, None, None, result.checkpoint]
 
     def test_start_step_at_steps_returns_the_start_state(self):
         model = micro_model(0)

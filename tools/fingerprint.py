@@ -22,9 +22,11 @@ the checkpoint of a ``resume_train`` that completes a 12-step run
 interrupted at step 6, the ``retention.csv`` of
 ``chapterbank retention --config`` with phases of 20 and 16 steps, the
 two per-seed CSVs and ``retention.mean.csv`` of the same command at
-``--seeds 2``, and the ``config.resolved`` and ``last.ckpt`` of a
-``chapterbank train --config`` run at ``lr_base`` 1e30 that diverges at
-its step-2 eval point and exits 1 with the step-1 checkpoint.
+``--seeds 2``, and the ``config.resolved`` and ``last.ckpt`` of two
+``chapterbank train --config`` runs at ``lr_base`` 1e30 that exit 1: one
+diverges at its step-2 eval point and saves the step-1 checkpoint, the
+other diverges at step 2, before its first eval point, and saves the
+step-0 checkpoint, whose optimizer moments are all zero.
 """
 
 from __future__ import annotations
@@ -162,9 +164,11 @@ def retention_digest(argv: list[str], names: tuple[str, ...]) -> str:
         return h.hexdigest()
 
 
-def eval_abort_digest() -> str:
-    config = {"preset": "micro", "train": {"steps": 4, "batch_size": 4, "seq_len": 16, "lr_base": 1e30,
-                                           "schedule": cosine(2).to_dict(), "eval_every": 1}}
+def abort_digest(steps: int, seq_len: int, eval_every: int) -> str:
+    """Hash ``config.resolved`` and ``last.ckpt`` of a ``chapterbank train``
+    run at ``lr_base`` 1e30 and B=4, which must exit 1."""
+    config = {"preset": "micro", "train": {"steps": steps, "batch_size": 4, "seq_len": seq_len, "lr_base": 1e30,
+                                           "schedule": cosine(2).to_dict(), "eval_every": eval_every}}
     with tempfile.TemporaryDirectory() as out:
         run_cli(["train"], out, config, want=1)
         h = hashlib.sha256((Path(out) / "config.resolved").read_bytes())
@@ -184,7 +188,8 @@ def main() -> None:
     print(retention_digest([], ("retention.csv",)), "retention-micro-20-16/retention.csv")
     print(retention_digest(["--seeds", "2"], ("retention.seed1.csv", "retention.seed2.csv", "retention.mean.csv")),
           "retention-micro-20-16-seeds-2/retention.seed1+seed2+mean.csv")
-    print(eval_abort_digest(), "train-micro-lr-1e30-eval-every-1/config.resolved+last.ckpt")
+    print(abort_digest(4, 16, 1), "train-micro-lr-1e30-eval-every-1/config.resolved+last.ckpt")
+    print(abort_digest(12, 32, 10), "train-micro-lr-1e30-eval-every-10/config.resolved+last.ckpt")
 
 
 if __name__ == "__main__":
