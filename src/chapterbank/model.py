@@ -188,13 +188,17 @@ def param_count(cfg: ModelConfig) -> dict[str, int]:
 # blocks
 
 
-def _attention(x: Tensor, kv: Tensor, model: Model, pre: str, n_heads: int, n_kv_heads: int, causal: bool) -> Tensor:
-    """Grouped-query attention of queries from x over keys and values from
-    kv, through the ``{pre}.wq/wk/wv/wo`` projections, as one
-    ``ops.attention`` op. ``causal`` adds RoPE on Q/K and the strict causal
-    mask (self-attention)."""
-    w = [model[f"{pre}.{name}"] for name in ("wq", "wk", "wv", "wo")]
-    return ops.attention(x, kv, *w, n_heads, n_kv_heads, causal, model.config.rope_theta)
+def _attention(h: Tensor, kv: Tensor | None, model: Model, layer: int, name: str, n_heads: int, n_kv_heads: int,
+               causal: bool) -> Tensor:
+    """h + grouped-query attention of queries from RMSNorm(h) over keys and
+    values from kv (from RMSNorm(h) when kv is None), through the
+    ``layers.{layer}.{name}_norm.gain`` and ``{name}.wq/wk/wv/wo`` weights,
+    as one ``ops.attention`` op. ``causal`` adds RoPE on Q/K and the strict
+    causal mask (self-attention)."""
+    pre = f"layers.{layer}"
+    w = [model[f"{pre}.{name}.{w}"] for w in ("wq", "wk", "wv", "wo")]
+    return ops.attention(h, model[f"{pre}.{name}_norm.gain"], kv, *w, n_heads, n_kv_heads, causal,
+                         model.config.rope_theta, RMSNORM_EPS)
 
 
 def self_attention_block(h: Tensor, model: Model, layer: int) -> Tensor:
@@ -202,14 +206,14 @@ def self_attention_block(h: Tensor, model: Model, layer: int) -> Tensor:
     cfg = model.config
     if h.shape[1] > cfg.max_seq_len:
         raise SequenceLengthError(f"sequence length {h.shape[1]} exceeds max_seq_len {cfg.max_seq_len}")
-    x = ops.rmsnorm(h, model[f"layers.{layer}.attn_norm.gain"], RMSNORM_EPS)
-    return ops.add(h, _attention(x, x, model, f"layers.{layer}.attn", cfg.n_heads, cfg.n_kv_heads, causal=True))
+    return _attention(h, None, model, layer, "attn", cfg.n_heads, cfg.n_kv_heads, causal=True)
 
 
 def _mlp_block(h: Tensor, model: Model, layer: int) -> Tensor:
+    """h + SwiGLU(RMSNorm(h)), as one ``ops.swiglu`` op."""
     pre = f"layers.{layer}"
-    x = ops.rmsnorm(h, model[f"{pre}.mlp_norm.gain"], RMSNORM_EPS)
-    return ops.add(h, ops.swiglu(x, model[f"{pre}.mlp.w_up"], model[f"{pre}.mlp.w_gate"], model[f"{pre}.mlp.w_down"]))
+    return ops.swiglu(h, model[f"{pre}.mlp_norm.gain"], model[f"{pre}.mlp.w_up"], model[f"{pre}.mlp.w_gate"],
+                      model[f"{pre}.mlp.w_down"], RMSNORM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +254,27 @@ def prepare_memory_tokens(model: Model, layer: int, decision: RouterDecision) ->
 
 
 def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
-    """Cross-attention readout: (B, L, d) hidden states query their own
-    sequence's (B, N, d) memory tokens.
+    """The memory read h + CrossAttn(RMSNorm(h), m_tokens): (B, L, d) hidden
+    states query their own sequence's (B, N, d) memory tokens, as one
+    ``ops.attention`` op that adds the residual.
 
     ``m_tokens`` are the prepared (normalized, weighted) selected tokens.
-    No causal mask and no positional encoding on memory; the residual add
-    is the caller's.
+    No causal mask and no positional encoding on memory.
     """
     if m_tokens.ndim != 3 or m_tokens.shape[0] != h.shape[0]:
         raise ShapeError(f"memory tokens {m_tokens.shape} must be (B, N, d) for hidden states {h.shape}")
     if m_tokens.shape[1] < 1:
         raise ConfigError("memory read with an empty token selection")
     cfg = model.config
-    x = ops.rmsnorm(h, model[f"layers.{layer}.mem_norm.gain"], RMSNORM_EPS)
-    return _attention(x, m_tokens, model, f"layers.{layer}.mem", cfg.mem_heads, cfg.mem_kv_heads, causal=False)
+    return _attention(h, m_tokens, model, layer, "mem", cfg.mem_heads, cfg.mem_kv_heads, causal=False)
 
 
 def memory_layer_forward(h: Tensor, model: Model, layer: int) -> tuple[Tensor, RouterDecision]:
-    """Route, gather+weight chapters, cross-attend, add residual, for the
-    whole batch at once. Returns (h', decision)."""
+    """Route, gather+weight chapters, then the memory read (cross-attention
+    plus residual), for the whole batch at once. Returns (h', decision)."""
     pre = f"layers.{layer}"
     decision = route(h, model[f"{pre}.router.weight"], model[f"{pre}.router.bias"], model.config)
-    readout = mem_read(h, prepare_memory_tokens(model, layer, decision), model, layer)
-    return ops.add(h, readout), decision
+    return mem_read(h, prepare_memory_tokens(model, layer, decision), model, layer), decision
 
 
 def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tensor, float, float]:
@@ -321,7 +323,7 @@ def _head_logits(model: Model, h: Tensor) -> np.ndarray:
     the embedding used transposed when tied, else ``lm_head.weight``."""
     tied = model.config.tied_embeddings
     w = model["embedding.weight"].data.T if tied else model["lm_head.weight"].data  # (d, V)
-    x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS).data
+    x = ops.rms_norm(h.data, model["final_norm.gain"].data, RMSNORM_EPS)[0]
     return (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 
 

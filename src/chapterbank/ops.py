@@ -150,6 +150,23 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gain * x * inv, inv) of a plain array, inv = 1 / sqrt(mean(x^2) + eps)
+    over the last dimension, untaped: the forward of every RMSNorm (both
+    blocks, the memory tokens, the LM head and decoding). Its backward is
+    ``_rmsnorm_grads``."""
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    return _normed(x, gain, inv), inv
+
+
+def _normed(x: np.ndarray, gain: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """gain * x * inv, by the same ops in the same order every time, so a
+    block's backward rebuilds the bits of its forward's normed input."""
+    y = gain * x
+    y *= inv
+    return y
+
+
 def _rmsnorm_grads(g: np.ndarray, x: np.ndarray, inv: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dx, dgain) of y = gain * x * inv, inv = 1 / sqrt(mean(x^2) + eps) over
     the last dimension. With xhat = x * inv: dgain = sum over rows of g * xhat
@@ -166,74 +183,76 @@ def _rmsnorm_grads(g: np.ndarray, x: np.ndarray, inv: np.ndarray, gain: np.ndarr
     return t, dgain
 
 
-def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
-    """y = gain * x / sqrt(mean(x^2) + eps) over the last dimension."""
-    x, gain = _as_tensor(x), _as_tensor(gain)
-    d = x.shape[-1]
-    if gain.shape != (d,):
-        raise ShapeError(f"rmsnorm gain shape {gain.shape} does not match feature dim ({d},)")
-    inv = 1.0 / np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + eps)
-    out = Tensor(gain.data * x.data * inv)
-    _check_finite(out.data, "rmsnorm")
-
-    def backward(g):
-        dx, dgain = _rmsnorm_grads(g, x.data, inv, gain.data)
-        if gain.requires_grad:
-            gain.accumulate_grad(dgain)
-        if x.requires_grad:
-            x.accumulate_grad(dx)
-
-    return _record(out, [x, gain], backward)
+def _residual_and_norm_backward(h: Tensor, gain: Tensor, inv: np.ndarray, g: np.ndarray, dx: np.ndarray) -> None:
+    """The tail of a pre-norm block's backward: the upstream ``g`` goes to
+    ``h`` as is (the residual path; the caller reads g no more), then the
+    norm backward of ``dx``, the normed input's grad, goes to the gain and
+    to h."""
+    if h.requires_grad:
+        h.accumulate_grad(g)
+    dh, dgain = _rmsnorm_grads(dx.reshape(h.shape), h.data, inv, gain.data)
+    if gain.requires_grad:
+        gain.accumulate_grad(dgain)
+    if h.requires_grad:
+        h.accumulate_grad(dh)
 
 
-def swiglu(x, w_up, w_gate, w_down) -> Tensor:
-    """down(silu(x @ w_gate) * (x @ w_up)), silu(z) = z * sigmoid(z), over the
-    flattened rows of ``x``: one op, like the fused SwiGLU of Liger Kernel
+def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
+    """The pre-norm MLP block h + down(silu(x @ w_gate) * (x @ w_up)),
+    x = rms_norm(h) with ``gain`` and silu(z) = z * sigmoid(z), over the
+    flattened rows of ``h``: one op, like the fused SwiGLU of Liger Kernel
     (Hsu et al. 2024, arXiv 2410.10989).
 
-    Backward keeps only x, gate = x @ w_gate and up = x @ w_up, and
-    recomputes s = sigmoid(gate) and the hidden h = silu(gate) * up: with
-    dh = dO w_down^T, d_up = dh * silu(gate) and
-    d_gate = dh * up * s * (1 + gate * (1 - s)).
+    Backward keeps only h's inverse RMS, gate = x @ w_gate and
+    up = x @ w_up, and recomputes s = sigmoid(gate), the hidden
+    a = silu(gate) * up and x: with da = dO w_down^T,
+    d_up = da * silu(gate) and d_gate = da * up * s * (1 + gate * (1 - s)),
+    then dx = d_up w_up^T + d_gate w_gate^T.
     """
-    x, w_up, w_gate, w_down = (_as_tensor(t) for t in (x, w_up, w_gate, w_down))
-    if x.ndim < 2 or w_down.ndim != 2 or w_up.shape != (x.shape[-1], w_down.shape[0]) or w_gate.shape != w_up.shape:
-        raise ShapeError(f"swiglu needs x (..., d), w_up and w_gate (d, f) and w_down (f, n), "
-                         f"got {x.shape}, {w_up.shape}, {w_gate.shape} and {w_down.shape}")
-    n = w_down.shape[1]
-    x2 = x.data.reshape(-1, x.shape[-1])
+    h, gain, w_up, w_gate, w_down = (_as_tensor(t) for t in (h, gain, w_up, w_gate, w_down))
+    d = h.shape[-1] if h.ndim >= 2 else -1
+    if (gain.shape != (d,) or w_down.ndim != 2 or w_up.shape != (d, w_down.shape[0]) or w_gate.shape != w_up.shape
+            or w_down.shape[1] != d):
+        raise ShapeError(f"swiglu needs h (..., d), a (d,) gain, w_up and w_gate (d, f) and w_down (f, d), "
+                         f"got {h.shape}, {gain.shape}, {w_up.shape}, {w_gate.shape} and {w_down.shape}")
+    x2, inv = rms_norm(h.data, gain.data, eps)
+    x2 = x2.reshape(-1, d)
     gate, up = x2 @ w_gate.data, x2 @ w_up.data
 
-    def hidden():  # s, silu(gate) and h, by the same ops every time
+    def hidden():  # s, silu(gate) and a, by the same ops every time
         sig = 1.0 / (1.0 + np.exp(-gate))
         act = gate * sig
         return sig, act, act * up
 
-    out = Tensor((hidden()[2] @ w_down.data).reshape(x.shape[:-1] + (n,)))
+    o = hidden()[2] @ w_down.data
+    o += h.data.reshape(-1, d)
+    out = Tensor(o.reshape(h.shape))
     _check_finite(out.data, "swiglu")
 
     def backward(g):
-        sig, act, h = hidden()
-        g2 = g.reshape(-1, n)
+        sig, act, a = hidden()
+        g2 = g.reshape(-1, d)
         if w_down.requires_grad:
-            w_down.accumulate_grad(h.T @ g2)
-        dh = g2 @ w_down.data.T
-        d_up = np.multiply(dh, act, out=act)
-        dh *= up
-        d_gate = np.subtract(1.0, sig, out=h)  # h's buffer, filled in place
+            w_down.accumulate_grad(a.T @ g2)
+        da = g2 @ w_down.data.T
+        d_up = np.multiply(da, act, out=act)
+        da *= up
+        d_gate = np.subtract(1.0, sig, out=a)  # a's buffer, filled in place
         d_gate *= gate
         d_gate += 1.0
         d_gate *= sig
-        d_gate *= dh
-        for w, dw in ((w_up, d_up), (w_gate, d_gate)):
-            if w.requires_grad:
-                w.accumulate_grad(x2.T @ dw)
-        if x.requires_grad:
+        d_gate *= da
+        if w_up.requires_grad or w_gate.requires_grad:
+            x = _normed(h.data, gain.data, inv).reshape(-1, d)  # rebuilt, not held
+            for w, dw in ((w_up, d_up), (w_gate, d_gate)):
+                if w.requires_grad:
+                    w.accumulate_grad(x.T @ dw)
+        if h.requires_grad or gain.requires_grad:
             dx = d_up @ w_up.data.T
             dx += d_gate @ w_gate.data.T
-            x.accumulate_grad(dx.reshape(x.shape))
+            _residual_and_norm_backward(h, gain, inv, g, dx)
 
-    return _record(out, [x, w_up, w_gate, w_down], backward)
+    return _record(out, [h, gain, w_up, w_gate, w_down], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -273,44 +292,61 @@ def _rope_tables(length: int, d_h: int, theta: float, dtype: np.dtype, inverse: 
     return cos, sin
 
 
-def attention(x, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float) -> Tensor:
-    """One grouped-query attention block: queries x @ wq attend over keys
-    kv @ wk and values kv @ wv, and the heads are projected out by ``wo``.
+@functools.lru_cache(maxsize=32)
+def _causal_mask(length: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only (length, length) additive mask of causal attention:
+    MASK_VALUE above the diagonal, 0 elsewhere; built once per length and
+    dtype (every causal call of every step and decode reads one)."""
+    mask = np.triu(np.full((length, length), MASK_VALUE, dtype=dtype), 1)
+    mask.flags.writeable = False
+    return mask
 
-    ``x`` is (B, Lq, d) and ``kv`` (B, Lk, d_kv); ``wq`` is (d, n_heads*d_h),
+
+def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float,
+              eps: float = 1e-6) -> Tensor:
+    """One pre-norm grouped-query attention block, h + attn(x, kv) with
+    x = rms_norm(h) by ``gain``: queries x @ wq attend over keys kv @ wk and
+    values kv @ wv, and the heads are projected out by ``wo``. ``kv=None``
+    is self-attention (kv is x); a memory read passes its memory tokens.
+
+    ``h`` is (B, Lq, d) and ``kv`` (B, Lk, d_kv); ``wq`` is (d, n_heads*d_h),
     ``wk`` and ``wv`` are (d_kv, n_kv_heads*d_h) and ``wo`` is
-    (n_heads*d_h, n), so the output is (B, Lq, n). Each projection is one
-    2-D GEMM over flattened rows. Query head i reads KV head i // g
-    (g = n_heads // n_kv_heads): the g heads sharing a KV head are stacked as
-    rows of one (g*Lq, d_h) @ (d_h, Lk) product, so K/V are never expanded.
-    ``causal`` rotates Q and K by ``rope`` and masks every key after the
-    query position (Lq == Lk). Self-attention passes one tensor as x and kv.
+    (n_heads*d_h, d). Each projection is one 2-D GEMM over flattened rows.
+    Query head i reads KV head i // g (g = n_heads // n_kv_heads): the g
+    heads sharing a KV head are stacked as rows of one (g*Lq, d_h) @ (d_h, Lk)
+    product, so K/V are never expanded. ``causal`` rotates Q and K by
+    ``rope`` and masks every key after the query position (Lq == Lk).
 
-    Backward keeps the heads H, P and the rotated Q, K and V:
-    dwo = H^T dO and dH = dO wo^T; dV = P^T dH, dS = P * (dP - sum(dP * P))
-    with dP = dH V^T, dQ = dS K, dK = dS^T Q, then scaled and un-rotated;
-    dwq = x^T dQ, dwk = kv^T dK, dwv = kv^T dV. The input grads are
-    dkv = dV wv^T + dK wk^T and dx = dQ wq^T, summed in that order into one
-    array when kv is x.
+    Backward keeps the heads H, P, the rotated Q, K and V and h's inverse
+    RMS, and rebuilds x from h: dwo = H^T dO and dH = dO wo^T;
+    dV = P^T dH, dS = P * (dP - sum(dP * P)) with dP = dH V^T, dQ = dS K,
+    dK = dS^T Q, then scaled and un-rotated; dwq = x^T dQ, dwk = kv^T dK,
+    dwv = kv^T dV. The input grads are dkv = dV wv^T + dK wk^T and
+    dx = dQ wq^T, summed in that order into one array for self-attention;
+    dx goes through the norm backward to the gain and to h, after h's
+    residual term dO.
     """
-    x, kv, wq, wk, wv, wo = (_as_tensor(t) for t in (x, kv, wq, wk, wv, wo))
+    h, gain, wq, wk, wv, wo = (_as_tensor(t) for t in (h, gain, wq, wk, wv, wo))
+    kv = None if kv is None else _as_tensor(kv)
     if n_heads < 1 or n_kv_heads < 1 or n_heads % n_kv_heads:
         raise ConfigError(f"attention needs n_heads ({n_heads}) to be a multiple of n_kv_heads ({n_kv_heads})")
-    b, lq, d = x.shape if x.ndim == 3 else (0, 0, -1)
-    lk, d_kv = kv.shape[1:] if kv.ndim == 3 else (0, -1)
+    b, lq, d = h.shape if h.ndim == 3 else (0, 0, -1)
+    src = h if kv is None else kv
+    lk, d_kv = src.shape[1:] if src.ndim == 3 else (0, -1)
     dim = wq.shape[1] if wq.ndim == 2 else 0
     d_h, g = dim // n_heads, n_heads // n_kv_heads
     kv_w = (d_kv, n_kv_heads * d_h)
-    if (not d_h or wq.shape != (d, d_h * n_heads) or wk.shape != kv_w or wv.shape != kv_w or wo.ndim != 2
-            or wo.shape[0] != dim or not lk or kv.shape[0] != b or (causal and lk != lq)):
-        raise ShapeError(f"{n_heads}/{n_kv_heads}-head attention, causal={causal}: x {x.shape}, kv {kv.shape}, "
-                         f"wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, wo {wo.shape}")
-    n = wo.shape[1]
+    if (not d_h or gain.shape != (d,) or wq.shape != (d, d_h * n_heads) or wk.shape != kv_w or wv.shape != kv_w
+            or wo.shape != (dim, d) or not lk or src.shape[0] != b or (causal and lk != lq)):
+        raise ShapeError(f"{n_heads}/{n_kv_heads}-head attention, causal={causal}: h {h.shape}, gain {gain.shape}, "
+                         f"kv {None if kv is None else kv.shape}, wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, wo {wo.shape}")
     q_rows = lambda a: a.reshape(b, lq, n_kv_heads, g, d_h).transpose(0, 2, 3, 1, 4)  # (B,hkv,g,Lq,dh)
     q_cols = lambda a: a.reshape(b, n_kv_heads, g, lq, d_h).transpose(0, 3, 1, 2, 4).reshape(-1, dim)
     kv_rows = lambda a: a.reshape(b, lk, n_kv_heads, d_h).transpose(0, 2, 1, 3)  # (B,hkv,Lk,dh)
     kv_cols = lambda a: a.transpose(0, 2, 1, 3).reshape(-1, kv_w[1])
-    x2, kv2 = x.data.reshape(-1, d), kv.data.reshape(-1, d_kv)
+    x2, inv = rms_norm(h.data, gain.data, eps)
+    x2 = x2.reshape(-1, d)
+    kv2 = x2 if kv is None else kv.data.reshape(-1, d_kv)
     qh, kh, vh = q_rows(x2 @ wq.data), kv_rows(kv2 @ wk.data), kv_rows(kv2 @ wv.data)
     if causal:
         qh, kh = rope(qh, rope_theta), rope(kh, rope_theta)
@@ -318,16 +354,18 @@ def attention(x, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool
     scale_ = d_h**-0.5  # a Python float: an np.float64 would promote float32 scores
     p = (qh @ kh.swapaxes(-1, -2)) * scale_  # scores, (B,hkv,g*Lq,Lk)
     if causal:
-        p.reshape(b, n_kv_heads, g, lq, lk)[...] += np.triu(np.full((lq, lk), MASK_VALUE, dtype=p.dtype), 1)
+        p.reshape(b, n_kv_heads, g, lq, lk)[...] += _causal_mask(lq, p.dtype)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     heads = q_cols(p @ vh)  # (B*Lq, n_heads*dh)
-    out = Tensor((heads @ wo.data).reshape(b, lq, n))
+    o = heads @ wo.data
+    o += h.data.reshape(-1, d)
+    out = Tensor(o.reshape(h.shape))
     _check_finite(out.data, "attention")
 
     def backward(grad):
-        g2 = grad.reshape(-1, n)
+        g2 = grad.reshape(-1, d)
         if wo.requires_grad:
             wo.accumulate_grad(heads.T @ g2)
         do = q_rows(g2 @ wo.data.T).reshape(qh.shape)
@@ -339,19 +377,27 @@ def attention(x, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool
         dk = (ds.swapaxes(-1, -2) @ qh) * scale_
         dk = kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk)
         dv = kv_cols(p.swapaxes(-1, -2) @ do)
-        for w, rows, dw in ((wq, x2, dq), (wk, kv2, dk), (wv, kv2, dv)):
+        x = None
+        if wq.requires_grad or kv is None and (wk.requires_grad or wv.requires_grad):
+            x = _normed(h.data, gain.data, inv).reshape(-1, d)  # rebuilt, not held
+        rows = x if kv is None else kv.data.reshape(-1, d_kv)
+        for w, a, dw in ((wq, x, dq), (wk, rows, dk), (wv, rows, dv)):
             if w.requires_grad:
-                w.accumulate_grad(rows.T @ dw)
-        if kv.requires_grad:
+                w.accumulate_grad(a.T @ dw)
+        if kv is not None and kv.requires_grad:
             dkv = dv @ wv.data.T
             dkv += dk @ wk.data.T
-            if kv is x:
-                dkv += dq @ wq.data.T
             kv.accumulate_grad(dkv.reshape(kv.shape))
-        if x.requires_grad and kv is not x:
-            x.accumulate_grad((dq @ wq.data.T).reshape(x.shape))
+        if h.requires_grad or gain.requires_grad:
+            if kv is None:
+                dx = dv @ wv.data.T
+                dx += dk @ wk.data.T
+                dx += dq @ wq.data.T
+            else:
+                dx = dq @ wq.data.T
+            _residual_and_norm_backward(h, gain, inv, grad, dx)
 
-    return _record(out, [x, kv, wq, wk, wv, wo], backward)
+    return _record(out, [h, gain, wq, wk, wv, wo] + ([] if kv is None else [kv]), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +416,7 @@ def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-
     so the (N, V) logits are never all live; under a tape each chunk's
     dlogits = softmax - onehot is folded into dx and dW during the forward.
     Backward scales both by g / N and hands dW to ``w``, then the norm
-    backward (shared with ``rmsnorm``) of dx to the gain and to h, whose
+    backward (``_rmsnorm_grads``, as in the blocks) of dx to the gain and to h, whose
     last position gets zero; each buffer is dropped once handed over.
     """
     h, gain, w = _as_tensor(h), _as_tensor(gain), _as_tensor(w)
@@ -386,9 +432,8 @@ def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-
     if t.min() < 0 or t.max() >= v:
         raise IndexError(f"target index out of range [0, {v})")
     x0 = np.ascontiguousarray(h.data[..., :-1, :])
-    inv = 1.0 / np.sqrt((x0 * x0).mean(axis=-1, keepdims=True) + eps)
-    x2 = (gain.data * x0).reshape(n, d)
-    x2 *= inv.reshape(n, 1)  # in place: the products of gain * x0 * inv, one buffer fewer
+    x2, inv = rms_norm(x0, gain.data, eps)
+    x2 = x2.reshape(n, d)
     taped = active_tape() is not None
     dx = np.empty_like(x2) if taped and (h.requires_grad or gain.requires_grad) else None
     dw = np.zeros_like(w.data) if taped and w.requires_grad else None
@@ -468,9 +513,11 @@ def memory_tokens(bank, rows, weights, gain, adapter=None, eps: float = 1e-6) ->
     is given, RMS-normalized with ``gain``, then scaled by the (B, S) chapter
     ``weights`` (norm first, so the weights survive it).
 
-    Backward keeps the picked rows x0, the adapted rows x and the inverse
-    RMS: dweights sums g * rmsnorm(x) over each chapter's tokens, the norm
-    backward (shared with ``rmsnorm``) takes g * weight, then
+    Backward keeps the row ids, the inverse RMS and, with an adapter, the
+    adapted rows x; it reads the picked rows x0 from the bank again, so the
+    bank must not change between a forward and its backward (a training
+    step updates it after the backward). dweights sums g * rms_norm(x) over
+    each chapter's tokens, the norm backward takes g * weight, then
     dadapter = x0^T dx, dx += dx adapter^T, and dx is scatter-added into
     ``bank.grad`` (``_scatter_rows``, as in ``gather_rows``).
     """
@@ -481,21 +528,23 @@ def memory_tokens(bank, rows, weights, gain, adapter=None, eps: float = 1e-6) ->
     if rows.ndim != 3 or weights.shape != rows.shape[:2] or gain.shape != (d,) or adapter is not None and adapter.shape != (d, d):
         raise ShapeError(f"memory_tokens needs (B, S, t) rows, (B, S) weights, a (d,) gain and a (d, d) adapter, got "
                          f"{rows.shape}, {weights.shape}, {gain.shape} and {None if adapter is None else adapter.shape}")
-    x = x0 if adapter is None else x0 + (x0.reshape(-1, d) @ adapter.data).reshape(x0.shape)
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    adapted = None if adapter is None else x0 + (x0.reshape(-1, d) @ adapter.data).reshape(x0.shape)
+    y, inv = rms_norm(x0 if adapted is None else adapted, gain.data, eps)
     w = weights.data[:, :, None, None]
-    out = Tensor((gain.data * x * inv * w).reshape(rows.shape[0], -1, d))
+    y *= w
+    out = Tensor(y.reshape(rows.shape[0], -1, d))
     _check_finite(out.data, "memory_tokens")
 
     def backward(g):
+        x = bank.data[rows] if adapted is None else adapted
         g = g.reshape(x.shape)
         if weights.requires_grad:
-            weights.accumulate_grad((g * (gain.data * x * inv)).sum(axis=2).sum(axis=2))
+            weights.accumulate_grad((g * _normed(x, gain.data, inv)).sum(axis=2).sum(axis=2))
         dx, dgain = _rmsnorm_grads(g * w, x, inv, gain.data)
         if gain.requires_grad:
             gain.accumulate_grad(dgain)
         if adapter is not None and adapter.requires_grad:
-            adapter.accumulate_grad(x0.reshape(-1, d).T @ dx.reshape(-1, d))
+            adapter.accumulate_grad(bank.data[rows].reshape(-1, d).T @ dx.reshape(-1, d))
         if bank.requires_grad:  # a frozen bank skips the adapter's dx term and the scatter
             if adapter is not None:
                 dx += (dx.reshape(-1, d) @ adapter.data.T).reshape(dx.shape)

@@ -328,8 +328,10 @@ def run_retention_protocol(
             for result in group:
                 result.failed = True
             continue
-        measured_a = (eval_fact_recall(model, fact_probes), eval_fact_recall(model, instr_probes),
-                      _eval_losses(model, res_a.eval_batches)[0])
+        # train() evaluates at its last step, on the final weights; a zero-step run has no eval row
+        evals = res_a.eval_rows()
+        fact_loss_a = evals[-1].lm_loss if evals else _eval_losses(model, res_a.eval_batches)[0]
+        measured_a = (eval_fact_recall(model, fact_probes), eval_fact_recall(model, instr_probes), fact_loss_a)
         bank_before = res_a.checkpoint.tensors.get("bank.tokens")
         for result in group:
             result.fact_recall_a, result.task_acc_a, result.fact_loss_a = measured_a

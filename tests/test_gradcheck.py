@@ -32,14 +32,14 @@ def check(f, params, tol=TOL):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matmul_add_chain(seed):
     # no taped matmul is left: the GEMM chain is attention's value path. Over
-    # one key each softmax row is exactly 1, so the block is (a @ b) @ wo for
-    # every query, here added to c
+    # one key each softmax row is exactly 1, so the block whose residual is c
+    # is c + (a @ b) @ wo for every query
     a = make_param((3, 1, 4), seed)
     b = make_param((4, 2), seed + 100)
     c = make_param((3, 1, 2), seed + 200)
     wo = make_param((2, 2), seed + 300)
-    x, wq = Tensor(np.ones((3, 1, 4))), Tensor(np.ones((4, 2)))
-    check(lambda: weighted_sum(ops.add(ops.attention(x, a, wq, wq, b, wo, 1, 1, False, 1e4), c), 1 / 6), [a, b, c, wo])
+    gain, wq, wk = Tensor(np.ones(2)), Tensor(np.ones((2, 2))), Tensor(np.ones((4, 2)))
+    check(lambda: weighted_sum(ops.attention(c, gain, a, wq, wk, b, wo, 1, 1, False, 1e4), 1 / 6), [a, b, c, wo])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -60,7 +60,8 @@ def test_mul_div_scale(seed):
     # ops.swiglu, here with one weight as both the up and the gate weight
     a = make_param((2, 5), seed)
     b = make_param((5, 5), seed + 1)
-    check(lambda: weighted_sum(ops.scale(ops.swiglu(a, b, b, Tensor(np.eye(5))), 1.7), 1 / 10), [a, b])
+    gain = Tensor(np.ones(5))
+    check(lambda: weighted_sum(ops.scale(ops.swiglu(a, gain, b, b, Tensor(np.eye(5))), 1.7), 1 / 10), [a, b])
 
 
 def every_chapter(rows, c, seed):
@@ -114,19 +115,24 @@ def test_router_losses(seed, n_layers, shared, k):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rmsnorm(seed):
-    x = make_param((4, 6), seed)
+    # the norm both blocks share: one-position self-attention with identity
+    # weights is x + rms_norm(x), its one key's softmax weight exactly 1
+    x = make_param((4, 1, 6), seed)
     g = make_param((6,), seed + 1)
-    w = np.random.default_rng(seed + 50).standard_normal((4, 6))
-    check(lambda: weighted_sum(ops.rmsnorm(x, g), w / w.size), [x, g])
+    eye = Tensor(np.eye(6))
+    w = np.random.default_rng(seed + 50).standard_normal((4, 1, 6))
+    check(lambda: weighted_sum(ops.attention(x, g, None, eye, eye, eye, eye, 1, 1, False, 1e4), w / w.size), [x, g])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_swiglu(seed):
+    # the whole block, through h, the gain and the three weights
     x = make_param((3, 4), seed)
+    gain = make_param((4,), seed + 4)
     wu = make_param((4, 5), seed + 1)
     wg = make_param((4, 5), seed + 2)
     wd = make_param((5, 4), seed + 3)
-    check(lambda: weighted_sum(ops.swiglu(x, wu, wg, wd), 1 / 12), [x, wu, wg, wd])
+    check(lambda: weighted_sum(ops.swiglu(x, gain, wu, wg, wd), 1 / 12), [x, gain, wu, wg, wd])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -170,18 +176,20 @@ def test_rope(seed):
 @pytest.mark.parametrize("groups", (1, 2))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_attention(seed, groups, causal):
-    # 4 query heads of d_h = 4 over 4 // groups KV heads, all six inputs:
-    # causal self-attention passes x as kv, cross-attention reads a kv of
-    # another length and width
+    # 4 query heads of d_h = 4 over 4 // groups KV heads, through every
+    # input: causal self-attention passes no kv, cross-attention reads a kv
+    # of another length and width
     lq, lk, d_kv = (4, 4, 8) if causal else (3, 5, 6)
     x = make_param((2, lq, 8), seed)
-    kv = x if causal else make_param((2, lk, d_kv), seed + 1)
+    gain = make_param((8,), seed + 6)
+    kv = None if causal else make_param((2, lk, d_kv), seed + 1)
     wq = make_param((8, 16), seed + 2)
     wk, wv = make_param((d_kv, 16 // groups), seed + 3), make_param((d_kv, 16 // groups), seed + 4)
     wo = make_param((16, 8), seed + 5)
     w = np.random.default_rng(seed + 50).standard_normal((2, lq, 8))
-    params = [x, wq, wk, wv, wo] + ([] if causal else [kv])
-    check(lambda: weighted_sum(ops.attention(x, kv, wq, wk, wv, wo, 4, 4 // groups, causal, 100.0), w / w.size), params)
+    params = [x, gain, wq, wk, wv, wo] + ([] if causal else [kv])
+    f = lambda: weighted_sum(ops.attention(x, gain, kv, wq, wk, wv, wo, 4, 4 // groups, causal, 100.0), w / w.size)
+    check(f, params)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -232,13 +240,15 @@ def test_logsumexp(seed):
 def test_reshape_swap_slice_concat_gather(seed):
     a = make_param((4, 6), seed)
     ids = np.random.default_rng(seed).integers(0, 4, size=(2, 3))
+    w = Tensor(np.random.default_rng(seed + 50).standard_normal((6, 6)) * 0.5)
 
     def f():
         # no taped reshape, swap or slice is left: the ids take the shape, are
         # reversed and are sliced, so the gathers overlap in row 1
         g = ids.reshape(3, 2)[::-1]
         left, right = ops.gather_rows(a, g[0:2]), ops.gather_rows(a, g[1:3])
-        both = ops.add(left, ops.rmsnorm(right, Tensor(np.linspace(0.5, 1.5, 6))))  # (2,2,6), as there is no concat
+        mlp = ops.swiglu(right, Tensor(np.linspace(0.5, 1.5, 6)), w, w, Tensor(np.eye(6)))
+        both = ops.add(left, mlp)  # (2,2,6), as there is no concat
         return weighted_sum(both, 1 / 24)
 
     check(f, [a])
@@ -248,7 +258,7 @@ def test_reshape_swap_slice_concat_gather(seed):
 def test_repeat_and_reductions(seed):
     # the repeat of each chapter weight over its tokens is inside
     # ops.memory_tokens, the mean over positions inside ops.router_logits;
-    # a swiglu after them makes the loss nonlinear in the weights a
+    # an MLP block after them makes the loss nonlinear in the weights a
     a = make_param((3, 2), seed)
     gen = np.random.default_rng(seed + 50)
     bank, rows = Tensor(gen.standard_normal((8, 4))), gen.integers(0, 8, size=(3, 2, 3))
@@ -257,7 +267,7 @@ def test_repeat_and_reductions(seed):
     def f():
         m = ops.memory_tokens(bank, rows, a, Tensor(np.ones(4)))  # (3, 6, 4)
         logits = ops.router_logits(m, w, Tensor(np.zeros(4)))  # (3, 4)
-        return weighted_sum(ops.swiglu(logits, wu, wg, Tensor(np.eye(4))), 1 / 12)
+        return weighted_sum(ops.swiglu(logits, Tensor(np.ones(4)), wu, wg, Tensor(np.eye(4))), 1 / 12)
 
     check(f, [a])
 

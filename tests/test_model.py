@@ -23,6 +23,7 @@ from chapterbank.model import (
     RMSNORM_EPS,
     Model,
     RouterDecision,
+    _mlp_block,
     _run_stack,
     aux_losses,
     build_model,
@@ -309,12 +310,17 @@ class TestSelfAttention:
         np.testing.assert_array_equal(base[0, :5], pert[0, :5])
         assert np.abs(pert[0, 5:] - base[0, 5:]).max() > 1e-8
 
-    def test_one_block_records_three_tape_entries(self):
-        # norm, one attention op with its four projections, residual add
+    def test_each_block_records_one_tape_entry(self):
+        # each pre-norm block (self-attention, memory read, MLP) is one op
+        # with its norm, projections and residual add
         model = micro_double()
-        with Tape() as tape:
-            self_attention_block(Tensor(np.random.default_rng(3).standard_normal((2, 6, 64))), model, 0)
-        assert len(tape) == 3
+        gen = np.random.default_rng(3)
+        h, m = Tensor(gen.standard_normal((2, 6, 64))), Tensor(gen.standard_normal((2, 8, 64)))
+        for block in (lambda: self_attention_block(h, model, 0), lambda: mem_read(h, m, model, 1),
+                      lambda: _mlp_block(h, model, 0)):
+            with Tape() as tape:
+                out = block()
+            assert len(tape) == 1 and out.shape == h.shape
 
     def test_sequence_length_cap(self):
         model = micro_double()
@@ -334,7 +340,7 @@ class TestMemRead:
         decision = _forced_decision(model, chapters, weights)
         m = prepare_memory_tokens(model, 1, decision)
         assert m.shape == (1, 24, 64)
-        got = h[0] + mem_read(Tensor(h), m, model, 1).data[0]
+        got = mem_read(Tensor(h), m, model, 1).data[0]
         want = naive_memory_layer(h[0], model, 1, chapters=chapters, weights=weights)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -343,7 +349,7 @@ class TestMemRead:
         gen = np.random.default_rng(3)
         h = gen.standard_normal((1, 5, 64))
         m = Tensor(gen.standard_normal((1, 1, 64)))
-        out = mem_read(Tensor(h), m, model, 1).data[0]
+        out = mem_read(Tensor(h), m, model, 1).data[0] - h[0]
         want = (m.data[0] @ model["layers.1.mem.wv"].data) @ model["layers.1.mem.wo"].data
         np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), atol=1e-12)
 
@@ -703,20 +709,20 @@ class TestModelForward:
 
     def test_micro_train_step_tape_length(self):
         # Pins the tape of one micro train step (forward + loss): 1 embedding
-        # gather, 4 layers of 6, 2 memory reads of 6 and 3 in the head and
-        # losses, 40 records. Each attention block, self or memory, is three:
-        # norm, attention (with its four projections), residual add; each MLP
-        # is three: norm, swiglu, residual add. Each of the two memory layers'
-        # routers is two (router_logits, chapter_weights) and its tokens one
-        # (memory_tokens), with or without the adapter. The head is one record,
-        # lm_head_loss (slice, final norm and cross-entropy); the router
-        # penalty is one (router_penalty over both layers' logits), and one add
-        # joins the two. The dense model has no penalty and no add: 26. A
-        # change that splits the head, the penalty, the router, the memory
-        # tokens, the MLP or the attention into more ops fails here.
+        # gather, 4 layers of 2, 2 memory layers of 4 and 3 in the head and
+        # losses, 20 records. Each block, self-attention, memory read or MLP,
+        # is one op with its pre-norm and residual add (ops.attention,
+        # ops.swiglu). Each of the two memory layers' routers is two
+        # (router_logits, chapter_weights) and its tokens one (memory_tokens),
+        # with or without the adapter. The head is one record, lm_head_loss
+        # (slice, final norm and cross-entropy); the router penalty is one
+        # (router_penalty over both layers' logits), and one add joins the two.
+        # The dense model has no penalty and no add: 10. A change that splits
+        # the head, the penalty, the router, the memory tokens or a block into
+        # more ops fails here.
         tokens = np.random.default_rng(12).integers(0, 256, (2, 16))
-        for overrides, want in (({"adapter_enabled": False}, 40), ({"adapter_enabled": True}, 40),
-                                ({"memory_layer_indices": ()}, 26)):
+        for overrides, want in (({"adapter_enabled": False}, 20), ({"adapter_enabled": True}, 20),
+                                ({"memory_layer_indices": ()}, 10)):
             model = build_model(replace(preset("micro"), **overrides), RngState(12))
             with Tape() as tape:
                 model_forward(model, tokens, tokens)
@@ -792,13 +798,28 @@ def _next_token_cross_entropy(logits: Tensor, tokens: np.ndarray) -> Tensor:
     return _record(loss, [logits], backward)
 
 
+def _final_norm(h: Tensor, gain: Tensor) -> Tensor:
+    """Taped gain * h / sqrt(mean(h^2) + eps) over the last axis in plain
+    numpy; backward in closed form, dgain = sum of g * h * inv and
+    dh = gg * inv - h * inv^3 * sum(gg * h) / d with gg = g * gain."""
+    d = h.shape[-1]
+    inv = 1.0 / np.sqrt((h.data * h.data).mean(-1, keepdims=True) + RMSNORM_EPS)
+
+    def backward(g):
+        gain.accumulate_grad((g * h.data * inv).reshape(-1, d).sum(0))
+        gg = g * gain.data
+        h.accumulate_grad(gg * inv - h.data * inv**3 * (gg * h.data).sum(-1, keepdims=True) / d)
+
+    return _record(Tensor(gain.data * h.data * inv), [h, gain], backward)
+
+
 def unfused_total_loss(model: Model, tokens: np.ndarray) -> Tensor:
     """The final norm of all L positions, full (B, L, V) logits from one
     taped GEMM, then a plain-numpy logsumexp cross-entropy over the first
     L - 1 positions, plus the router penalty."""
     cfg = model.config
     h, decisions = _run_stack(model, tokens)
-    x = ops.rmsnorm(h, model["final_norm.gain"], RMSNORM_EPS)
+    x = _final_norm(h, model["final_norm.gain"])
     w = model["embedding.weight" if cfg.tied_embeddings else "lm_head.weight"]
     loss = _next_token_cross_entropy(_logits(x, w, cfg.tied_embeddings), tokens)
     if decisions:

@@ -34,10 +34,30 @@ def naive_matmul(a, b):
 
 
 def one_key(a, b, c):
-    """ops.attention over a single key, whose softmax weight is exactly 1:
-    every query of sequence i reads (a[i] @ b) @ c, the value path alone."""
-    x, wq = Tensor(np.ones((a.shape[0], 1, a.shape[1]))), Tensor(np.ones(b.shape))
-    return ops.attention(x, Tensor(a[:, None, :]), wq, wq, Tensor(b), Tensor(c), 1, 1, False, 1e4).data[:, 0]
+    """ops.attention over a single key, whose softmax weight is exactly 1,
+    with a zero residual: every query of sequence i reads (a[i] @ b) @ c,
+    the value path alone."""
+    n = c.shape[1]
+    h, wq, wk = Tensor(np.zeros((a.shape[0], 1, n))), Tensor(np.ones((n, b.shape[1]))), Tensor(np.ones(b.shape))
+    return ops.attention(h, Tensor(np.ones(n)), Tensor(a[:, None, :]), wq, wk, Tensor(b), Tensor(c), 1, 1, False, 1e4).data[:, 0]
+
+
+def norm_backward(g, x, gain, eps=1e-6):
+    """(dx, dgain) of y = gain * x * inv, inv = 1 / sqrt(mean(x^2) + eps), in
+    closed form: dx = gg * inv - x * inv^3 * sum(gg * x) / d with gg = g * gain,
+    and dgain = the sum over rows of g * x * inv."""
+    d = x.shape[-1]
+    inv = 1.0 / np.sqrt((x * x).mean(-1, keepdims=True) + eps)
+    gg = g * gain
+    return gg * inv - x * inv**3 * (gg * x).sum(-1, keepdims=True) / d, (g * x * inv).reshape(-1, d).sum(0)
+
+
+def identity_block(h, gain, eps=1e-6):
+    """h + rms_norm(h) of (N, 1, d) one-position sequences: self-attention
+    with identity weights, whose one key's softmax weight is exactly 1 and
+    whose query and key get exactly zero grad."""
+    eye = Tensor(np.eye(h.shape[-1], dtype=h.data.dtype))
+    return ops.attention(h, gain, None, eye, eye, eye, eye, 1, 1, False, 1e4, eps)
 
 
 class TestMatmul:
@@ -53,17 +73,17 @@ class TestMatmul:
     def test_batched_matches_per_slice(self):
         gen = np.random.default_rng(3)
         x = gen.standard_normal((2, 3, 4))
-        w = [Tensor(gen.standard_normal(shape)) for shape in [(4, 4), (4, 2), (4, 2), (4, 5)]]
-        block = lambda h: ops.attention(Tensor(h), Tensor(h), *w, 2, 1, True, 1e4)
+        w = [Tensor(gen.standard_normal(shape)) for shape in [(4, 4), (4, 2), (4, 2), (4, 4)]]
+        block = lambda h: ops.attention(Tensor(h), Tensor(np.ones(4)), None, *w, 2, 1, True, 1e4)
         got = block(x).data
-        assert got.shape == (2, 3, 5)
+        assert got.shape == (2, 3, 4)
         for i in range(2):
             np.testing.assert_allclose(got[i], block(x[i : i + 1]).data[0], rtol=1e-12, atol=1e-12)
 
     def test_shape_error_names_both_shapes(self):
         x, w = rand_tensor((1, 3, 8)), rand_tensor((8, 8))
         with pytest.raises(ShapeError) as e:
-            ops.attention(x, x, rand_tensor((3, 8)), w, w, w, 2, 2, False, 1e4)
+            ops.attention(x, rand_tensor(8), x, rand_tensor((3, 8)), w, w, w, 2, 2, False, 1e4)
         assert "(1, 3, 8)" in str(e.value) and "(3, 8)" in str(e.value)
 
     def test_four_d_a_matches_per_slice(self):
@@ -79,7 +99,7 @@ class TestMatmul:
     def test_batched_b_rejected(self):
         x, w = rand_tensor((2, 3, 4)), rand_tensor((4, 4))
         with pytest.raises(ShapeError) as e:
-            ops.attention(x, x, w, w, w, rand_tensor((4, 4, 5)), 2, 2, False, 1e4)
+            ops.attention(x, rand_tensor(4), x, w, w, w, rand_tensor((4, 4, 5)), 2, 2, False, 1e4)
         assert "(4, 4, 5)" in str(e.value)
 
 
@@ -229,6 +249,31 @@ def naive_memory_tokens(bank, rows, weights, gain, adapter=None, eps=1e-6):
     return out
 
 
+def held_rows_memory_tokens(bank, rows, weights, gain, adapter=None, eps=1e-6):
+    """ops.memory_tokens as a backward that holds the picked rows x0 computes
+    it: the reference its bank re-read must match bit for bit."""
+    rows, x0 = ops._take_rows(bank, rows, "memory_tokens")
+    d = bank.shape[1]
+    x = x0 if adapter is None else x0 + (x0.reshape(-1, d) @ adapter.data).reshape(x0.shape)
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    w = weights.data[:, :, None, None]
+    out = Tensor((gain.data * x * inv * w).reshape(rows.shape[0], -1, d))
+
+    def backward(g):
+        g = g.reshape(x.shape)
+        weights.accumulate_grad((g * (gain.data * x * inv)).sum(axis=2).sum(axis=2))
+        dx, dgain = ops._rmsnorm_grads(g * w, x, inv, gain.data)
+        gain.accumulate_grad(dgain)
+        if adapter is not None:
+            adapter.accumulate_grad(x0.reshape(-1, d).T @ dx.reshape(-1, d))
+        if bank.requires_grad:
+            if adapter is not None:
+                dx += (dx.reshape(-1, d) @ adapter.data.T).reshape(dx.shape)
+            ops._scatter_rows(bank, rows, dx)
+
+    return ops._record(out, [bank, weights, gain] + ([] if adapter is None else [adapter]), backward)
+
+
 class TestMemoryTokens:
     ROWS = np.array([[0, 3, 1], [0, 3, 4]])[:, :, None] * 2 + np.arange(2)  # 6 chapters of 2 rows; 2 and 5 unread
 
@@ -256,6 +301,43 @@ class TestMemoryTokens:
         np.testing.assert_array_equal(bank.grad[unread], before[unread])
         picked = np.setdiff1d(np.arange(12), unread)
         assert (bank.grad[picked] != before[picked]).all()
+
+    @pytest.mark.parametrize("adapter", [False, True])
+    @pytest.mark.parametrize("frozen_bank", [False, True])
+    def test_grads_equal_the_held_rows_version(self, adapter, frozen_bank):
+        # backward reads the picked rows from the bank again instead of
+        # holding them, bit for bit as a backward that held them
+        gen = np.random.default_rng(37)
+        init = [gen.standard_normal(shape) for shape in ((12, 4), (2, 3), (4,), (4, 4))]
+        up = gen.standard_normal((2, 6, 4))
+
+        def grads(op):
+            bank, weights, gain, a = (Tensor(x.copy(), requires_grad=True) for x in init)
+            bank.requires_grad = not frozen_bank
+            a = a if adapter else None
+            with Tape() as tape:
+                out = op(bank, self.ROWS, weights, gain, a)
+                tape.backward(weighted_sum(out, up))
+            return out.data, [t.grad for t in (bank, weights, gain, a) if t is not None]
+
+        got, want = grads(ops.memory_tokens), grads(held_rows_memory_tokens)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [None if g is None else g.tobytes() for g in got[1]] == [None if g is None else g.tobytes() for g in want[1]]
+        assert (got[1][0] is None) == frozen_bank
+
+    @pytest.mark.parametrize("adapter", [False, True])
+    def test_taped_call_holds_no_picked_rows(self, adapter):
+        # the output and the inverse RMS (the row ids are the caller's array),
+        # and the adapted rows with an adapter; holding the picked rows again
+        # takes it past the bound
+        bank = rand_tensor((4096, 64), 38, requires_grad=True)
+        weights, gain = rand_tensor((4, 6), 39, requires_grad=True), rand_tensor((64,), 40, requires_grad=True)
+        a = rand_tensor((64, 64), 41, scale=0.1, requires_grad=True) if adapter else None
+        rows = np.random.default_rng(42).integers(0, 4096, size=(4, 6, 32))
+        n = rows.size
+        kept = 8 * (n * 64 * (2 if adapter else 1) + n)
+        held = held_bytes(lambda: ops.memory_tokens(bank, rows, weights, gain, a))
+        assert kept <= held < kept + 4 * n * 64, (held, kept)
 
     def test_single_stays_single(self):
         bank, weights, gain, a = (Tensor(rand_tensor(shape, i).data, precision="single", requires_grad=True)
@@ -357,49 +439,50 @@ class TestRouterLosses:
 
 
 class TestRmsnorm:
+    """The norm both blocks open with, read as the output of
+    ``identity_block`` minus its residual h."""
+
     def test_scalar_oracle(self):
         x = np.array([[1.0, -2.0, 3.0]])
         gain = np.array([0.5, 1.0, 2.0])
         eps = 1e-6
         ms = sum(v * v for v in x[0]) / 3
         want = [v / math.sqrt(ms + eps) * g for v, g in zip(x[0], gain)]
-        got = ops.rmsnorm(Tensor(x), Tensor(gain), eps).data
+        got = identity_block(Tensor(x[:, None]), Tensor(gain), eps).data[:, 0] - x
         np.testing.assert_allclose(got[0], want, rtol=1e-14)
+        np.testing.assert_allclose(ops.rms_norm(x, gain, eps)[0][0], want, rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_unit_rms_with_unit_gain(self, seed):
-        x = rand_tensor((4, 6), seed, scale=3.0)
-        got = ops.rmsnorm(x, Tensor(np.ones(6))).data
+        x = rand_tensor((4, 1, 6), seed, scale=3.0)
+        got = identity_block(x, Tensor(np.ones(6))).data - x.data
         rms = np.sqrt((got**2).mean(-1))
-        np.testing.assert_allclose(rms, np.ones(4), rtol=1e-5)
+        np.testing.assert_allclose(rms, np.ones((4, 1)), rtol=1e-5)
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance_far_from_eps(self, s):
         # exact invariance is broken only by eps, negligible at rms >> 1
-        x = rand_tensor((2, 5), 1, scale=100.0)
+        x = rand_tensor((2, 1, 5), 1, scale=100.0)
         gain = Tensor(np.ones(5))
-        a = ops.rmsnorm(x, gain).data
-        b = ops.rmsnorm(Tensor(x.data * s), gain).data
+        a = identity_block(x, gain).data - x.data
+        b = identity_block(Tensor(x.data * s), gain).data - x.data * s
         np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-9)
-
 
     @pytest.mark.parametrize("precision, rtol", [("double", 1e-12), ("single", 2e-5)])
     def test_backward_matches_closed_form(self, precision, rtol):
-        # dx = gg * inv - x * inv^3 * sum(gg * x) / d, dgain = sum of g * x * inv,
-        # gg = g * gain; the op evaluates them in another order
+        # h's grad is the upstream g (the residual) plus the norm backward of
+        # g, which the identity weights pass through exactly; the op
+        # evaluates the closed form in another order
         gen = np.random.default_rng(3)
-        x = Tensor(gen.standard_normal((2, 5, 8)) * 2.0, precision, requires_grad=True)
+        x = Tensor(gen.standard_normal((10, 1, 8)) * 2.0, precision, requires_grad=True)
         gain = Tensor(gen.standard_normal(8), precision, requires_grad=True)
-        g = gen.standard_normal((2, 5, 8))
+        g = gen.standard_normal((10, 1, 8))
         with Tape() as tape:
-            tape.backward(weighted_sum(ops.rmsnorm(x, gain), g))
+            tape.backward(weighted_sum(identity_block(x, gain), g))
         xd, gd, wd = x.data.astype(np.float64), gain.data.astype(np.float64), g.astype(x.data.dtype).astype(np.float64)
-        inv = 1.0 / np.sqrt((xd * xd).mean(-1, keepdims=True) + 1e-6)
-        gg = wd * gd
-        want_dx = gg * inv - xd * inv**3 * (gg * xd).sum(-1, keepdims=True) / 8
-        np.testing.assert_allclose(x.grad, want_dx, rtol=rtol, atol=rtol * np.abs(want_dx).max())
-        want_dgain = (wd * xd * inv).reshape(-1, 8).sum(0)
+        want_dx, want_dgain = norm_backward(wd, xd, gd)
+        np.testing.assert_allclose(x.grad - wd, want_dx, rtol=rtol, atol=rtol * np.abs(want_dx).max())
         np.testing.assert_allclose(gain.grad, want_dgain, rtol=rtol, atol=rtol * np.abs(want_dgain).max())
 
 
@@ -408,56 +491,71 @@ class TestSwiglu:
         gen = np.random.default_rng(0)
         x = gen.standard_normal((2, 3))
         wu, wg, wd = gen.standard_normal((3, 4)), gen.standard_normal((3, 4)), gen.standard_normal((4, 3))
-        got = ops.swiglu(Tensor(x), Tensor(wu), Tensor(wg), Tensor(wd)).data
-        up, gate = x @ wu, x @ wg
+        gain = gen.standard_normal(3)
+        got = ops.swiglu(Tensor(x), Tensor(gain), Tensor(wu), Tensor(wg), Tensor(wd)).data - x
+        up, gate = normed(x, gain) @ wu, normed(x, gain) @ wg
         silu = gate / (1.0 + np.exp(-gate))
         want = (up * silu) @ wd
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("precision, rtol", [("double", 1e-13), ("single", 1e-6)])
     def test_silu_backward_matches_closed_form(self, precision, rtol):
-        # silu'(z) = s * (1 + z * (1 - s)), s = sigmoid(z), inside the swiglu backward
+        # silu'(z) = s * (1 + z * (1 - s)), s = sigmoid(z), inside the swiglu
+        # backward; h's grad is the residual's upstream plus the norm backward
         gen = np.random.default_rng(4)
         x = Tensor(gen.standard_normal((3, 5)) * 2.0, precision, requires_grad=True)
-        wu, wg, wd = (Tensor(gen.standard_normal(shape), precision, requires_grad=True) for shape in ((5, 7), (5, 7), (7, 4)))
-        g = gen.standard_normal((3, 4))
+        wu, wg, wd = (Tensor(gen.standard_normal(shape), precision, requires_grad=True) for shape in ((5, 7), (5, 7), (7, 5)))
+        g = gen.standard_normal((3, 5))
+        gain = Tensor(gen.standard_normal(5), precision, requires_grad=True)
         with Tape() as tape:
-            tape.backward(weighted_sum(ops.swiglu(x, wu, wg, wd), g))
-        xd, ud, gd, dd = (t.data.astype(np.float64) for t in (x, wu, wg, wd))
+            tape.backward(weighted_sum(ops.swiglu(x, gain, wu, wg, wd), g))
+        hd, nd, ud, gd, dd = (t.data.astype(np.float64) for t in (x, gain, wu, wg, wd))
+        xd = normed(hd, nd)
         upstream = g.astype(x.data.dtype).astype(np.float64)
         z, up = xd @ gd, xd @ ud
         sig = 1.0 / (1.0 + np.exp(-z))
         dh = upstream @ dd.T
         d_up, d_gate = dh * z * sig, dh * up * sig * (1.0 + z * (1.0 - sig))
-        want = [(x, d_gate @ gd.T + d_up @ ud.T), (wu, xd.T @ d_up), (wg, xd.T @ d_gate), (wd, (z * sig * up).T @ upstream)]
+        dx, dgain = norm_backward(d_gate @ gd.T + d_up @ ud.T, hd, nd)
+        want = [(x, upstream + dx), (gain, dgain), (wu, xd.T @ d_up), (wg, xd.T @ d_gate), (wd, (z * sig * up).T @ upstream)]
         for t, w in want:
             np.testing.assert_allclose(t.grad, w, rtol=rtol, atol=rtol * np.abs(w).max())
 
     def test_silu_fixture(self):
-        # gate = z and up = 1, so the output is silu(z)
-        x = Tensor(np.array([[0.0, 1.0], [100.0, 1.0], [-100.0, 1.0]]))
-        got = ops.swiglu(x, Tensor(np.array([[0.0], [1.0]])), Tensor(np.array([[1.0], [0.0]])), Tensor(np.ones((1, 1)))).data
+        # rows of one RMS and a gain that undoes its inverse: gate = z and
+        # up = 1, so the output is h + silu(z) in its first column
+        h = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+        inv = 1.0 / np.sqrt(2.0 / 3.0 + 1e-6)
+        gain = Tensor(np.array([100.0 / inv, 1.0, 1.0 / inv]))
+        w_up, w_gate = Tensor(np.array([[0.0], [0.0], [1.0]])), Tensor(np.array([[1.0], [0.0], [0.0]]))
+        got = ops.swiglu(Tensor(h), gain, w_up, w_gate, Tensor(np.array([[1.0, 0.0, 0.0]]))).data - h
         np.testing.assert_allclose(got[:, 0], [0.0, 100.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_one_tape_record_in_model_dtype(self, precision):
-        x, wu, wg, wd = (Tensor(rand_tensor(shape, i).data, precision, requires_grad=True)
-                         for i, shape in enumerate([(2, 3, 4), (4, 6), (4, 6), (6, 5)]))
+        x, gain, wu, wg, wd = (Tensor(rand_tensor(shape, i).data, precision, requires_grad=True)
+                               for i, shape in enumerate([(2, 3, 4), (4,), (4, 6), (4, 6), (6, 4)]))
         with Tape() as tape:
-            out = ops.swiglu(x, wu, wg, wd)
-            assert len(tape) == 1 and out.shape == (2, 3, 5) and out.data.dtype == x.data.dtype
+            out = ops.swiglu(x, gain, wu, wg, wd)
+            assert len(tape) == 1 and out.shape == (2, 3, 4) and out.data.dtype == x.data.dtype
             tape.backward(weighted_sum(out))
-        assert all(t.grad.dtype == x.data.dtype for t in (x, wu, wg, wd))
+        assert all(t.grad.dtype == x.data.dtype for t in (x, gain, wu, wg, wd))
 
     def test_shape_errors(self):
-        x, w = rand_tensor((2, 4)), rand_tensor((4, 6))
+        x, gain, w = rand_tensor((2, 4)), rand_tensor(4), rand_tensor((4, 6))
         with pytest.raises(ShapeError) as e:
-            ops.swiglu(x, w, rand_tensor((4, 5)), rand_tensor((6, 4)))
+            ops.swiglu(x, gain, w, rand_tensor((4, 5)), rand_tensor((6, 4)))
         assert "(4, 6)" in str(e.value) and "(4, 5)" in str(e.value)
         with pytest.raises(ShapeError):
-            ops.swiglu(x, w, w, rand_tensor((5, 4)))
+            ops.swiglu(x, gain, w, w, rand_tensor((5, 4)))
         with pytest.raises(ShapeError):
-            ops.swiglu(rand_tensor((4,)), w, w, rand_tensor((6, 4)))
+            ops.swiglu(rand_tensor((4,)), gain, w, w, rand_tensor((6, 4)))
+        with pytest.raises(ShapeError) as e:  # the residual needs an output as wide as h
+            ops.swiglu(x, gain, w, w, rand_tensor((6, 5)))
+        assert "(6, 5)" in str(e.value)
+        with pytest.raises(ShapeError) as e:
+            ops.swiglu(x, rand_tensor(3), w, w, rand_tensor((6, 4)))
+        assert "(3,)" in str(e.value)
 
 
 class TestRope:
@@ -510,7 +608,7 @@ class TestRope:
             ops.rope(np.zeros((1, 2, 3)), 1e4)
         x, w = rand_tensor((1, 2, 6)), Tensor(np.eye(6))  # two heads of d_h = 3
         with pytest.raises(ConfigError):
-            ops.attention(x, x, w, w, w, w, 2, 2, True, 1e4)
+            ops.attention(x, Tensor(np.ones(6)), None, w, w, w, w, 2, 2, True, 1e4)
 
 
 def naive_attention(q, k, v, n_heads, n_kv_heads, causal, theta):
@@ -540,12 +638,13 @@ def naive_block(x, kv, wq, wk, wv, wo, n_heads, n_kv_heads, causal, theta):
 
 
 def core_inputs(q, k, v):
-    """(x, kv, wq, wk, wv, wo) whose projections select exactly: x = q and
-    kv = [k, v], so ops.attention runs its core on q, k and v as given."""
+    """(h, gain, kv, wq, wk, wv, wo) whose projections select exactly: h = q
+    under a unit gain and kv = [k, v], so ops.attention adds q to its core
+    run on normed(q), k and v as given."""
     eye, zero = np.eye(k.shape[-1]), np.zeros((k.shape[-1],) * 2)
     kv = np.concatenate([k, v], axis=-1)
     w = [np.eye(q.shape[-1]), np.vstack([eye, zero]), np.vstack([zero, eye]), np.eye(q.shape[-1])]
-    return [Tensor(q), Tensor(kv)] + [Tensor(a) for a in w]
+    return [Tensor(q), Tensor(np.ones(q.shape[-1])), Tensor(kv)] + [Tensor(a) for a in w]
 
 
 class TestAttention:
@@ -556,14 +655,17 @@ class TestAttention:
         lq, lk = (6, 6) if causal else (3, 7)
         q = gen.standard_normal((2, lq, 4 * 4))
         k, v = gen.standard_normal((2, 2, lk, 4 // groups * 4))
-        got = ops.attention(*core_inputs(q, k, v), 4, 4 // groups, causal, 100.0).data
-        np.testing.assert_allclose(got, naive_attention(q, k, v, 4, 4 // groups, causal, 100.0), atol=1e-12)
+        got = ops.attention(*core_inputs(q, k, v), 4, 4 // groups, causal, 100.0).data - q
+        np.testing.assert_allclose(got, naive_attention(normed(q), k, v, 4, 4 // groups, causal, 100.0), atol=1e-12)
         # the whole block, self-attention when causal, over another width
         x = gen.standard_normal((2, lq, 12))
         kv = x if causal else gen.standard_normal((2, lk, 10))
         w = [gen.standard_normal(shape) * 0.3 for shape in [(12, 16), (kv.shape[2], 16 // groups), (kv.shape[2], 16 // groups), (16, 12)]]
-        got = ops.attention(Tensor(x), Tensor(kv), *map(Tensor, w), 4, 4 // groups, causal, 100.0).data
-        np.testing.assert_allclose(got, naive_block(x, kv, *w, 4, 4 // groups, causal, 100.0), atol=1e-12)
+        gain = gen.standard_normal(12)
+        got = ops.attention(Tensor(x), Tensor(gain), None if causal else Tensor(kv), *map(Tensor, w), 4, 4 // groups,
+                            causal, 100.0).data - x
+        xn = normed(x, gain)
+        np.testing.assert_allclose(got, naive_block(xn, xn if causal else kv, *w, 4, 4 // groups, causal, 100.0), atol=1e-12)
 
     @pytest.mark.parametrize("groups", (1, 2))
     def test_later_keys_and_values_leave_earlier_outputs_bit_identical(self, groups):
@@ -579,44 +681,102 @@ class TestAttention:
         # self-attention: later rows of x move later queries, keys and values
         x = gen.standard_normal((2, 8, 12))
         w = [Tensor(gen.standard_normal(shape)) for shape in [(12, 16), (12, 16 // groups), (12, 16 // groups), (16, 12)]]
-        base = ops.attention(Tensor(x), Tensor(x), *w, 4, 4 // groups, True, 1e4).data
+        gain = Tensor(np.linspace(0.5, 1.5, 12))
+        base = ops.attention(Tensor(x), gain, None, *w, 4, 4 // groups, True, 1e4).data
         x[:, 5:] += gen.standard_normal(x[:, 5:].shape)
-        moved = ops.attention(Tensor(x), Tensor(x), *w, 4, 4 // groups, True, 1e4).data
+        moved = ops.attention(Tensor(x), gain, None, *w, 4, 4 // groups, True, 1e4).data
         np.testing.assert_array_equal(moved[:, :5], base[:, :5])
         assert np.abs(moved[:, 5:] - base[:, 5:]).min() > 0.0
 
     @pytest.mark.parametrize("causal", (False, True))
     def test_single_stays_float32_with_one_tape_record(self, causal):
-        shapes = [(2, 4, 8), (2, 4, 6), (8, 8), (6, 4), (6, 4), (8, 8)]
-        x, kv, *w = (Tensor(rand_tensor(shape, i).data, precision="single", requires_grad=True)
-                     for i, shape in enumerate(shapes))
+        shapes = [(2, 4, 8), (8,), (2, 4, 6), (8, 8), (6, 4), (6, 4), (8, 8)]
+        x, gain, kv, *w = (Tensor(rand_tensor(shape, i).data, precision="single", requires_grad=True)
+                           for i, shape in enumerate(shapes))
         with Tape() as tape:
-            out = ops.attention(x, kv, *w, 2, 1, causal, 1e4)
+            out = ops.attention(x, gain, kv, *w, 2, 1, causal, 1e4)
             assert len(tape) == 1
             loss = weighted_sum(out, rand_tensor(out.shape, 3).data)
             tape.backward(loss)
         assert out.data.dtype == np.float32
-        assert all(t.grad.dtype == np.float32 for t in [x, kv] + w)
+        assert all(t.grad.dtype == np.float32 for t in [x, gain, kv] + w)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_causal_mask_is_cached_read_only(self, dtype):
+        mask = ops._causal_mask(7, np.dtype(dtype))
+        assert mask is ops._causal_mask(7, np.dtype(dtype)) and not mask.flags.writeable
+        assert mask.tobytes() == np.triu(np.full((7, 7), ops.MASK_VALUE, dtype=dtype), 1).tobytes()
 
     def test_shape_and_head_errors(self):
-        x, kv = rand_tensor((1, 3, 8)), rand_tensor((1, 5, 4))
+        x, gain, kv = rand_tensor((1, 3, 8)), rand_tensor(8), rand_tensor((1, 5, 4))
         wq, wkv, wo = rand_tensor((8, 8)), rand_tensor((4, 4)), rand_tensor((8, 8))
         with pytest.raises(ShapeError):
-            ops.attention(x, kv, wq, wkv, wkv, wo, 2, 1, True, 1e4)  # causal needs Lq == Lk
+            ops.attention(x, gain, kv, wq, wkv, wkv, wo, 2, 1, True, 1e4)  # causal needs Lq == Lk
         with pytest.raises(ShapeError):
-            ops.attention(x, rand_tensor((2, 5, 4)), wq, wkv, wkv, wo, 2, 1, False, 1e4)  # batch sizes differ
+            ops.attention(x, gain, rand_tensor((2, 5, 4)), wq, wkv, wkv, wo, 2, 1, False, 1e4)  # batch sizes differ
         with pytest.raises(ShapeError):
-            ops.attention(x, rand_tensor((1, 0, 4)), wq, wkv, wkv, wo, 2, 1, False, 1e4)
+            ops.attention(x, gain, rand_tensor((1, 0, 4)), wq, wkv, wkv, wo, 2, 1, False, 1e4)
         with pytest.raises(ConfigError):
-            ops.attention(x, kv, wq, wkv, wkv, wo, 2, 3, False, 1e4)
+            ops.attention(x, gain, kv, wq, wkv, wkv, wo, 2, 3, False, 1e4)
+        with pytest.raises(ShapeError):  # self-attention projects h itself, 8 wide
+            ops.attention(x, gain, None, wq, wkv, wkv, wo, 2, 1, True, 1e4)
+        with pytest.raises(ShapeError) as e:
+            ops.attention(x, rand_tensor(4), kv, wq, wkv, wkv, wo, 2, 1, False, 1e4)
+        assert "(4,)" in str(e.value)
         ok = [wq, wkv, wkv, wo]
-        for i, bad in enumerate([(6, 8), (4, 5), (5, 4), (7, 8)]):  # wq, wk, wv, wo in turn
+        for i, bad in enumerate([(6, 8), (4, 5), (5, 4), (7, 8), (8, 6)]):  # wq, wk, wv, wo and wo's width in turn
             w = list(ok)
-            w[i] = rand_tensor(bad)
+            w[min(i, 3)] = rand_tensor(bad)
             with pytest.raises(ShapeError) as e:
-                ops.attention(x, kv, *w, 2, 1, False, 1e4)
+                ops.attention(x, gain, kv, *w, 2, 1, False, 1e4)
             assert str(bad) in str(e.value)
-        ops.attention(x, kv, *ok, 2, 1, False, 1e4)
+        ops.attention(x, gain, kv, *ok, 2, 1, False, 1e4)
+
+
+def held_bytes(f):
+    """Bytes still allocated after a taped call of ``f``: what its record
+    keeps for the backward, plus the output. A first untaped call fills the
+    rope and mask caches."""
+    f()
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            f()
+            return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlocksHoldNoNormedInput:
+    """A taped block keeps h's inverse RMS instead of the normed input x, and
+    its output is h + block(x) with no second array before the residual add.
+    Each bound is the arrays the op's docstring lists, plus half a (rows, d)
+    array of slack: holding x or the pre-residual output again fails it."""
+
+    B, L, D, F = 4, 64, 96, 192  # 4 query heads over 2 KV heads of d_h = 24
+
+    def weights(self, *shapes):
+        return [rand_tensor(shape, i, scale=0.3, requires_grad=True) for i, shape in enumerate(shapes)]
+
+    def test_swiglu(self):
+        h, gain, wu, wg, wd = self.weights((self.B, self.L, self.D), (self.D,), (self.D, self.F), (self.D, self.F),
+                                           (self.F, self.D))
+        n = self.B * self.L
+        kept = 8 * (n * self.D + 2 * n * self.F + n)  # output, gate and up, inverse RMS
+        held = held_bytes(lambda: ops.swiglu(h, gain, wu, wg, wd))
+        assert kept <= held < kept + 4 * n * self.D, (held, kept)
+
+    @pytest.mark.parametrize("causal", (False, True))
+    def test_attention(self, causal):
+        lk = self.L if causal else 32
+        h, gain, kv, wq, wk, wv, wo = self.weights((self.B, self.L, self.D), (self.D,), (self.B, lk, self.D),
+                                                   (self.D, 96), (self.D, 48), (self.D, 48), (96, self.D))
+        n = self.B * self.L
+        # rotated Q and the merged heads, K and V, P, the output and the inverse RMS
+        kept = 8 * (2 * n * 96 + 2 * self.B * lk * 48 + self.B * 4 * self.L * lk + n * self.D + n)
+        held = held_bytes(lambda: ops.attention(h, gain, None if causal else kv, wq, wk, wv, wo, 4, 2, causal, 1e4))
+        assert kept <= held < kept + 4 * n * self.D, (held, kept)
 
 
 def ce_oracle(logits, targets):
@@ -792,21 +952,26 @@ class TestTopk:
 class TestTapeBasics:
     def test_backward_accumulates_through_shared_input(self):
         x = rand_tensor((2, 2), 20, requires_grad=True)
+        gain = np.array([0.7, 1.3])
         with Tape() as tape:
-            y = ops.add(ops.swiglu(x, x, x, Tensor(np.eye(2))), x)  # silu(x @ x) * (x @ x) + x
+            y = ops.swiglu(x, Tensor(gain), x, x, Tensor(np.eye(2)))  # x + silu(xn @ x) * (xn @ x), xn = normed(x)
             loss = weighted_sum(y)
             tape.backward(loss)
-        z = x.data @ x.data
+        xn = normed(x.data, gain)
+        z = xn @ x.data
         s = 1.0 / (1.0 + np.exp(-z))
         dz = z * s + z * s * (1.0 + z * (1.0 - s))  # d_up + d_gate, with up = gate = z
-        np.testing.assert_allclose(x.grad, dz @ x.data.T + x.data.T @ dz + np.ones((2, 2)), rtol=1e-14)
+        want = np.ones((2, 2)) + xn.T @ dz + norm_backward(dz @ x.data.T, x.data, gain)[0]
+        np.testing.assert_allclose(x.grad, want, rtol=1e-13)
 
     def test_raw_operands_rejected(self):
         x = Tensor(np.ones(3), precision="single")
         with pytest.raises(TypeError):
             ops.add(x, 1.0)
         with pytest.raises(TypeError):
-            ops.rmsnorm(x, np.ones(3))
+            ops.swiglu(Tensor(np.ones((1, 3))), np.ones(3), x, x, x)
+        with pytest.raises(TypeError):
+            ops.attention(Tensor(np.ones((1, 1, 3))), x, np.ones((1, 1, 3)), x, x, x, x, 1, 1, False, 1e4)
 
     def test_no_tape_no_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -921,25 +1086,30 @@ class TestConsumingBackward:
         np.testing.assert_array_equal(y0.grad, w.data)
 
     def test_one_tensor_feeding_two_matmuls(self):
-        # self-attention passes x as both the queries and the keys/values: its
-        # grad is summed as dV wv^T + dK wk^T, then + dQ wq^T, so it is
-        # bit-identical to a separate kv's grad plus the queries' grad
+        # self-attention (kv=None) feeds the normed x to the queries and to the
+        # keys/values: every weight's grad is bit-identical to a cross block's
+        # whose kv holds x's bits, and x's grad, dV wv^T + dK wk^T + dQ wq^T,
+        # reaches h through one norm backward (linear in it)
         gen = np.random.default_rng(5)
-        w = [rand_tensor(shape, 6 + i, requires_grad=True) for i, shape in enumerate([(4, 4), (4, 2), (4, 2), (4, 5)])]
-        dy = gen.standard_normal((2, 3, 5))
+        w = [rand_tensor(shape, 6 + i, requires_grad=True) for i, shape in enumerate([(4, 4), (4, 2), (4, 2), (4, 4)])]
+        gain = Tensor(np.linspace(0.5, 1.5, 4))
+        dy = gen.standard_normal((2, 3, 4))
 
         def grads(same):
-            x0, kv0 = rand_tensor((2, 3, 4), 5, requires_grad=True), rand_tensor((2, 3, 4), 5, requires_grad=True)
+            h = rand_tensor((2, 3, 4), 5, requires_grad=True)
+            kv = None if same else Tensor(ops.rms_norm(h.data, gain.data, 1e-6)[0], requires_grad=True)
             for t in w:
                 t.grad = None
             with Tape() as tape:
-                x = ops.scale(x0, 0.5)
-                kv = x if same else ops.scale(kv0, 0.5)
-                tape.backward(weighted_sum(ops.attention(x, kv, *w, 2, 1, True, 1e4), dy))
-            return [x0.grad if same else x0.grad + kv0.grad] + [t.grad for t in w]
+                tape.backward(weighted_sum(ops.attention(h, gain, kv, *w, 2, 1, True, 1e4), dy))
+            return h, kv, [t.grad for t in w]
 
-        for got, want in zip(grads(True), grads(False)):
-            np.testing.assert_array_equal(got, want)
+        h_self, _, got = grads(True)
+        h_cross, kv, want = grads(False)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        kv_term = norm_backward(kv.grad, h_self.data, gain.data)[0]
+        np.testing.assert_allclose(h_self.grad, h_cross.grad + kv_term, rtol=1e-12, atol=1e-14)
 
     def test_reshape_chain(self):
         # no taped reshape or slice is left: the head slices and flattens its

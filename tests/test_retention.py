@@ -372,6 +372,17 @@ class TestProtocol:
         # the last eval row is measured on the final model over the same eval batches
         assert frozen.fact_loss_a == res.eval_rows()[-1].lm_loss
 
+    @pytest.mark.parametrize("steps_a, evals", [(6, 3), (0, 5)])
+    def test_phase_a_fact_loss_is_its_last_eval_row(self, monkeypatch, steps_a, evals):
+        # train() evaluates at its last step, so the protocol evaluates phase
+        # A itself only when phase A runs no step; phase B's three variants
+        # are always evaluated
+        calls, real = [], retention._eval_losses
+        monkeypatch.setattr(retention, "_eval_losses", lambda *args: calls.append(args) or real(*args))
+        report = run_retention_protocol(replace(self.SMALL, phase_a=tiny_train_cfg(steps_a, seq_len=16)))
+        assert len(calls) == evals
+        assert not any(r.failed for r in report.variants.values())
+
     def test_phase_a_abort_fails_its_whole_group(self, monkeypatch):
         trained = []
 
