@@ -29,6 +29,11 @@ MASK_VALUE = -1e30
 # largest head temporary.
 CE_CHUNK_ROWS = 256
 
+# Bytes of attention probabilities P per tile of ``attention``'s core: a tile
+# is as many whole sequences as fit (at least one). An op of more than one
+# tile keeps each query row's max and sum and recomputes P in backward.
+ATTN_TILE_BYTES = 1 << 20
+
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -155,7 +160,11 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> tuple[np.ndarray, n
     over the last dimension, untaped: the forward of every RMSNorm (both
     blocks, the memory tokens, the LM head and decoding). Its backward is
     ``_rmsnorm_grads``."""
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    inv = np.add.reduce(x * x, axis=-1, keepdims=True)
+    np.true_divide(inv, np.intp(x.shape[-1]), out=inv, casting="unsafe")  # the mean, as ndarray.mean divides
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     return _normed(x, gain, inv), inv
 
 
@@ -219,8 +228,11 @@ def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
     x2 = x2.reshape(-1, d)
     gate, up = x2 @ w_gate.data, x2 @ w_up.data
 
-    def hidden():  # s, silu(gate) and a, by the same ops every time
-        sig = 1.0 / (1.0 + np.exp(-gate))
+    def hidden():  # s, silu(gate) and a, by the same ops every time; s = 1 / (1 + exp(-gate)) in one buffer
+        sig = np.negative(gate)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
         act = gate * sig
         return sig, act, act * up
 
@@ -234,14 +246,17 @@ def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
         g2 = g.reshape(-1, d)
         if w_down.requires_grad:
             w_down.accumulate_grad(a.T @ g2)
-        da = g2 @ w_down.data.T
+        da = np.matmul(g2, w_down.data.T, out=a)  # a's buffer, read for the last time above
+        del a
         d_up = np.multiply(da, act, out=act)
         da *= up
-        d_gate = np.subtract(1.0, sig, out=a)  # a's buffer, filled in place
+        d_gate = np.subtract(1.0, sig, out=up)  # up's buffer, read for the last time above
         d_gate *= gate
         d_gate += 1.0
         d_gate *= sig
+        del sig
         d_gate *= da
+        del da
         if w_up.requires_grad or w_gate.requires_grad:
             x = _normed(h.data, gain.data, inv).reshape(-1, d)  # rebuilt, not held
             for w, dw in ((w_up, d_up), (w_gate, d_gate)):
@@ -302,6 +317,37 @@ def _causal_mask(length: int, dtype: np.dtype) -> np.ndarray:
     return mask
 
 
+def _scores(q: np.ndarray, k: np.ndarray, scale_: float, mask: np.ndarray | None) -> np.ndarray:
+    """The scaled, masked scores q k^T (..., g*Lq, Lk) of rotated queries
+    against keys; ``mask`` is the (Lq, Lq) causal mask or None."""
+    s = (q @ k.swapaxes(-1, -2)) * scale_
+    if mask is not None:
+        s.reshape(*s.shape[:2], -1, *mask.shape)[...] += mask
+    return s
+
+
+def _softmax_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn scores into P in place, row by row; returns each row's max and
+    its sum of exp(s - max), from which exp(s - max) / sum rebuilds P."""
+    row_max = s.max(axis=-1, keepdims=True)
+    s -= row_max
+    np.exp(s, out=s)
+    row_sum = s.sum(axis=-1, keepdims=True)
+    s /= row_sum
+    return row_max, row_sum
+
+
+def _core_grads(p: np.ndarray, do: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                scale_: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dQ, dK, dV) of P V, P = softmax(scale * q k^T), from P and the heads'
+    grad dO: dS = P * (dP - sum(dP * P)) with dP = dO V^T, dQ = dS K * scale,
+    dK = dS^T Q * scale and dV = P^T dO."""
+    ds = do @ v.swapaxes(-1, -2)  # dP
+    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds *= p
+    return (ds @ k) * scale_, (ds.swapaxes(-1, -2) @ q) * scale_, p.swapaxes(-1, -2) @ do
+
+
 def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float,
               eps: float = 1e-6) -> Tensor:
     """One pre-norm grouped-query attention block, h + attn(x, kv) with
@@ -317,10 +363,15 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
     product, so K/V are never expanded. ``causal`` rotates Q and K by
     ``rope`` and masks every key after the query position (Lq == Lk).
 
-    Backward keeps the heads H, P, the rotated Q, K and V and h's inverse
-    RMS, and rebuilds x from h: dwo = H^T dO and dH = dO wo^T;
-    dV = P^T dH, dS = P * (dP - sum(dP * P)) with dP = dH V^T, dQ = dS K,
-    dK = dS^T Q, then scaled and un-rotated; dwq = x^T dQ, dwk = kv^T dK,
+    The core (scores, scale, mask, softmax and P V) runs in tiles of whole
+    sequences, as many as fit ATTN_TILE_BYTES of P and at least one, so
+    each product and each row reduction is the one an untiled call makes,
+    bit for bit. Backward keeps the heads H, the rotated Q, K and V and h's
+    inverse RMS, and P when the op fits one tile; otherwise each query row's
+    max and sum, from which it recomputes each tile's P. It rebuilds x from
+    h: dwo = H^T dO and dH = dO wo^T; per tile, dV = P^T dH,
+    dS = P * (dP - sum(dP * P)) with dP = dH V^T, dQ = dS K and dK = dS^T Q,
+    then scaled and un-rotated; dwq = x^T dQ, dwk = kv^T dK,
     dwv = kv^T dV. The input grads are dkv = dV wv^T + dK wk^T and
     dx = dQ wq^T, summed in that order into one array for self-attention;
     dx goes through the norm backward to the gain and to h, after h's
@@ -352,13 +403,23 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
         qh, kh = rope(qh, rope_theta), rope(kh, rope_theta)
     qh = qh.reshape(b, n_kv_heads, g * lq, d_h)
     scale_ = d_h**-0.5  # a Python float: an np.float64 would promote float32 scores
-    p = (qh @ kh.swapaxes(-1, -2)) * scale_  # scores, (B,hkv,g*Lq,Lk)
-    if causal:
-        p.reshape(b, n_kv_heads, g, lq, lk)[...] += _causal_mask(lq, p.dtype)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    heads = q_cols(p @ vh)  # (B*Lq, n_heads*dh)
+    mask = _causal_mask(lq, qh.dtype) if causal else None
+    per_tile = max(1, ATTN_TILE_BYTES // (n_heads * lq * lk * qh.itemsize))  # whole sequences per tile
+    if per_tile >= b:  # one tile: P is held and nothing else is allocated
+        p = _scores(qh, kh, scale_, mask)
+        _softmax_rows(p)
+        heads = q_cols(p @ vh)  # (B*Lq, n_heads*dh)
+    else:
+        p, tiles = None, [slice(t, t + per_tile) for t in range(0, b, per_tile)]
+        row_max, row_sum = np.empty((2, b, n_kv_heads, g * lq, 1), qh.dtype)
+        pv = np.empty(qh.shape, qh.dtype)
+        for t in tiles:
+            s = _scores(qh[t], kh[t], scale_, mask)
+            row_max[t], row_sum[t] = _softmax_rows(s)
+            np.matmul(s, vh[t], out=pv[t])
+            del s
+        heads = q_cols(pv)
+        del pv
     o = heads @ wo.data
     o += h.data.reshape(-1, d)
     out = Tensor(o.reshape(h.shape))
@@ -369,14 +430,22 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
         if wo.requires_grad:
             wo.accumulate_grad(heads.T @ g2)
         do = q_rows(g2 @ wo.data.T).reshape(qh.shape)
-        ds = do @ vh.swapaxes(-1, -2)  # dP
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        dq = ((ds @ kh) * scale_).reshape(b, n_kv_heads, g, lq, d_h)
+        if p is not None:
+            dq, dk, dv = _core_grads(p, do, qh, kh, vh, scale_)
+        else:
+            dq, dk, dv = (np.empty(a.shape, a.dtype) for a in (qh, kh, vh))
+            for t in tiles:  # each tile's P again, exp(S - row max) / row sum: the forward's bits
+                s = _scores(qh[t], kh[t], scale_, mask)
+                s -= row_max[t]
+                np.exp(s, out=s)
+                s /= row_sum[t]
+                dq[t], dk[t], dv[t] = _core_grads(s, do[t], qh[t], kh[t], vh[t], scale_)
+                del s
+        del do
+        dq = dq.reshape(b, n_kv_heads, g, lq, d_h)
         dq = q_cols(rope(dq, rope_theta, inverse=True) if causal else dq)
-        dk = (ds.swapaxes(-1, -2) @ qh) * scale_
         dk = kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk)
-        dv = kv_cols(p.swapaxes(-1, -2) @ do)
+        dv = kv_cols(dv)
         x = None
         if wq.requires_grad or kv is None and (wk.requires_grad or wv.requires_grad):
             x = _normed(h.data, gain.data, inv).reshape(-1, d)  # rebuilt, not held

@@ -176,20 +176,33 @@ def test_rope(seed):
 @pytest.mark.parametrize("groups", (1, 2))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_attention(seed, groups, causal):
-    # 4 query heads of d_h = 4 over 4 // groups KV heads, through every
-    # input: causal self-attention passes no kv, cross-attention reads a kv
-    # of another length and width
+    check(*attention_case(seed, groups, causal, 2))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("causal", (False, True))
+def test_attention_in_tiles(seed, causal, monkeypatch):
+    # P is 512 B a sequence when causal and 480 B across 5 keys: 5 sequences
+    # run in tiles of 2, 2 and 1, and backward recomputes each tile's P
+    monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 1024)
+    check(*attention_case(seed, 2, causal, 5))
+
+
+def attention_case(seed, groups, causal, batch):
+    """(f, params) of an attention block of 4 query heads of d_h = 4 over
+    4 // groups KV heads, through every input: causal self-attention passes
+    no kv, cross-attention reads a kv of another length and width."""
     lq, lk, d_kv = (4, 4, 8) if causal else (3, 5, 6)
-    x = make_param((2, lq, 8), seed)
+    x = make_param((batch, lq, 8), seed)
     gain = make_param((8,), seed + 6)
-    kv = None if causal else make_param((2, lk, d_kv), seed + 1)
+    kv = None if causal else make_param((batch, lk, d_kv), seed + 1)
     wq = make_param((8, 16), seed + 2)
     wk, wv = make_param((d_kv, 16 // groups), seed + 3), make_param((d_kv, 16 // groups), seed + 4)
     wo = make_param((16, 8), seed + 5)
-    w = np.random.default_rng(seed + 50).standard_normal((2, lq, 8))
+    w = np.random.default_rng(seed + 50).standard_normal((batch, lq, 8))
     params = [x, gain, wq, wk, wv, wo] + ([] if causal else [kv])
     f = lambda: weighted_sum(ops.attention(x, gain, kv, wq, wk, wv, wo, 4, 4 // groups, causal, 100.0), w / w.size)
-    check(f, params)
+    return f, params
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -747,6 +747,24 @@ class TestModelForward:
         assert peak <= 1.25 * held, f"backward peak {peak} B is {peak / held:.2f}x the {held} B the forward holds"
         assert len(tape) == 0
 
+    def test_train_mem_taped_forward_holds_at_most_72_mib(self):
+        # the benchmark's train-mem model at (8, 128): its self-attention runs
+        # in 2 tiles and its memory read in 8, so no op holds P. It holds
+        # 70.9 MiB; holding every P again takes it to 87.7.
+        cfg = replace(preset("micro"), d_model=256, n_heads=4, n_kv_heads=2, d_ff=768, vocab=4096, chapters=257,
+                      chapter_size=32, bank_tokens=257 * 32, shared_chapters=1, top_k=8, mem_heads=4,
+                      max_seq_len=128)
+        model = build_model(cfg, RngState(1))
+        tokens = np.random.default_rng(1).integers(0, cfg.vocab, (8, 128))
+        tracemalloc.start()
+        try:
+            with Tape():
+                model_forward(model, tokens, tokens)
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 72 * 2**20, f"a taped forward holds {held / 2**20:.1f} MiB"
+
     def test_full_model_grad_check_sampled(self):
         model = micro_double(7)
         tokens = np.random.default_rng(6).integers(0, 256, (2, 8))

@@ -701,6 +701,34 @@ class TestAttention:
         assert out.data.dtype == np.float32
         assert all(t.grad.dtype == np.float32 for t in [x, gain, kv] + w)
 
+    @pytest.mark.parametrize("precision", ("double", "single"))
+    @pytest.mark.parametrize("causal", (False, True))
+    def test_tiles_are_bit_equal_to_one_tile(self, causal, precision, monkeypatch):
+        # 4 query heads over 2 KV heads; 7 sequences in tiles of 3, 3 and 1
+        b, lq, lk = 7, 6, 6 if causal else 9
+        shapes = [(b, lq, 12), (12,), (b, lk, 10), (12, 16), (12 if causal else 10, 8), (12 if causal else 10, 8),
+                  (16, 12)]
+
+        def run():
+            h, gain, kv, *w = (Tensor(rand_tensor(shape, i, scale=0.5).data, precision=precision, requires_grad=True)
+                               for i, shape in enumerate(shapes))
+            with Tape() as tape:
+                out = ops.attention(h, gain, None if causal else kv, *w, 4, 2, causal, 1e4)
+                tape.backward(weighted_sum(out, rand_tensor(out.shape, 9).data))
+            return [out.data] + [t.grad for t in [h, gain] + ([] if causal else [kv]) + w]
+
+        tiles, scores = [], ops._scores
+        monkeypatch.setattr(ops, "_scores", lambda q, *rest: tiles.append(len(q)) or scores(q, *rest))
+        one = run()
+        assert tiles == [b]  # the backward reads the held P
+        per_seq = 4 * lq * lk * one[0].itemsize
+        monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 3 * per_seq + per_seq // 2)
+        tiles.clear()
+        tiled = run()
+        assert tiles == [3, 3, 1] * 2  # the forward's tiles, then the backward recomputes each P
+        for want, got in zip(one, tiled, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_causal_mask_is_cached_read_only(self, dtype):
         mask = ops._causal_mask(7, np.dtype(dtype))
@@ -767,16 +795,31 @@ class TestBlocksHoldNoNormedInput:
         held = held_bytes(lambda: ops.swiglu(h, gain, wu, wg, wd))
         assert kept <= held < kept + 4 * n * self.D, (held, kept)
 
-    @pytest.mark.parametrize("causal", (False, True))
-    def test_attention(self, causal):
+    def attention_held(self, causal):
+        """(bytes a taped attention block holds, the bytes its rotated Q and
+        merged heads, K and V, output and inverse RMS take, Lk)."""
         lk = self.L if causal else 32
         h, gain, kv, wq, wk, wv, wo = self.weights((self.B, self.L, self.D), (self.D,), (self.B, lk, self.D),
                                                    (self.D, 96), (self.D, 48), (self.D, 48), (96, self.D))
         n = self.B * self.L
-        # rotated Q and the merged heads, K and V, P, the output and the inverse RMS
-        kept = 8 * (2 * n * 96 + 2 * self.B * lk * 48 + self.B * 4 * self.L * lk + n * self.D + n)
         held = held_bytes(lambda: ops.attention(h, gain, None if causal else kv, wq, wk, wv, wo, 4, 2, causal, 1e4))
-        assert kept <= held < kept + 4 * n * self.D, (held, kept)
+        return held, 8 * (2 * n * 96 + 2 * self.B * lk * 48 + n * self.D + n), lk
+
+    @pytest.mark.parametrize("causal", (False, True))
+    def test_attention(self, causal):
+        held, kept, lk = self.attention_held(causal)
+        kept += 8 * self.B * 4 * self.L * lk  # and P, as the op fits one tile
+        assert kept <= held < kept + 4 * self.B * self.L * self.D, (held, kept)
+
+    @pytest.mark.parametrize("causal", (False, True))
+    def test_attention_in_tiles(self, causal, monkeypatch):
+        # P is 128 KiB a sequence when causal, 64 KiB across 32 keys: tiles of
+        # one sequence and of 3 and 1. Each query row keeps its max and sum
+        # instead of P, so holding P again fails.
+        monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 3 << 16)
+        held, kept, _ = self.attention_held(causal)
+        kept += 8 * 2 * self.B * 4 * self.L  # the two row statistics
+        assert kept <= held < kept + 4 * self.B * self.L * self.D, (held, kept)
 
 
 def ce_oracle(logits, targets):

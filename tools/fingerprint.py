@@ -26,7 +26,11 @@ two per-seed CSVs and ``retention.mean.csv`` of the same command at
 ``chapterbank train --config`` runs at ``lr_base`` 1e30 that exit 1: one
 diverges at its step-2 eval point and saves the step-1 checkpoint, the
 other diverges at step 2, before its first eval point, and saves the
-step-0 checkpoint, whose optimizer moments are all zero.
+step-0 checkpoint, whose optimizer moments are all zero. The last line is
+a model case in single precision at the benchmark's train-mem shape
+(``bench/workloads.mid_config()`` at B=8, L=128), where the core of every
+self-attention and memory read runs in several tiles
+(``ops.ATTN_TILE_BYTES``).
 """
 
 from __future__ import annotations
@@ -43,18 +47,21 @@ from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")  # one BLAS thread: the same summation order on every run
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 import numpy as np  # noqa: E402
 
 from chapterbank import ops  # noqa: E402
 from chapterbank.checkpoint import checkpoint_from, model_from_checkpoint, save_checkpoint  # noqa: E402
 from chapterbank.cli import main as cli_main  # noqa: E402
-from chapterbank.config import preset  # noqa: E402
+from chapterbank.config import ModelConfig, preset  # noqa: E402
 from chapterbank.model import build_model, model_forward  # noqa: E402
 from chapterbank.schedule import cosine  # noqa: E402
 from chapterbank.tensor import RngState, Tape  # noqa: E402
 from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train  # noqa: E402
+from workloads import BATCH, SEQ_LEN, mid_config  # noqa: E402
 
 MID = dict(d_model=96, n_heads=4, n_kv_heads=2, d_ff=192, vocab=700, max_seq_len=128)
 SHAPES = {"micro": ({}, (3, 13)), "mid": (MID, (3, 100))}
@@ -66,9 +73,7 @@ VARIANTS = {
 }
 
 
-def case_digest(precision: str, variant: str, shape_name: str) -> str:
-    overrides, shape = SHAPES[shape_name]
-    cfg = replace(preset("micro"), **overrides, **VARIANTS[variant])
+def case_digest(precision: str, cfg: ModelConfig, shape: tuple[int, int]) -> str:
     model = build_model(cfg, RngState(14), precision)
     gen = np.random.default_rng(14)
     if cfg.adapter_enabled:  # adapters start at zero, which would hide their path
@@ -180,7 +185,9 @@ def main() -> None:
     for precision in ("single", "double"):
         for variant in VARIANTS:
             for shape_name in SHAPES:
-                print(case_digest(precision, variant, shape_name), f"{precision}/{variant}/{shape_name}")
+                overrides, shape = SHAPES[shape_name]
+                cfg = replace(preset("micro"), **overrides, **VARIANTS[variant])
+                print(case_digest(precision, cfg, shape), f"{precision}/{variant}/{shape_name}")
     for line, name in train_digests():
         print(line, name)
     print(grad_accum_digest(), "train-micro-12-accum-2/metrics.csv")
@@ -190,6 +197,7 @@ def main() -> None:
           "retention-micro-20-16-seeds-2/retention.seed1+seed2+mean.csv")
     print(abort_digest(4, 16, 1), "train-micro-lr-1e30-eval-every-1/config.resolved+last.ckpt")
     print(abort_digest(12, 32, 10), "train-micro-lr-1e30-eval-every-10/config.resolved+last.ckpt")
+    print(case_digest("single", mid_config(), (BATCH, SEQ_LEN)), "single/tied/train-mem")
 
 
 if __name__ == "__main__":
