@@ -9,11 +9,15 @@ frozen parameter element (the m and v buffers) and backward skips them.
 The optimizer adopts its trainable parameters into flat segments, one
 per (dtype, group, decay) class, in the style of ZeRO's flat parameter
 groups (Rajbhandari et al. 2020, arXiv 1910.02054): each segment holds
-one contiguous data, grad, m and v buffer, and every parameter's
-``value.data``, ``value.grad`` and moments are views into them. Only
-this module knows the layout; everything else keeps writing through
-the views in place. The gradient norm and the clip run over the same
-segments.
+one contiguous data, m and v buffer, and every parameter's ``data`` and
+moments are views into them. Gradients are not adopted: a parameter holds
+its own from the backward that reaches it, and the gradient norm, the
+clip and the step read it through the parameter, ``BLOCK`` elements of a
+segment at a time, as a view when one parameter holds the whole block
+and assembled into scratch when the block spans several. A parameter with
+no gradient counts as zeros, and the step consumes every gradient it
+applies. Only this module knows the layout; everything else keeps writing
+through the views in place.
 """
 
 from __future__ import annotations
@@ -51,16 +55,54 @@ class AdamWConfig(Config):
 
 @dataclass(frozen=True)
 class Segment:
-    """The flat buffers of one (dtype, group, decay) class; ``names`` lists
-    its parameters in the order they sit in the buffers."""
+    """The flat data and moment buffers of one (dtype, group, decay) class;
+    ``names`` lists its parameters in the order they sit in the buffers, and
+    ``blocks`` lists, per ``BLOCK`` elements of the buffers, the
+    (parameter, start, stop) ranges of flat parameter elements it covers."""
 
     group: str
     decay: bool
     names: tuple[str, ...]
     data: np.ndarray
-    grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    blocks: tuple[tuple[tuple[Parameter, int, int], ...], ...]
+
+
+def _block_ranges(params: list[Parameter]) -> tuple[tuple[tuple[Parameter, int, int], ...], ...]:
+    """``Segment.blocks`` for parameters laid out back to back."""
+    blocks, pieces, filled = [], [], 0
+    for p in params:
+        start = 0
+        while start < p.size:
+            stop = min(p.size, start + BLOCK - filled)
+            pieces.append((p, start, stop))
+            filled += stop - start
+            start = stop
+            if filled == BLOCK:
+                blocks.append(tuple(pieces))
+                pieces, filled = [], 0
+    if pieces:
+        blocks.append(tuple(pieces))
+    return tuple(blocks)
+
+
+def _grad_pieces(pieces: tuple[tuple[Parameter, int, int], ...]) -> list[np.ndarray]:
+    """Flat views of the parameter grads one segment block covers; a
+    parameter with no grad gives zeros, without storage."""
+    return [np.broadcast_to(np.zeros((), p.data.dtype), (stop - start,)) if p.grad is None
+            else p.grad.reshape(-1)[start:stop] for p, start, stop in pieces]
+
+
+def _concat_grads(grads: list[np.ndarray], scratch: np.ndarray) -> np.ndarray:
+    return np.concatenate(grads, out=scratch[: sum(g.size for g in grads)])
+
+
+def _block_grad(pieces: tuple[tuple[Parameter, int, int], ...], scratch: np.ndarray) -> np.ndarray:
+    """The gradient of one segment block: a view of the one parameter that
+    holds it, or its pieces concatenated into the head of ``scratch``."""
+    grads = _grad_pieces(pieces)
+    return grads[0] if len(grads) == 1 else _concat_grads(grads, scratch)
 
 
 class AdamW:
@@ -71,14 +113,15 @@ class AdamW:
     correction.
 
     Building the optimizer sets ``requires_grad`` on every parameter it is
-    given. It copies each trainable parameter's data and grad (zeros if it
-    has none) into its segment and rebinds them to views, so a
-    ``Parameter`` belongs to the last optimizer built over it. Frozen
-    parameters are not adopted: their grad is dropped and ops skip them in
-    backward. The update runs in place over each segment in blocks of
-    ``BLOCK`` elements; per dtype, two scratch buffers of one block (or
-    the largest segment, when smaller) live for one ``step`` and hold
-    every temporary of the update in turn.
+    given. It copies each trainable parameter's data into its segment and
+    rebinds it to a view, so a ``Parameter`` belongs to the last optimizer
+    built over it; a grad stays with its parameter. Frozen parameters are
+    not adopted: their grad is dropped and ops skip them in backward. The
+    update runs in place over each segment in blocks of ``BLOCK``
+    elements; per dtype, two scratch buffers of one block (or the largest
+    segment, when smaller) live for one ``step`` and hold every temporary
+    of the update in turn, the block's assembled gradient included. The
+    step ends by dropping every trainable grad: a gradient is applied once.
     """
 
     def __init__(
@@ -110,18 +153,17 @@ class AdamW:
 
     def _adopt(self, names: list[str], dtype: np.dtype, group: str, decay: bool) -> Segment:
         """Copy the named parameters into fresh flat buffers and rebind
-        their data, grad and moments to views of them."""
-        n = sum(self.params[name].size for name in names)
-        seg = Segment(group, decay, tuple(names), np.empty(n, dtype), np.empty(n, dtype),
-                      np.zeros(n, dtype), np.zeros(n, dtype))
+        their data and moments to views of them."""
+        params = [self.params[name] for name in names]
+        n = sum(p.size for p in params)
+        seg = Segment(group, decay, tuple(names), np.empty(n, dtype), np.zeros(n, dtype), np.zeros(n, dtype),
+                      _block_ranges(params))
         start = 0
-        for name in names:
-            p = self.params[name]
+        for name, p in zip(names, params):
             stop = start + p.size
-            data, grad, m, v = (flat[start:stop].reshape(p.shape) for flat in (seg.data, seg.grad, seg.m, seg.v))
+            data, m, v = (flat[start:stop].reshape(p.shape) for flat in (seg.data, seg.m, seg.v))
             data[...] = p.data
-            grad[...] = 0 if p.grad is None else p.grad
-            p.data, p.grad = data, grad
+            p.data = data
             self.state[name] = {"m": m, "v": v}
             start = stop
         return seg
@@ -152,15 +194,13 @@ class AdamW:
         """Raise NumericError naming the first trainable parameter, in
         parameter order, whose grad is not finite."""
         for name, p in self.trainable():
-            if not np.isfinite(p.grad).all():
+            if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericError(f"non-finite gradient in {name}; step aborted")
         raise NumericError("gradient sum of squares overflows float64; step aborted")
 
     def step(self, group_lrs: Mapping[str, float], t: int) -> None:
         if t < 1:
             raise ConfigError(f"bias correction needs step >= 1, got {t}")
-        if not all(np.isfinite(seg.grad).all() for seg in self.segments):
-            self.raise_non_finite()
         b1, b2 = self.cfg.betas
         c1, c2, eps, wd = 1.0 - b1, 1.0 - b2, self.cfg.eps, self.cfg.weight_decay
         inv1 = 1.0 / (1.0 - b1**t)
@@ -170,12 +210,18 @@ class AdamW:
         for seg in self.segments:
             width[seg.data.dtype] = max(width.get(seg.data.dtype, 0), min(BLOCK, seg.data.size))
         scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in width.items()}
+        # a pass over every block before the first write, so a bad gradient changes nothing
+        for seg in self.segments:
+            for pieces in seg.blocks:
+                if not np.isfinite(_block_grad(pieces, scratch[seg.data.dtype][1])).all():
+                    self.raise_non_finite()
         for seg in self.segments:
             lr, decay = lrs[seg.group], wd != 0.0 and seg.decay
             t1, t2 = scratch[seg.data.dtype]
-            for a in range(0, seg.data.size, BLOCK):
-                w, g, m, v = (buf[a : a + BLOCK] for buf in (seg.data, seg.grad, seg.m, seg.v))
+            for a, pieces in zip(range(0, seg.data.size, BLOCK), seg.blocks):
+                w, m, v = (buf[a : a + BLOCK] for buf in (seg.data, seg.m, seg.v))
                 s1, s2 = t1[: w.size], t2[: w.size]
+                g = _block_grad(pieces, s2)  # s2 is first written after g's last read
                 # the same ops in the same order as m = b1*m + (1-b1)*g,
                 # v = b2*v + (1-b2)*g^2, update = (m*inv1) / (sqrt(v*inv2) + eps)
                 # [+ wd*w], w -= lr*update, so results are bit-identical
@@ -196,6 +242,8 @@ class AdamW:
                     s1 += s2
                 s1 *= lr
                 w -= s1
+        for _, p in self.trainable():
+            p.grad = None
 
 
 def global_grad_norm(optimizer: AdamW) -> float:
@@ -203,13 +251,12 @@ def global_grad_norm(optimizer: AdamW) -> float:
     its segments in ``BLOCK``-sized pieces through one scratch buffer;
     raises NumericError naming the first trainable parameter whose grad is
     not finite."""
-    scratch = np.empty(max((min(BLOCK, seg.grad.size) for seg in optimizer.segments), default=0), np.float64)
+    scratch = np.empty(max((min(BLOCK, seg.data.size) for seg in optimizer.segments), default=0), np.float64)
     total = 0.0
     for seg in optimizer.segments:
-        for a in range(0, seg.grad.size, BLOCK):
-            block = seg.grad[a : a + BLOCK]
-            g = scratch[: block.size]
-            g[...] = block  # float64 on purpose: a float32 sum of squares over millions of elements loses digits
+        for pieces in seg.blocks:
+            # float64 on purpose: a float32 sum of squares over millions of elements loses digits
+            g = _concat_grads(_grad_pieces(pieces), scratch)
             total += float(np.dot(g, g))
     if not math.isfinite(total):
         optimizer.raise_non_finite()
@@ -219,10 +266,11 @@ def global_grad_norm(optimizer: AdamW) -> float:
 def clip_grad_norm(optimizer: AdamW, max_norm: float, norm: float) -> float:
     """Scale the optimizer's grads by max_norm/norm when norm, their
     ``global_grad_norm``, exceeds max_norm, one in-place multiply per
-    segment; returns the applied scale factor."""
+    parameter that holds a grad; returns the applied scale factor."""
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
-    for seg in optimizer.segments:
-        np.multiply(seg.grad, scale, out=seg.grad)
+    for _, p in optimizer.trainable():
+        if p.grad is not None:
+            np.multiply(p.grad, scale, out=p.grad)
     return scale

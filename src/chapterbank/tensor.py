@@ -93,25 +93,31 @@ class Tensor:
         """Add ``g`` into ``grad``. The caller hands over an exclusive array,
         one no live tensor holds (an array it has just allocated, or the
         upstream gradient the tape has taken off its output), so the first
-        gradient is stored as is, cast only if its dtype differs."""
+        gradient is stored as is, cast only if its dtype differs (a
+        ``Parameter`` also makes it row-major and turns −0.0 into +0.0)."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
+            self.grad = self._first_grad(g)
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
+
+    def _first_grad(self, g: np.ndarray) -> np.ndarray:
+        return g.astype(self.data.dtype, copy=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, precision={self.precision}, requires_grad={self.requires_grad})"
 
 
 class Parameter(Tensor):
-    """A named trainable tensor with a persistent zero-initialized grad.
+    """A named trainable tensor. It holds a gradient only from the backward
+    that first reaches it to the optimizer step that applies it (or to
+    ``zero_grad``); otherwise ``grad`` is ``None``, which counts as zeros.
 
     Every parameter belongs to exactly one group: base, memory_layers,
     or memory_bank (the per-group learning rates and freezing act on
-    these). An optimizer that freezes the group drops the grad (``None``)
-    and turns off ``requires_grad``.
+    these). An optimizer that freezes the group drops the grad and turns
+    off ``requires_grad``, so no backward reaches it.
     """
 
     __slots__ = ("name", "group")
@@ -120,7 +126,6 @@ class Parameter(Tensor):
         if group not in PARAM_GROUPS:
             raise ValueError(f"unknown parameter group {group!r} for {name!r}")
         super().__init__(data, requires_grad=True)
-        self.grad = np.zeros_like(self.data)
         self.name = name
         self.group = group
 
@@ -129,9 +134,16 @@ class Parameter(Tensor):
         """The parameter itself; the benchmark harness reads ``p.value.data``."""
         return self
 
+    def _first_grad(self, g: np.ndarray) -> np.ndarray:
+        # the bits of the sum into zeros this gradient once started from
+        # (-0.0 + 0.0 is +0.0), in the handed-over array; row-major, so the
+        # optimizer reads it through flat views
+        g = g.astype(self.data.dtype, order="C", copy=False)
+        g += 0.0
+        return g
+
     def zero_grad(self) -> None:
-        if self.grad is not None:  # None: frozen
-            self.grad.fill(0)  # in place: the grad may be a view into an optimizer segment
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, group={self.group!r})"

@@ -235,7 +235,7 @@ def train(
 
     for step in range(start_step, cfg.steps):
         lrs = {g: lr_at_step(sched, step, base) for g, base in base_lrs.items()}
-        model.zero_grads()
+        model.zero_grads()  # drops what a caller's backward left; each step consumes its own
         traces = []
         try:
             for micro in range(cfg.grad_accum):

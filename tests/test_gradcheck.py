@@ -300,6 +300,13 @@ def test_grad_check_catches_broken_backward():
     assert err > 1e-2
 
 
+def test_grad_check_counts_a_parameter_the_objective_skips_as_zero_grad():
+    # no backward reaches b, so it holds no gradient; its numeric one is 0 too
+    a, b = make_param((2, 3), 0, name="a"), make_param((3,), 1, name="b")
+    assert grad_check(lambda: weighted_sum(ops.scale(a, 1.5), 1 / 6), [a, b]) < TOL
+    assert b.grad is None
+
+
 def test_grad_check_reports_nonfinite_with_param_path():
     a = make_param((2, 2), 0, name="weights.w1")
 

@@ -45,7 +45,7 @@ class TestAdamTrajectory:
         opt = AdamW({"p": p}, AdamWConfig(betas=(b1, b2), eps=eps, weight_decay=0.0))
         got = []
         for t in (1, 2):
-            p.grad[:] = 2.0 * p.data
+            p.grad = 2.0 * p.data
             opt.step(uniform_lrs(lr), t)
             got.append(float(p.data[0]))
         assert abs(got[0] - want[0]) < 1e-12
@@ -53,11 +53,12 @@ class TestAdamTrajectory:
 
     def test_first_step_is_negative_lr_sign_of_grad(self):
         p = make_param(np.zeros((2, 2)))
-        p.grad[:] = np.array([[3.0, -40.0], [1e6, -2e-3]])
+        g = np.array([[3.0, -40.0], [1e6, -2e-3]])
+        p.grad = g.copy()
         opt = AdamW({"p": p}, AdamWConfig(weight_decay=0.0))
         opt.step(uniform_lrs(0.01), t=1)
         # m_hat/(sqrt(v_hat)+eps) = g/(|g|+eps) ~ sign(g) for |g| >> eps
-        np.testing.assert_allclose(p.data, -0.01 * np.sign(p.grad), rtol=1e-5)
+        np.testing.assert_allclose(p.data, -0.01 * np.sign(g), rtol=1e-5)
 
     def test_zero_grad_pure_decay(self):
         start = np.array([[2.0, -3.0], [0.5, 8.0]])
@@ -104,7 +105,7 @@ class TestGroupsAndFreezing:
         assert not params["bank"].requires_grad and params["bank"].grad is None
         for t in range(1, 4):
             for _, p in opt.trainable():
-                p.grad[:] = 1.0
+                p.grad = np.ones(p.shape)
             opt.step(uniform_lrs(0.1), t)
         np.testing.assert_array_equal(params["bank"].data, before)
         assert params["w"].data[0, 0] != 1.0
@@ -120,7 +121,7 @@ class TestGroupsAndFreezing:
         opt = AdamW(params)
         lrs = {"base": 0.1, "memory_layers": 0.02, "memory_bank": 0.003}
         for p in params.values():
-            p.grad[:] = 0.5
+            p.grad = np.full(p.shape, 0.5)
         opt.step(lrs, t=1)
         opt.step({**lrs, "base": 0.05}, t=2)
         assert applied_lrs == [lrs, {**lrs, "base": 0.05}]
@@ -132,7 +133,7 @@ class TestGroupsAndFreezing:
         params = self._params()
         opt = AdamW(params, AdamWConfig(weight_decay=0.0))
         for p in params.values():
-            p.grad[:] = 1.0
+            p.grad = np.ones(p.shape)
         opt.step({"base": 0.1, "memory_layers": 0.01, "memory_bank": 0.0}, t=1)
         assert abs(params["w"].data[0, 0] - 0.9) < 1e-6
         assert abs(params["mem"].data[0, 0] - 0.99) < 1e-6
@@ -146,7 +147,7 @@ class TestGroupsAndFreezing:
         params = self._params()
         opt = AdamW(params, frozen_groups={"memory_bank"})
         for _, p in opt.trainable():
-            p.grad[:] = 0.3
+            p.grad = np.full(p.shape, 0.3)
         opt.step(uniform_lrs(0.1), t=1)
         saved = {n: (buf["m"].copy(), buf["v"].copy()) for n, buf in opt.state.items()}
 
@@ -203,8 +204,8 @@ class TestInPlaceStep:
             for name in params:
                 g = np.asarray(gen.standard_normal(params[name].shape)).astype(dtype)
                 if name in opt.state:  # a frozen parameter has no grad
-                    params[name].grad[...] = g
-                ref[name].grad[...] = g
+                    params[name].grad = g.copy()
+                ref[name].grad = g
             opt.step(lrs, t)
             old_formula_step(ref, state, lrs, t, opt.cfg, frozen)
         for name, p in params.items():
@@ -244,7 +245,7 @@ class TestInPlaceStep:
             for name, shape in (("big", (256, 128)), ("mid", (64, 64)), ("gain", (128,)))
         }
         for p in params.values():
-            p.grad[...] = gen.standard_normal(p.shape)
+            p.grad = gen.standard_normal(p.shape)
         opt = AdamW(params)
         tracemalloc.start()
         try:
@@ -261,13 +262,14 @@ def segment_of(opt, name):
 
 
 def assert_adopted(model, opt):
-    """Every trainable parameter's data, grad and moments view its segment."""
+    """Every trainable parameter's data and moments view its segment, and
+    it holds no grad."""
     trainable = dict(opt.trainable())
     assert trainable
     for name, p in trainable.items():
         seg = segment_of(opt, name)
         assert np.shares_memory(p.data, seg.data), name
-        assert np.shares_memory(p.grad, seg.grad), name
+        assert p.grad is None, name
         assert np.shares_memory(opt.state[name]["m"], seg.m), name
         assert np.shares_memory(opt.state[name]["v"], seg.v), name
         assert model.params[name] is p
@@ -281,7 +283,7 @@ class TestFlatSegments:
 
     def test_one_segment_per_dtype_group_and_decay_class(self):
         model = build_model(preset("micro"), RngState(0))
-        before = {name: (p.data.copy(), p.grad.copy()) for name, p in model.params.items()}
+        before = {name: p.data.copy() for name, p in model.params.items()}
         opt = AdamW(model.params)
         keys = [(seg.data.dtype, seg.group, seg.decay) for seg in opt.segments]
         assert len(keys) == len(set(keys))
@@ -292,18 +294,16 @@ class TestFlatSegments:
             assert {n in opt.decay_names for n in seg.names} == {seg.decay}
         assert_adopted(model, opt)
         for name, p in model.params.items():
-            np.testing.assert_array_equal(p.data, before[name][0])
-            np.testing.assert_array_equal(p.grad, before[name][1])
+            np.testing.assert_array_equal(p.data, before[name])
             assert p.data.flags.c_contiguous
 
     def test_views_survive_zero_grads_train_and_resume(self):
         model = build_model(preset("micro"), RngState(0))
         opt = AdamW(model.params)
         for p in model.params.values():
-            p.grad[...] = 1.0
+            p.grad = np.ones_like(p.data)
         model.zero_grads()
         assert_adopted(model, opt)
-        assert all(not seg.grad.any() for seg in opt.segments)
         cfg = self._cfg()
         result = train(model, self.CORPUS, cfg, optimizer=opt)
         assert result.optimizer is opt
@@ -348,7 +348,7 @@ class TestFlatSegments:
     def test_nan_in_the_middle_of_a_segment_names_it_and_changes_nothing(self):
         params = {name: make_param(np.full((3, 2), 1.0 + i), name) for i, name in enumerate(("a", "mid", "c"))}
         for p in params.values():
-            p.grad[...] = 0.5
+            p.grad = np.full((3, 2), 0.5)
         opt = AdamW(params)
         assert len(opt.segments) == 1 and opt.segments[0].names == ("a", "mid", "c")
         params["mid"].grad[1, 0] = np.nan
@@ -358,13 +358,14 @@ class TestFlatSegments:
             np.testing.assert_array_equal(p.data, np.full((3, 2), 1.0 + i))
             np.testing.assert_array_equal(opt.state[name]["m"], np.zeros((3, 2)))
             np.testing.assert_array_equal(opt.state[name]["v"], np.zeros((3, 2)))
+            assert p.grad is not None  # an aborted step consumes no gradient
 
     def test_first_bad_parameter_in_parameter_order_is_named(self):
         params = {name: make_param(np.ones(shape), name) for name, shape in (("w1", (2, 2)), ("gain", 2), ("w2", (2, 2)))}
         opt = AdamW(params)
         assert [seg.names for seg in opt.segments] == [("w1", "w2"), ("gain",)]
-        params["gain"].grad[0] = np.nan
-        params["w2"].grad[0, 0] = np.inf
+        params["gain"].grad = np.array([np.nan, 1.0])
+        params["w2"].grad = np.array([[np.inf, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericError, match="in gain;"):
             opt.step(uniform_lrs(0.1), t=1)
 
@@ -398,14 +399,82 @@ class TestFlatSegments:
             assert not seg.m.any() and not seg.v.any()
 
 
+class TestGradLifetime:
+    """A parameter holds a gradient only from the backward that reaches it
+    to the step that applies it."""
+
+    def test_a_fresh_parameter_holds_no_grad(self):
+        assert make_param(np.ones((2, 3))).grad is None
+
+    def test_zero_grads_frees_the_gradient_bytes(self):
+        model = build_model(preset("micro"), RngState(0))
+        AdamW(model.params)
+        tracemalloc.start()
+        try:
+            for p in model.params.values():
+                p.grad = np.ones_like(p.data)
+            held = tracemalloc.get_traced_memory()[0]
+            model.zero_grads()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(p.data.nbytes for p in model.params.values())
+        assert all(p.grad is None for p in model.params.values())
+        assert freed >= nbytes, f"zero_grads freed {freed} of {nbytes} B"
+
+    def test_step_consumes_every_trainable_grad(self):
+        params = {"w": make_param(np.ones((2, 2)), "w"), "gain": make_param(np.ones(3), "gain"),
+                  "bank": make_param(np.ones((4, 2)), "bank", "memory_bank")}
+        opt = AdamW(params, frozen_groups={"memory_bank"})
+        for _, p in opt.trainable():
+            p.grad = np.ones(p.shape)
+        opt.step(uniform_lrs(0.1), t=1)
+        assert all(p.grad is None for p in params.values())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_unreached_parameter_steps_as_an_explicit_zero_grad(self, dtype):
+        # "big" spans blocks that lie inside it and "gain" sits in a block
+        # assembled from several parameters; after a first step that gives
+        # them moments, no backward reaches them in the next two
+        gen = np.random.default_rng(5)
+        shapes = (("big", (BLOCK // 64 + 7, 64)), ("w", (4, 6)), ("gain", (6,)), ("bias", (9,)))
+        init = {name: np.asarray(gen.standard_normal(shape)).astype(dtype) for name, shape in shapes}
+        unreached, zeroed = ({name: Parameter(a.copy(), name, "base") for name, a in init.items()} for _ in range(2))
+        opts = [AdamW(params, AdamWConfig(weight_decay=0.1)) for params in (unreached, zeroed)]
+        for t in range(1, 4):
+            for name, shape in shapes:
+                g = np.asarray(gen.standard_normal(shape)).astype(dtype)
+                skipped = t > 1 and name in ("big", "gain")
+                if not skipped:
+                    unreached[name].grad = g.copy()
+                zeroed[name].grad = np.zeros_like(g) if skipped else g
+            for opt in opts:
+                opt.step(uniform_lrs(0.02), t)
+        for name, _ in shapes:
+            assert unreached[name].data.tobytes() == zeroed[name].data.tobytes(), name
+            for kind in "mv":
+                assert opts[0].state[name][kind].tobytes() == opts[1].state[name][kind].tobytes(), name
+        assert (unreached["big"].data != init["big"] * (1 - 0.02 * 0.1)).any()  # moments moved it, not decay alone
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_first_gradient_of_negative_zero_is_stored_as_positive_zero(self, dtype):
+        p = Parameter(np.ones(3, dtype), "p", "base")
+        g = np.array([-0.0, 2.0, -0.0], dtype)
+        p.accumulate_grad(g)
+        assert p.grad is g  # handed over, not copied
+        assert not np.signbit(p.grad).any()
+        p.accumulate_grad(np.array([-0.0, -2.0, 1.0], dtype))
+        assert p.grad.tobytes() == np.array([0.0, 0.0, 1.0], dtype).tobytes()
+
+
 class TestNonFiniteGuard:
     def test_nan_grad_aborts_naming_param_without_partial_update(self):
         params = {
             "a": make_param(np.ones(3), "a"),
             "bad": make_param(np.ones(3), "bad"),
         }
-        params["a"].grad[:] = 1.0
-        params["bad"].grad[1] = np.nan
+        params["a"].grad = np.ones(3)
+        params["bad"].grad = np.array([0.0, np.nan, 0.0])
         opt = AdamW(params)
         with pytest.raises(NumericError, match="bad"):
             opt.step(uniform_lrs(0.1), t=1)
@@ -414,7 +483,7 @@ class TestNonFiniteGuard:
 
     def test_inf_grad_also_aborts(self):
         p = make_param(np.ones(2))
-        p.grad[0] = np.inf
+        p.grad = np.array([np.inf, 0.0])
         with pytest.raises(NumericError):
             AdamW({"p": p}).step(uniform_lrs(0.1), t=1)
 
@@ -423,7 +492,7 @@ class TestNonFiniteGuard:
             "w": make_param(np.ones(2), "w"),
             "bank": make_param(np.ones(2), "bank", "memory_bank"),
         }
-        params["bank"].grad[:] = np.nan
+        params["bank"].grad = np.full(2, np.nan)
         AdamW(params, frozen_groups={"memory_bank"}).step(uniform_lrs(0.1), t=1)
 
 
@@ -444,20 +513,20 @@ class TestAdamWConfig:
 class TestClipping:
     def test_norm_two_clipped_to_half(self):
         p = make_param(np.zeros(4))
-        p.grad[:] = 1.0  # norm 2
+        p.grad = np.ones(4)  # norm 2
         opt = AdamW({"p": p})
         assert abs(clip_grad_norm(opt, 1.0, global_grad_norm(opt)) - 0.5) < 1e-12
         assert abs(global_grad_norm(AdamW({"p": p})) - 1.0) < 1e-12
 
     def test_given_norm_is_used_as_is(self):
         p = make_param(np.zeros(4))
-        p.grad[:] = 1.0  # norm 2, but the caller's norm decides
+        p.grad = np.ones(4)  # norm 2, but the caller's norm decides
         assert abs(clip_grad_norm(AdamW({"p": p}), 1.0, norm=4.0) - 0.25) < 1e-12
         np.testing.assert_array_equal(p.grad, np.full(4, 0.25))
 
     def test_small_norm_untouched(self):
         p = make_param(np.zeros(1))
-        p.grad[:] = 0.5
+        p.grad = np.full(1, 0.5)
         opt = AdamW({"p": p})
         assert clip_grad_norm(opt, 1.0, global_grad_norm(opt)) == 1.0
         assert p.grad[0] == 0.5
@@ -473,22 +542,22 @@ class TestClipping:
             f"p{i}": make_param(np.zeros((4, 4)), f"p{i}") for i in range(3)
         }
         for p in params.values():
-            p.grad[:] = gen.standard_normal((4, 4)) * 10
+            p.grad = gen.standard_normal((4, 4)) * 10
         opt = AdamW(params)
         clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert global_grad_norm(opt) <= 1.0 + 1e-9
 
     def test_norm_spans_all_params_jointly(self):
         a, b = make_param(np.zeros(1), "a"), make_param(np.zeros(1), "b")
-        a.grad[:] = 3.0
-        b.grad[:] = 4.0
+        a.grad = np.full(1, 3.0)
+        b.grad = np.full(1, 4.0)
         assert abs(global_grad_norm(AdamW({"a": a, "b": b})) - 5.0) < 1e-12
 
     def test_frozen_groups_excluded_from_norm_and_scaling(self):
         w = make_param(np.zeros(1), "w")
         bank = make_param(np.zeros(1), "bank", "memory_bank")
-        w.grad[:] = 2.0
-        bank.grad[:] = 100.0
+        w.grad = np.full(1, 2.0)
+        bank.grad = np.full(1, 100.0)
         opt = AdamW({"w": w, "bank": bank}, frozen_groups={"memory_bank"})
         scale = clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert abs(scale - 0.5) < 1e-12
@@ -500,10 +569,10 @@ class TestClipping:
         shapes = (("big", (BLOCK // 32 + 5, 32)), ("gain", (40,)), ("w", (3, 3)))
         params = {name: Parameter(np.zeros(shape, np.float32), name, "base") for name, shape in shapes}
         for p in params.values():
-            p.grad[...] = gen.standard_normal(p.shape) * 3.0
+            p.grad = (gen.standard_normal(p.shape) * 3.0).astype(np.float32)
         want = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in params.values()))
         opt = AdamW(params)
-        assert opt.segments[0].grad.size > BLOCK
+        assert opt.segments[0].data.size > BLOCK
         tracemalloc.start()
         try:
             norm = global_grad_norm(opt)
@@ -518,26 +587,27 @@ class TestClipping:
         params = {name: Parameter(np.zeros(shape, np.float32), name, "base")
                   for name, shape in (("w", (4, 5)), ("gain", (5,)))}
         for p in params.values():
-            p.grad[...] = gen.standard_normal(p.shape) * 10.0
+            p.grad = (gen.standard_normal(p.shape) * 10.0).astype(np.float32)
         opt = AdamW(params)
+        held = {name: p.grad for name, p in params.items()}
         before = {name: p.grad.copy() for name, p in params.items()}
         scale = clip_grad_norm(opt, 1.0, global_grad_norm(opt))
         assert scale < 1.0
         for name, p in params.items():
-            assert np.shares_memory(p.grad, segment_of(opt, name).grad)
+            assert p.grad is held[name]
             np.testing.assert_array_equal(p.grad, before[name] * np.float32(scale))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_norm_names_the_first_non_finite_parameter(self, bad):
         params = {name: make_param(np.zeros(shape), name) for name, shape in (("w", (2, 2)), ("gain", 2), ("bias", 3))}
         opt = AdamW(params)
-        params["bias"].grad[0] = bad
-        params["gain"].grad[1] = bad
+        params["bias"].grad = np.array([bad, 0.0, 0.0])
+        params["gain"].grad = np.array([0.0, bad])
         with pytest.raises(NumericError, match=r"^non-finite gradient in gain; step aborted$"):
             global_grad_norm(opt)
 
     def test_norm_that_overflows_float64_aborts(self):
         p = make_param(np.zeros(2))
-        p.grad[:] = 1e300
+        p.grad = np.full(2, 1e300)
         with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
             global_grad_norm(AdamW({"p": p}))

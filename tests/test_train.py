@@ -336,7 +336,7 @@ class TestBankFreezing:
         scattered.clear()
         unfrozen = AdamW(model.params)
         assert bank.requires_grad and "bank.tokens" in unfrozen.state
-        assert np.shares_memory(bank.grad, next(s.grad for s in unfrozen.segments if "bank.tokens" in s.names))
+        assert bank.grad is None and np.shares_memory(bank.data, next(s.data for s in unfrozen.segments if "bank.tokens" in s.names))
         train(model, CORPUS, quick_cfg(steps=3), optimizer=unfrozen)
         assert any(x is bank for x in scattered)
         assert bank.data.tobytes() != before
@@ -428,9 +428,11 @@ class TestAbortAndValidation:
         model = micro_model(4)
         zero_grads = model.zero_grads
 
-        def poisoned():
+        def poisoned():  # a grad handed over before the backward adds into it
             zero_grads()
-            model["layers.3.router.bias"].grad[0] = bad
+            bias = model["layers.3.router.bias"]
+            bias.grad = np.zeros_like(bias.data)
+            bias.grad[0] = bad
 
         model.zero_grads = poisoned
         with pytest.raises(TrainingAborted) as err:
@@ -523,6 +525,24 @@ class TestContinueTrain:
         first = train(micro_model(5), CORPUS, quick_cfg(steps=4))
         result = continue_train(first.checkpoint, CORPUS, quick_cfg(steps=4), expected_config=preset("micro"))
         assert result.checkpoint.step == 4
+
+
+class TestGradLifetime:
+    @pytest.mark.parametrize("bank_mode", ["equal_lr", "frozen"])
+    def test_no_grad_is_held_before_a_backward_or_after_the_run(self, monkeypatch, bank_mode):
+        model = micro_model(3)
+        held = []
+        backward = Tape.backward
+
+        def checked(tape, loss):
+            held.append([name for name, p in model.params.items() if p.grad is not None])
+            backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", checked)
+        cfg = quick_cfg(steps=6, eval_every=2, bank_mode=bank_mode)
+        train(model, CORPUS, cfg)
+        assert held == [[]] * cfg.steps
+        assert all(p.grad is None for p in model.params.values())
 
 
 class TestNoDeadOps:

@@ -26,11 +26,17 @@ two per-seed CSVs and ``retention.mean.csv`` of the same command at
 ``chapterbank train --config`` runs at ``lr_base`` 1e30 that exit 1: one
 diverges at its step-2 eval point and saves the step-1 checkpoint, the
 other diverges at step 2, before its first eval point, and saves the
-step-0 checkpoint, whose optimizer moments are all zero. The last line is
-a model case in single precision at the benchmark's train-mem shape
+step-0 checkpoint, whose optimizer moments are all zero. Then comes a
+model case in single precision at the benchmark's train-mem shape
 (``bench/workloads.mid_config()`` at B=8, L=128), where the core of every
 self-attention and memory read runs in several tiles
-(``ops.ATTN_TILE_BYTES``).
+(``ops.ATTN_TILE_BYTES``). The last line hashes the ``metrics.csv`` and
+the saved final checkpoint of a 2-step ``train()`` of that model at that
+shape. Its embedding, bank and MLP weights are larger than an optimizer
+block (``optim.BLOCK``), so whole blocks of the update lie inside one
+parameter; every ``micro`` parameter is smaller than a block, so in the
+``micro`` runs above a block spans several parameters or is the whole of
+the bank's segment.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ from chapterbank.config import ModelConfig, preset  # noqa: E402
 from chapterbank.model import build_model, model_forward  # noqa: E402
 from chapterbank.schedule import cosine  # noqa: E402
 from chapterbank.tensor import RngState, Tape  # noqa: E402
-from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train  # noqa: E402
-from workloads import BATCH, SEQ_LEN, mid_config  # noqa: E402
+from chapterbank.train import TrainConfig, make_synthetic_corpus, metrics_csv, resume_train, train  # noqa: E402
+from workloads import BATCH, CORPUS_TOKENS, SEQ_LEN, mid_config  # noqa: E402
 
 MID = dict(d_model=96, n_heads=4, n_kv_heads=2, d_ff=192, vocab=700, max_seq_len=128)
 SHAPES = {"micro": ({}, (3, 13)), "mid": (MID, (3, 100))}
@@ -169,6 +175,21 @@ def retention_digest(argv: list[str], names: tuple[str, ...]) -> str:
         return h.hexdigest()
 
 
+def mid_train_digest() -> str:
+    """Hash ``metrics.csv`` and the saved final checkpoint of a 2-step
+    ``train()`` of ``mid_config()`` at the benchmark's B and L, seed 1."""
+    cfg = mid_config()
+    corpus = make_synthetic_corpus(vocab=cfg.vocab, length=CORPUS_TOKENS, seed=1)
+    tcfg = TrainConfig(steps=2, batch_size=BATCH, seq_len=SEQ_LEN, lr_base=3e-3, bank_mode="equal_lr",
+                       schedule=cosine(1), eval_every=2, seed=1)
+    result = train(build_model(cfg, RngState(1)), corpus, tcfg)
+    with tempfile.TemporaryDirectory() as out:
+        save_checkpoint(result.checkpoint, Path(out) / "final.ckpt")
+        h = hashlib.sha256(metrics_csv(result.metrics).encode())
+        h.update((Path(out) / "final.ckpt").read_bytes())
+        return h.hexdigest()
+
+
 def abort_digest(steps: int, seq_len: int, eval_every: int) -> str:
     """Hash ``config.resolved`` and ``last.ckpt`` of a ``chapterbank train``
     run at ``lr_base`` 1e30 and B=4, which must exit 1."""
@@ -198,6 +219,7 @@ def main() -> None:
     print(abort_digest(4, 16, 1), "train-micro-lr-1e30-eval-every-1/config.resolved+last.ckpt")
     print(abort_digest(12, 32, 10), "train-micro-lr-1e30-eval-every-10/config.resolved+last.ckpt")
     print(case_digest("single", mid_config(), (BATCH, SEQ_LEN)), "single/tied/train-mem")
+    print(mid_train_digest(), "train-mem-2/metrics.csv+final.ckpt")
 
 
 if __name__ == "__main__":
