@@ -111,7 +111,7 @@ def cmd_continue(args) -> int:
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = replace(load_checkpoint(ckpt_path), moments={})  # continue_train starts a fresh optimizer
     if args.config or args.preset:
         rc = _load_run_config(args)
         expected: ModelConfig | None = rc.model

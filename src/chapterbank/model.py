@@ -329,9 +329,9 @@ def _head_logits(model: Model, h: Tensor) -> np.ndarray:
 
 def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray) -> ForwardTrace:
     """Embed, run the stack, then one ``ops.lm_head_loss`` (the final norm
-    and the chunked LM-head cross-entropy of positions 0..L-2 against the
-    next tokens, which checks the targets' shape), added to the router
-    penalty.
+    and the chunked LM-head cross-entropy of positions 0..L-2, read through a
+    view of the stack's output, against the next tokens, which checks the
+    targets' shape), added to the router penalty.
 
     total = lm + lb_coeff * lb + z_coeff * z.
     """

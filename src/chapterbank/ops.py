@@ -476,17 +476,18 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
 def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-6) -> Tensor:
     """Mean next-token cross-entropy of the LM head, one op like the fused
     linear cross-entropy of Liger Kernel (Hsu et al. 2024, arXiv 2410.10989):
-    a copy of positions 0..L-2 of the (..., L, d) states ``h``, RMS-normalized
-    with ``gain``, scores the logits x @ w against ``targets[..., 1:]``
-    (targets are h.shape[:-1]).
+    positions 0..L-2 of the (..., L, d) states ``h``, read through a view and
+    RMS-normalized with ``gain``, score the logits x @ w against
+    ``targets[..., 1:]`` (targets are h.shape[:-1]).
 
     ``w`` is (d, V), or (V, d) used as x @ w^T with no copy when
     ``transposed`` (a tied embedding). Rows run in chunks of CE_CHUNK_ROWS,
     so the (N, V) logits are never all live; under a tape each chunk's
     dlogits = softmax - onehot is folded into dx and dW during the forward.
     Backward scales both by g / N and hands dW to ``w``, then the norm
-    backward (``_rmsnorm_grads``, as in the blocks) of dx to the gain and to h, whose
-    last position gets zero; each buffer is dropped once handed over.
+    backward (``_rmsnorm_grads``, as in the blocks, over the same view of h)
+    of dx to the gain and to h, whose last position gets zero; each buffer is
+    dropped once handed over.
     """
     h, gain, w = _as_tensor(h), _as_tensor(gain), _as_tensor(w)
     wt = w.data.T if transposed else w.data  # (d, V) view
@@ -500,7 +501,7 @@ def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-
     n = t.size
     if t.min() < 0 or t.max() >= v:
         raise IndexError(f"target index out of range [0, {v})")
-    x0 = np.ascontiguousarray(h.data[..., :-1, :])
+    x0 = h.data[..., :-1, :]  # a view: h is held anyway
     x2, inv = rms_norm(x0, gain.data, eps)
     x2 = x2.reshape(n, d)
     taped = active_tape() is not None
@@ -530,7 +531,7 @@ def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-
     _check_finite(loss.data, "lm_head_loss")
 
     def backward(g):
-        nonlocal dx, dw, x0
+        nonlocal dx, dw
         s = float(g) / n  # a Python float: an np.float64 would promote float32 grads
         if dw is not None:
             dw *= s
@@ -540,7 +541,7 @@ def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-
             return
         dx *= s
         dx0, dgain = _rmsnorm_grads(dx.reshape(x0.shape), x0, inv, gain.data)
-        dx = x0 = None
+        dx = None
         if gain.requires_grad:
             gain.accumulate_grad(dgain)
         if h.requires_grad:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checkpoint import Checkpoint
 from .config import Config, ModelConfig, preset
 from .errors import ConfigError, TrainingAborted
 from .model import Model, build_model
@@ -303,13 +304,68 @@ def _check_disjoint(fact_corpus: Corpus, instr_corpus: Corpus) -> None:
         raise ConfigError(f"fact and instruction corpora share tokens: {sorted(overlap)[:8]}")
 
 
+def _phase_a(mc: ModelConfig, corpus: Corpus, cfg: TrainConfig, probes: tuple[list[Probe], list[Probe]]):
+    """Pretrain a fresh ``mc`` model on the facts. Returns its (fact recall,
+    task accuracy, fact loss), the eval batches that loss was measured on
+    and a checkpoint of its weights alone, or None when training aborts.
+    The model, the optimizer and its moments die on return."""
+    model = build_model(mc, RngState(cfg.seed))
+    try:
+        res = train(model, corpus, cfg)
+    except TrainingAborted:
+        return None
+    # train() evaluates at its last step, on the final weights; a zero-step run has no eval row
+    evals = res.eval_rows()
+    fact_loss = evals[-1].lm_loss if evals else _eval_losses(model, res.eval_batches)[0]
+    measured = (*(eval_fact_recall(model, p) for p in probes), fact_loss)
+    # continue_train starts a fresh optimizer, so no phase B reads a moment
+    return measured, res.eval_batches, replace(res.checkpoint, moments={})
+
+
+def _phase_b(ckpt: Checkpoint, corpus: Corpus, cfg: TrainConfig, probes: tuple[list[Probe], list[Probe]],
+             fact_batches: list[np.ndarray]) -> tuple[float, float, float, bool | None]:
+    """Fine-tune from ``ckpt``; returns the (fact recall, task accuracy, fact
+    loss, bank unchanged) of the result, the last None for a model without a
+    bank. The phase-B model dies on return."""
+    model = continue_train(ckpt, corpus, cfg).model
+    bank_before = ckpt.tensors.get("bank.tokens")
+    unchanged = None if bank_before is None else bool(np.array_equal(bank_before, model["bank.tokens"].data))
+    return (*(eval_fact_recall(model, p) for p in probes), _eval_losses(model, fact_batches)[0], unchanged)
+
+
+def _run_group(group: list[VariantResult], mc: ModelConfig, cfg: RetentionConfig, fact_corpus: Corpus,
+               instr_corpus: Corpus, probes: tuple[list[Probe], list[Probe]]) -> None:
+    """Run one phase A of ``mc`` and, from its weights, each variant's phase
+    B, filling ``group``'s results; a phase-A abort fails the whole group."""
+    pretrained = _phase_a(mc, fact_corpus, replace(cfg.phase_a, seed=cfg.seed), probes)
+    if pretrained is None:
+        for result in group:
+            result.failed = True
+        return
+    measured_a, fact_batches, ckpt = pretrained
+    for result in group:
+        result.fact_recall_a, result.task_acc_a, result.fact_loss_a = measured_a
+        phase_b = replace(
+            cfg.phase_b,
+            seed=cfg.seed + 1,
+            bank_mode="frozen" if result.variant == "moc-frozen-bank" else cfg.phase_b.bank_mode,
+        )
+        try:
+            measured_b = _phase_b(ckpt, instr_corpus, phase_b, probes, fact_batches)
+        except TrainingAborted:
+            result.failed = True
+            continue
+        result.fact_recall_b, result.task_acc_b, result.fact_loss_b, result.bank_unchanged_in_b = measured_b
+
+
 def run_retention_protocol(
     cfg: RetentionConfig, model_cfg: ModelConfig | None = None
 ) -> RetentionReport:
     """Train each variant on facts, fine-tune on the instruction task
     with doubled context, and measure what happened to fact recall.
     Variants with equal model configs branch from one phase-A run, whose
-    abort fails them all."""
+    abort fails them all. Phase B holds phase A's weights and nothing else
+    of it, and one phase-B model is alive at a time."""
     fact_corpus, fact_probes = gen_fact_corpus(cfg.fact, vocab=(model_cfg or preset("micro")).vocab)
     instr_corpus, instr_probes = gen_instruction_corpus(
         cfg.instruction, vocab=(model_cfg or preset("micro")).vocab
@@ -317,39 +373,10 @@ def run_retention_protocol(
     _check_disjoint(fact_corpus, instr_corpus)
     configs = variant_model_configs(model_cfg)
     report = RetentionReport(seed=cfg.seed, variants={v: VariantResult(v) for v in configs})
-    phase_a = replace(cfg.phase_a, seed=cfg.seed)
     mcs = list(configs.values())
     for mc in (c for i, c in enumerate(mcs) if c not in mcs[:i]):  # each distinct config once
         group = [report.variants[v] for v, c in configs.items() if c == mc]
-        model = build_model(mc, RngState(cfg.seed))
-        try:
-            res_a = train(model, fact_corpus, phase_a)
-        except TrainingAborted:
-            for result in group:
-                result.failed = True
-            continue
-        # train() evaluates at its last step, on the final weights; a zero-step run has no eval row
-        evals = res_a.eval_rows()
-        fact_loss_a = evals[-1].lm_loss if evals else _eval_losses(model, res_a.eval_batches)[0]
-        measured_a = (eval_fact_recall(model, fact_probes), eval_fact_recall(model, instr_probes), fact_loss_a)
-        bank_before = res_a.checkpoint.tensors.get("bank.tokens")
-        for result in group:
-            result.fact_recall_a, result.task_acc_a, result.fact_loss_a = measured_a
-            phase_b = replace(
-                cfg.phase_b,
-                seed=cfg.seed + 1,
-                bank_mode="frozen" if result.variant == "moc-frozen-bank" else cfg.phase_b.bank_mode,
-            )
-            try:
-                model_b = continue_train(res_a.checkpoint, instr_corpus, phase_b).model
-            except TrainingAborted:
-                result.failed = True
-                continue
-            result.fact_recall_b = eval_fact_recall(model_b, fact_probes)
-            result.task_acc_b = eval_fact_recall(model_b, instr_probes)
-            result.fact_loss_b = _eval_losses(model_b, res_a.eval_batches)[0]
-            if bank_before is not None:
-                result.bank_unchanged_in_b = bool(np.array_equal(bank_before, model_b["bank.tokens"].data))
+        _run_group(group, mc, cfg, fact_corpus, instr_corpus, (fact_probes, instr_probes))
     return report
 
 

@@ -3,6 +3,7 @@ schema, and the zero-update identity of the two-phase protocol."""
 
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +401,41 @@ class TestProtocol:
             assert r.failed and math.isnan(r.fact_recall_a) and math.isnan(r.fact_loss_b)
         vanilla = report.variants["vanilla-like"]
         assert not vanilla.failed and math.isfinite(vanilla.fact_loss_b)
+
+    @pytest.mark.parametrize("abort_dense", [False, True])
+    def test_phase_b_holds_phase_a_weights_alone(self, monkeypatch, abort_dense):
+        # every model and optimizer a phase builds, by weak reference
+        built = {"train": [], "continue_train": []}
+        seen = []
+        real_train, real_continue = retention.train, retention.continue_train
+
+        def alive(phase):
+            return [ref() for ref in built[phase] if ref() is not None]
+
+        def tracked_train(model, corpus, cfg, **kwargs):
+            assert not alive("train") and not alive("continue_train"), "an earlier group outlives its run"
+            result = real_train(model, corpus, cfg, **kwargs)
+            built["train"] += [weakref.ref(model), weakref.ref(result.optimizer)]
+            if abort_dense and not model.config.has_memory:  # an abort that carries a checkpoint with moments
+                raise TrainingAborted("injected abort", result.checkpoint, cfg.steps)
+            return result
+
+        def tracked_continue(ckpt, corpus, cfg, *args):
+            seen.append(cfg.bank_mode)
+            assert not alive("train"), "a phase-A model or optimizer outlives phase A"
+            assert ckpt.moments == {}, "phase B receives phase A's moments"
+            assert not alive("continue_train"), "an earlier phase-B model or optimizer is alive"
+            result = real_continue(ckpt, corpus, cfg, *args)
+            built["continue_train"] += [weakref.ref(result.model), weakref.ref(result.optimizer)]
+            return result
+
+        monkeypatch.setattr(retention, "train", tracked_train)
+        monkeypatch.setattr(retention, "continue_train", tracked_continue)
+        report = run_retention_protocol(self.SMALL)
+        assert len(built["train"]) == 4
+        assert seen == (["equal_lr", "frozen"] if abort_dense else ["equal_lr", "equal_lr", "frozen"])
+        assert report.variants["vanilla-like"].failed == abort_dense
+        assert not report.variants["moc"].failed and not report.variants["moc-frozen-bank"].failed
 
     @pytest.mark.parametrize("eval_every", [1, 10])
     def test_phase_a_divergence_fails_every_variant(self, eval_every):

@@ -526,6 +526,18 @@ class TestContinueTrain:
         result = continue_train(first.checkpoint, CORPUS, quick_cfg(steps=4), expected_config=preset("micro"))
         assert result.checkpoint.step == 4
 
+    @pytest.mark.parametrize("bank_mode", ["equal_lr", "frozen"])
+    def test_the_checkpoint_moments_are_never_read(self, bank_mode):
+        # the retention protocol and `chapterbank continue` drop them before continuing
+        first = train(micro_model(5), CORPUS, quick_cfg(steps=4))
+        assert first.checkpoint.moments and all(m.any() for m, _ in first.checkpoint.moments.values())
+        cfg = quick_cfg(steps=6, seq_len=48, seed=11, bank_mode=bank_mode)
+        full = continue_train(first.checkpoint, CORPUS, cfg)
+        bare = continue_train(replace(first.checkpoint, moments={}), CORPUS, cfg)
+        assert metrics_csv(bare.metrics) == metrics_csv(full.metrics)
+        for name, arr in full.checkpoint.tensors.items():
+            assert bare.checkpoint.tensors[name].tobytes() == arr.tobytes(), name
+
 
 class TestGradLifetime:
     @pytest.mark.parametrize("bank_mode", ["equal_lr", "frozen"])

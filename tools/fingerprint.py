@@ -36,7 +36,10 @@ shape. Its embedding, bank and MLP weights are larger than an optimizer
 block (``optim.BLOCK``), so whole blocks of the update lie inside one
 parameter; every ``micro`` parameter is smaller than a block, so in the
 ``micro`` runs above a block spans several parameters or is the whole of
-the bank's segment.
+the bank's segment. The last line hashes ``metrics.csv`` and
+``final.ckpt`` of ``chapterbank continue`` from the 12-step run's
+``final.ckpt``, 12 steps at ``--seq-len 96``, past the preset's
+``max_seq_len`` of 64.
 """
 
 from __future__ import annotations
@@ -190,6 +193,20 @@ def mid_train_digest() -> str:
         return h.hexdigest()
 
 
+def continue_digest() -> str:
+    """Hash ``metrics.csv`` and ``final.ckpt`` of a 12-step
+    ``chapterbank continue`` at ``--seq-len 96`` from the ``final.ckpt`` of
+    ``chapterbank train --preset micro --steps 12``."""
+    with tempfile.TemporaryDirectory() as out:
+        base, phase_b = Path(out) / "base", Path(out) / "continue"
+        run_cli(["train", "--preset", "micro", "--steps", "12"], str(base))
+        run_cli(["continue", "--checkpoint", str(base / "final.ckpt"), "--steps", "12", "--seq-len", "96"],
+                str(phase_b))
+        h = hashlib.sha256((phase_b / "metrics.csv").read_bytes())
+        h.update((phase_b / "final.ckpt").read_bytes())
+        return h.hexdigest()
+
+
 def abort_digest(steps: int, seq_len: int, eval_every: int) -> str:
     """Hash ``config.resolved`` and ``last.ckpt`` of a ``chapterbank train``
     run at ``lr_base`` 1e30 and B=4, which must exit 1."""
@@ -220,6 +237,7 @@ def main() -> None:
     print(abort_digest(12, 32, 10), "train-micro-lr-1e30-eval-every-10/config.resolved+last.ckpt")
     print(case_digest("single", mid_config(), (BATCH, SEQ_LEN)), "single/tied/train-mem")
     print(mid_train_digest(), "train-mem-2/metrics.csv+final.ckpt")
+    print(continue_digest(), "continue-micro-12-then-12-at-96/metrics.csv+final.ckpt")
 
 
 if __name__ == "__main__":
