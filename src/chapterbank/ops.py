@@ -212,9 +212,9 @@ def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
     flattened rows of ``h``: one op, like the fused SwiGLU of Liger Kernel
     (Hsu et al. 2024, arXiv 2410.10989).
 
-    Backward keeps only h's inverse RMS, gate = x @ w_gate and
-    up = x @ w_up, and recomputes s = sigmoid(gate), the hidden
-    a = silu(gate) * up and x: with da = dO w_down^T,
+    Backward keeps only h's inverse RMS. It rebuilds x, then gate = x @ w_gate,
+    up = x @ w_up, s = sigmoid(gate) and the hidden a = silu(gate) * up by
+    the forward's ops, so every bit matches: with da = dO w_down^T,
     d_up = da * silu(gate) and d_gate = da * up * s * (1 + gate * (1 - s)),
     then dx = d_up w_up^T + d_gate w_gate^T.
     """
@@ -224,25 +224,25 @@ def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
             or w_down.shape[1] != d):
         raise ShapeError(f"swiglu needs h (..., d), a (d,) gain, w_up and w_gate (d, f) and w_down (f, d), "
                          f"got {h.shape}, {gain.shape}, {w_up.shape}, {w_gate.shape} and {w_down.shape}")
-    x2, inv = rms_norm(h.data, gain.data, eps)
-    x2 = x2.reshape(-1, d)
-    gate, up = x2 @ w_gate.data, x2 @ w_up.data
 
-    def hidden():  # s, silu(gate) and a, by the same ops every time; s = 1 / (1 + exp(-gate)) in one buffer
+    def hidden(x2):  # gate, up, s, silu(gate) and a, by the same ops every time; s = 1 / (1 + exp(-gate)) in one buffer
+        gate, up = x2 @ w_gate.data, x2 @ w_up.data
         sig = np.negative(gate)
         np.exp(sig, out=sig)
         sig += 1.0
         np.divide(1.0, sig, out=sig)
         act = gate * sig
-        return sig, act, act * up
+        return gate, up, sig, act, act * up
 
-    o = hidden()[2] @ w_down.data
+    x2, inv = rms_norm(h.data, gain.data, eps)
+    o = hidden(x2.reshape(-1, d))[4] @ w_down.data
     o += h.data.reshape(-1, d)
     out = Tensor(o.reshape(h.shape))
     _check_finite(out.data, "swiglu")
 
     def backward(g):
-        sig, act, a = hidden()
+        x = _normed(h.data, gain.data, inv).reshape(-1, d)  # rebuilt, not held
+        gate, up, sig, act, a = hidden(x)
         g2 = g.reshape(-1, d)
         if w_down.requires_grad:
             w_down.accumulate_grad(a.T @ g2)
@@ -252,16 +252,16 @@ def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
         da *= up
         d_gate = np.subtract(1.0, sig, out=up)  # up's buffer, read for the last time above
         d_gate *= gate
+        del gate
         d_gate += 1.0
         d_gate *= sig
         del sig
         d_gate *= da
         del da
-        if w_up.requires_grad or w_gate.requires_grad:
-            x = _normed(h.data, gain.data, inv).reshape(-1, d)  # rebuilt, not held
-            for w, dw in ((w_up, d_up), (w_gate, d_gate)):
-                if w.requires_grad:
-                    w.accumulate_grad(x.T @ dw)
+        for w, dw in ((w_up, d_up), (w_gate, d_gate)):
+            if w.requires_grad:
+                w.accumulate_grad(x.T @ dw)
+        del x
         if h.requires_grad or gain.requires_grad:
             dx = d_up @ w_up.data.T
             dx += d_gate @ w_gate.data.T
@@ -366,10 +366,11 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
     The core (scores, scale, mask, softmax and P V) runs in tiles of whole
     sequences, as many as fit ATTN_TILE_BYTES of P and at least one, so
     each product and each row reduction is the one an untiled call makes,
-    bit for bit. Backward keeps the heads H, the rotated Q, K and V and h's
-    inverse RMS, and P when the op fits one tile; otherwise each query row's
-    max and sum, from which it recomputes each tile's P. It rebuilds x from
-    h: dwo = H^T dO and dH = dO wo^T; per tile, dV = P^T dH,
+    bit for bit. Backward keeps the heads H, the rotated Q and h's inverse
+    RMS, and P when the op fits one tile; otherwise each query row's max and
+    sum, from which it recomputes each tile's P. It rebuilds x from h, and K
+    and V by the forward's ops from x (self-attention, K rotated again) or
+    from the held kv: dwo = H^T dO and dH = dO wo^T; per tile, dV = P^T dH,
     dS = P * (dP - sum(dP * P)) with dP = dH V^T, dQ = dS K and dK = dS^T Q,
     then scaled and un-rotated; dwq = x^T dQ, dwk = kv^T dK,
     dwv = kv^T dV. The input grads are dkv = dV wv^T + dK wk^T and
@@ -395,12 +396,20 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
     q_cols = lambda a: a.reshape(b, n_kv_heads, g, lq, d_h).transpose(0, 3, 1, 2, 4).reshape(-1, dim)
     kv_rows = lambda a: a.reshape(b, lk, n_kv_heads, d_h).transpose(0, 2, 1, 3)  # (B,hkv,Lk,dh)
     kv_cols = lambda a: a.transpose(0, 2, 1, 3).reshape(-1, kv_w[1])
+
+    def kv_heads(rows):  # K (rotated when causal) and V of the keys' (B*Lk, d_kv) rows, by the same ops every time
+        kh = kv_rows(rows @ wk.data)
+        return rope(kh, rope_theta) if causal else kh, kv_rows(rows @ wv.data)
+
+    def normed_x():  # x rebuilt from h, not held
+        return _normed(h.data, gain.data, inv).reshape(-1, d)
+
     x2, inv = rms_norm(h.data, gain.data, eps)
     x2 = x2.reshape(-1, d)
-    kv2 = x2 if kv is None else kv.data.reshape(-1, d_kv)
-    qh, kh, vh = q_rows(x2 @ wq.data), kv_rows(kv2 @ wk.data), kv_rows(kv2 @ wv.data)
+    kh, vh = kv_heads(x2 if kv is None else kv.data.reshape(-1, d_kv))
+    qh = q_rows(x2 @ wq.data)
     if causal:
-        qh, kh = rope(qh, rope_theta), rope(kh, rope_theta)
+        qh = rope(qh, rope_theta)
     qh = qh.reshape(b, n_kv_heads, g * lq, d_h)
     scale_ = d_h**-0.5  # a Python float: an np.float64 would promote float32 scores
     mask = _causal_mask(lq, qh.dtype) if causal else None
@@ -430,6 +439,8 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
         if wo.requires_grad:
             wo.accumulate_grad(heads.T @ g2)
         do = q_rows(g2 @ wo.data.T).reshape(qh.shape)
+        rows = normed_x() if kv is None else kv.data.reshape(-1, d_kv)
+        kh, vh = kv_heads(rows)
         if p is not None:
             dq, dk, dv = _core_grads(p, do, qh, kh, vh, scale_)
         else:
@@ -441,15 +452,12 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
                 s /= row_sum[t]
                 dq[t], dk[t], dv[t] = _core_grads(s, do[t], qh[t], kh[t], vh[t], scale_)
                 del s
-        del do
+        del do, kh, vh
         dq = dq.reshape(b, n_kv_heads, g, lq, d_h)
         dq = q_cols(rope(dq, rope_theta, inverse=True) if causal else dq)
         dk = kv_cols(rope(dk, rope_theta, inverse=True) if causal else dk)
         dv = kv_cols(dv)
-        x = None
-        if wq.requires_grad or kv is None and (wk.requires_grad or wv.requires_grad):
-            x = _normed(h.data, gain.data, inv).reshape(-1, d)  # rebuilt, not held
-        rows = x if kv is None else kv.data.reshape(-1, d_kv)
+        x = rows if kv is None else (normed_x() if wq.requires_grad else None)
         for w, a, dw in ((wq, x, dq), (wk, rows, dk), (wv, rows, dv)):
             if w.requires_grad:
                 w.accumulate_grad(a.T @ dw)

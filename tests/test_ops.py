@@ -777,10 +777,12 @@ def held_bytes(f):
 
 
 class TestBlocksHoldNoNormedInput:
-    """A taped block keeps h's inverse RMS instead of the normed input x, and
-    its output is h + block(x) with no second array before the residual add.
-    Each bound is the arrays the op's docstring lists, plus half a (rows, d)
-    array of slack: holding x or the pre-residual output again fails it."""
+    """A taped block keeps h's inverse RMS instead of the normed input x, no
+    projection its backward can rebuild (SwiGLU's gate and up, attention's
+    K and V), and its output is h + block(x) with no second array before
+    the residual add. Each bound is the arrays the op's docstring lists,
+    plus half a (rows, d) array of slack: holding x, gate, up, K, V or the
+    pre-residual output again fails it."""
 
     B, L, D, F = 4, 64, 96, 192  # 4 query heads over 2 KV heads of d_h = 24
 
@@ -791,19 +793,20 @@ class TestBlocksHoldNoNormedInput:
         h, gain, wu, wg, wd = self.weights((self.B, self.L, self.D), (self.D,), (self.D, self.F), (self.D, self.F),
                                            (self.F, self.D))
         n = self.B * self.L
-        kept = 8 * (n * self.D + 2 * n * self.F + n)  # output, gate and up, inverse RMS
+        kept = 8 * (n * self.D + n)  # output, inverse RMS
         held = held_bytes(lambda: ops.swiglu(h, gain, wu, wg, wd))
         assert kept <= held < kept + 4 * n * self.D, (held, kept)
 
     def attention_held(self, causal):
         """(bytes a taped attention block holds, the bytes its rotated Q and
-        merged heads, K and V, output and inverse RMS take, Lk)."""
-        lk = self.L if causal else 32
+        merged heads, output and inverse RMS take, Lk). A memory read attends
+        over 80 keys, so its K alone outweighs the slack."""
+        lk = self.L if causal else 80
         h, gain, kv, wq, wk, wv, wo = self.weights((self.B, self.L, self.D), (self.D,), (self.B, lk, self.D),
                                                    (self.D, 96), (self.D, 48), (self.D, 48), (96, self.D))
         n = self.B * self.L
         held = held_bytes(lambda: ops.attention(h, gain, None if causal else kv, wq, wk, wv, wo, 4, 2, causal, 1e4))
-        return held, 8 * (2 * n * 96 + 2 * self.B * lk * 48 + n * self.D + n), lk
+        return held, 8 * (2 * n * 96 + n * self.D + n), lk
 
     @pytest.mark.parametrize("causal", (False, True))
     def test_attention(self, causal):
@@ -813,13 +816,64 @@ class TestBlocksHoldNoNormedInput:
 
     @pytest.mark.parametrize("causal", (False, True))
     def test_attention_in_tiles(self, causal, monkeypatch):
-        # P is 128 KiB a sequence when causal, 64 KiB across 32 keys: tiles of
-        # one sequence and of 3 and 1. Each query row keeps its max and sum
-        # instead of P, so holding P again fails.
-        monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 3 << 16)
+        # P is 128 KiB a sequence when causal, 160 KiB across 80 keys: tiles
+        # of 3 and 1 sequences, and of 2 and 2. Each query row keeps its max
+        # and sum instead of P, so holding P again fails.
+        monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 3 << 17)
         held, kept, _ = self.attention_held(causal)
         kept += 8 * 2 * self.B * 4 * self.L  # the two row statistics
         assert kept <= held < kept + 4 * self.B * self.L * self.D, (held, kept)
+
+
+class TestFrozenOperands:
+    """Each operand of a block with requires_grad off in turn (every weight,
+    then kv, then h) gets no grad, and every other operand's grad is
+    bit-equal to the all-trainable call's: the backward rebuilds x, gate and
+    up, or K and V, whichever grads it is asked for."""
+
+    def check(self, op, shapes, precision):
+        def grads(frozen):
+            ts = [Tensor(rand_tensor(shape, i, scale=0.5).data, precision=precision, requires_grad=i != frozen)
+                  for i, shape in enumerate(shapes)]
+            with Tape() as tape:
+                out = op(*ts)
+                tape.backward(weighted_sum(out, rand_tensor(out.shape, 9).data))
+            return [t.grad for t in ts]
+
+        want = grads(None)
+        for frozen in range(len(shapes)):
+            got = grads(frozen)
+            assert got[frozen] is None
+            for i, (w, g) in enumerate(zip(want, got)):
+                if i != frozen:
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (frozen, i)
+
+    @pytest.mark.parametrize("precision", ("double", "single"))
+    def test_swiglu(self, precision):
+        # weights w_down, w_gate, w_up, the gain, then h
+        shapes = [(20, 12), (12, 20), (12, 20), (12,), (3, 5, 12)]
+        self.check(lambda wd, wg, wu, gain, h: ops.swiglu(h, gain, wu, wg, wd), shapes, precision)
+
+    @pytest.mark.parametrize("precision", ("double", "single"))
+    @pytest.mark.parametrize("tiled", (False, True))
+    @pytest.mark.parametrize("causal", (False, True))
+    def test_attention(self, causal, tiled, precision, monkeypatch):
+        # 4 query heads over 2 KV heads; 5 sequences in one tile or in tiles of 2, 2 and 1
+        b, lq, lk, d_kv = 5, 6, 6 if causal else 9, 12 if causal else 10
+        shapes = [(12, 16), (d_kv, 8), (d_kv, 8), (16, 12), (12,)] + ([] if causal else [(b, lk, d_kv)]) + [(b, lq, 12)]
+        if causal:
+            def op(wq, wk, wv, wo, gain, h):
+                return ops.attention(h, gain, None, wq, wk, wv, wo, 4, 2, True, 1e4)
+        else:
+            def op(wq, wk, wv, wo, gain, kv, h):
+                return ops.attention(h, gain, kv, wq, wk, wv, wo, 4, 2, False, 1e4)
+        per_seq = 4 * lq * lk * (8 if precision == "double" else 4)
+        if tiled:
+            monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 2 * per_seq)
+        tiles, scores = [], ops._scores
+        monkeypatch.setattr(ops, "_scores", lambda q, *rest: tiles.append(len(q)) or scores(q, *rest))
+        self.check(op, shapes, precision)
+        assert set(tiles) == ({2, 1} if tiled else {b})
 
 
 def ce_oracle(logits, targets):

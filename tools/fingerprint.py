@@ -30,16 +30,18 @@ step-0 checkpoint, whose optimizer moments are all zero. Then comes a
 model case in single precision at the benchmark's train-mem shape
 (``bench/workloads.mid_config()`` at B=8, L=128), where the core of every
 self-attention and memory read runs in several tiles
-(``ops.ATTN_TILE_BYTES``). The last line hashes the ``metrics.csv`` and
+(``ops.ATTN_TILE_BYTES``). The next line hashes the ``metrics.csv`` and
 the saved final checkpoint of a 2-step ``train()`` of that model at that
 shape. Its embedding, bank and MLP weights are larger than an optimizer
 block (``optim.BLOCK``), so whole blocks of the update lie inside one
 parameter; every ``micro`` parameter is smaller than a block, so in the
 ``micro`` runs above a block spans several parameters or is the whole of
-the bank's segment. The last line hashes ``metrics.csv`` and
+the bank's segment. The next line hashes ``metrics.csv`` and
 ``final.ckpt`` of ``chapterbank continue`` from the 12-step run's
 ``final.ckpt``, 12 steps at ``--seq-len 96``, past the preset's
-``max_seq_len`` of 64.
+``max_seq_len`` of 64. The last line hashes the same 2-step ``train()``
+of the train-mem model with ``bank_mode: frozen``: its memory reads run
+in several tiles over a bank that takes no gradient.
 """
 
 from __future__ import annotations
@@ -178,12 +180,13 @@ def retention_digest(argv: list[str], names: tuple[str, ...]) -> str:
         return h.hexdigest()
 
 
-def mid_train_digest() -> str:
+def mid_train_digest(bank_mode: str = "equal_lr") -> str:
     """Hash ``metrics.csv`` and the saved final checkpoint of a 2-step
-    ``train()`` of ``mid_config()`` at the benchmark's B and L, seed 1."""
+    ``train()`` of ``mid_config()`` at the benchmark's B and L, seed 1,
+    with the bank trained as ``bank_mode`` says."""
     cfg = mid_config()
     corpus = make_synthetic_corpus(vocab=cfg.vocab, length=CORPUS_TOKENS, seed=1)
-    tcfg = TrainConfig(steps=2, batch_size=BATCH, seq_len=SEQ_LEN, lr_base=3e-3, bank_mode="equal_lr",
+    tcfg = TrainConfig(steps=2, batch_size=BATCH, seq_len=SEQ_LEN, lr_base=3e-3, bank_mode=bank_mode,
                        schedule=cosine(1), eval_every=2, seed=1)
     result = train(build_model(cfg, RngState(1)), corpus, tcfg)
     with tempfile.TemporaryDirectory() as out:
@@ -238,6 +241,7 @@ def main() -> None:
     print(case_digest("single", mid_config(), (BATCH, SEQ_LEN)), "single/tied/train-mem")
     print(mid_train_digest(), "train-mem-2/metrics.csv+final.ckpt")
     print(continue_digest(), "continue-micro-12-then-12-at-96/metrics.csv+final.ckpt")
+    print(mid_train_digest("frozen"), "train-mem-2-frozen-bank/metrics.csv+final.ckpt")
 
 
 if __name__ == "__main__":
