@@ -12,6 +12,7 @@ the raw little-endian bytes of each array.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -40,17 +41,13 @@ class Checkpoint:
     metadata: dict = field(default_factory=dict)
 
 
-def checkpoint_from(
-    model, step: int = 0, seed: int = 0, optimizer=None, metadata: dict | None = None, *, zero_views: bool = False
-) -> Checkpoint:
-    """Snapshot ``model``'s weights and ``optimizer``'s moments as copies.
-    With ``zero_views``, a moment that is all zero is kept instead as a
-    shared read-only view that holds one element. Only an optimizer that
-    has not stepped has such moments, so only a snapshot taken before a
-    step asks for the scan."""
+def checkpoint_from(model, step: int = 0, seed: int = 0, optimizer=None, metadata: dict | None = None) -> Checkpoint:
+    """Snapshot ``model``'s weights and ``optimizer``'s moments as copies;
+    a moment that is all zero (an optimizer that has not stepped) is kept
+    instead as a shared read-only view that holds one element."""
 
     def snapshot(arr: np.ndarray) -> np.ndarray:
-        if zero_views and not arr.any():
+        if not arr.any():
             return np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
         return arr.copy()
 
@@ -180,7 +177,7 @@ def load_checkpoint(path) -> Checkpoint:
             if not all(type(n) is int and n >= 0 for n in entry["shape"]):
                 raise ConfigError(f"{path}: tensor {entry['name']} has a bad shape {entry['shape']}")
             dtype, start, nbytes = np.dtype(_DTYPES[entry["precision"]]), base + entry["offset"], entry["nbytes"]
-            if nbytes != int(np.prod(entry["shape"])) * dtype.itemsize:
+            if nbytes != math.prod(entry["shape"]) * dtype.itemsize:
                 raise ConfigError(f"{path}: tensor {entry['name']} has {nbytes} bytes for shape {entry['shape']}")
             if not base <= start <= size - nbytes:
                 raise ConfigError(f"{path}: tensor {entry['name']} runs past the end of the file (truncated checkpoint)")

@@ -30,8 +30,8 @@ MASK_VALUE = -1e30
 CE_CHUNK_ROWS = 256
 
 # Bytes of attention probabilities P per tile of ``attention``'s core: a tile
-# is as many whole sequences as fit (at least one). An op of more than one
-# tile keeps each query row's max and sum and recomputes P in backward.
+# is as many whole sequences as fit (at least one). Every op keeps each query
+# row's max and sum and recomputes P in backward, tile by tile.
 ATTN_TILE_BYTES = 1 << 20
 
 
@@ -366,17 +366,17 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
     The core (scores, scale, mask, softmax and P V) runs in tiles of whole
     sequences, as many as fit ATTN_TILE_BYTES of P and at least one, so
     each product and each row reduction is the one an untiled call makes,
-    bit for bit. Backward keeps the heads H, the rotated Q and h's inverse
-    RMS, and P when the op fits one tile; otherwise each query row's max and
-    sum, from which it recomputes each tile's P. It rebuilds x from h, and K
-    and V by the forward's ops from x (self-attention, K rotated again) or
-    from the held kv: dwo = H^T dO and dH = dO wo^T; per tile, dV = P^T dH,
-    dS = P * (dP - sum(dP * P)) with dP = dH V^T, dQ = dS K and dK = dS^T Q,
-    then scaled and un-rotated; dwq = x^T dQ, dwk = kv^T dK,
-    dwv = kv^T dV. The input grads are dkv = dV wv^T + dK wk^T and
-    dx = dQ wq^T, summed in that order into one array for self-attention;
-    dx goes through the norm backward to the gain and to h, after h's
-    residual term dO.
+    bit for bit. Backward keeps the heads H, the rotated Q, h's inverse RMS
+    and each query row's max and sum, from which it recomputes each tile's
+    P; an op that fits one tile is the loop's one-tile case. It rebuilds x
+    from h, and K and V by the forward's ops from x (self-attention, K
+    rotated again) or from the held kv: dwo = H^T dO and dH = dO wo^T; per
+    tile, dV = P^T dH, dS = P * (dP - sum(dP * P)) with dP = dH V^T,
+    dQ = dS K and dK = dS^T Q, then scaled and un-rotated; dwq = x^T dQ,
+    dwk = kv^T dK, dwv = kv^T dV. The input grads are dkv = dV wv^T +
+    dK wk^T and dx = dQ wq^T, summed in that order into one array for
+    self-attention; dx goes through the norm backward to the gain and to
+    h, after h's residual term dO.
     """
     h, gain, wq, wk, wv, wo = (_as_tensor(t) for t in (h, gain, wq, wk, wv, wo))
     kv = None if kv is None else _as_tensor(kv)
@@ -414,21 +414,16 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
     scale_ = d_h**-0.5  # a Python float: an np.float64 would promote float32 scores
     mask = _causal_mask(lq, qh.dtype) if causal else None
     per_tile = max(1, ATTN_TILE_BYTES // (n_heads * lq * lk * qh.itemsize))  # whole sequences per tile
-    if per_tile >= b:  # one tile: P is held and nothing else is allocated
-        p = _scores(qh, kh, scale_, mask)
-        _softmax_rows(p)
-        heads = q_cols(p @ vh)  # (B*Lq, n_heads*dh)
-    else:
-        p, tiles = None, [slice(t, t + per_tile) for t in range(0, b, per_tile)]
-        row_max, row_sum = np.empty((2, b, n_kv_heads, g * lq, 1), qh.dtype)
-        pv = np.empty(qh.shape, qh.dtype)
-        for t in tiles:
-            s = _scores(qh[t], kh[t], scale_, mask)
-            row_max[t], row_sum[t] = _softmax_rows(s)
-            np.matmul(s, vh[t], out=pv[t])
-            del s
-        heads = q_cols(pv)
-        del pv
+    tiles = [slice(t, t + per_tile) for t in range(0, b, per_tile)]
+    row_max, row_sum = np.empty((2, b, n_kv_heads, g * lq, 1), qh.dtype)
+    pv = np.empty(qh.shape, qh.dtype)
+    for t in tiles:
+        s = _scores(qh[t], kh[t], scale_, mask)
+        row_max[t], row_sum[t] = _softmax_rows(s)
+        np.matmul(s, vh[t], out=pv[t])
+        del s
+    heads = q_cols(pv)  # (B*Lq, n_heads*dh)
+    del pv
     o = heads @ wo.data
     o += h.data.reshape(-1, d)
     out = Tensor(o.reshape(h.shape))
@@ -441,17 +436,14 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
         do = q_rows(g2 @ wo.data.T).reshape(qh.shape)
         rows = normed_x() if kv is None else kv.data.reshape(-1, d_kv)
         kh, vh = kv_heads(rows)
-        if p is not None:
-            dq, dk, dv = _core_grads(p, do, qh, kh, vh, scale_)
-        else:
-            dq, dk, dv = (np.empty(a.shape, a.dtype) for a in (qh, kh, vh))
-            for t in tiles:  # each tile's P again, exp(S - row max) / row sum: the forward's bits
-                s = _scores(qh[t], kh[t], scale_, mask)
-                s -= row_max[t]
-                np.exp(s, out=s)
-                s /= row_sum[t]
-                dq[t], dk[t], dv[t] = _core_grads(s, do[t], qh[t], kh[t], vh[t], scale_)
-                del s
+        dq, dk, dv = (np.empty(a.shape, a.dtype) for a in (qh, kh, vh))
+        for t in tiles:  # each tile's P again, exp(S - row max) / row sum: the forward's bits
+            s = _scores(qh[t], kh[t], scale_, mask)
+            s -= row_max[t]
+            np.exp(s, out=s)
+            s /= row_sum[t]
+            dq[t], dk[t], dv[t] = _core_grads(s, do[t], qh[t], kh[t], vh[t], scale_)
+            del s
         del do, kh, vh
         dq = dq.reshape(b, n_kv_heads, g, lq, d_h)
         dq = q_cols(rope(dq, rope_theta, inverse=True) if causal else dq)

@@ -11,20 +11,21 @@ per (dtype, group, decay) class, in the style of ZeRO's flat parameter
 groups (Rajbhandari et al. 2020, arXiv 1910.02054): each segment holds
 one contiguous data, m and v buffer, and every parameter's ``data`` and
 moments are views into them. Gradients are not adopted: a parameter holds
-its own from the backward that reaches it, and the gradient norm, the
-clip and the step read it through the parameter, ``BLOCK`` elements of a
-segment at a time, as a view when one parameter holds the whole block
-and assembled into scratch when the block spans several. A parameter with
-no gradient counts as zeros, and the step consumes every gradient it
-applies. Only this module knows the layout; everything else keeps writing
-through the views in place.
+its own from the backward that reaches it, the clip scales it in place,
+and the gradient norm and the update read it through the parameter,
+``BLOCK`` elements of a segment at a time, as a view when one parameter
+holds the whole block and assembled into scratch when the block spans
+several. A parameter with no gradient counts as zeros. The step checks
+every gradient, parameter by parameter, before its first write, and
+consumes every gradient it applies. Only this module knows the layout;
+everything else keeps writing through the views in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NoReturn
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -98,13 +99,6 @@ def _concat_grads(grads: list[np.ndarray], scratch: np.ndarray) -> np.ndarray:
     return np.concatenate(grads, out=scratch[: sum(g.size for g in grads)])
 
 
-def _block_grad(pieces: tuple[tuple[Parameter, int, int], ...], scratch: np.ndarray) -> np.ndarray:
-    """The gradient of one segment block: a view of the one parameter that
-    holds it, or its pieces concatenated into the head of ``scratch``."""
-    grads = _grad_pieces(pieces)
-    return grads[0] if len(grads) == 1 else _concat_grads(grads, scratch)
-
-
 class AdamW:
     """Holds per-parameter first/second moment buffers keyed by name.
 
@@ -118,10 +112,11 @@ class AdamW:
     built over it; a grad stays with its parameter. Frozen parameters are
     not adopted: their grad is dropped and ops skip them in backward. The
     update runs in place over each segment in blocks of ``BLOCK``
-    elements; per dtype, two scratch buffers of one block (or the largest
-    segment, when smaller) live for one ``step`` and hold every temporary
-    of the update in turn, the block's assembled gradient included. The
-    step ends by dropping every trainable grad: a gradient is applied once.
+    elements, once ``check_finite`` has found every grad finite; per
+    dtype, two scratch buffers of one block (or the largest segment, when
+    smaller) live for one ``step`` and hold every temporary of the update
+    in turn, the block's assembled gradient included. The step ends by
+    dropping every trainable grad: a gradient is applied once.
     """
 
     def __init__(
@@ -190,13 +185,12 @@ class AdamW:
             self.state[name]["m"][...] = m
             self.state[name]["v"][...] = v
 
-    def raise_non_finite(self) -> NoReturn:
+    def check_finite(self) -> None:
         """Raise NumericError naming the first trainable parameter, in
         parameter order, whose grad is not finite."""
         for name, p in self.trainable():
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericError(f"non-finite gradient in {name}; step aborted")
-        raise NumericError("gradient sum of squares overflows float64; step aborted")
 
     def step(self, group_lrs: Mapping[str, float], t: int) -> None:
         if t < 1:
@@ -206,22 +200,21 @@ class AdamW:
         inv1 = 1.0 / (1.0 - b1**t)
         inv2 = 1.0 / (1.0 - b2**t)
         lrs = {seg.group: float(group_lrs[seg.group]) for seg in self.segments}
+        self.check_finite()  # before the first write, so a bad gradient changes nothing
         width: dict[np.dtype, int] = {}
         for seg in self.segments:
             width[seg.data.dtype] = max(width.get(seg.data.dtype, 0), min(BLOCK, seg.data.size))
         scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in width.items()}
-        # a pass over every block before the first write, so a bad gradient changes nothing
-        for seg in self.segments:
-            for pieces in seg.blocks:
-                if not np.isfinite(_block_grad(pieces, scratch[seg.data.dtype][1])).all():
-                    self.raise_non_finite()
         for seg in self.segments:
             lr, decay = lrs[seg.group], wd != 0.0 and seg.decay
             t1, t2 = scratch[seg.data.dtype]
             for a, pieces in zip(range(0, seg.data.size, BLOCK), seg.blocks):
                 w, m, v = (buf[a : a + BLOCK] for buf in (seg.data, seg.m, seg.v))
                 s1, s2 = t1[: w.size], t2[: w.size]
-                g = _block_grad(pieces, s2)  # s2 is first written after g's last read
+                # a view of the one parameter that holds the block, or its pieces assembled in s2,
+                # which is first written after g's last read
+                grads = _grad_pieces(pieces)
+                g = grads[0] if len(grads) == 1 else _concat_grads(grads, s2)
                 # the same ops in the same order as m = b1*m + (1-b1)*g,
                 # v = b2*v + (1-b2)*g^2, update = (m*inv1) / (sqrt(v*inv2) + eps)
                 # [+ wd*w], w -= lr*update, so results are bit-identical
@@ -250,7 +243,8 @@ def global_grad_norm(optimizer: AdamW) -> float:
     """L2 norm of the optimizer's trainable grads, summed in float64 over
     its segments in ``BLOCK``-sized pieces through one scratch buffer;
     raises NumericError naming the first trainable parameter whose grad is
-    not finite."""
+    not finite, or, when every grad is finite, saying that the sum
+    overflows float64."""
     scratch = np.empty(max((min(BLOCK, seg.data.size) for seg in optimizer.segments), default=0), np.float64)
     total = 0.0
     for seg in optimizer.segments:
@@ -259,7 +253,8 @@ def global_grad_norm(optimizer: AdamW) -> float:
             g = _concat_grads(_grad_pieces(pieces), scratch)
             total += float(np.dot(g, g))
     if not math.isfinite(total):
-        optimizer.raise_non_finite()
+        optimizer.check_finite()
+        raise NumericError("gradient sum of squares overflows float64; step aborted")
     return math.sqrt(total)
 
 

@@ -230,8 +230,7 @@ def train(
     base_lrs = cfg.group_lrs()
 
     rows: list[MetricsRow] = []
-    # only this snapshot can meet a fresh optimizer's all-zero moments, so only it scans for them
-    last_ckpt = checkpoint_from(model, step=start_step, seed=cfg.seed, optimizer=optimizer, zero_views=True)
+    last_ckpt = checkpoint_from(model, step=start_step, seed=cfg.seed, optimizer=optimizer)
 
     for step in range(start_step, cfg.steps):
         lrs = {g: lr_at_step(sched, step, base) for g, base in base_lrs.items()}

@@ -119,8 +119,8 @@ class TestRoundTrip:
 
 
 class TestZeroMoments:
-    """With ``zero_views``, an all-zero moment is snapshot as a shared
-    read-only view; any other moment, and every moment without it, is copied."""
+    """An all-zero moment is snapshot as a shared read-only view; any other
+    moment is copied."""
 
     def test_fresh_optimizer_snapshot_costs_the_weights_only(self):
         model = micro_model(precision="single")
@@ -128,30 +128,36 @@ class TestZeroMoments:
         weight_bytes = sum(p.data.nbytes for p in model.params.values())
         tracemalloc.start()
         try:
-            ckpt = checkpoint_from(model, optimizer=opt, zero_views=True)
+            ckpt = checkpoint_from(model, optimizer=opt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert set(ckpt.moments) == set(opt.state)
         assert peak < 1.1 * weight_bytes, f"snapshot peak {peak} B is {peak / weight_bytes:.2f}x the weights"
 
-    @pytest.mark.parametrize("zero_views", [False, True])
-    def test_stepped_moments_are_equal_copies(self, zero_views):
-        _, model, opt = stepped_checkpoint()
-        ckpt = checkpoint_from(model, optimizer=opt, zero_views=zero_views)
+    @pytest.mark.parametrize("one_unstepped", [False, True])
+    def test_stepped_moments_are_equal_copies(self, one_unstepped):
+        # with one_unstepped, bank.tokens gets no gradient, so its moments stay
+        # zero and become views beside the stepped moments, which are still copies
+        model = micro_model()
+        opt = AdamW(model.params)
+        gen = np.random.default_rng(0)
+        for name, p in model.params.items():
+            p.grad = None if one_unstepped and name == "bank.tokens" else gen.standard_normal(p.shape)
+        opt.step({"base": 1e-3, "memory_layers": 1e-3, "memory_bank": 1e-3}, t=1)
+        ckpt = checkpoint_from(model, optimizer=opt)
+        if one_unstepped:
+            assert not any(arr.flags.writeable for arr in ckpt.moments["bank.tokens"])
         for name, buf in opt.state.items():
+            if one_unstepped and name == "bank.tokens":
+                continue
             for kind, arr in zip("mv", ckpt.moments[name]):
                 assert arr.flags.writeable and arr.tobytes() == buf[kind].tobytes()
                 assert not np.shares_memory(arr, buf[kind]), (name, kind)
 
-    def test_zero_moments_are_copied_unless_asked(self):
-        model = micro_model()
-        m, v = checkpoint_from(model, optimizer=AdamW(model.params)).moments["bank.tokens"]
-        assert m.flags.writeable and v.flags.writeable and not m.any()
-
     def test_a_zero_moment_is_read_only(self):
         model = micro_model()
-        ckpt = checkpoint_from(model, optimizer=AdamW(model.params), zero_views=True)
+        ckpt = checkpoint_from(model, optimizer=AdamW(model.params))
         m, v = ckpt.moments["bank.tokens"]
         assert m.shape == v.shape == model["bank.tokens"].shape
         with pytest.raises(ValueError, match="read-only"):
@@ -160,7 +166,7 @@ class TestZeroMoments:
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_a_start_snapshot_saves_the_bytes_of_real_zeros(self, tmp_path, precision):
         model = micro_model(precision=precision)
-        ckpt = checkpoint_from(model, step=0, seed=4, optimizer=AdamW(model.params), zero_views=True)
+        ckpt = checkpoint_from(model, step=0, seed=4, optimizer=AdamW(model.params))
         zeros = replace(ckpt, moments={name: (np.zeros(m.shape, m.dtype), np.zeros(v.shape, v.dtype))
                                        for name, (m, v) in ckpt.moments.items()})
         save_checkpoint(ckpt, tmp_path / "view.ckpt")
@@ -190,6 +196,18 @@ class TestFileFormat:
         path = tmp_path / "v1.ckpt"
         _save_as_version(checkpoint_from(micro_model()), path, 1)
         with pytest.raises(ConfigError, match="format version 1"):
+            load_checkpoint(path)
+
+    def test_a_shape_whose_element_count_wraps_int64_is_rejected(self, tmp_path):
+        # 2**32 * 2**32 elements wrap to 0 in int64, which would match an nbytes of 0
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(checkpoint_from(micro_model()), path)
+        raw = path.read_bytes()
+        base, header = _header(raw)
+        header["tensors"][0].update(shape=[2**32, 2**32], nbytes=0)
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[base:])
+        with pytest.raises(ConfigError, match=r"has 0 bytes for shape \[4294967296, 4294967296\]"):
             load_checkpoint(path)
 
     def test_each_entry_carries_the_crc32_of_its_payload(self, tmp_path):

@@ -512,6 +512,10 @@ def _misstate_nbytes(header):
     header["tensors"][0]["nbytes"] -= 4
 
 
+def _wrap_element_count(header):
+    header["tensors"][0].update(shape=[2**32, 2**32], nbytes=0)  # 2**64 elements: 0 in int64
+
+
 def _edit(keys, *value):
     """A header edit that deletes header[k0][k1]..., or sets it to ``value`` when one is given."""
 
@@ -596,7 +600,7 @@ class TestCorruptCheckpoint:
         ckpt_path.write_bytes(CORRUPTIONS[mode](data, base))
         self.assert_exit_2(ckpt_path, tmp_path, capsys)
 
-    @pytest.mark.parametrize("edit", [_drop_v_moment, _misstate_nbytes])
+    @pytest.mark.parametrize("edit", [_drop_v_moment, _misstate_nbytes, _wrap_element_count])
     def test_inconsistent_tensor_table_exits_2(self, edit, ckpt_path, tmp_path, capsys):
         _rewrite_header(ckpt_path, edit)
         self.assert_exit_2(ckpt_path, tmp_path, capsys)

@@ -749,7 +749,7 @@ class TestModelForward:
 
     def test_train_mem_forward_holds_at_most_35_mib_and_backward_peaks_at_56(self):
         # the benchmark's train-mem model at (8, 128): its self-attention runs
-        # in 2 tiles and its memory read in 8, so no op holds P, and no block
+        # in 2 tiles and its memory read in 8. No op holds P, and no block
         # holds gate, up, K or V. The forward holds 33.0 MiB and the backward
         # peaks at 52.7; holding those projections again takes them to 70.0
         # and 79.7.

@@ -720,7 +720,7 @@ class TestAttention:
         tiles, scores = [], ops._scores
         monkeypatch.setattr(ops, "_scores", lambda q, *rest: tiles.append(len(q)) or scores(q, *rest))
         one = run()
-        assert tiles == [b]  # the backward reads the held P
+        assert tiles == [b, b]  # the forward's one tile, then the backward recomputes its P
         per_seq = 4 * lq * lk * one[0].itemsize
         monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 3 * per_seq + per_seq // 2)
         tiles.clear()
@@ -797,32 +797,24 @@ class TestBlocksHoldNoNormedInput:
         held = held_bytes(lambda: ops.swiglu(h, gain, wu, wg, wd))
         assert kept <= held < kept + 4 * n * self.D, (held, kept)
 
-    def attention_held(self, causal):
-        """(bytes a taped attention block holds, the bytes its rotated Q and
-        merged heads, output and inverse RMS take, Lk). A memory read attends
-        over 80 keys, so its K alone outweighs the slack."""
+    @pytest.mark.parametrize("causal, tiled", [(False, False), (True, False), (False, True), (True, True)],
+                             ids=["False", "True", "False-tiles", "True-tiles"])
+    def test_attention(self, causal, tiled, monkeypatch):
+        # P is 128 KiB a sequence when causal, 160 KiB across 80 keys: one
+        # tile of 4 sequences, or tiles of 3 and 1, and of 2 and 2. Either way
+        # each query row keeps its max and sum instead of P, so holding P
+        # again fails; a memory read attends over 80 keys, so its K alone
+        # outweighs the slack.
+        if tiled:
+            monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 3 << 17)
         lk = self.L if causal else 80
         h, gain, kv, wq, wk, wv, wo = self.weights((self.B, self.L, self.D), (self.D,), (self.B, lk, self.D),
                                                    (self.D, 96), (self.D, 48), (self.D, 48), (96, self.D))
         n = self.B * self.L
         held = held_bytes(lambda: ops.attention(h, gain, None if causal else kv, wq, wk, wv, wo, 4, 2, causal, 1e4))
-        return held, 8 * (2 * n * 96 + n * self.D + n), lk
-
-    @pytest.mark.parametrize("causal", (False, True))
-    def test_attention(self, causal):
-        held, kept, lk = self.attention_held(causal)
-        kept += 8 * self.B * 4 * self.L * lk  # and P, as the op fits one tile
-        assert kept <= held < kept + 4 * self.B * self.L * self.D, (held, kept)
-
-    @pytest.mark.parametrize("causal", (False, True))
-    def test_attention_in_tiles(self, causal, monkeypatch):
-        # P is 128 KiB a sequence when causal, 160 KiB across 80 keys: tiles
-        # of 3 and 1 sequences, and of 2 and 2. Each query row keeps its max
-        # and sum instead of P, so holding P again fails.
-        monkeypatch.setattr(ops, "ATTN_TILE_BYTES", 3 << 17)
-        held, kept, _ = self.attention_held(causal)
-        kept += 8 * 2 * self.B * 4 * self.L  # the two row statistics
-        assert kept <= held < kept + 4 * self.B * self.L * self.D, (held, kept)
+        # rotated Q and merged heads, output, inverse RMS and the two row statistics
+        kept = 8 * (2 * n * 96 + n * self.D + n + 2 * 4 * n)
+        assert kept <= held < kept + 4 * n * self.D, (held, kept)
 
 
 class TestFrozenOperands:

@@ -481,6 +481,35 @@ class TestNonFiniteGuard:
         np.testing.assert_array_equal(params["a"].data, np.ones(3))
         np.testing.assert_array_equal(opt.state["a"]["m"], np.zeros(3))
 
+    @pytest.mark.parametrize("bad", ["final_norm.gain", "big"])
+    def test_a_non_finite_grad_leaves_every_byte_of_a_stepped_optimizer(self, bad):
+        # every micro parameter is smaller than a block, so its gains share
+        # blocks with other parameters; "big" owns whole blocks of its segment
+        params = dict(build_model(preset("micro"), RngState(3)).params)
+        params["big"] = Parameter(np.ones((2, BLOCK), params["final_norm.gain"].data.dtype), "big", "base")
+        opt = AdamW(params)
+        gen = np.random.default_rng(3)
+
+        def fill_grads():
+            for p in params.values():
+                p.grad = gen.standard_normal(p.shape).astype(p.data.dtype)
+
+        fill_grads()
+        opt.step(uniform_lrs(0.1), t=1)  # so the moments are not zero
+        fill_grads()
+        blocks = [pieces for seg in opt.segments for pieces in seg.blocks
+                  if any(p is params[bad] for p, _, _ in pieces)]
+        owned = [pieces[0] for pieces in blocks if len(pieces) == 1]
+        assert bool(owned) == (bad == "big")
+        _, start, _ = owned[0] if owned else next(piece for piece in blocks[0] if piece[0] is params[bad])
+        params[bad].grad.reshape(-1)[start] = np.nan
+        bufs = [buf for seg in opt.segments for buf in (seg.data, seg.m, seg.v)]
+        before = [buf.tobytes() for buf in bufs]
+        with pytest.raises(NumericError, match=rf"^non-finite gradient in {bad}; step aborted$"):
+            opt.step(uniform_lrs(0.1), t=2)
+        assert [buf.tobytes() for buf in bufs] == before
+        assert all(p.grad is not None for p in params.values())  # an aborted step consumes no gradient
+
     def test_inf_grad_also_aborts(self):
         p = make_param(np.ones(2))
         p.grad = np.array([np.inf, 0.0])

@@ -263,7 +263,7 @@ class TestResume:
         cfg = quick_cfg(steps=12, eval_every=6)
         full = train(micro_model(1), CORPUS, cfg)
         model = micro_model(1)
-        start = checkpoint_from(model, step=0, seed=cfg.seed, optimizer=AdamW(model.params), zero_views=True)
+        start = checkpoint_from(model, step=0, seed=cfg.seed, optimizer=AdamW(model.params))
         assert not any(m.flags.writeable or v.flags.writeable for m, v in start.moments.values())
         save_checkpoint(start, tmp_path / "start.ckpt")
         for ckpt in (start, load_checkpoint(tmp_path / "start.ckpt")):
@@ -446,7 +446,7 @@ class TestAbortAndValidation:
             train(micro_model(0), CORPUS, quick_cfg(steps=4), start_step=start_step)
 
     def test_only_a_start_snapshot_of_zero_moments_shares_them(self):
-        # a fresh run's start snapshot holds views; an eval point's, or a resume's start, holds copies
+        # a fresh run's start snapshot holds views of its zero moments; an eval point's, or a resume's start, copies
         cfg = quick_cfg(steps=4, eval_every=2)
         fresh = train(micro_model(1), CORPUS, cfg, start_step=4)
         assert not any(m.flags.writeable or v.flags.writeable or m.any() or v.any()
