@@ -24,7 +24,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CheckpointMismatch, ConfigError
 from .model import Model, param_specs
-from .tensor import DTYPE_PRECISION, Parameter
+from .tensor import DTYPE_PRECISION, Parameter, RngState
 
 MAGIC = b"MOCCKPT1"
 FORMAT_VERSION = 2  # 2: every tensor entry carries a crc32
@@ -38,16 +38,17 @@ class Checkpoint:
     seed: int
     tensors: dict[str, np.ndarray]  # weights, keyed by parameter name
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
 
-def checkpoint_from(model, step: int = 0, seed: int = 0, optimizer=None, metadata: dict | None = None) -> Checkpoint:
+def checkpoint_from(model, step: int = 0, seed: int = 0, optimizer=None) -> Checkpoint:
     """Snapshot ``model``'s weights and ``optimizer``'s moments as copies;
     a moment that is all zero (an optimizer that has not stepped) is kept
-    instead as a shared read-only view that holds one element."""
+    instead as a shared read-only view that holds one element. A strided
+    sample of each moment is scanned first, so a stepped moment is seldom
+    scanned in full."""
 
     def snapshot(arr: np.ndarray) -> np.ndarray:
-        if not arr.any():
+        if not arr.reshape(-1)[::1024].any() and not arr.any():
             return np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
         return arr.copy()
 
@@ -55,14 +56,7 @@ def checkpoint_from(model, step: int = 0, seed: int = 0, optimizer=None, metadat
     moments = {}
     if optimizer is not None:
         moments = {name: (snapshot(buf["m"]), snapshot(buf["v"])) for name, buf in optimizer.state.items()}
-    return Checkpoint(
-        config=model.config,
-        step=step,
-        seed=seed,
-        tensors=tensors,
-        moments=moments,
-        metadata=dict(metadata or {}),
-    )
+    return Checkpoint(config=model.config, step=step, seed=seed, tensors=tensors, moments=moments)
 
 
 def _precision_of(arr: np.ndarray) -> str:
@@ -107,8 +101,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "format_version": FORMAT_VERSION,
         "model_config": ckpt.config.to_dict(),
         "step": ckpt.step,
-        "rng": {"seed": ckpt.seed, "algorithm": "pcg64-sha256-substreams"},
-        "metadata": ckpt.metadata,
+        "rng": {"seed": ckpt.seed, "algorithm": RngState.algorithm},
+        "metadata": {},
         "tensors": entries,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -207,7 +201,6 @@ def load_checkpoint(path) -> Checkpoint:
         seed=header["rng"]["seed"],
         tensors=tensors,
         moments=moments,
-        metadata=header.get("metadata", {}),
     )
 
 

@@ -151,8 +151,10 @@ class ModelConfig(Config):
             raise ConfigError(f"invalid model config: {msg}")
 
         object.__setattr__(self, "memory_layer_indices", tuple(self.memory_layer_indices))  # replace may pass a list
-        if self.d_model <= 0 or self.n_layers <= 0 or self.vocab <= 0:
-            fail("d_model, n_layers and vocab must be positive")
+        sizes = ("d_model", "n_layers", "vocab", "n_heads", "n_kv_heads", "d_ff")
+        for name in sizes + (("mem_heads", "mem_kv_heads") if self.has_memory else ()):
+            if getattr(self, name) < 1:
+                fail(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             fail(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.n_heads % self.n_kv_heads != 0:

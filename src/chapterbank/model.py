@@ -26,10 +26,8 @@ import numpy as np
 
 from . import ops
 from .config import ModelConfig
-from .errors import ConfigError, SequenceLengthError, ShapeError
+from .errors import ConfigError, SequenceLengthError
 from .tensor import PRECISION_DTYPES, Parameter, RngState, Tensor
-
-RMSNORM_EPS = 1e-6
 
 
 @dataclass
@@ -198,7 +196,7 @@ def _attention(h: Tensor, kv: Tensor | None, model: Model, layer: int, name: str
     pre = f"layers.{layer}"
     w = [model[f"{pre}.{name}.{w}"] for w in ("wq", "wk", "wv", "wo")]
     return ops.attention(h, model[f"{pre}.{name}_norm.gain"], kv, *w, n_heads, n_kv_heads, causal,
-                         model.config.rope_theta, RMSNORM_EPS)
+                         model.config.rope_theta)
 
 
 def self_attention_block(h: Tensor, model: Model, layer: int) -> Tensor:
@@ -213,7 +211,7 @@ def _mlp_block(h: Tensor, model: Model, layer: int) -> Tensor:
     """h + SwiGLU(RMSNorm(h)), as one ``ops.swiglu`` op."""
     pre = f"layers.{layer}"
     return ops.swiglu(h, model[f"{pre}.mlp_norm.gain"], model[f"{pre}.mlp.w_up"], model[f"{pre}.mlp.w_gate"],
-                      model[f"{pre}.mlp.w_down"], RMSNORM_EPS)
+                      model[f"{pre}.mlp.w_down"])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,7 @@ def prepare_memory_tokens(model: Model, layer: int, decision: RouterDecision) ->
     rows = decision.selected_with_shared[:, :, None] * t + np.arange(t)  # (B, S, t)
     adapter = model[f"{pre}.mem.adapter"] if model.config.adapter_enabled else None
     return ops.memory_tokens(model["bank.tokens"], rows, decision.chapter_weights,
-                             model[f"{pre}.mem.token_norm.gain"], adapter, RMSNORM_EPS)
+                             model[f"{pre}.mem.token_norm.gain"], adapter)
 
 
 def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
@@ -259,12 +257,9 @@ def mem_read(h: Tensor, m_tokens: Tensor, model: Model, layer: int) -> Tensor:
     ``ops.attention`` op that adds the residual.
 
     ``m_tokens`` are the prepared (normalized, weighted) selected tokens.
-    No causal mask and no positional encoding on memory.
+    No causal mask and no positional encoding on memory. The op checks the
+    tokens: unbatched, batched unlike ``h`` or empty, they raise ShapeError.
     """
-    if m_tokens.ndim != 3 or m_tokens.shape[0] != h.shape[0]:
-        raise ShapeError(f"memory tokens {m_tokens.shape} must be (B, N, d) for hidden states {h.shape}")
-    if m_tokens.shape[1] < 1:
-        raise ConfigError("memory read with an empty token selection")
     cfg = model.config
     return _attention(h, m_tokens, model, layer, "mem", cfg.mem_heads, cfg.mem_kv_heads, causal=False)
 
@@ -287,10 +282,8 @@ def aux_losses(decisions: list[RouterDecision], cfg: ModelConfig) -> tuple[Tenso
     chapter c and P_c the mean probability renormalized over routed
     chapters. Uniform routing gives exactly 1; full collapse (k=1) gives
     C_r. z-loss: mean over sequences and layers of squared
-    log-partition of the router logits.
+    log-partition of the router logits. The op checks the decisions.
     """
-    if not decisions or not len(decisions[0]):
-        raise ConfigError("aux_losses needs at least one routing decision")
     return ops.router_penalty([d.logits for d in decisions], [d.selected for d in decisions],
                               cfg.shared_chapters, cfg.lb_coeff, cfg.z_coeff)
 
@@ -323,7 +316,7 @@ def _head_logits(model: Model, h: Tensor) -> np.ndarray:
     the embedding used transposed when tied, else ``lm_head.weight``."""
     tied = model.config.tied_embeddings
     w = model["embedding.weight"].data.T if tied else model["lm_head.weight"].data  # (d, V)
-    x = ops.rms_norm(h.data, model["final_norm.gain"].data, RMSNORM_EPS)[0]
+    x = ops.rms_norm(h.data, model["final_norm.gain"].data)[0]
     return (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
 
 
@@ -340,7 +333,7 @@ def model_forward(model: Model, tokens: np.ndarray, targets: np.ndarray) -> Forw
     penalty, lb, z = aux_losses(decisions, cfg) if decisions else (None, 0.0, 0.0)
     tied = cfg.tied_embeddings
     loss = ops.lm_head_loss(h, model["final_norm.gain"], model["embedding.weight" if tied else "lm_head.weight"],
-                            targets, tied, RMSNORM_EPS)
+                            targets, tied)
     lm = loss.item()
     if penalty is not None:
         loss = ops.add(loss, penalty)

@@ -25,6 +25,9 @@ from .tensor import Tensor, active_tape
 # to exactly 0.0 in both single and double precision.
 MASK_VALUE = -1e30
 
+# The epsilon of every RMSNorm (``rms_norm``).
+RMSNORM_EPS = 1e-6
+
 # Rows per chunk of lm_head_loss: a (CE_CHUNK_ROWS, V) logits block is the
 # largest head temporary.
 CE_CHUNK_ROWS = 256
@@ -155,14 +158,14 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(gain * x * inv, inv) of a plain array, inv = 1 / sqrt(mean(x^2) + eps)
-    over the last dimension, untaped: the forward of every RMSNorm (both
-    blocks, the memory tokens, the LM head and decoding). Its backward is
-    ``_rmsnorm_grads``."""
+def rms_norm(x: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gain * x * inv, inv) of a plain array, inv = 1 / sqrt(mean(x^2) + eps),
+    eps = RMSNORM_EPS, over the last dimension, untaped: the forward of every
+    RMSNorm (both blocks, the memory tokens, the LM head and decoding). Its
+    backward is ``_rmsnorm_grads``."""
     inv = np.add.reduce(x * x, axis=-1, keepdims=True)
     np.true_divide(inv, np.intp(x.shape[-1]), out=inv, casting="unsafe")  # the mean, as ndarray.mean divides
-    inv += eps
+    inv += RMSNORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     return _normed(x, gain, inv), inv
@@ -206,7 +209,7 @@ def _residual_and_norm_backward(h: Tensor, gain: Tensor, inv: np.ndarray, g: np.
         h.accumulate_grad(dh)
 
 
-def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
+def swiglu(h, gain, w_up, w_gate, w_down) -> Tensor:
     """The pre-norm MLP block h + down(silu(x @ w_gate) * (x @ w_up)),
     x = rms_norm(h) with ``gain`` and silu(z) = z * sigmoid(z), over the
     flattened rows of ``h``: one op, like the fused SwiGLU of Liger Kernel
@@ -234,7 +237,7 @@ def swiglu(h, gain, w_up, w_gate, w_down, eps: float = 1e-6) -> Tensor:
         act = gate * sig
         return gate, up, sig, act, act * up
 
-    x2, inv = rms_norm(h.data, gain.data, eps)
+    x2, inv = rms_norm(h.data, gain.data)
     o = hidden(x2.reshape(-1, d))[4] @ w_down.data
     o += h.data.reshape(-1, d)
     out = Tensor(o.reshape(h.shape))
@@ -348,8 +351,7 @@ def _core_grads(p: np.ndarray, do: np.ndarray, q: np.ndarray, k: np.ndarray, v: 
     return (ds @ k) * scale_, (ds.swapaxes(-1, -2) @ q) * scale_, p.swapaxes(-1, -2) @ do
 
 
-def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float,
-              eps: float = 1e-6) -> Tensor:
+def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal: bool, rope_theta: float) -> Tensor:
     """One pre-norm grouped-query attention block, h + attn(x, kv) with
     x = rms_norm(h) by ``gain``: queries x @ wq attend over keys kv @ wk and
     values kv @ wv, and the heads are projected out by ``wo``. ``kv=None``
@@ -404,7 +406,7 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
     def normed_x():  # x rebuilt from h, not held
         return _normed(h.data, gain.data, inv).reshape(-1, d)
 
-    x2, inv = rms_norm(h.data, gain.data, eps)
+    x2, inv = rms_norm(h.data, gain.data)
     x2 = x2.reshape(-1, d)
     kh, vh = kv_heads(x2 if kv is None else kv.data.reshape(-1, d_kv))
     qh = q_rows(x2 @ wq.data)
@@ -473,7 +475,7 @@ def attention(h, gain, kv, wq, wk, wv, wo, n_heads: int, n_kv_heads: int, causal
 # routing, memory tokens, losses and selection
 
 
-def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-6) -> Tensor:
+def lm_head_loss(h, gain, w, targets, transposed: bool = False) -> Tensor:
     """Mean next-token cross-entropy of the LM head, one op like the fused
     linear cross-entropy of Liger Kernel (Hsu et al. 2024, arXiv 2410.10989):
     positions 0..L-2 of the (..., L, d) states ``h``, read through a view and
@@ -502,7 +504,7 @@ def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-
     if t.min() < 0 or t.max() >= v:
         raise IndexError(f"target index out of range [0, {v})")
     x0 = h.data[..., :-1, :]  # a view: h is held anyway
-    x2, inv = rms_norm(x0, gain.data, eps)
+    x2, inv = rms_norm(x0, gain.data)
     x2 = x2.reshape(n, d)
     taped = active_tape() is not None
     dx = np.empty_like(x2) if taped and (h.requires_grad or gain.requires_grad) else None
@@ -547,7 +549,7 @@ def lm_head_loss(h, gain, w, targets, transposed: bool = False, eps: float = 1e-
         if h.requires_grad:
             dh = np.empty_like(h.data)
             dh[..., -1, :] = 0.0
-            np.add(dx0, 0.0, out=dh[..., :-1, :])  # + 0.0: the bits of adding into zeros (-0.0 turns +0.0)
+            dh[..., :-1, :] = dx0
             h.accumulate_grad(dh)
 
     return _record(loss, [h, gain, w], backward)
@@ -577,7 +579,7 @@ def router_logits(h, weight, bias) -> Tensor:
     return _record(out, [h, weight, bias], backward)
 
 
-def memory_tokens(bank, rows, weights, gain, adapter=None, eps: float = 1e-6) -> Tensor:
+def memory_tokens(bank, rows, weights, gain, adapter=None) -> Tensor:
     """The (B, S*t, d) memory tokens of S selected chapters of t rows each:
     the (B, S, t) ``rows`` of the 2-D ``bank``, plus x @ ``adapter`` when one
     is given, RMS-normalized with ``gain``, then scaled by the (B, S) chapter
@@ -599,7 +601,7 @@ def memory_tokens(bank, rows, weights, gain, adapter=None, eps: float = 1e-6) ->
         raise ShapeError(f"memory_tokens needs (B, S, t) rows, (B, S) weights, a (d,) gain and a (d, d) adapter, got "
                          f"{rows.shape}, {weights.shape}, {gain.shape} and {None if adapter is None else adapter.shape}")
     adapted = None if adapter is None else x0 + (x0.reshape(-1, d) @ adapter.data).reshape(x0.shape)
-    y, inv = rms_norm(x0 if adapted is None else adapted, gain.data, eps)
+    y, inv = rms_norm(x0 if adapted is None else adapted, gain.data)
     w = weights.data[:, :, None, None]
     y *= w
     out = Tensor(y.reshape(rows.shape[0], -1, d))

@@ -47,8 +47,9 @@ class FactSpec(Config):
     value_base: int = 96  # value symbol token ids start here
 
     def __post_init__(self) -> None:
-        if self.n_facts < 1:
-            raise ConfigError(f"n_facts must be >= 1, got {self.n_facts}")
+        for name in ("n_facts", "repeats"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.key_alphabet < 2 or self.value_alphabet < 2:
             raise ConfigError("key and value alphabets must have >= 2 symbols")
         if self.key_len < 1 or self.value_len < 1:

@@ -93,17 +93,14 @@ class Tensor:
         """Add ``g`` into ``grad``. The caller hands over an exclusive array,
         one no live tensor holds (an array it has just allocated, or the
         upstream gradient the tape has taken off its output), so the first
-        gradient is stored as is, cast only if its dtype differs (a
-        ``Parameter`` also makes it row-major and turns −0.0 into +0.0)."""
+        gradient is stored as handed over, cast only if its dtype differs."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
+        g = g.astype(self.data.dtype, copy=False)
         if self.grad is None:
-            self.grad = self._first_grad(g)
+            self.grad = g
         else:
-            self.grad += g.astype(self.data.dtype, copy=False)
-
-    def _first_grad(self, g: np.ndarray) -> np.ndarray:
-        return g.astype(self.data.dtype, copy=False)
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, precision={self.precision}, requires_grad={self.requires_grad})"
@@ -133,14 +130,6 @@ class Parameter(Tensor):
     def value(self) -> "Parameter":
         """The parameter itself; the benchmark harness reads ``p.value.data``."""
         return self
-
-    def _first_grad(self, g: np.ndarray) -> np.ndarray:
-        # the bits of the sum into zeros this gradient once started from
-        # (-0.0 + 0.0 is +0.0), in the handed-over array; row-major, so the
-        # optimizer reads it through flat views
-        g = g.astype(self.data.dtype, order="C", copy=False)
-        g += 0.0
-        return g
 
     def zero_grad(self) -> None:
         self.grad = None

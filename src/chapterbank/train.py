@@ -106,8 +106,8 @@ class Corpus:
     def __len__(self) -> int:
         return int(self.tokens.size)
 
-    def split(self, eval_fraction: float = EVAL_FRACTION) -> tuple[np.ndarray, np.ndarray]:
-        cut = len(self) - max(1, int(len(self) * eval_fraction))
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        cut = len(self) - max(1, int(len(self) * EVAL_FRACTION))
         return self.tokens[:cut], self.tokens[cut:]
 
 

@@ -184,6 +184,13 @@ def test_malformed_run_config_is_exit_2(doc, tmp_path):
     ({"train": {"weight_decay": -1e9}}, [], "train: weight_decay"),
     ({"model": {"rope_theta": 0.0}}, [], "model: invalid model config: rope_theta"),
     ({"model": {"lb_coeff": float("nan")}}, [], "model: invalid model config: lb_coeff"),
+    ({"model": {"n_heads": 0}}, [], "model: invalid model config: n_heads"),
+    ({"model": {"n_kv_heads": 0}}, [], "model: invalid model config: n_kv_heads"),
+    ({"model": {"mem_heads": 0}}, [], "model: invalid model config: mem_heads"),
+    ({"model": {"mem_kv_heads": 0}}, [], "model: invalid model config: mem_kv_heads"),
+    ({"model": {"n_heads": -4, "n_kv_heads": -2}}, [], "model: invalid model config: n_heads"),
+    ({"model": {"d_ff": -1}}, [], "model: invalid model config: d_ff"),
+    ({"retention": {"fact": {"repeats": 0}}}, [], "retention.fact: repeats"),
 ])
 def test_bad_optimizer_or_model_numbers_exit_2_naming_the_field(doc, flags, field, tmp_path, capsys):
     """These used to train into a numeric abort (exit 1) or a traceback."""

@@ -176,12 +176,20 @@ def test_float_takes_int_and_optional_takes_null():
         (preset("micro"), {"top_k": 40}),
         (preset("micro"), {"n_heads": 5}),
         (preset("micro"), {"memory_layer_indices": [9]}),
+        # the next six once crashed on a modulo by zero, or built a model that cannot run
+        (preset("micro"), {"n_heads": 0}),
+        (preset("micro"), {"n_kv_heads": 0}),
+        (preset("micro"), {"mem_heads": 0}),
+        (preset("micro"), {"mem_kv_heads": 0}),
+        (preset("micro"), {"n_heads": -4, "n_kv_heads": -2}),
+        (preset("micro"), {"d_ff": -1}),
         (TrainConfig(), {"seq_len": 1}),
         (TrainConfig(), {"bank_mode": "off"}),
         (DataConfig(), {"length": 2}),
         (DataConfig(), {"length": 50}),
         (FactSpec(), {"n_facts": 0}),
         (FactSpec(), {"key_base": 0, "value_base": 2}),
+        (FactSpec(), {"repeats": 0}),
         (InstructionSpec(), {"transform": "rotate"}),
         (InstructionSpec(), {"symbol_base": 4}),
         (cosine(10), {"warmup": -1}),

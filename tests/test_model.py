@@ -20,7 +20,6 @@ from chapterbank.config import ModelConfig, preset
 from chapterbank.errors import ConfigError, SequenceLengthError, ShapeError
 from chapterbank.gradcheck import grad_check
 from chapterbank.model import (
-    RMSNORM_EPS,
     Model,
     RouterDecision,
     _mlp_block,
@@ -36,7 +35,7 @@ from chapterbank.model import (
     mem_read,
     prepare_memory_tokens,
 )
-from chapterbank.ops import _record
+from chapterbank.ops import RMSNORM_EPS, _record
 from chapterbank.tensor import PRECISION_DTYPES, RngState, Tape, Tensor
 
 EPS = 1e-6
@@ -369,7 +368,7 @@ class TestMemRead:
 
     def test_empty_selection_rejected(self):
         model = micro_double()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             mem_read(Tensor(np.zeros((1, 2, 64))), Tensor(np.zeros((1, 0, 64))), model, 1)
 
     def test_tokens_must_be_batched_like_queries(self):

@@ -52,12 +52,12 @@ def norm_backward(g, x, gain, eps=1e-6):
     return gg * inv - x * inv**3 * (gg * x).sum(-1, keepdims=True) / d, (g * x * inv).reshape(-1, d).sum(0)
 
 
-def identity_block(h, gain, eps=1e-6):
+def identity_block(h, gain):
     """h + rms_norm(h) of (N, 1, d) one-position sequences: self-attention
     with identity weights, whose one key's softmax weight is exactly 1 and
     whose query and key get exactly zero grad."""
     eye = Tensor(np.eye(h.shape[-1], dtype=h.data.dtype))
-    return ops.attention(h, gain, None, eye, eye, eye, eye, 1, 1, False, 1e4, eps)
+    return ops.attention(h, gain, None, eye, eye, eye, eye, 1, 1, False, 1e4)
 
 
 class TestMatmul:
@@ -448,9 +448,9 @@ class TestRmsnorm:
         eps = 1e-6
         ms = sum(v * v for v in x[0]) / 3
         want = [v / math.sqrt(ms + eps) * g for v, g in zip(x[0], gain)]
-        got = identity_block(Tensor(x[:, None]), Tensor(gain), eps).data[:, 0] - x
+        got = identity_block(Tensor(x[:, None]), Tensor(gain)).data[:, 0] - x
         np.testing.assert_allclose(got[0], want, rtol=1e-14)
-        np.testing.assert_allclose(ops.rms_norm(x, gain, eps)[0][0], want, rtol=1e-14)
+        np.testing.assert_allclose(ops.rms_norm(x, gain)[0][0], want, rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_unit_rms_with_unit_gain(self, seed):
@@ -1186,7 +1186,7 @@ class TestConsumingBackward:
 
         def grads(same):
             h = rand_tensor((2, 3, 4), 5, requires_grad=True)
-            kv = None if same else Tensor(ops.rms_norm(h.data, gain.data, 1e-6)[0], requires_grad=True)
+            kv = None if same else Tensor(ops.rms_norm(h.data, gain.data)[0], requires_grad=True)
             for t in w:
                 t.grad = None
             with Tape() as tape:

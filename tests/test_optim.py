@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from chapterbank.errors import ConfigError, NumericError
 from chapterbank.model import build_model
 from chapterbank.optim import BLOCK, AdamW, AdamWConfig, clip_grad_norm, global_grad_norm
 from chapterbank.schedule import cosine
-from chapterbank.tensor import Parameter, RngState
+from chapterbank.tensor import Parameter, RngState, Tape
 from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train
 
 
@@ -457,14 +458,53 @@ class TestGradLifetime:
         assert (unreached["big"].data != init["big"] * (1 - 0.02 * 0.1)).any()  # moments moved it, not decay alone
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_a_first_gradient_of_negative_zero_is_stored_as_positive_zero(self, dtype):
+    def test_a_first_gradient_is_stored_as_handed_over(self, dtype):
         p = Parameter(np.ones(3, dtype), "p", "base")
         g = np.array([-0.0, 2.0, -0.0], dtype)
         p.accumulate_grad(g)
-        assert p.grad is g  # handed over, not copied
-        assert not np.signbit(p.grad).any()
+        assert p.grad is g  # not copied, and its -0.0 kept
+        assert np.signbit(p.grad).tolist() == [True, False, True]
         p.accumulate_grad(np.array([-0.0, -2.0, 1.0], dtype))
-        assert p.grad.tobytes() == np.array([0.0, 0.0, 1.0], dtype).tobytes()
+        assert p.grad.tobytes() == np.array([-0.0, 0.0, 1.0], dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_the_sign_of_a_zero_gradient_changes_no_step(self, dtype):
+        # two runs whose gradients differ only in the sign of their exact zeros;
+        # "big" spans whole blocks, "w" and "gain" share one, and "gain" gets an
+        # all-zero gradient at step 1
+        gen = np.random.default_rng(2)
+        shapes = (("big", (BLOCK // 64 + 7, 64)), ("w", (4, 6)), ("gain", (6,)))
+        init = {name: gen.standard_normal(shape).astype(dtype) for name, shape in shapes}
+        runs = [{name: Parameter(a.copy(), name, "base") for name, a in init.items()} for _ in range(2)]
+        opts = [AdamW(params, AdamWConfig(weight_decay=0.1)) for params in runs]
+        for t in range(1, 4):
+            for name, shape in shapes:
+                g = gen.standard_normal(shape).astype(dtype)
+                g[gen.random(shape) < (1.0 if t == 1 and name == "gain" else 0.5)] = 0.0
+                negative = g.copy()
+                negative[g == 0.0] = -0.0
+                assert np.signbit(negative[g == 0.0]).all() and not np.signbit(g[g == 0.0]).any()
+                runs[0][name].accumulate_grad(g)
+                runs[1][name].accumulate_grad(negative)
+            for opt in opts:
+                opt.step(uniform_lrs(0.02), t)
+        for name, _ in shapes:
+            assert runs[0][name].data.tobytes() == runs[1][name].data.tobytes(), name
+            for kind in "mv":
+                assert opts[0].state[name][kind].tobytes() == opts[1].state[name][kind].tobytes(), (name, kind)
+
+    @pytest.mark.parametrize("over", [{}, {"tied_embeddings": False, "adapter_enabled": True}],
+                             ids=["tied", "untied-adapter"])
+    def test_every_gradient_of_a_micro_backward_is_row_major(self, over):
+        # the optimizer reads each gradient through flat views
+        model = build_model(replace(preset("micro"), **over), RngState(0))
+        tokens = np.random.default_rng(0).integers(0, 256, (3, 13))
+        with Tape() as tape:
+            trace = model.forward(tokens, tokens)
+        tape.backward(trace.loss)
+        grads = {name: p.grad for name, p in model.params.items()}
+        assert all(g is not None and g.flags.c_contiguous for g in grads.values()), \
+            [name for name, g in grads.items() if g is None or not g.flags.c_contiguous]
 
 
 class TestNonFiniteGuard:
