@@ -47,7 +47,7 @@ def grad_check(
     if not np.isfinite(loss.item()):
         raise NumericError("non-finite objective at the expansion point")
     tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]  # None: f never reaches p
+    analytic = [p.dense_grad() for p in params]  # zeros where f never reaches p
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -18,7 +18,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Tensor, active_tape
+from .tensor import RowGrad, Tensor, active_tape
 
 # Additive pre-softmax mask value for disallowed positions. Finite (keeps
 # the no-NaN/Inf invariant) but large enough that exp(x - max) underflows
@@ -106,33 +106,48 @@ def _take_rows(x: Tensor, ids, where: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scatter_rows(x: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
-    """Scatter-add ``g`` straight into ``x.grad`` (allocated on first use)
-    at rows ``ids``, so rows never picked keep their grad bit-unchanged.
+    """Scatter-add the rows ``g`` at row ``ids`` into ``x.grad``, touching
+    no other row and allocating nothing shaped like the table: a dense grad
+    already held (the tied embedding's head gradient) takes the rows in
+    place; otherwise ``x.grad`` becomes a ``RowGrad`` of the union of the
+    held ids (the other memory layer, another micro-batch) and ``ids``.
 
-    Bit-identical to numpy's unbuffered ``add.at`` and several times
-    faster: a stable sort ranks each occurrence of a row id by how many
-    came before it, and one fancy-index ``+=`` per rank adds the rank's
-    rows, distinct within it. So each row takes its contributions in index
-    order, as ``add.at`` does, in as many passes as the most repeated id
-    has occurrences.
+    Each row starts from 0.0 or its held value and takes its contributions
+    in index order, so the result, densified, is bit-identical to numpy's
+    unbuffered ``add.at`` into the dense grad, zeros' signs included: a
+    stable sort ranks each occurrence of an id by how many came before it,
+    and one fancy-index ``+=`` per rank adds the rank's rows, distinct
+    within it, in as many passes as the most repeated id has occurrences.
     """
-    if x.grad is None:
-        x.grad = np.zeros_like(x.data)
     ids = ids.reshape(-1)
-    g = g.astype(x.grad.dtype, copy=False).reshape(ids.size, x.shape[1])
+    g = g.astype(x.data.dtype, copy=False).reshape(ids.size, x.shape[1])
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     rank = np.arange(ids.size) - np.searchsorted(sorted_ids, sorted_ids)
+    if isinstance(x.grad, np.ndarray):
+        target, at = x.grad, ids
+    else:
+        held, new = x.grad, sorted_ids[rank == 0]
+        union = new if held is None else np.union1d(held.ids, new)
+        if held is not None and union.size == held.ids.size:
+            target = held.rows
+        else:
+            target = np.zeros((union.size, x.shape[1]), x.data.dtype)
+            if held is not None:
+                target[np.searchsorted(union, held.ids)] = held.rows
+            x.grad = RowGrad(union, target)
+        at = np.searchsorted(union, ids)
     by_rank = order[np.argsort(rank, kind="stable")]
     for sel in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
-        x.grad[ids[sel]] += g[sel]
+        target[at[sel]] += g[sel]
 
 
 def gather_rows(x, ids: np.ndarray) -> Tensor:
     """Select rows of a 2-D table by integer index (embedding gather).
 
     ``ids`` may have any shape; output shape is ids.shape + (row_dim,).
-    Backward scatter-adds into ``x.grad`` (``_scatter_rows``).
+    Backward scatter-adds into ``x.grad`` (``_scatter_rows``): the picked
+    rows alone, as a ``RowGrad`` unless ``x`` already holds a dense grad.
     """
     x = _as_tensor(x)
     ids, rows = _take_rows(x, ids, "gather_rows")
@@ -591,7 +606,8 @@ def memory_tokens(bank, rows, weights, gain, adapter=None) -> Tensor:
     step updates it after the backward). dweights sums g * rms_norm(x) over
     each chapter's tokens, the norm backward takes g * weight, then
     dadapter = x0^T dx, dx += dx adapter^T, and dx is scatter-added into
-    ``bank.grad`` (``_scatter_rows``, as in ``gather_rows``).
+    ``bank.grad`` (``_scatter_rows``, as in ``gather_rows``), which so
+    holds the picked rows alone, as a ``RowGrad``.
     """
     bank, weights, gain = _as_tensor(bank), _as_tensor(weights), _as_tensor(gain)
     adapter = None if adapter is None else _as_tensor(adapter)
@@ -668,10 +684,17 @@ def router_penalty(logits, selected, shared: int, lb_coeff: float, z_coeff: floa
     ts = [_as_tensor(t) for t in logits]
     if not ts or ts[0].ndim != 2 or any(t.shape != ts[0].shape for t in ts):
         raise ShapeError(f"router_penalty needs one or more (B, C) logits of one shape, got {[t.shape for t in ts]}")
-    z, sel = np.stack([t.data for t in ts]), np.asarray(selected)  # (layers, B, C), (layers, B, k)
+    z = np.stack([t.data for t in ts])  # (layers, B, C)
     (n, b, c), c_r = z.shape, z.shape[2] - shared
-    if sel.shape[:2] != (n, b) or sel.ndim != 3 or not sel.size or sel.min() < shared or sel.max() >= c:
-        raise IndexError(f"router_penalty needs {n} (B={b}, k) selections in [{shared}, {c}), got {sel.shape}")
+    try:
+        sel = np.asarray(selected)  # (layers, B, k)
+    except ValueError:  # layers of different shapes
+        sel = None
+    if sel is None or sel.ndim != 3 or sel.shape[:2] != (n, b) or not sel.size:
+        raise ShapeError(f"router_penalty needs ({n}, {b}, k) selections, k >= 1, for {n} layers of {z.shape[1:]} "
+                         f"logits, got {[np.shape(s) for s in selected] if sel is None else sel.shape}")
+    if sel.min() < shared or sel.max() >= c:
+        raise IndexError(f"router_penalty selections must lie in the routed range [{shared}, {c})")
     f = (np.stack([np.bincount(s.ravel() - shared, minlength=c_r) for s in sel]) / sel[0].size).astype(z.dtype)
     q = softmax(z[:, :, shared:])
     u, d_lb = (f * (c_r / n / b))[:, None, :], np.zeros_like(z)

@@ -11,14 +11,17 @@ per (dtype, group, decay) class, in the style of ZeRO's flat parameter
 groups (Rajbhandari et al. 2020, arXiv 1910.02054): each segment holds
 one contiguous data, m and v buffer, and every parameter's ``data`` and
 moments are views into them. Gradients are not adopted: a parameter holds
-its own from the backward that reaches it, the clip scales it in place,
-and the gradient norm and the update read it through the parameter,
-``BLOCK`` elements of a segment at a time, as a view when one parameter
-holds the whole block and assembled into scratch when the block spans
-several. A parameter with no gradient counts as zeros. The step checks
-every gradient, parameter by parameter, before its first write, and
-consumes every gradient it applies. Only this module knows the layout;
-everything else keeps writing through the views in place.
+its own from the backward that reaches it, dense or a ``RowGrad`` of the
+rows a gather picked. The clip and the finiteness check touch only the
+stored elements; the gradient norm and the update read each gradient
+through its parameter, ``BLOCK`` elements of a segment at a time, exactly as
+the dense arrays would read: a view when one dense gradient holds the whole
+block, else assembled into scratch, where a parameter with no gradient and
+a row a ``RowGrad`` lacks count as zeros. A block with no stored element is
+all zeros: the norm skips it and the update reads a zero view. The step
+checks every gradient before its first write and consumes every gradient
+it applies. Only this module knows the layout; everything else keeps
+writing through the views in place.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigError, NumericError
-from .tensor import PARAM_GROUPS, Parameter
+from .tensor import PARAM_GROUPS, Parameter, RowGrad
 
 BLOCK = 1 << 16  # elements per pass of the update: 256-512 KB per buffer, cache-sized
 
@@ -88,15 +91,64 @@ def _block_ranges(params: list[Parameter]) -> tuple[tuple[tuple[Parameter, int, 
     return tuple(blocks)
 
 
-def _grad_pieces(pieces: tuple[tuple[Parameter, int, int], ...]) -> list[np.ndarray]:
-    """Flat views of the parameter grads one segment block covers; a
-    parameter with no grad gives zeros, without storage."""
-    return [np.broadcast_to(np.zeros((), p.data.dtype), (stop - start,)) if p.grad is None
-            else p.grad.reshape(-1)[start:stop] for p, start, stop in pieces]
+def _stored(p: Parameter) -> np.ndarray | None:
+    """The array that holds ``p``'s stored gradient elements: its rows for a
+    ``RowGrad``, else its grad (``None`` when it has none)."""
+    return p.grad.rows if isinstance(p.grad, RowGrad) else p.grad
 
 
-def _concat_grads(grads: list[np.ndarray], scratch: np.ndarray) -> np.ndarray:
-    return np.concatenate(grads, out=scratch[: sum(g.size for g in grads)])
+def _row_span(grad: RowGrad, d: int, start: int, stop: int) -> tuple[int, int]:
+    """The range of ``grad.ids`` whose rows of ``d`` elements hold flat
+    table elements in [start, stop)."""
+    i0, i1 = np.searchsorted(grad.ids, (start // d, -(-stop // d)))
+    return int(i0), int(i1)
+
+
+def _holds(p: Parameter, start: int, stop: int) -> bool:
+    """Whether ``p`` stores a gradient element among its flat elements
+    [start, stop)."""
+    if isinstance(p.grad, RowGrad):
+        i0, i1 = _row_span(p.grad, p.shape[1], start, stop)
+        return i0 < i1
+    return p.grad is not None
+
+
+def _block_grad(pieces: tuple[tuple[Parameter, int, int], ...], out: np.ndarray, view: bool) -> np.ndarray | None:
+    """One segment block's flat gradient, element for element as the dense
+    arrays would read: ``None`` when no piece holds a stored element, so the
+    block is all zeros; with ``view``, a view of the dense grad when one
+    parameter holds the whole block; else the pieces assembled in ``out``, a
+    missing grad or row counting as zeros."""
+    if not any(_holds(p, a, b) for p, a, b in pieces):
+        return None
+    if view and len(pieces) == 1 and isinstance(pieces[0][0].grad, np.ndarray):
+        p, a, b = pieces[0]
+        return p.grad.reshape(-1)[a:b]
+    at = 0
+    for p, a, b in pieces:
+        o, at = out[at : at + b - a], at + b - a
+        if isinstance(p.grad, RowGrad):
+            _put_rows(p.grad, p.shape[1], a, b, o)
+        elif p.grad is None:
+            o[...] = 0
+        else:
+            o[...] = p.grad.reshape(-1)[a:b]
+    return out[:at]
+
+
+def _put_rows(grad: RowGrad, d: int, start: int, stop: int, out: np.ndarray) -> None:
+    """Write flat elements [start, stop) of ``grad``'s dense table into
+    ``out``: its stored rows, zeros elsewhere. The rows go in whole, into
+    ``out`` itself when the range starts and stops on row boundaries, else
+    into a zeroed window of the rows the range touches."""
+    i0, i1 = _row_span(grad, d, start, stop)
+    first, lead = divmod(start, d)
+    aligned = lead == 0 and out.size % d == 0
+    window = out.reshape(-1, d) if aligned else np.empty((-(-stop // d) - first, d), out.dtype)
+    window[...] = 0
+    window[grad.ids[i0:i1] - first] = grad.rows[i0:i1]
+    if not aligned:
+        out[...] = window.reshape(-1)[lead : lead + out.size]
 
 
 class AdamW:
@@ -189,7 +241,8 @@ class AdamW:
         """Raise NumericError naming the first trainable parameter, in
         parameter order, whose grad is not finite."""
         for name, p in self.trainable():
-            if p.grad is not None and not np.isfinite(p.grad).all():
+            g = _stored(p)
+            if g is not None and not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient in {name}; step aborted")
 
     def step(self, group_lrs: Mapping[str, float], t: int) -> None:
@@ -211,10 +264,11 @@ class AdamW:
             for a, pieces in zip(range(0, seg.data.size, BLOCK), seg.blocks):
                 w, m, v = (buf[a : a + BLOCK] for buf in (seg.data, seg.m, seg.v))
                 s1, s2 = t1[: w.size], t2[: w.size]
-                # a view of the one parameter that holds the block, or its pieces assembled in s2,
-                # which is first written after g's last read
-                grads = _grad_pieces(pieces)
-                g = grads[0] if len(grads) == 1 else _concat_grads(grads, s2)
+                # a zero view, a view of the one dense grad that holds the block, or its pieces
+                # assembled in s2, which is first written after g's last read
+                g = _block_grad(pieces, s2, view=True)
+                if g is None:
+                    g = np.broadcast_to(np.zeros((), w.dtype), w.shape)
                 # the same ops in the same order as m = b1*m + (1-b1)*g,
                 # v = b2*v + (1-b2)*g^2, update = (m*inv1) / (sqrt(v*inv2) + eps)
                 # [+ wd*w], w -= lr*update, so results are bit-identical
@@ -241,7 +295,8 @@ class AdamW:
 
 def global_grad_norm(optimizer: AdamW) -> float:
     """L2 norm of the optimizer's trainable grads, summed in float64 over
-    its segments in ``BLOCK``-sized pieces through one scratch buffer;
+    its segments in ``BLOCK``-sized pieces through one scratch buffer,
+    skipping every block that holds no stored element (its sum is 0.0);
     raises NumericError naming the first trainable parameter whose grad is
     not finite, or, when every grad is finite, saying that the sum
     overflows float64."""
@@ -250,8 +305,9 @@ def global_grad_norm(optimizer: AdamW) -> float:
     for seg in optimizer.segments:
         for pieces in seg.blocks:
             # float64 on purpose: a float32 sum of squares over millions of elements loses digits
-            g = _concat_grads(_grad_pieces(pieces), scratch)
-            total += float(np.dot(g, g))
+            g = _block_grad(pieces, scratch, view=False)
+            if g is not None:
+                total += float(np.dot(g, g))
     if not math.isfinite(total):
         optimizer.check_finite()
         raise NumericError("gradient sum of squares overflows float64; step aborted")
@@ -261,11 +317,13 @@ def global_grad_norm(optimizer: AdamW) -> float:
 def clip_grad_norm(optimizer: AdamW, max_norm: float, norm: float) -> float:
     """Scale the optimizer's grads by max_norm/norm when norm, their
     ``global_grad_norm``, exceeds max_norm, one in-place multiply per
-    parameter that holds a grad; returns the applied scale factor."""
+    parameter that holds a grad, over its stored elements only (a
+    ``RowGrad``'s rows); returns the applied scale factor."""
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
     for _, p in optimizer.trainable():
-        if p.grad is not None:
-            np.multiply(p.grad, scale, out=p.grad)
+        g = _stored(p)
+        if g is not None:
+            np.multiply(g, scale, out=g)
     return scale

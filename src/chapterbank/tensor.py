@@ -16,6 +16,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +50,23 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
+class RowGrad(NamedTuple):
+    """The row-sparse gradient of a 2-D table (``ops._scatter_rows``):
+    ``ids``, sorted and distinct, and their summed ``rows``, one per id,
+    in the table's dtype. Every row not in ``ids`` is exactly 0.0."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+
+
 class Tensor:
     """A dense row-major numeric array with optional gradient tracking.
 
     ``data`` is the flat storage viewed through ``shape`` (numpy handles
-    both); ``grad`` is allocated lazily during backward. Ops only record
-    onto the tape when one is active, so inference runs allocation-free.
+    both); ``grad`` is allocated lazily during backward: an array shaped
+    like ``data``, or, for a 2-D table that only row gathers have reached,
+    a ``RowGrad``. Ops only record onto the tape when one is active, so
+    inference runs allocation-free.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -68,7 +80,7 @@ class Tensor:
                 arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,17 +102,32 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.ndim else float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` into ``grad``. The caller hands over an exclusive array,
-        one no live tensor holds (an array it has just allocated, or the
-        upstream gradient the tape has taken off its output), so the first
-        gradient is stored as handed over, cast only if its dtype differs."""
+        """Add the full-shape ``g`` into ``grad``. The caller hands over an
+        exclusive array, one no live tensor holds (an array it has just
+        allocated, or the upstream gradient the tape has taken off its
+        output), so the first gradient is stored as handed over, cast only
+        if its dtype differs. A ``RowGrad`` already held is densified first,
+        so the sum is the one a dense gradient would hold. Row gathers add
+        their rows through ``ops._scatter_rows`` instead."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         g = g.astype(self.data.dtype, copy=False)
         if self.grad is None:
             self.grad = g
         else:
+            self.grad = self.dense_grad()
             self.grad += g
+
+    def dense_grad(self) -> np.ndarray:
+        """``grad`` as a full array: the held array when dense, zeros when
+        there is none, and a ``RowGrad`` written into zeros, so its missing
+        rows read as 0.0."""
+        if isinstance(self.grad, np.ndarray):
+            return self.grad
+        out = np.zeros_like(self.data)
+        if self.grad is not None:
+            out[self.grad.ids] = self.grad.rows
+        return out
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, precision={self.precision}, requires_grad={self.requires_grad})"

@@ -368,7 +368,7 @@ class TestModelFromCheckpoint:
             rows = ops.gather_rows(p, np.array([2, 0, 2]))
             np.testing.assert_array_equal(rows.data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
             tape.backward(weighted_sum(ops.add(rows, rows)))
-        np.testing.assert_array_equal(p.grad, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])
+        np.testing.assert_array_equal(p.dense_grad(), [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])
 
         path, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(checkpoint_from(micro_model()), path)

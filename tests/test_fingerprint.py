@@ -16,7 +16,7 @@ def test_fingerprint_prints_one_digest_per_case():
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 30, proc.stdout
+    assert len(lines) == 31, proc.stdout
     assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines), proc.stdout
     names = [line.split(" ", 1)[1] for line in lines]
     assert len(set(names)) == len(names), names

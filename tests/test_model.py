@@ -36,7 +36,8 @@ from chapterbank.model import (
     prepare_memory_tokens,
 )
 from chapterbank.ops import RMSNORM_EPS, _record
-from chapterbank.tensor import PRECISION_DTYPES, RngState, Tape, Tensor
+from chapterbank.tensor import PRECISION_DTYPES, RngState, RowGrad, Tape, Tensor
+from conftest import stored_grad
 
 EPS = 1e-6
 
@@ -627,7 +628,7 @@ class TestModelForward:
             selected.update(d.selected_with_shared.ravel().tolist())
         assert len(selected) < cfg.chapters  # some chapters unselected at B=1
         t_sz = cfg.chapter_size
-        bank_grad = model["bank.tokens"].grad
+        bank_grad = model["bank.tokens"].dense_grad()
         for c in range(cfg.chapters):
             block = bank_grad[c * t_sz : (c + 1) * t_sz]
             if c in selected:
@@ -637,7 +638,24 @@ class TestModelForward:
         for name, p in model.params.items():
             if name == "bank.tokens":
                 continue
-            assert np.any(p.grad != 0.0), f"{name} received no gradient"
+            assert np.any(p.dense_grad() != 0.0), f"{name} received no gradient"
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_the_bank_stores_exactly_the_rows_its_decisions_picked(self, tied):
+        model = micro_double(5, tied_embeddings=tied)
+        tokens = np.random.default_rng(5).integers(0, 256, (2, 10))
+        with Tape() as tape:
+            trace = model_forward(model, tokens, tokens)
+            tape.backward(trace.loss)
+        t = model.config.chapter_size
+        picked = np.unique(np.concatenate([(d.selected_with_shared[:, :, None] * t + np.arange(t)).ravel()
+                                           for d in trace.decisions]))
+        bank = model["bank.tokens"]
+        assert isinstance(bank.grad, RowGrad) and picked.size < bank.shape[0]
+        np.testing.assert_array_equal(bank.grad.ids, picked)
+        assert bank.grad.rows.shape == (picked.size, bank.shape[1])
+        emb = model["embedding.weight"].grad  # the tied head's dW is dense; untied, the gather is row-sparse
+        assert isinstance(emb, np.ndarray) if tied else np.array_equal(emb.ids, np.unique(tokens))
 
     def test_causality_probe(self):
         # Changing only the last token must leave earlier logits of a dense
@@ -689,7 +707,7 @@ class TestModelForward:
         assert all(out.grad is None or out.grad.dtype == dtype for out in tape.outputs)
         assert trace.loss.data.dtype == dtype
         for name, p in model.params.items():
-            assert p.grad.dtype == dtype, f"{name} grad is {p.grad.dtype}"
+            assert stored_grad(p).dtype == dtype, f"{name} grad is {stored_grad(p).dtype}"
         assert model.forward_logits(tokens).dtype == dtype
 
     def test_forward_without_targets_skips_the_head(self, monkeypatch):
@@ -865,12 +883,12 @@ class TestFusedHeadEquivalence:
         with Tape() as tape:
             trace = model_forward(model, tokens, tokens)
             tape.backward(trace.loss)
-        fused = {name: p.grad.copy() for name, p in model.params.items()}
+        fused = {name: p.dense_grad().copy() for name, p in model.params.items()}
         model.zero_grads()
         with Tape() as tape:
             ref = unfused_total_loss(model, tokens)
             tape.backward(ref)
         assert abs(trace.total_loss - ref.item()) <= 1e-10 * abs(ref.item())
         for name, p in model.params.items():
-            scale = max(np.abs(p.grad).max(), 1e-300)
-            assert np.abs(fused[name] - p.grad).max() <= 1e-10 * scale, name
+            scale = max(np.abs(p.dense_grad()).max(), 1e-300)
+            assert np.abs(fused[name] - p.dense_grad()).max() <= 1e-10 * scale, name

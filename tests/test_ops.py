@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from chapterbank import ops
 from chapterbank.errors import ConfigError, ShapeError
-from chapterbank.tensor import Tape, Tensor
-from conftest import weighted_sum
+from chapterbank.tensor import RowGrad, Tape, Tensor
+from conftest import stored_grad, weighted_sum
 
 
 def rand_tensor(shape, seed=0, scale=1.0, requires_grad=False):
@@ -318,7 +318,7 @@ class TestMemoryTokens:
             with Tape() as tape:
                 out = op(bank, self.ROWS, weights, gain, a)
                 tape.backward(weighted_sum(out, up))
-            return out.data, [t.grad for t in (bank, weights, gain, a) if t is not None]
+            return out.data, [None if t.grad is None else t.dense_grad() for t in (bank, weights, gain, a) if t is not None]
 
         got, want = grads(ops.memory_tokens), grads(held_rows_memory_tokens)
         assert got[0].tobytes() == want[0].tobytes()
@@ -346,7 +346,7 @@ class TestMemoryTokens:
             out = ops.memory_tokens(bank, self.ROWS, weights, gain, a)
             tape.backward(weighted_sum(out))
         assert out.data.dtype == np.float32 and out.shape == (2, 6, 4)
-        assert all(t.grad.dtype == np.float32 for t in (bank, weights, gain, a))
+        assert all(stored_grad(t).dtype == np.float32 for t in (bank, weights, gain, a))
 
     def test_bad_inputs_rejected(self):
         bank, weights, gain = rand_tensor((12, 4)), rand_tensor((2, 3)), rand_tensor((4,))
@@ -429,13 +429,22 @@ class TestRouterLosses:
         with pytest.raises(ShapeError):
             ops.router_penalty([z[0], Tensor(np.zeros((3, 6)))], sel * 2, 1, 1.0, 1.0)
         with pytest.raises(IndexError):
-            ops.router_penalty(z, [np.array([1, 2])], 1, 1.0, 1.0)
-        with pytest.raises(IndexError):
             ops.router_penalty(z, [np.array([[0], [2]])], 1, 1.0, 1.0)
         with pytest.raises(IndexError):
             ops.router_penalty(z, sel, 6, 1.0, 1.0)
-        with pytest.raises(IndexError):  # one layer's logits, two layers' selections
-            ops.router_penalty(z, sel * 2, 1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("layers, sel", [
+        (1, [np.array([1, 2])]),  # ndim 2
+        (1, np.ones((1, 2, 1, 1), dtype=np.int64)),  # ndim 4
+        (1, [np.array([[1], [2]])] * 2),  # one layer's logits, two layers' selections
+        (1, [np.array([[1], [2], [3]])]),  # B=3 selections for B=2 logits
+        (1, np.zeros((1, 2, 0), dtype=np.int64)),  # k = 0
+        (1, np.zeros((0, 2, 1), dtype=np.int64)),  # no layer
+        (2, [np.array([[1], [2]]), np.array([[1, 2], [3, 4]])]),  # two layers of different k
+    ], ids=["ndim2", "ndim4", "layers", "batch", "empty-k", "empty-layers", "ragged"])
+    def test_a_selection_of_the_wrong_shape_is_a_shape_error(self, layers, sel):
+        with pytest.raises(ShapeError, match=rf"router_penalty needs \({layers}, 2, k\) selections"):
+            ops.router_penalty([Tensor(np.zeros((2, 6)))] * layers, sel, 1, 1.0, 1.0)
 
 
 class TestRmsnorm:
@@ -1091,7 +1100,7 @@ class TestTapeBasics:
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         with Tape() as tape:
             tape.backward(weighted_sum(ops.gather_rows(x, np.array([1, 1]))))
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(x.dense_grad(), [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
 
 class TestScatterRows:
@@ -1122,7 +1131,46 @@ class TestScatterRows:
         want = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
         np.add.at(want, ids, g.astype(dtype))
         ops._scatter_rows(x, ids, g)
-        assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
+        assert stored_grad(x).dtype == dtype and x.dense_grad().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_table_without_a_grad_gets_its_picked_rows_alone(self, dtype):
+        # ids repeat within each call and across the two; rows 0, 10 and most others never
+        gen = np.random.default_rng(3)
+        x = Tensor(np.zeros((40, 3), dtype=dtype), requires_grad=True)
+        want = np.zeros_like(x.data)
+        calls = [np.array([[7, 3, 7], [21, 3, 7]]), np.array([[3, 30, 30, 2], [39, 21, 2, 2]])]
+        for ids in calls:
+            g = (gen.standard_normal(ids.shape + (3,)) * 10.0 ** gen.integers(-6, 6, size=ids.shape + (3,))).astype(dtype)
+            g.reshape(-1)[::4] = -0.0
+            np.add.at(want, ids, g)
+            ops._scatter_rows(x, ids, g)
+            assert isinstance(x.grad, RowGrad) and x.grad.rows.dtype == dtype
+        np.testing.assert_array_equal(x.grad.ids, [2, 3, 7, 21, 30, 39])
+        assert x.grad.rows.shape == (6, 3)
+        assert x.dense_grad().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_dense_grad_absorbs_rows_in_place_and_a_row_grad_absorbs_a_dense_one(self, dtype):
+        gen = np.random.default_rng(4)
+        ids, g = np.array([5, 1, 5, 5]), gen.standard_normal((4, 3)).astype(dtype)
+        held = gen.standard_normal((8, 3)).astype(dtype)
+        x = Tensor(np.zeros((8, 3), dtype=dtype), requires_grad=True)
+        x.grad = held.copy()
+        dense = x.grad
+        want = held.copy()
+        np.add.at(want, ids, g)
+        ops._scatter_rows(x, ids, g)
+        assert x.grad is dense and x.grad.tobytes() == want.tobytes()
+
+        # a full-shape gradient after the rows: the sum a dense gradient would hold
+        y = Tensor(np.zeros((8, 3), dtype=dtype), requires_grad=True)
+        ops._scatter_rows(y, ids, g)
+        want = np.zeros_like(y.data)
+        np.add.at(want, ids, g)
+        want += held
+        y.accumulate_grad(held.copy())
+        assert isinstance(y.grad, np.ndarray) and y.grad.tobytes() == want.tobytes()
 
 
 class TestConsumingBackward:

@@ -7,13 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chapterbank import ops, optim
 from chapterbank.config import preset
 from chapterbank.errors import ConfigError, NumericError
 from chapterbank.model import build_model
 from chapterbank.optim import BLOCK, AdamW, AdamWConfig, clip_grad_norm, global_grad_norm
 from chapterbank.schedule import cosine
-from chapterbank.tensor import Parameter, RngState, Tape
+from chapterbank.tensor import Parameter, RngState, RowGrad, Tape
 from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train
+from conftest import stored_grad
 
 
 def make_param(data, name="p", group="base"):
@@ -502,7 +504,7 @@ class TestGradLifetime:
         with Tape() as tape:
             trace = model.forward(tokens, tokens)
         tape.backward(trace.loss)
-        grads = {name: p.grad for name, p in model.params.items()}
+        grads = {name: stored_grad(p) for name, p in model.params.items()}
         assert all(g is not None and g.flags.c_contiguous for g in grads.values()), \
             [name for name, g in grads.items() if g is None or not g.flags.c_contiguous]
 
@@ -680,3 +682,69 @@ class TestClipping:
         p.grad = np.full(2, 1e300)
         with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
             global_grad_norm(AdamW({"p": p}))
+
+
+class TestRowSparseGrads:
+    """A ``RowGrad`` reads exactly as its densified array in the norm, the
+    clip and the step. The table spans several ``BLOCK``s, one of which holds
+    no stored row, and shares its segment with a dense (7, d) matrix, so one
+    block spans both: with d = 64 and the table first, every block starts and
+    stops on a row boundary; with d = 50 and the table second, none does.
+    Each step takes fresh grads."""
+
+    @staticmethod
+    def _params(dtype, d, bank_first):
+        gen = np.random.default_rng(11)
+        shapes = {"bank": (3 * BLOCK // d - 7, d), "w": (7, d)}  # three blocks, the last one short for d = 50
+        names = ["bank", "w"] if bank_first else ["w", "bank"]
+        return {n: Parameter(gen.standard_normal(shapes[n]).astype(dtype), n, "memory_bank") for n in names}
+
+    @staticmethod
+    def _grads(gen, dtype, rows, d):
+        # rows in the first and last blocks only, with repeats within and across the two gathers
+        lo, hi = gen.integers(0, 400, 24), gen.integers(rows - 300, rows, 24)
+        calls = [np.concatenate([lo[:12], hi[:12], lo[:4]]), np.concatenate([hi[12:], lo[12:], hi[:3]])]
+        scale = 10.0 ** gen.integers(-4, 4, (28, d))
+        return [(ids, (gen.standard_normal((ids.size, d)) * scale[: ids.size]).astype(dtype)) for ids in calls], \
+            gen.standard_normal((7, d)).astype(dtype)
+
+    @pytest.mark.parametrize("d, bank_first", [(64, True), (50, False)], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_clip_and_steps_equal_the_dense_grad(self, dtype, d, bank_first):
+        sparse, dense = self._params(dtype, d, bank_first), self._params(dtype, d, bank_first)
+        opt_s, opt_d = AdamW(sparse), AdamW(dense)
+        assert [len(pieces) for pieces in opt_s.segments[0].blocks] == ([1, 1, 2] if bank_first else [2, 1, 1])
+        gen = np.random.default_rng(12)
+        for t in (1, 2, 3):
+            calls, gw = self._grads(gen, dtype, sparse["bank"].shape[0], d)
+            for ids, g in calls:
+                ops._scatter_rows(sparse["bank"], ids, g)
+            assert isinstance(sparse["bank"].grad, RowGrad)
+            dense["bank"].grad = sparse["bank"].dense_grad()
+            sparse["w"].grad, dense["w"].grad = gw.copy(), gw.copy()
+            first_element = sparse["bank"].grad.ids * d + (0 if bank_first else 7 * d)
+            assert set(first_element // BLOCK) == {0, 2}  # block 1 holds no stored row
+            norm_s, norm_d = global_grad_norm(opt_s), global_grad_norm(opt_d)
+            assert norm_s == norm_d and norm_s > 1.0
+            assert clip_grad_norm(opt_s, 1.0, norm_s) == clip_grad_norm(opt_d, 1.0, norm_d) < 1.0
+            assert sparse["bank"].dense_grad().tobytes() == dense["bank"].grad.tobytes()
+            opt_s.step(uniform_lrs(1e-2), t)
+            opt_d.step(uniform_lrs(1e-2), t)
+            for name in sparse:
+                assert sparse[name].grad is None
+                assert sparse[name].data.tobytes() == dense[name].data.tobytes(), (t, name)
+                for kind in "mv":
+                    assert opt_s.state[name][kind].tobytes() == opt_d.state[name][kind].tobytes(), (t, name, kind)
+
+    def test_an_empty_block_is_skipped_and_a_bad_row_is_found(self):
+        rows, d = 3 * BLOCK // 64, 64
+        bank = Parameter(np.zeros((rows, d)), "bank", "memory_bank")
+        opt = AdamW({"bank": bank})
+        ops._scatter_rows(bank, np.array([2, rows - 1]), np.ones((2, d)))
+        scratch = np.empty(BLOCK)
+        assert [optim._block_grad(pieces, scratch, view=False) is None for pieces in opt.segments[0].blocks] == \
+            [False, True, False]
+        assert global_grad_norm(opt) == math.sqrt(2 * d)
+        bank.grad.rows[1, 3] = np.inf
+        with pytest.raises(NumericError, match="bank"):
+            opt.check_finite()

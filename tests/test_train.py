@@ -223,7 +223,7 @@ class TestGradAccum:
                 trace = model.forward(batch, batch)
                 tape.backward(ops.scale(trace.loss, 0.5))
             lm += trace.lm_loss
-        norm = math.sqrt(sum(float((p.grad**2).sum()) for p in model.parameters()))
+        norm = math.sqrt(sum(float((p.dense_grad()**2).sum()) for p in model.parameters()))
         assert (row.step, row.split) == (1, "train")
         assert row.lm_loss == lm / 2
         assert row.grad_norm == pytest.approx(norm, rel=1e-12)

@@ -39,9 +39,12 @@ parameter; every ``micro`` parameter is smaller than a block, so in the
 the bank's segment. The next line hashes ``metrics.csv`` and
 ``final.ckpt`` of ``chapterbank continue`` from the 12-step run's
 ``final.ckpt``, 12 steps at ``--seq-len 96``, past the preset's
-``max_seq_len`` of 64. The last line hashes the same 2-step ``train()``
+``max_seq_len`` of 64. The next line hashes the same 2-step ``train()``
 of the train-mem model with ``bank_mode: frozen``: its memory reads run
-in several tiles over a bank that takes no gradient.
+in several tiles over a bank that takes no gradient. The last line hashes
+a 2-step ``train()`` of ``micro`` widened to 1,025 chapters of 8 rows at
+B=2, L=32: its bank of 8,200 x 64 elements fills nine optimizer blocks,
+and the rows its steps pick leave whole blocks without a gradient row.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ def case_digest(precision: str, cfg: ModelConfig, shape: tuple[int, int]) -> str
     h.update(trace.loss.data.tobytes())
     for name, p in model.params.items():
         h.update(name.encode())
-        h.update(p.grad.tobytes())
+        # a tree without Tensor.dense_grad holds every gradient as a full array
+        h.update((p.dense_grad() if hasattr(p, "dense_grad") else p.grad).tobytes())
     h.update(model.forward_logits(tokens).tobytes())
     return h.hexdigest()
 
@@ -180,20 +184,35 @@ def retention_digest(argv: list[str], names: tuple[str, ...]) -> str:
         return h.hexdigest()
 
 
-def mid_train_digest(bank_mode: str = "equal_lr") -> str:
-    """Hash ``metrics.csv`` and the saved final checkpoint of a 2-step
-    ``train()`` of ``mid_config()`` at the benchmark's B and L, seed 1,
-    with the bank trained as ``bank_mode`` says."""
-    cfg = mid_config()
-    corpus = make_synthetic_corpus(vocab=cfg.vocab, length=CORPUS_TOKENS, seed=1)
-    tcfg = TrainConfig(steps=2, batch_size=BATCH, seq_len=SEQ_LEN, lr_base=3e-3, bank_mode=bank_mode,
-                       schedule=cosine(1), eval_every=2, seed=1)
-    result = train(build_model(cfg, RngState(1)), corpus, tcfg)
+def train_digest(cfg: ModelConfig, corpus, tcfg: TrainConfig) -> str:
+    """Hash ``metrics.csv`` and the saved final checkpoint of ``train()`` of
+    a model built from ``cfg`` at ``tcfg``'s seed."""
+    result = train(build_model(cfg, RngState(tcfg.seed)), corpus, tcfg)
     with tempfile.TemporaryDirectory() as out:
         save_checkpoint(result.checkpoint, Path(out) / "final.ckpt")
         h = hashlib.sha256(metrics_csv(result.metrics).encode())
         h.update((Path(out) / "final.ckpt").read_bytes())
         return h.hexdigest()
+
+
+def mid_train_digest(bank_mode: str = "equal_lr") -> str:
+    """``train_digest`` of a 2-step ``train()`` of ``mid_config()`` at the
+    benchmark's B and L, seed 1, with the bank trained as ``bank_mode``
+    says."""
+    cfg = mid_config()
+    corpus = make_synthetic_corpus(vocab=cfg.vocab, length=CORPUS_TOKENS, seed=1)
+    tcfg = TrainConfig(steps=2, batch_size=BATCH, seq_len=SEQ_LEN, lr_base=3e-3, bank_mode=bank_mode,
+                       schedule=cosine(1), eval_every=2, seed=1)
+    return train_digest(cfg, corpus, tcfg)
+
+
+def wide_bank_digest() -> str:
+    """``train_digest`` of a 2-step ``train()`` of ``micro`` with 1,025
+    chapters of 8 rows at B=2, L=32, seed 2."""
+    cfg = replace(preset("micro"), chapters=1025, bank_tokens=1025 * 8)
+    corpus = make_synthetic_corpus(vocab=cfg.vocab, length=4096, seed=2)
+    tcfg = TrainConfig(steps=2, batch_size=2, seq_len=32, schedule=cosine(1), eval_every=2, seed=2)
+    return train_digest(cfg, corpus, tcfg)
 
 
 def continue_digest() -> str:
@@ -242,6 +261,7 @@ def main() -> None:
     print(mid_train_digest(), "train-mem-2/metrics.csv+final.ckpt")
     print(continue_digest(), "continue-micro-12-then-12-at-96/metrics.csv+final.ckpt")
     print(mid_train_digest("frozen"), "train-mem-2-frozen-bank/metrics.csv+final.ckpt")
+    print(wide_bank_digest(), "train-micro-1025-chapters-2/metrics.csv+final.ckpt")
 
 
 if __name__ == "__main__":
