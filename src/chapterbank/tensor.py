@@ -180,7 +180,8 @@ class Tape:
     Each op appends (output, backward_fn); backward_fn receives the
     output's upstream gradient and accumulates into the inputs. Backward
     consumes the tape: it pops each record and takes the output's grad
-    off it before calling the closure, so every intermediate gradient and
+    off it (densified, when a row gather left a ``RowGrad``) before
+    calling the closure, so every intermediate gradient and
     every closure's saved arrays are freed once used, and the tape is
     empty afterwards. Leaves (Parameters and tensors no op produced) keep
     their grads. Outputs never reached by the loss have grad None and
@@ -210,6 +211,8 @@ class Tape:
         records = self._records
         while records:
             out, fn = records.pop()
+            if isinstance(out.grad, RowGrad):  # an op output gathered from: closures take arrays
+                out.grad = out.dense_grad()
             g, out.grad = out.grad, None
             if g is not None:
                 fn(g)

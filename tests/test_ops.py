@@ -1102,6 +1102,20 @@ class TestTapeBasics:
             tape.backward(weighted_sum(ops.gather_rows(x, np.array([1, 1]))))
         np.testing.assert_array_equal(x.dense_grad(), [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gather_rows_from_an_op_output_hands_its_producer_a_dense_grad(self, dtype):
+        # the gather leaves a RowGrad on the taped sum; the sum's backward must see the full array
+        gen = np.random.default_rng(3)
+        a, b = (Tensor(gen.standard_normal((6, 4)).astype(dtype), requires_grad=True) for _ in range(2))
+        ids = np.array([[4, 1], [4, 4]])
+        w = gen.standard_normal((2, 2, 4))
+        with Tape() as tape:
+            tape.backward(weighted_sum(ops.gather_rows(ops.add(a, b), ids), w))
+        want = np.zeros((6, 4), dtype=dtype)
+        np.add.at(want, ids, w.astype(dtype))
+        for t in (a, b):
+            assert isinstance(t.grad, np.ndarray) and t.grad.tobytes() == want.tobytes()
+
 
 class TestScatterRows:
     """``_scatter_rows`` adds by duplicate rank and must equal the unbuffered

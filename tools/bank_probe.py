@@ -4,13 +4,13 @@ Prints one row of a markdown table for the benchmark's mid config
 (``bench/workloads.mid_config()``, chapters of 32 rows at d=256) at B=8,
 L=128 with ``--chapters`` chapters:
 
-    python tools/bank_probe.py --chapters 4097 [--steps 6] [--header]
+    python tools/bank_probe.py --chapters 4097 [--header]
 
 Each step drops the gradients, runs one taped forward and backward, the
 gradient norm, the clip, the AdamW step and a full snapshot (weights and
 both moments; the last one is dropped before the next is taken, as in
 ``train()``). The clip runs at half the step's norm, so its multiply runs on
-every step. Each time is the minimum over the steps; "grad rows" counts the
+every step. Each time is the minimum over ``STEPS`` steps; "grad rows" counts the
 bank rows whose gradient the step stores (every row when the bank holds a
 dense gradient) and, in brackets, the rows the step's routing picked. Peak
 RSS is ``ru_maxrss`` at the end. Run each reading in a fresh process, with
@@ -42,6 +42,7 @@ from chapterbank.tensor import PARAM_GROUPS, RngState, Tape  # noqa: E402
 from chapterbank.train import make_synthetic_corpus, sample_batch  # noqa: E402
 from workloads import BATCH, CORPUS_TOKENS, SEQ_LEN, mid_config  # noqa: E402
 
+STEPS = 6
 COLUMNS = ("chapters", "bank", "grad rows [picked]", "fwd+bwd", "norm", "clip", "AdamW step", "snapshot", "peak RSS")
 
 
@@ -50,7 +51,7 @@ def stored_rows(grad) -> int:
     return grad.shape[0] if isinstance(grad, np.ndarray) else grad.ids.size
 
 
-def probe(chapters: int, steps: int) -> list[str]:
+def probe(chapters: int) -> list[str]:
     base = mid_config()
     cfg = replace(base, chapters=chapters, bank_tokens=chapters * base.chapter_size)
     model = build_model(cfg, RngState(1))
@@ -61,7 +62,7 @@ def probe(chapters: int, steps: int) -> list[str]:
     times: dict[str, list[float]] = {name: [] for name in ("fwd+bwd", "norm", "clip", "step", "snapshot")}
     rows = picked = 0
     snapshot = None
-    for t in range(1, steps + 1):
+    for t in range(1, STEPS + 1):
         tokens = sample_batch(region, rng.substream("batch", t), BATCH, SEQ_LEN)
         marks = [time.perf_counter()]
         model.zero_grads()
@@ -94,15 +95,12 @@ def probe(chapters: int, steps: int) -> list[str]:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chapters", type=int, required=True, help="chapters in the bank, the shared one included")
-    parser.add_argument("--steps", type=int, default=6, help="steps to take the minimum over (default 6)")
     parser.add_argument("--header", action="store_true", help="print the table's header rows first")
     args = parser.parse_args(argv)
-    if args.steps < 1:
-        parser.error("--steps must be >= 1")
     if args.header:
         print("| " + " | ".join(COLUMNS) + " |")
         print("|" + "---|" * len(COLUMNS))
-    print("| " + " | ".join(probe(args.chapters, args.steps)) + " |")
+    print("| " + " | ".join(probe(args.chapters)) + " |")
 
 
 if __name__ == "__main__":

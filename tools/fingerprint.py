@@ -107,8 +107,7 @@ def case_digest(precision: str, cfg: ModelConfig, shape: tuple[int, int]) -> str
     h.update(trace.loss.data.tobytes())
     for name, p in model.params.items():
         h.update(name.encode())
-        # a tree without Tensor.dense_grad holds every gradient as a full array
-        h.update((p.dense_grad() if hasattr(p, "dense_grad") else p.grad).tobytes())
+        h.update(p.dense_grad().tobytes())
     h.update(model.forward_logits(tokens).tobytes())
     return h.hexdigest()
 
