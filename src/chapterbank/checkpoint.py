@@ -24,11 +24,11 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CheckpointMismatch, ConfigError
 from .model import Model, param_specs
-from .tensor import DTYPE_PRECISION, Parameter, RngState
+from .tensor import DTYPE_PRECISION, PRECISION_DTYPES, Parameter, RngState
 
 MAGIC = b"MOCCKPT1"
 FORMAT_VERSION = 2  # 2: every tensor entry carries a crc32
-_DTYPES = {"single": "<f4", "double": "<f8"}
+_DTYPES = {name: np.dtype(dtype).newbyteorder("<") for name, dtype in PRECISION_DTYPES.items()}  # file byte order
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Each op computes its forward with numpy and, when a tape is active and an
 input requires grad, records a handwritten backward closure. Backward
 formulas are the standard ones (stated inline); the finite-difference
-oracle in gradcheck.py verifies every one of them.
+oracle in gradcheck.py verifies every one of them. A backward adds into its
+inputs' grads through ``Tensor.accumulate_grad`` or ``Tensor.add_rows``.
 
 All ops raise NumericError if they produce NaN/Inf, ShapeError on operand
 mismatch (naming both shapes), ConfigError on bad structural arguments,
@@ -18,7 +19,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import RowGrad, Tensor, active_tape
+from .tensor import Tensor, active_tape
 
 # Additive pre-softmax mask value for disallowed positions. Finite (keeps
 # the no-NaN/Inf invariant) but large enough that exp(x - max) underflows
@@ -105,49 +106,12 @@ def _take_rows(x: Tensor, ids, where: str) -> tuple[np.ndarray, np.ndarray]:
     return ids, x.data[ids]
 
 
-def _scatter_rows(x: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
-    """Scatter-add the rows ``g`` at row ``ids`` into ``x.grad``, touching
-    no other row and allocating nothing shaped like the table: a dense grad
-    already held (the tied embedding's head gradient) takes the rows in
-    place; otherwise ``x.grad`` becomes a ``RowGrad`` of the union of the
-    held ids (the other memory layer, another micro-batch) and ``ids``.
-
-    Each row starts from 0.0 or its held value and takes its contributions
-    in index order, so the result, densified, is bit-identical to numpy's
-    unbuffered ``add.at`` into the dense grad, zeros' signs included: a
-    stable sort ranks each occurrence of an id by how many came before it,
-    and one fancy-index ``+=`` per rank adds the rank's rows, distinct
-    within it, in as many passes as the most repeated id has occurrences.
-    """
-    ids = ids.reshape(-1)
-    g = g.astype(x.data.dtype, copy=False).reshape(ids.size, x.shape[1])
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    rank = np.arange(ids.size) - np.searchsorted(sorted_ids, sorted_ids)
-    if isinstance(x.grad, np.ndarray):
-        target, at = x.grad, ids
-    else:
-        held, new = x.grad, sorted_ids[rank == 0]
-        union = new if held is None else np.union1d(held.ids, new)
-        if held is not None and union.size == held.ids.size:
-            target = held.rows
-        else:
-            target = np.zeros((union.size, x.shape[1]), x.data.dtype)
-            if held is not None:
-                target[np.searchsorted(union, held.ids)] = held.rows
-            x.grad = RowGrad(union, target)
-        at = np.searchsorted(union, ids)
-    by_rank = order[np.argsort(rank, kind="stable")]
-    for sel in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
-        target[at[sel]] += g[sel]
-
-
 def gather_rows(x, ids: np.ndarray) -> Tensor:
     """Select rows of a 2-D table by integer index (embedding gather).
 
     ``ids`` may have any shape; output shape is ids.shape + (row_dim,).
-    Backward scatter-adds into ``x.grad`` (``_scatter_rows``): the picked
-    rows alone, as a ``RowGrad`` unless ``x`` already holds a dense grad.
+    Backward scatter-adds into ``x.grad`` (``Tensor.add_rows``): the picked
+    rows alone, row-sparse unless ``x`` already holds a dense grad.
     """
     x = _as_tensor(x)
     ids, rows = _take_rows(x, ids, "gather_rows")
@@ -155,7 +119,7 @@ def gather_rows(x, ids: np.ndarray) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _scatter_rows(x, ids, g)
+            x.add_rows(ids, g)
 
     return _record(out, [x], backward)
 
@@ -606,8 +570,8 @@ def memory_tokens(bank, rows, weights, gain, adapter=None) -> Tensor:
     step updates it after the backward). dweights sums g * rms_norm(x) over
     each chapter's tokens, the norm backward takes g * weight, then
     dadapter = x0^T dx, dx += dx adapter^T, and dx is scatter-added into
-    ``bank.grad`` (``_scatter_rows``, as in ``gather_rows``), which so
-    holds the picked rows alone, as a ``RowGrad``.
+    ``bank.grad`` (``Tensor.add_rows``, as in ``gather_rows``), which so
+    holds the picked rows alone.
     """
     bank, weights, gain = _as_tensor(bank), _as_tensor(weights), _as_tensor(gain)
     adapter = None if adapter is None else _as_tensor(adapter)
@@ -636,7 +600,7 @@ def memory_tokens(bank, rows, weights, gain, adapter=None) -> Tensor:
         if bank.requires_grad:  # a frozen bank skips the adapter's dx term and the scatter
             if adapter is not None:
                 dx += (dx.reshape(-1, d) @ adapter.data.T).reshape(dx.shape)
-            _scatter_rows(bank, rows, dx)
+            bank.add_rows(rows, dx)
 
     return _record(out, [bank, weights, gain] + ([] if adapter is None else [adapter]), backward)
 

@@ -11,17 +11,18 @@ per (dtype, group, decay) class, in the style of ZeRO's flat parameter
 groups (Rajbhandari et al. 2020, arXiv 1910.02054): each segment holds
 one contiguous data, m and v buffer, and every parameter's ``data`` and
 moments are views into them. Gradients are not adopted: a parameter holds
-its own from the backward that reaches it, dense or a ``RowGrad`` of the
-rows a gather picked. The clip and the finiteness check touch only the
-stored elements; the gradient norm and the update read each gradient
+its own from the backward that reaches it, dense or row-sparse (the rows a
+gather picked), and this module reads it only through ``Tensor``'s
+methods. The clip and the finiteness check touch only the stored elements
+(``stored_grad``); the gradient norm and the update read each gradient
 through its parameter, ``BLOCK`` elements of a segment at a time, exactly as
 the dense arrays would read: a view when one dense gradient holds the whole
-block, else assembled into scratch, where a parameter with no gradient and
-a row a ``RowGrad`` lacks count as zeros. A block with no stored element is
-all zeros: the norm skips it and the update reads a zero view. The step
-checks every gradient before its first write and consumes every gradient
-it applies. Only this module knows the layout; everything else keeps
-writing through the views in place.
+block, else each piece read in turn into scratch (``read_grad``), where a
+missing gradient or row counts as zeros. A block with no stored element
+(``holds_grad``) is all zeros: the norm skips it and the update reads a zero
+view. The step checks every gradient before its first write and consumes
+every gradient it applies. Only this module knows the layout; everything
+else keeps writing through the views in place.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigError, NumericError
-from .tensor import PARAM_GROUPS, Parameter, RowGrad
+from .tensor import PARAM_GROUPS, Parameter
 
 BLOCK = 1 << 16  # elements per pass of the update: 256-512 KB per buffer, cache-sized
 
@@ -91,64 +92,22 @@ def _block_ranges(params: list[Parameter]) -> tuple[tuple[tuple[Parameter, int, 
     return tuple(blocks)
 
 
-def _stored(p: Parameter) -> np.ndarray | None:
-    """The array that holds ``p``'s stored gradient elements: its rows for a
-    ``RowGrad``, else its grad (``None`` when it has none)."""
-    return p.grad.rows if isinstance(p.grad, RowGrad) else p.grad
-
-
-def _row_span(grad: RowGrad, d: int, start: int, stop: int) -> tuple[int, int]:
-    """The range of ``grad.ids`` whose rows of ``d`` elements hold flat
-    table elements in [start, stop)."""
-    i0, i1 = np.searchsorted(grad.ids, (start // d, -(-stop // d)))
-    return int(i0), int(i1)
-
-
-def _holds(p: Parameter, start: int, stop: int) -> bool:
-    """Whether ``p`` stores a gradient element among its flat elements
-    [start, stop)."""
-    if isinstance(p.grad, RowGrad):
-        i0, i1 = _row_span(p.grad, p.shape[1], start, stop)
-        return i0 < i1
-    return p.grad is not None
-
-
 def _block_grad(pieces: tuple[tuple[Parameter, int, int], ...], out: np.ndarray, view: bool) -> np.ndarray | None:
     """One segment block's flat gradient, element for element as the dense
     arrays would read: ``None`` when no piece holds a stored element, so the
     block is all zeros; with ``view``, a view of the dense grad when one
-    parameter holds the whole block; else the pieces assembled in ``out``, a
-    missing grad or row counting as zeros."""
-    if not any(_holds(p, a, b) for p, a, b in pieces):
+    parameter holds the whole block; else the pieces read in turn into
+    ``out``."""
+    if not any(p.holds_grad(a, b) for p, a, b in pieces):
         return None
     if view and len(pieces) == 1 and isinstance(pieces[0][0].grad, np.ndarray):
         p, a, b = pieces[0]
         return p.grad.reshape(-1)[a:b]
     at = 0
     for p, a, b in pieces:
-        o, at = out[at : at + b - a], at + b - a
-        if isinstance(p.grad, RowGrad):
-            _put_rows(p.grad, p.shape[1], a, b, o)
-        elif p.grad is None:
-            o[...] = 0
-        else:
-            o[...] = p.grad.reshape(-1)[a:b]
+        p.read_grad(a, b, out[at : at + b - a])
+        at += b - a
     return out[:at]
-
-
-def _put_rows(grad: RowGrad, d: int, start: int, stop: int, out: np.ndarray) -> None:
-    """Write flat elements [start, stop) of ``grad``'s dense table into
-    ``out``: its stored rows, zeros elsewhere. The rows go in whole, into
-    ``out`` itself when the range starts and stops on row boundaries, else
-    into a zeroed window of the rows the range touches."""
-    i0, i1 = _row_span(grad, d, start, stop)
-    first, lead = divmod(start, d)
-    aligned = lead == 0 and out.size % d == 0
-    window = out.reshape(-1, d) if aligned else np.empty((-(-stop // d) - first, d), out.dtype)
-    window[...] = 0
-    window[grad.ids[i0:i1] - first] = grad.rows[i0:i1]
-    if not aligned:
-        out[...] = window.reshape(-1)[lead : lead + out.size]
 
 
 class AdamW:
@@ -241,7 +200,7 @@ class AdamW:
         """Raise NumericError naming the first trainable parameter, in
         parameter order, whose grad is not finite."""
         for name, p in self.trainable():
-            g = _stored(p)
+            g = p.stored_grad()
             if g is not None and not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient in {name}; step aborted")
 
@@ -265,7 +224,7 @@ class AdamW:
                 w, m, v = (buf[a : a + BLOCK] for buf in (seg.data, seg.m, seg.v))
                 s1, s2 = t1[: w.size], t2[: w.size]
                 # a zero view, a view of the one dense grad that holds the block, or its pieces
-                # assembled in s2, which is first written after g's last read
+                # read into s2, which is first written after g's last read
                 g = _block_grad(pieces, s2, view=True)
                 if g is None:
                     g = np.broadcast_to(np.zeros((), w.dtype), w.shape)
@@ -317,13 +276,13 @@ def global_grad_norm(optimizer: AdamW) -> float:
 def clip_grad_norm(optimizer: AdamW, max_norm: float, norm: float) -> float:
     """Scale the optimizer's grads by max_norm/norm when norm, their
     ``global_grad_norm``, exceeds max_norm, one in-place multiply per
-    parameter that holds a grad, over its stored elements only (a
-    ``RowGrad``'s rows); returns the applied scale factor."""
+    parameter that holds a grad, over its stored elements only
+    (``Tensor.stored_grad``); returns the applied scale factor."""
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
     for _, p in optimizer.trainable():
-        g = _stored(p)
+        g = p.stored_grad()
         if g is not None:
             np.multiply(g, scale, out=g)
     return scale

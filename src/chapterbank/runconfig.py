@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .config import Config, ModelConfig, preset
 from .errors import ConfigError
 from .retention import RetentionConfig
-from .train import TrainConfig
+from .train import SYNTHETIC_LENGTH, SYNTHETIC_PERIOD, SYNTHETIC_SEED, TrainConfig
 
 TOP_KEYS = {"preset", "model", "train", "data", "retention"}
 
@@ -24,9 +24,9 @@ TOP_KEYS = {"preset", "model", "train", "data", "retention"}
 @dataclass(frozen=True)
 class DataConfig(Config):
     kind: str = "synthetic"
-    length: int = 8192
-    seed: int = 0
-    period: int = 97
+    length: int = SYNTHETIC_LENGTH
+    seed: int = SYNTHETIC_SEED
+    period: int = SYNTHETIC_PERIOD
 
     def __post_init__(self) -> None:
         if self.kind != "synthetic":

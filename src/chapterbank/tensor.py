@@ -3,7 +3,8 @@
 Everything above this module is built from these pieces. Arrays are plain
 row-major numpy arrays in float64 ("double") or float32 ("single");
 gradients are tracked by an explicit tape of per-op backward closures
-(see ops.py), replayed in reverse. There is no graph optimizer.
+(see ops.py), replayed in reverse. There is no graph optimizer. Only
+this module builds, merges, reads and densifies a row-sparse ``RowGrad``.
 
 Determinism contract: all array math goes through numpy kernels, whose
 accumulation order is fixed per platform, so identical seeds give
@@ -51,12 +52,18 @@ _keep_freed_memory()
 
 
 class RowGrad(NamedTuple):
-    """The row-sparse gradient of a 2-D table (``ops._scatter_rows``):
+    """The row-sparse gradient of a 2-D table (``Tensor.add_rows``):
     ``ids``, sorted and distinct, and their summed ``rows``, one per id,
     in the table's dtype. Every row not in ``ids`` is exactly 0.0."""
 
     ids: np.ndarray
     rows: np.ndarray
+
+    def span(self, start: int, stop: int) -> slice:
+        """The slice of ``ids`` and ``rows`` whose rows hold flat table
+        elements in [start, stop)."""
+        d = self.rows.shape[1]
+        return slice(*np.searchsorted(self.ids, (start // d, -(-stop // d))))
 
 
 class Tensor:
@@ -65,7 +72,8 @@ class Tensor:
     ``data`` is the flat storage viewed through ``shape`` (numpy handles
     both); ``grad`` is allocated lazily during backward: an array shaped
     like ``data``, or, for a 2-D table that only row gathers have reached,
-    a ``RowGrad``. Ops only record onto the tape when one is active, so
+    a ``RowGrad`` (``add_rows``), which every other module reads through
+    the grad methods. Ops only record onto the tape when one is active, so
     inference runs allocation-free.
     """
 
@@ -108,7 +116,7 @@ class Tensor:
         output), so the first gradient is stored as handed over, cast only
         if its dtype differs. A ``RowGrad`` already held is densified first,
         so the sum is the one a dense gradient would hold. Row gathers add
-        their rows through ``ops._scatter_rows`` instead."""
+        their rows through ``add_rows`` instead."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         g = g.astype(self.data.dtype, copy=False)
@@ -118,15 +126,84 @@ class Tensor:
             self.grad = self.dense_grad()
             self.grad += g
 
+    def add_rows(self, ids: np.ndarray, g: np.ndarray) -> None:
+        """Scatter-add the rows ``g`` at row ``ids`` of this 2-D table into
+        ``grad``, touching no other row and allocating nothing shaped like
+        the table: a dense grad already held (the tied embedding's head
+        gradient) takes the rows in place; otherwise ``grad`` becomes a
+        ``RowGrad`` of the union of the held ids (the other memory layer,
+        another micro-batch) and ``ids``.
+
+        Each row starts from 0.0 or its held value and takes its contributions
+        in index order, so the result, densified, is bit-identical to numpy's
+        unbuffered ``add.at`` into the dense grad, zeros' signs included: a
+        stable sort ranks each occurrence of an id by how many came before it,
+        and one fancy-index ``+=`` per rank adds the rank's rows, distinct
+        within it, in as many passes as the most repeated id has occurrences.
+        """
+        ids = ids.reshape(-1)
+        g = g.astype(self.data.dtype, copy=False).reshape(ids.size, self.shape[1])
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        rank = np.arange(ids.size) - np.searchsorted(sorted_ids, sorted_ids)
+        if isinstance(self.grad, np.ndarray):
+            target, at = self.grad, ids
+        else:
+            held, new = self.grad, sorted_ids[rank == 0]
+            union = new if held is None else np.union1d(held.ids, new)
+            if held is not None and union.size == held.ids.size:
+                target = held.rows
+            else:
+                target = np.zeros((union.size, self.shape[1]), self.data.dtype)
+                if held is not None:
+                    target[np.searchsorted(union, held.ids)] = held.rows
+                self.grad = RowGrad(union, target)
+            at = np.searchsorted(union, ids)
+        by_rank = order[np.argsort(rank, kind="stable")]
+        for sel in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+            target[at[sel]] += g[sel]
+
+    def stored_grad(self) -> np.ndarray | None:
+        """The array that holds ``grad``'s stored elements, to scale or check
+        in place: a ``RowGrad``'s rows, else ``grad`` itself (or ``None``)."""
+        return self.grad.rows if isinstance(self.grad, RowGrad) else self.grad
+
+    def holds_grad(self, start: int, stop: int) -> bool:
+        """Whether ``grad`` stores an element among flat elements [start,
+        stop), ``start < stop``: a dense grad does, a ``RowGrad`` by row."""
+        if isinstance(self.grad, RowGrad):
+            return self.grad.ids[self.grad.span(start, stop)].size > 0
+        return self.grad is not None
+
+    def read_grad(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Write flat elements [start, stop) of ``grad`` densely into the
+        flat ``out``, cast to its dtype, a missing grad or row as zeros. The
+        rows go in whole, into ``out`` itself when the range starts and stops
+        on row boundaries, else into a zeroed window of the rows it touches."""
+        grad = self.grad
+        if grad is None:
+            out[...] = 0
+        elif not isinstance(grad, RowGrad):
+            out[...] = grad.reshape(-1)[start:stop]
+        else:
+            d = self.shape[1]
+            held = grad.span(start, stop)
+            first, lead = divmod(start, d)
+            aligned = lead == 0 and out.size % d == 0
+            window = out.reshape(-1, d) if aligned else np.empty((-(-stop // d) - first, d), out.dtype)
+            window[...] = 0
+            window[grad.ids[held] - first] = grad.rows[held]
+            if not aligned:
+                out[...] = window.reshape(-1)[lead : lead + out.size]
+
     def dense_grad(self) -> np.ndarray:
-        """``grad`` as a full array: the held array when dense, zeros when
-        there is none, and a ``RowGrad`` written into zeros, so its missing
-        rows read as 0.0."""
+        """``grad`` as a full array: the held array when dense, else the
+        whole table read by ``read_grad`` into a fresh array, so a missing
+        grad and the rows a ``RowGrad`` lacks read as 0.0."""
         if isinstance(self.grad, np.ndarray):
             return self.grad
-        out = np.zeros_like(self.data)
-        if self.grad is not None:
-            out[self.grad.ids] = self.grad.rows
+        out = np.empty(self.shape, self.data.dtype)
+        self.read_grad(0, self.size, out.reshape(-1))
         return out
 
     def __repr__(self) -> str:
@@ -180,12 +257,12 @@ class Tape:
     Each op appends (output, backward_fn); backward_fn receives the
     output's upstream gradient and accumulates into the inputs. Backward
     consumes the tape: it pops each record and takes the output's grad
-    off it (densified, when a row gather left a ``RowGrad``) before
-    calling the closure, so every intermediate gradient and
-    every closure's saved arrays are freed once used, and the tape is
-    empty afterwards. Leaves (Parameters and tensors no op produced) keep
-    their grads. Outputs never reached by the loss have grad None and
-    their records are dropped unrun.
+    off it through ``dense_grad`` (a row gather of an op output leaves
+    its rows alone) before calling the closure, so every intermediate
+    gradient and every closure's saved arrays are freed once used, and the
+    tape is empty afterwards. Leaves (Parameters and tensors no op
+    produced) keep their grads. Outputs never reached by the loss have grad
+    None and their records are dropped unrun.
     """
 
     def __init__(self):
@@ -211,10 +288,8 @@ class Tape:
         records = self._records
         while records:
             out, fn = records.pop()
-            if isinstance(out.grad, RowGrad):  # an op output gathered from: closures take arrays
-                out.grad = out.dense_grad()
-            g, out.grad = out.grad, None
-            if g is not None:
+            if out.grad is not None:  # dense: a row gather of an op output leaves rows, and closures take arrays
+                g, out.grad = out.dense_grad(), None
                 fn(g)
 
 

@@ -26,7 +26,7 @@ from .tensor import RngState, Tape
 BANK_MODES = ("frozen", "low_lr", "equal_lr", "custom")
 EVAL_BATCHES = 4
 EVAL_FRACTION = 0.1
-SYNTHETIC_PERIOD = 97  # default pattern length of the synthetic corpus
+SYNTHETIC_PERIOD, SYNTHETIC_LENGTH, SYNTHETIC_SEED = 97, 8192, 0  # the synthetic corpus's defaults
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class TrainConfig(Config):
     lr_memory_bank: float | None = None  # used by bank_mode=custom
     bank_mode: str = "equal_lr"
     schedule: Schedule = field(default_factory=lambda: cosine(10))
-    weight_decay: float = 0.1
-    betas: tuple[float, float] = (0.9, 0.95)
+    weight_decay: float = AdamWConfig.weight_decay
+    betas: tuple[float, float] = AdamWConfig.betas
     clip_norm: float = 1.0
     seed: int = 0
     eval_every: int = 10
@@ -111,7 +111,8 @@ class Corpus:
         return self.tokens[:cut], self.tokens[cut:]
 
 
-def make_synthetic_corpus(vocab: int, length: int = 8192, seed: int = 0, period: int = SYNTHETIC_PERIOD) -> Corpus:
+def make_synthetic_corpus(vocab: int, length: int = SYNTHETIC_LENGTH, seed: int = SYNTHETIC_SEED,
+                          period: int = SYNTHETIC_PERIOD) -> Corpus:
     """Tiled random pattern: next-token is (mostly) a deterministic
     function of the current token, so small models learn it fast."""
     if period < 2 or period > length:

@@ -3,7 +3,7 @@ import pytest
 
 from chapterbank.ops import _record
 from chapterbank.config import preset
-from chapterbank.optim import AdamW, _stored as stored_grad  # noqa: F401  the array that holds a grad's elements
+from chapterbank.optim import AdamW
 from chapterbank.tensor import Tensor
 
 

@@ -37,7 +37,6 @@ from chapterbank.model import (
 )
 from chapterbank.ops import RMSNORM_EPS, _record
 from chapterbank.tensor import PRECISION_DTYPES, RngState, RowGrad, Tape, Tensor
-from conftest import stored_grad
 
 EPS = 1e-6
 
@@ -707,7 +706,7 @@ class TestModelForward:
         assert all(out.grad is None or out.grad.dtype == dtype for out in tape.outputs)
         assert trace.loss.data.dtype == dtype
         for name, p in model.params.items():
-            assert stored_grad(p).dtype == dtype, f"{name} grad is {stored_grad(p).dtype}"
+            assert p.stored_grad().dtype == dtype, f"{name} grad is {p.stored_grad().dtype}"
         assert model.forward_logits(tokens).dtype == dtype
 
     def test_forward_without_targets_skips_the_head(self, monkeypatch):

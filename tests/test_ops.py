@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chapterbank import ops
 from chapterbank.errors import ConfigError, ShapeError
 from chapterbank.tensor import RowGrad, Tape, Tensor
-from conftest import stored_grad, weighted_sum
+from conftest import weighted_sum
 
 
 def rand_tensor(shape, seed=0, scale=1.0, requires_grad=False):
@@ -269,7 +269,7 @@ def held_rows_memory_tokens(bank, rows, weights, gain, adapter=None, eps=1e-6):
         if bank.requires_grad:
             if adapter is not None:
                 dx += (dx.reshape(-1, d) @ adapter.data.T).reshape(dx.shape)
-            ops._scatter_rows(bank, rows, dx)
+            bank.add_rows(rows, dx)
 
     return ops._record(out, [bank, weights, gain] + ([] if adapter is None else [adapter]), backward)
 
@@ -346,7 +346,7 @@ class TestMemoryTokens:
             out = ops.memory_tokens(bank, self.ROWS, weights, gain, a)
             tape.backward(weighted_sum(out))
         assert out.data.dtype == np.float32 and out.shape == (2, 6, 4)
-        assert all(stored_grad(t).dtype == np.float32 for t in (bank, weights, gain, a))
+        assert all(t.stored_grad().dtype == np.float32 for t in (bank, weights, gain, a))
 
     def test_bad_inputs_rejected(self):
         bank, weights, gain = rand_tensor((12, 4)), rand_tensor((2, 3)), rand_tensor((4,))
@@ -1118,7 +1118,7 @@ class TestTapeBasics:
 
 
 class TestScatterRows:
-    """``_scatter_rows`` adds by duplicate rank and must equal the unbuffered
+    """``Tensor.add_rows`` adds by duplicate rank and must equal the unbuffered
     ``np.add.at`` bit for bit, zeros' signs included."""
 
     IDS = {
@@ -1144,8 +1144,8 @@ class TestScatterRows:
             x.grad[0] = -0.0
         want = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
         np.add.at(want, ids, g.astype(dtype))
-        ops._scatter_rows(x, ids, g)
-        assert stored_grad(x).dtype == dtype and x.dense_grad().tobytes() == want.tobytes()
+        x.add_rows(ids, g)
+        assert x.stored_grad().dtype == dtype and x.dense_grad().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_table_without_a_grad_gets_its_picked_rows_alone(self, dtype):
@@ -1158,7 +1158,7 @@ class TestScatterRows:
             g = (gen.standard_normal(ids.shape + (3,)) * 10.0 ** gen.integers(-6, 6, size=ids.shape + (3,))).astype(dtype)
             g.reshape(-1)[::4] = -0.0
             np.add.at(want, ids, g)
-            ops._scatter_rows(x, ids, g)
+            x.add_rows(ids, g)
             assert isinstance(x.grad, RowGrad) and x.grad.rows.dtype == dtype
         np.testing.assert_array_equal(x.grad.ids, [2, 3, 7, 21, 30, 39])
         assert x.grad.rows.shape == (6, 3)
@@ -1174,17 +1174,49 @@ class TestScatterRows:
         dense = x.grad
         want = held.copy()
         np.add.at(want, ids, g)
-        ops._scatter_rows(x, ids, g)
+        x.add_rows(ids, g)
         assert x.grad is dense and x.grad.tobytes() == want.tobytes()
 
         # a full-shape gradient after the rows: the sum a dense gradient would hold
         y = Tensor(np.zeros((8, 3), dtype=dtype), requires_grad=True)
-        ops._scatter_rows(y, ids, g)
+        y.add_rows(ids, g)
         want = np.zeros_like(y.data)
         np.add.at(want, ids, g)
         want += held
         y.accumulate_grad(held.copy())
         assert isinstance(y.grad, np.ndarray) and y.grad.tobytes() == want.tobytes()
+
+
+class TestGradReads:
+    """``Tensor.read_grad`` and ``holds_grad`` over any flat range of a
+    row-sparse table: the read equals the densified table's slice byte for
+    byte, into a buffer of the table's dtype or the norm's float64, and the
+    table holds an element there exactly when a stored row meets the range.
+    Row widths 1 and 64 divide ``optim.BLOCK``; 50 and 96 do not, so a range
+    may start and stop inside a row."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_range_reads_as_the_dense_table(self, dtype, data):
+        d = data.draw(st.sampled_from([1, 64, 50, 96]), label="d")
+        n = data.draw(st.integers(1, 24), label="rows")
+        ids = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)), label="ids")), dtype=np.int64)
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = (gen.standard_normal((ids.size, d)) * 10.0 ** gen.integers(-6, 6, (ids.size, d))).astype(dtype)
+        rows.reshape(-1)[::7] = -0.0
+        start = data.draw(st.integers(0, n * d - 1), label="start")
+        stop = data.draw(st.integers(start + 1, n * d), label="stop")
+        out_dtype = data.draw(st.sampled_from([dtype, np.float64]), label="out dtype")
+        x = Tensor(np.zeros((n, d), dtype=dtype), requires_grad=True)
+        x.grad = RowGrad(ids, rows)
+        dense = np.zeros((n, d), dtype=dtype)
+        dense[ids] = rows
+        assert x.dense_grad().tobytes() == dense.tobytes()
+        out = np.full(stop - start, np.nan, dtype=out_dtype)
+        x.read_grad(start, stop, out)
+        assert out.tobytes() == x.dense_grad().reshape(-1)[start:stop].astype(out_dtype).tobytes()
+        assert x.holds_grad(start, stop) == any(i * d < stop and start < (i + 1) * d for i in ids)
 
 
 class TestConsumingBackward:

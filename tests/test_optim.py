@@ -15,7 +15,6 @@ from chapterbank.optim import BLOCK, AdamW, AdamWConfig, clip_grad_norm, global_
 from chapterbank.schedule import cosine
 from chapterbank.tensor import Parameter, RngState, RowGrad, Tape
 from chapterbank.train import TrainConfig, make_synthetic_corpus, resume_train, train
-from conftest import stored_grad
 
 
 def make_param(data, name="p", group="base"):
@@ -504,7 +503,7 @@ class TestGradLifetime:
         with Tape() as tape:
             trace = model.forward(tokens, tokens)
         tape.backward(trace.loss)
-        grads = {name: stored_grad(p) for name, p in model.params.items()}
+        grads = {name: p.stored_grad() for name, p in model.params.items()}
         assert all(g is not None and g.flags.c_contiguous for g in grads.values()), \
             [name for name, g in grads.items() if g is None or not g.flags.c_contiguous]
 
@@ -718,7 +717,7 @@ class TestRowSparseGrads:
         for t in (1, 2, 3):
             calls, gw = self._grads(gen, dtype, sparse["bank"].shape[0], d)
             for ids, g in calls:
-                ops._scatter_rows(sparse["bank"], ids, g)
+                sparse["bank"].add_rows(ids, g)
             assert isinstance(sparse["bank"].grad, RowGrad)
             dense["bank"].grad = sparse["bank"].dense_grad()
             sparse["w"].grad, dense["w"].grad = gw.copy(), gw.copy()
@@ -740,7 +739,7 @@ class TestRowSparseGrads:
         rows, d = 3 * BLOCK // 64, 64
         bank = Parameter(np.zeros((rows, d)), "bank", "memory_bank")
         opt = AdamW({"bank": bank})
-        ops._scatter_rows(bank, np.array([2, rows - 1]), np.ones((2, d)))
+        bank.add_rows(np.array([2, rows - 1]), np.ones((2, d)))
         scratch = np.empty(BLOCK)
         assert [optim._block_grad(pieces, scratch, view=False) is None for pieces in opt.segments[0].blocks] == \
             [False, True, False]

@@ -25,7 +25,7 @@ from chapterbank.flops import flops_model
 from chapterbank.model import build_model
 from chapterbank.optim import AdamW, AdamWConfig
 from chapterbank.schedule import cosine, lr_at_step, wsd
-from chapterbank.tensor import RngState, Tape
+from chapterbank.tensor import RngState, Tape, Tensor
 from chapterbank.train import (
     BANK_MODES,
     METRICS_HEADER,
@@ -319,13 +319,13 @@ class TestBankFreezing:
         bank, emb = model["bank.tokens"], model["embedding.weight"]
         before = bank.data.tobytes()
         scattered = []
-        scatter = ops._scatter_rows
+        scatter = Tensor.add_rows
 
         def recorded(x, ids, g):
             scattered.append(x)
             scatter(x, ids, g)
 
-        monkeypatch.setattr(ops, "_scatter_rows", recorded)
+        monkeypatch.setattr(Tensor, "add_rows", recorded)
         frozen = AdamW(model.params, frozen_groups={"memory_bank"})
         assert not bank.requires_grad and bank.grad is None
         train(model, CORPUS, quick_cfg(steps=3, bank_mode="frozen"), optimizer=frozen)

@@ -2,19 +2,22 @@
 
 Prints one row of a markdown table for the benchmark's mid config
 (``bench/workloads.mid_config()``, chapters of 32 rows at d=256) at B=8,
-L=128 with ``--chapters`` chapters:
+L=128 with ``--chapters`` chapters; at 257 chapters it is train-mem's model:
 
     python tools/bank_probe.py --chapters 4097 [--header]
 
-Each step drops the gradients, runs one taped forward and backward, the
+Each step drops the gradients, runs one taped forward, its backward, the
 gradient norm, the clip, the AdamW step and a full snapshot (weights and
 both moments; the last one is dropped before the next is taken, as in
 ``train()``). The clip runs at half the step's norm, so its multiply runs on
-every step. Each time is the minimum over ``STEPS`` steps; "grad rows" counts the
-bank rows whose gradient the step stores (every row when the bank holds a
-dense gradient) and, in brackets, the rows the step's routing picked. Peak
-RSS is ``ru_maxrss`` at the end. Run each reading in a fresh process, with
-one BLAS thread (set here unless the environment says otherwise).
+every step. Each phase's cell reads its wall time, then its thread CPU time
+(``time.thread_time()``), each the minimum over ``STEPS`` steps: with one
+BLAS thread the CPU time leaves out the time the process waits for a core.
+"grad rows" counts the bank rows whose gradient the step stores (every row
+when the bank holds a dense gradient) and, in brackets, the rows the step's
+routing picked. Peak RSS is ``ru_maxrss`` at the end. Run each reading in a
+fresh process, with one BLAS thread (set here unless the environment says
+otherwise).
 """
 
 from __future__ import annotations
@@ -43,12 +46,17 @@ from chapterbank.train import make_synthetic_corpus, sample_batch  # noqa: E402
 from workloads import BATCH, CORPUS_TOKENS, SEQ_LEN, mid_config  # noqa: E402
 
 STEPS = 6
-COLUMNS = ("chapters", "bank", "grad rows [picked]", "fwd+bwd", "norm", "clip", "AdamW step", "snapshot", "peak RSS")
+PHASES = ("forward", "backward", "norm", "clip", "AdamW step", "snapshot")
+COLUMNS = ("chapters", "bank", "grad rows [picked]", *(f"{name} wall / CPU" for name in PHASES), "peak RSS")
 
 
-def stored_rows(grad) -> int:
-    """Bank rows a gradient stores: a row-sparse one's ids, else all rows."""
-    return grad.shape[0] if isinstance(grad, np.ndarray) else grad.ids.size
+def clock() -> tuple[float, float]:
+    return time.perf_counter(), time.thread_time()
+
+
+def cell(ms: tuple[float, float]) -> str:
+    digits = 1 if ms[0] < 10 else 0
+    return f"{ms[0]:.{digits}f} / {ms[1]:.{digits}f} ms"
 
 
 def probe(chapters: int) -> list[str]:
@@ -59,37 +67,37 @@ def probe(chapters: int) -> list[str]:
     region = make_synthetic_corpus(vocab=cfg.vocab, length=CORPUS_TOKENS, seed=1).split()[0]
     rng, lrs = RngState(1), {group: 1e-3 for group in PARAM_GROUPS}
     bank = model["bank.tokens"]
-    times: dict[str, list[float]] = {name: [] for name in ("fwd+bwd", "norm", "clip", "step", "snapshot")}
+    times: dict[str, list[tuple[float, float]]] = {name: [] for name in PHASES}
     rows = picked = 0
     snapshot = None
     for t in range(1, STEPS + 1):
         tokens = sample_batch(region, rng.substream("batch", t), BATCH, SEQ_LEN)
-        marks = [time.perf_counter()]
+        marks = [clock()]
         model.zero_grads()
         with Tape() as tape:
             trace = model_forward(model, tokens, tokens)
+            marks.append(clock())
             tape.backward(trace.loss)
-        marks.append(time.perf_counter())
+        marks.append(clock())
         norm = global_grad_norm(optimizer)
-        marks.append(time.perf_counter())
+        marks.append(clock())
         clip_grad_norm(optimizer, norm / 2, norm)
-        marks.append(time.perf_counter())
-        rows = max(rows, stored_rows(bank.grad))
+        marks.append(clock())
+        rows = max(rows, bank.stored_grad().shape[0])
         chosen = np.unique(np.concatenate([d.selected_with_shared.ravel() for d in trace.decisions]))
         picked = max(picked, chosen.size * cfg.chapter_size)
         optimizer.step(lrs, t)
-        marks.append(time.perf_counter())
+        marks.append(clock())
         snapshot = None
         snapshot = checkpoint_from(model, t, 1, optimizer)
-        marks.append(time.perf_counter())
+        marks.append(clock())
         for name, a, b in zip(times, marks, marks[1:]):
-            times[name].append(b - a)
+            times[name].append((b[0] - a[0], b[1] - a[1]))
     del snapshot
-    ms = {name: 1e3 * min(values) for name, values in times.items()}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return [f"{chapters:,}", f"{bank.data.nbytes / 2**20:.1f} MiB",
-            f"{rows:,} of {bank.shape[0]:,} [{picked:,}]", f"{ms['fwd+bwd']:.0f} ms", f"{ms['norm']:.1f} ms",
-            f"{ms['clip']:.1f} ms", f"{ms['step']:.0f} ms", f"{ms['snapshot']:.0f} ms", f"{peak:.0f} MB"]
+    return [f"{chapters:,}", f"{bank.data.nbytes / 2**20:.1f} MiB", f"{rows:,} of {bank.shape[0]:,} [{picked:,}]",
+            *(cell(tuple(1e3 * min(clocks) for clocks in zip(*values))) for values in times.values()),
+            f"{peak:.0f} MB"]
 
 
 def main(argv: list[str] | None = None) -> None:
